@@ -7,8 +7,9 @@ Subcommands:
     verify    <rundir>   re-evaluate every check on a finished run
     report    <rundir>   emit plot-ready per-monitor series and a summary
 
-Exit codes are a contract: 0 success, 1 usage or config error, 2 numerical
-blowup (partial outputs preserved), 3 verification failure.
+Exit codes are a contract: 0 success, 1 usage or config error or a
+damaged run directory, 2 numerical blowup (partial outputs preserved),
+3 verification failure.  Errors are reported in one line on stderr.
 
 The monitor CSV columns are, in order: t, energy, then per configured pair
 (lp, serrin, serrin_int, log_serrin, log_serrin_int), then linf, sobolev1,
@@ -25,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +35,22 @@ from . import snapshot as snap
 from . import solver as solv
 from .config import (
     ConfigError,
-    RawConfig,
     build_criterion_config,
     build_solver_config,
     parse_config,
-    parse_pairs,
     parse_seed_list,
 )
 from .criteria import (
+    PAIR_COLUMNS,
+    SAMPLE_COLUMNS,
     CalibrationEntry,
     CalibrationRecord,
-    CriterionConfig,
     MonitorSample,
     MonitorSeries,
     PairSample,
     SerrinPair,
 )
-from .spectral import Grid, fft_forward
+from .spectral import Grid, NonFiniteSamples, fft_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,55 +65,25 @@ REPORT_DIR = "report"
 ENERGY_TOL = 1e-5
 IDENTITY_TOL = 1e-8
 
-TAIL_COLUMNS = [
-    "linf",
-    "sobolev1",
-    "sobolev2",
-    "sobolev3",
-    "bkm",
-    "bkm_int",
-    "chan_vasseur",
-    "chan_vasseur_int",
-    "identity_residual",
-    "gronwall_bound",
-    "ddt_sobolev2_sq",
-    "embed_ratio",
-]
+#: what reading or parsing a damaged run-directory file raises
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
+class DamagedArtifact(Exception):
+    """A run-directory file is missing, unreadable or malformed."""
 
 
 def csv_columns(pairs: tuple[SerrinPair, ...]) -> list[str]:
-    cols = ["t", "energy"]
-    for pair in pairs:
-        lab = pair.label
-        cols += [
-            f"lp_{lab}",
-            f"serrin_{lab}",
-            f"serrin_int_{lab}",
-            f"log_serrin_{lab}",
-            f"log_serrin_int_{lab}",
-        ]
-    return cols + TAIL_COLUMNS
+    """t and energy, then one block of PAIR_COLUMNS per pair, then the rest."""
+    pair_cols = [f"{c}_{pair.label}" for pair in pairs for c in PAIR_COLUMNS]
+    return [*SAMPLE_COLUMNS[:2], *pair_cols, *SAMPLE_COLUMNS[2:]]
 
 
-def _row_values(s: MonitorSample, pairs: tuple[SerrinPair, ...]) -> list[float]:
-    row = [s.t, s.energy]
-    for pair in pairs:
-        ps = s.pairs[pair.label]
-        row += [ps.lp, ps.serrin, ps.serrin_int, ps.log_serrin, ps.log_serrin_int]
-    row += [
-        s.linf,
-        s.sobolev1,
-        s.sobolev2,
-        s.sobolev3,
-        s.bkm,
-        s.bkm_int,
-        s.chan_vasseur,
-        s.chan_vasseur_int,
-        s.identity_residual,
-        s.gronwall_bound,
-        s.ddt_sobolev2_sq,
-        s.embed_ratio,
-    ]
+def _row_values(s: MonitorSample) -> dict[str, float]:
+    """Every CSV value of one sample, keyed by column name."""
+    row = {c: getattr(s, c) for c in SAMPLE_COLUMNS}
+    for lab, ps in s.pairs.items():
+        row.update({f"{c}_{lab}": getattr(ps, c) for c in PAIR_COLUMNS})
     return row
 
 
@@ -122,7 +92,8 @@ def write_series_csv(path: str, series: MonitorSeries) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for s in series.samples:
-            fh.write(",".join(f"{v:.17g}" for v in _row_values(s, series.pairs)) + "\n")
+            row = _row_values(s)
+            fh.write(",".join(f"{row[c]:.17g}" for c in cols) + "\n")
 
 
 def read_series_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -318,64 +289,49 @@ class CheckResult:
 def _samples_from_columns(
     cols: dict[str, np.ndarray], pairs: tuple[SerrinPair, ...]
 ) -> list[MonitorSample]:
-    n_rows = len(cols["t"])
-    out = []
-    for i in range(n_rows):
-        pair_samples = {}
-        for pair in pairs:
-            lab = pair.label
-            pair_samples[lab] = PairSample(
-                lp=cols[f"lp_{lab}"][i],
-                serrin=cols[f"serrin_{lab}"][i],
-                log_serrin=cols[f"log_serrin_{lab}"][i],
-                serrin_int=cols[f"serrin_int_{lab}"][i],
-                log_serrin_int=cols[f"log_serrin_int_{lab}"][i],
-            )
-        out.append(
-            MonitorSample(
-                t=cols["t"][i],
-                energy=cols["energy"][i],
-                linf=cols["linf"][i],
-                sobolev1=cols["sobolev1"][i],
-                sobolev2=cols["sobolev2"][i],
-                sobolev3=cols["sobolev3"][i],
-                bkm=cols["bkm"][i],
-                chan_vasseur=cols["chan_vasseur"][i],
-                identity_residual=cols["identity_residual"][i],
-                ddt_sobolev2_sq=cols["ddt_sobolev2_sq"][i],
-                embed_ratio=cols["embed_ratio"][i],
-                pairs=pair_samples,
-                bkm_int=cols["bkm_int"][i],
-                chan_vasseur_int=cols["chan_vasseur_int"][i],
-                gronwall_bound=cols["gronwall_bound"][i],
-            )
+    """Monitor samples of a read CSV; KeyError names a missing column."""
+    return [
+        MonitorSample(
+            pairs={
+                pair.label: PairSample(
+                    **{c: cols[f"{c}_{pair.label}"][i] for c in PAIR_COLUMNS}
+                )
+                for pair in pairs
+            },
+            **{c: cols[c][i] for c in SAMPLE_COLUMNS},
         )
-    return out
-
-
-@dataclass
-class _SnapshotState:
-    u_hat: object
+        for i in range(len(cols["t"]))
+    ]
 
 
 def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
+    """Every check of ``verify`` on one run directory.
+
+    Raises DamagedArtifact when the manifest, the CSV or a snapshot is
+    missing or cannot be parsed.  A snapshot with non-finite samples is not
+    damaged but a failed ``identity_snapshots`` check.
+    """
     manifest_path = os.path.join(rundir, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = RunManifest.from_json(fh.read())
-    csv_path = os.path.join(rundir, manifest.csv)
-    if not os.path.exists(csv_path):
-        raise FileNotFoundError(f"missing monitor CSV: {csv_path}")
-    snap_paths = [os.path.join(rundir, name) for name in manifest.snapshots]
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = RunManifest.from_json(fh.read())
+        pairs = manifest.serrin_pairs()
+        record = manifest.calibration_record()
+        mu = float(manifest.mu)
+        csv_path = os.path.join(rundir, manifest.csv)
+        snap_paths = [os.path.join(rundir, name) for name in manifest.snapshots]
+    except _READ_ERRORS as exc:
+        raise DamagedArtifact(f"manifest {manifest_path}: {exc!r}") from exc
     for p in snap_paths:
         if not os.path.exists(p):
-            raise FileNotFoundError(f"missing snapshot: {p}")
-
-    pairs = manifest.serrin_pairs()
-    mu = manifest.mu
-    _, cols = read_series_csv(csv_path)
-    samples = _samples_from_columns(cols, pairs)
+            raise DamagedArtifact(f"missing snapshot: {p}")
+    try:
+        _, cols = read_series_csv(csv_path)
+        samples = _samples_from_columns(cols, pairs)
+        if not samples:
+            raise ValueError("no sample rows")
+    except _READ_ERRORS as exc:
+        raise DamagedArtifact(f"monitor CSV {csv_path}: {exc!r}") from exc
     results: list[CheckResult] = []
 
     # energy budget: dE + 2 mu int ||grad u||^2 dt == 0, per gap and overall
@@ -408,9 +364,16 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     holder_ok = True
     cfg_duck = type("Cfg", (), {"mu": mu})()
     p_values = sorted({pair.p for pair in pairs})
+    nonfinite = []
     for path in snap_paths:
-        field_, _t = snap.read_snapshot(path)
-        state = _SnapshotState(u_hat=fft_forward(field_))
+        try:
+            field_, t_snap = snap.read_snapshot(path)
+        except NonFiniteSamples:
+            nonfinite.append(os.path.basename(path))
+            continue
+        except _READ_ERRORS as exc:
+            raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
+        state = solv.SolverState(t_snap, fft_forward(field_))
         res = crit.h2_identity_residual(state, cfg_duck)
         worst_ident = max(
             worst_ident, res["residual"] / (1.0 + abs(res["lhs"]))
@@ -419,10 +382,16 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             hc = crit.holder_check(state, p)
             holder_ok &= hc["satisfied"]
             worst_holder = min(worst_holder, hc["bound"] - hc["actual"])
+    if nonfinite:
+        worst_ident = math.inf
     if snap_paths:
         results.append(
             CheckResult(
-                "identity_snapshots", worst_ident <= IDENTITY_TOL, worst_ident, IDENTITY_TOL
+                "identity_snapshots",
+                worst_ident <= IDENTITY_TOL,
+                worst_ident,
+                IDENTITY_TOL,
+                note=f"non-finite samples in {', '.join(nonfinite)}" if nonfinite else "",
             )
         )
         results.append(
@@ -436,7 +405,6 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
         )
 
     # growth inequality and Gronwall dominance per canonical calibrated pair
-    record = manifest.calibration_record()
     if record is not None:
         for pair in pairs:
             entry = record.for_p(pair.p)
@@ -494,8 +462,9 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
 def cmd_verify(rundir: str) -> int:
     try:
         results, all_pass = run_checks(rundir)
-    except FileNotFoundError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
+    except DamagedArtifact as exc:
+        # parser messages may span lines; the contract is one line
+        print(f"damaged run directory: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_USAGE
     report_path = os.path.join(rundir, "verify_report.txt")
     lines = [r.line() for r in results]
@@ -503,6 +472,9 @@ def cmd_verify(rundir: str) -> int:
         fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
+    if not all_pass:
+        failed = ", ".join(r.name for r in results if not r.passed)
+        print(f"verification failed: {failed}", file=sys.stderr)
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

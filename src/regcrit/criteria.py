@@ -28,7 +28,7 @@ downstream running integrals but never abort a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .spectral import (
     convective,
     curl,
     first_derivatives,
-    ifftn_real,
     leray_project,
+    parseval_sum,
     second_derivatives,
     to_physical,
 )
@@ -153,7 +153,7 @@ class CalibrationRecord:
         mu = float(kv.pop("mu"))
         corpus = kv.pop("corpus", "")
         entries: dict[str, CalibrationEntry] = {}
-        labels = {k.split(".")[0] for k in kv}
+        labels = {k.rpartition(".")[0] for k in kv}
         for lab in labels:
             p = math.inf if lab == "pinf" else float(lab[1:])
             entries[lab] = CalibrationEntry(
@@ -187,6 +187,27 @@ class CriterionConfig:
             raise ValueError("viscosity must be positive")
         if self.identity_stride < 1:
             raise ValueError("identity_stride must be >= 1")
+
+
+#: monitor-sample schema: the float fields of PairSample and MonitorSample,
+#: in monitor-CSV column order (the CSV layout itself is cli.csv_columns)
+PAIR_COLUMNS = ("lp", "serrin", "serrin_int", "log_serrin", "log_serrin_int")
+SAMPLE_COLUMNS = (
+    "t",
+    "energy",
+    "linf",
+    "sobolev1",
+    "sobolev2",
+    "sobolev3",
+    "bkm",
+    "bkm_int",
+    "chan_vasseur",
+    "chan_vasseur_int",
+    "identity_residual",
+    "gronwall_bound",
+    "ddt_sobolev2_sq",
+    "embed_ratio",
+)
 
 
 @dataclass
@@ -272,10 +293,13 @@ def bkm_integrand(U: SpectralVelocityField) -> float:
     return _norms.lp_norm(to_physical(curl(U)), math.inf)
 
 
+def _chan_vasseur(mag: np.ndarray, cell_volume: float) -> float:
+    return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
+
+
 def chan_vasseur_integrand(U: VelocityField) -> float:
     """Pointwise-log integrand: dx^3 * sum |u|^5 / ln(e + |u|)."""
-    mag = U.magnitude()
-    return float(np.sum(mag**5 / np.log(E + mag)) * U.grid.cell_volume)
+    return _chan_vasseur(U.magnitude(), U.grid.cell_volume)
 
 
 def accumulate(series: MonitorSeries) -> MonitorSeries:
@@ -311,25 +335,29 @@ def accumulate(series: MonitorSeries) -> MonitorSeries:
     return series
 
 
+def _h2_rate(
+    u_hat: SpectralVelocityField, mu: float, rhs_hat: SpectralVelocityField
+) -> float:
+    """<grad^2 u, grad^2 du/dt>, half of d/dt ||grad^2 u||^2, with du/dt the
+    instantaneous spectral right-hand side (projected convection plus exact
+    viscous term); no time differencing."""
+    k2 = u_hat.grid.k_squared_half
+    u = u_hat.half
+    dudt = rhs_hat.half - mu * k2 * u
+    return parseval_sum(u_hat.grid, k2 * k2 * np.real(np.conj(u) * dudt))
+
+
 def _identity_sides(
     u_hat: SpectralVelocityField, mu: float, rhs_hat: SpectralVelocityField
 ) -> tuple[float, float]:
     """Both sides of the H^2 identity, evaluated independently.
 
-    Left: <grad^2 u, grad^2 du/dt> + mu ||grad^3 u||^2 with du/dt the
-    instantaneous spectral right-hand side (projected convection plus exact
-    viscous term); no time differencing.  Right: the two contraction
-    integrals by dealiased quadrature.
+    Left: <grad^2 u, grad^2 du/dt> + mu ||grad^3 u||^2.  Right: the two
+    contraction integrals by dealiased quadrature.
     """
-    g = u_hat.grid
-    k2 = g.k_squared
-    k4 = k2 * k2
-    k6 = k4 * k2
-    u = u_hat.coefficients
-    dudt = rhs_hat.coefficients - mu * k2 * u
-    inner_h2 = g.volume * float(np.sum(k4 * np.real(np.conj(u) * dudt)))
-    sob3_sq = g.volume * float(np.sum(k6 * (np.abs(u) ** 2)))
-    lhs = inner_h2 + mu * sob3_sq
+    k2 = u_hat.grid.k_squared_half
+    sob3_sq = parseval_sum(u_hat.grid, k2 * k2 * k2 * (np.abs(u_hat.half) ** 2))
+    lhs = _h2_rate(u_hat, mu, rhs_hat) + mu * sob3_sq
     return lhs, _identity_rhs(u_hat)
 
 
@@ -353,7 +381,7 @@ def h2_identity_residual(state, config, rhs_hat: SpectralVelocityField | None = 
     u_hat = state.u_hat
     if rhs_hat is None:
         rhs_hat = SpectralVelocityField(
-            u_hat.grid, -leray_project(convective(u_hat)).coefficients
+            u_hat.grid, -leray_project(convective(u_hat)).half
         )
     lhs, rhs = _identity_sides(u_hat, config.mu, rhs_hat)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
@@ -462,7 +490,7 @@ def evaluate_sample(
     g = u_hat.grid
     u_phys = to_physical(u_hat)
     mag = u_phys.magnitude()
-    energy = g.volume * float(np.sum(np.abs(u_hat.coefficients) ** 2))
+    energy = parseval_sum(g, np.abs(u_hat.half) ** 2)
     sob = {m: _norms.sobolev_seminorm(u_hat, m) for m in (1, 2, 3)}
     if cfg.oversample_linf:
         linf = _norms.linf_oversampled(u_hat)
@@ -472,27 +500,16 @@ def evaluate_sample(
     pair_samples: dict[str, PairSample] = {}
     for pair in cfg.pairs:
         lp = _norms.lp_norm(u_phys, pair.p)
-        ser = _pow_sentinel(lp, pair.s) if cfg.serrin else math.nan
-        log_ser = (
-            _pow_sentinel(lp, pair.s) / log_denominator(linf)
-            if cfg.log_serrin
-            else math.nan
+        powered = _pow_sentinel(lp, pair.s)
+        pair_samples[pair.label] = PairSample(
+            lp=lp,
+            serrin=powered if cfg.serrin else math.nan,
+            log_serrin=powered / log_denominator(linf) if cfg.log_serrin else math.nan,
         )
-        pair_samples[pair.label] = PairSample(lp=lp, serrin=ser, log_serrin=log_ser)
 
     bkm = bkm_integrand(u_hat) if cfg.bkm else math.nan
-    chan = (
-        float(np.sum(mag**5 / np.log(E + mag)) * g.cell_volume)
-        if cfg.chan_vasseur
-        else math.nan
-    )
-
-    k2 = g.k_squared
-    k4 = k2 * k2
-    dudt = rhs_hat.coefficients - cfg.mu * k2 * u_hat.coefficients
-    ddt = 2.0 * g.volume * float(
-        np.sum(k4 * np.real(np.conj(u_hat.coefficients) * dudt))
-    )
+    chan = _chan_vasseur(mag, g.cell_volume) if cfg.chan_vasseur else math.nan
+    ddt = 2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat)
 
     if cfg.identity and with_identity:
         lhs, rhs = _identity_sides(u_hat, cfg.mu, rhs_hat)

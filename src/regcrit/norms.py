@@ -10,14 +10,14 @@ weight dx^3, spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (
     SpectralVelocityField,
     VelocityField,
-    ifftn_real,
+    parseval_sum,
     resample,
     second_derivatives,
     to_physical,
@@ -61,11 +61,8 @@ def sobolev_seminorm(U: SpectralVelocityField, m: int) -> float:
     if m not in (0, 1, 2, 3):
         raise ValueError(f"derivative order must be in 0..3, got {m}")
     g = U.grid
-    w = np.ones(g.shape)
-    for _ in range(m):
-        w = w * g.k_squared
-    total = np.sum(w * (np.abs(U.coefficients) ** 2))
-    return float(math.sqrt(g.volume * total))
+    w = g.k_squared_half**m
+    return math.sqrt(parseval_sum(g, w * (np.abs(U.half) ** 2)))
 
 
 def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:

@@ -12,6 +12,7 @@ diagnostic pressure emitted by the report subcommand.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -59,7 +60,10 @@ def _read_header(fh) -> dict:
         raw.extend(b)
         if len(raw) > 4096:
             raise ValueError("snapshot header too long")
-    return json.loads(raw.decode("utf-8"))
+    head = json.loads(raw.decode("utf-8"))
+    if not isinstance(head, dict):
+        raise ValueError("snapshot header is not a JSON object")
+    return head
 
 
 def read_snapshot(path) -> tuple[VelocityField, float]:
@@ -69,9 +73,12 @@ def read_snapshot(path) -> tuple[VelocityField, float]:
             raise ValueError(f"not a velocity snapshot: {head.get('components')!r}")
         grid = Grid(int(head["n"]), float(head["length"]))
         n3 = grid.n**3
-        data = np.frombuffer(fh.read(3 * n3 * 8), dtype="<f8")
-        if data.size != 3 * n3:
-            raise ValueError("snapshot payload truncated")
+        want = 3 * n3 * 8
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != want:
+            kind = "truncated" if have < want else "oversized"
+            raise ValueError(f"snapshot payload {kind}: {have} bytes, header implies {want}")
+        data = np.frombuffer(fh.read(want), dtype="<f8")
     comps = [
         data[c * n3 : (c + 1) * n3].reshape(grid.shape, order="F") for c in range(3)
     ]

@@ -15,23 +15,23 @@ because the initializers band-limit and every right-hand side is dealiased.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import criteria as _criteria
 from .spectral import (
     Grid,
+    RealScalarField,
     SpectralVelocityField,
     VelocityField,
     convective,
     convective_core_half,
     divergence,
     fft_forward,
-    full_from_half,
-    half_from_full,
-    ifftn_real,
+    irfftn_real,
     leray_project,
+    parseval_sum,
     to_physical,
 )
 
@@ -175,11 +175,11 @@ def init_random_divfree(
         coeffs[c][mx, my, mz] = np.conj(vals)
     U = leray_project(SpectralVelocityField(grid, coeffs))
     if amplitude == 0.0:
-        return SpectralVelocityField(grid, np.zeros_like(coeffs))
-    current = math.sqrt(grid.volume * np.sum(np.abs(U.coefficients) ** 2))
+        return SpectralVelocityField(grid, np.zeros_like(U.half))
+    current = math.sqrt(parseval_sum(grid, np.abs(U.half) ** 2))
     if current == 0.0:
         raise ValueError("random field degenerated to zero before rescaling")
-    return SpectralVelocityField(grid, U.coefficients * (amplitude / current))
+    return SpectralVelocityField(grid, U.half * (amplitude / current))
 
 
 def make_initial(config: SolverConfig) -> SpectralVelocityField:
@@ -193,24 +193,17 @@ def make_initial(config: SolverConfig) -> SpectralVelocityField:
     )
 
 
-def _project_half(grid: Grid, w: np.ndarray) -> np.ndarray:
-    kx, ky, kz = (a[..., : grid.half] for a in grid.wavenumbers)
-    s = (kx * w[0] + ky * w[1] + kz * w[2]) * grid.inv_k_squared_half
-    return np.stack([w[0] - kx * s, w[1] - ky * s, w[2] - kz * s])
-
-
 def _nonlinear_half(grid: Grid, half: np.ndarray) -> tuple[np.ndarray, float]:
     """Half-spectrum coefficients of -P((u . grad) u) plus the grid max of |u|."""
     w_hat, u_max = convective_core_half(grid, half)
-    return -_project_half(grid, w_hat), u_max
+    return -leray_project(SpectralVelocityField(grid, w_hat)).half, u_max
 
 
 def nonlinear_rhs(u_hat: SpectralVelocityField) -> SpectralVelocityField:
     """Projected convective term -P((u . grad) u); the viscous term is handled
     separately by the time stepper."""
     g = u_hat.grid
-    nl, _ = _nonlinear_half(g, half_from_full(g, u_hat.coefficients))
-    return SpectralVelocityField(g, full_from_half(g, nl))
+    return SpectralVelocityField(g, _nonlinear_half(g, u_hat.half)[0])
 
 
 def _advance(
@@ -246,7 +239,7 @@ def _advance(
         raise NumericalBlowup(f"non-finite coefficients after step to t={state.t + dt:.6g}")
     return SolverState(
         t=(state.step_index + 1) * dt,
-        u_hat=SpectralVelocityField(g, full_from_half(g, new)),
+        u_hat=SpectralVelocityField(g, new),
         step_index=state.step_index + 1,
     )
 
@@ -257,22 +250,17 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     Re-checks the advective CFL bound against the current field and raises
     NumericalBlowup on violation or on non-finite output.
     """
-    g = config.grid
-    u_half = half_from_full(g, state.u_hat.coefficients)
+    u_half = state.u_hat.half
     with np.errstate(over="ignore", invalid="ignore"):
-        nl1, u_max = _nonlinear_half(g, u_half)
+        nl1, u_max = _nonlinear_half(config.grid, u_half)
     return _advance(state, config, u_half, nl1, u_max)
 
 
 def pressure_field(u_hat: SpectralVelocityField):
     """Diagnostic pressure from Delta q = -div((u . grad) u), mean zero."""
-    from .spectral import RealScalarField, SpectralScalarField
-
     g = u_hat.grid
-    w = convective(u_hat)
-    div_w = divergence(w).coefficients
-    q_hat = div_w * g.inv_k_squared
-    return RealScalarField(g, ifftn_real(q_hat))
+    q_hat = divergence(convective(u_hat)).half * g.inv_k_squared_half
+    return RealScalarField(g, irfftn_real(q_hat, g.n))
 
 
 class RunSink:
@@ -300,7 +288,7 @@ def run(
         for i in range(n_steps + 1):
             final = i == n_steps
             g = config.grid
-            u_half = half_from_full(g, state.u_hat.coefficients)
+            u_half = state.u_hat.half
             # stage-1 nonlinear term doubles as the monitors' time derivative
             nl, u_max = _nonlinear_half(g, u_half)
             if state.step_index % config.monitor_stride == 0 or final:
@@ -312,7 +300,7 @@ def run(
                         state.u_hat,
                         state.t,
                         monitors,
-                        rhs_hat=SpectralVelocityField(g, full_from_half(g, nl)),
+                        rhs_hat=SpectralVelocityField(g, nl),
                         with_identity=with_identity,
                     )
                 )

@@ -7,7 +7,14 @@ Conventions, fixed once for the whole package:
   and arrays are indexed ``[x, y, z]``
 * the forward transform divides by ``n**3``, so the ``k = 0`` coefficient
   equals the field mean and Parseval reads
-  ``sum(samples**2) * dx**3 == sum(|coeffs|**2) * length**3``
+  ``sum(samples**2) * dx**3 == sum(|coeffs|**2) * length**3``, the sum
+  running over the full cube of coefficients
+* spectral fields store the rfft half spectrum, kz indices ``0 .. n/2``
+  (shape ``(..., n, n, n/2 + 1)``); the kz < 0 planes are the conjugate
+  mirror of the kept ones and exist only in the full cube that
+  ``.coefficients`` builds on request.  A full-cube sum of a quantity even
+  in k is a half-spectrum sum with Parseval weights: 1 on the kz = 0 and
+  kz = n/2 planes, 2 on every other plane (:func:`parseval_sum`)
 * integer wavevectors run over ``{-n/2, ..., n/2 - 1}`` per axis, scaled by
   ``2*pi/length``; the unpaired Nyquist mode ``-n/2`` is zeroed in every
   derivative operator
@@ -17,13 +24,13 @@ Conventions, fixed once for the whole package:
 All operations are pure functions.  Reductions are plain C-order numpy sums,
 so results are reproducible run to run at a fixed worker count.  The
 environment variable ``REGCRIT_THREADS`` caps the FFT worker pool
-(default 1).
+(default: every CPU); the worker count does not change any result.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +45,11 @@ HERMITIAN_TOL = 1e-10
 
 
 class NonHermitianInput(ValueError):
-    """Spectral data passed to an inverse transform is not conjugate symmetric."""
+    """Spectral data is not the spectrum of a real field: F(-k) != conj(F(k))."""
+
+
+class NonFiniteSamples(ValueError):
+    """Field samples or coefficients hold NaN or infinity."""
 
 
 def _workers() -> int:
@@ -52,9 +63,11 @@ def _workers() -> int:
 
 
 def fftn(values: np.ndarray) -> np.ndarray:
-    """Forward transform over the trailing three axes, mean-normalized.
+    """Full-cube forward transform over the trailing three axes, mean-normalized.
 
-    Leading axes (component stacks) are transformed in one library call.
+    The package itself works on the half spectrum; the full-cube transforms
+    are kept as an independent reference route.  Leading axes (component
+    stacks) are transformed in one library call, here and below.
     """
     return _fft.fftn(values, axes=(-3, -2, -1), norm="forward", workers=_workers())
 
@@ -74,6 +87,7 @@ def rfftn(values: np.ndarray) -> np.ndarray:
 
 
 def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`rfftn` onto the (n, n, n) grid."""
     return _fft.irfftn(
         half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=_workers()
     )
@@ -145,14 +159,6 @@ class Grid:
         return kx**2 + ky**2 + kz**2
 
     @cached_property
-    def inv_k_squared(self) -> np.ndarray:
-        """1/|k|^2 with the k = 0 (and Nyquist-only) entries set to zero."""
-        k2 = self.k_squared
-        out = np.zeros_like(k2)
-        np.divide(1.0, k2, out=out, where=k2 > 0)
-        return out
-
-    @cached_property
     def dealias_mask(self) -> np.ndarray:
         cut = self.n / DEALIAS_DENOM
         m = np.abs(self.integer_modes)
@@ -169,16 +175,21 @@ class Grid:
         """Largest |k|^2 surviving the dealias mask; sets the viscous CFL."""
         return float((self.k_squared * self.dealias_mask).max())
 
-    # --- half-spectrum (rfft) companions for the solver hot path ---
+    # --- half-spectrum (rfft) companions: the storage layout of spectral fields ---
 
     @property
     def half(self) -> int:
+        """Number of kept kz planes, kz = 0 .. n/2."""
         return self.n // 2 + 1
 
+    @property
+    def half_shape(self) -> tuple[int, int, int]:
+        return (self.n, self.n, self.half)
+
     @cached_property
-    def ik_axes_half(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ikx, iky, ikz = self.ik_axes
-        return (ikx, iky, ikz[..., : self.half])
+    def wavenumbers_half(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        kx, ky, kz = self.wavenumbers
+        return (kx, ky, kz[..., : self.half])
 
     @cached_property
     def k_squared_half(self) -> np.ndarray:
@@ -186,7 +197,11 @@ class Grid:
 
     @cached_property
     def inv_k_squared_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.inv_k_squared[..., : self.half])
+        """1/|k|^2 with the k = 0 (and Nyquist-only) entries set to zero."""
+        k2 = self.k_squared_half
+        out = np.zeros_like(k2)
+        np.divide(1.0, k2, out=out, where=k2 > 0)
+        return out
 
     @cached_property
     def dealias_mask_half(self) -> np.ndarray:
@@ -207,8 +222,41 @@ def _check_values(grid: Grid, values: np.ndarray, nc: int, kind: str) -> np.ndar
     if arr.shape != want:
         raise ValueError(f"{kind}: expected shape {want}, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{kind}: non-finite samples")
+        raise NonFiniteSamples(f"{kind}: non-finite samples")
     return arr
+
+
+def _relative(deviation: float, coefficients: np.ndarray) -> float:
+    scale = np.abs(coefficients).max(initial=0.0)
+    return 0.0 if scale == 0.0 else float(deviation / scale)
+
+
+def _mirror_tail(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The kz > n/2 planes of the full cube: conj(F(-k)) taken from the
+    interior kept planes kz = 1 .. n/2 - 1, in full-cube storage order."""
+    m = grid._mirror_axis
+    interior = half[..., 1 : grid.half - 1]
+    return np.conj(interior[..., m, :, :][..., :, m, :][..., ::-1])
+
+
+def _half_spectrum(grid: Grid, coefficients, nc: int, kind: str) -> np.ndarray:
+    """Half spectrum of ``coefficients``, given either as a half spectrum
+    (taken as is) or as a full cube.  A full cube must be finite, and its
+    kz > n/2 planes must be the conjugate mirror of the kept planes: they
+    are dropped, so anything else would be lost silently."""
+    arr = np.asarray(coefficients, dtype=np.complex128)
+    if arr.shape == ((nc,) if nc > 1 else ()) + grid.half_shape:
+        return arr
+    full = _check_values(grid, arr, nc, kind)
+    half = np.ascontiguousarray(full[..., : grid.half])
+    dev = np.abs(full[..., grid.half :] - _mirror_tail(grid, half)).max(initial=0.0)
+    viol = _relative(dev, full)
+    if viol > HERMITIAN_TOL:
+        raise NonHermitianInput(
+            f"{kind}: kz > n/2 planes are not the conjugate mirror of the kept "
+            f"planes: relative deviation {viol:.3e}"
+        )
+    return half
 
 
 @dataclass
@@ -223,17 +271,34 @@ class RealScalarField:
 
 
 @dataclass
-class SpectralScalarField:
+class _SpectralField:
+    """Fourier coefficients held as the half spectrum ``half``.
+
+    Construct from a half spectrum, the internal form, which is taken as is,
+    or from a full cube, which is checked (see :func:`_half_spectrum`).
+    """
+
     grid: Grid
-    coefficients: np.ndarray  # (n, n, n) complex128
+    half: np.ndarray
+
+    _components = 1
 
     def __post_init__(self):
-        self.coefficients = _check_values(
-            self.grid,
-            np.asarray(self.coefficients, dtype=np.complex128),
-            1,
-            "SpectralScalarField",
+        self.half = _half_spectrum(
+            self.grid, self.half, self._components, type(self).__name__
         )
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Read-only full cube, rebuilt from the half spectrum on each call."""
+        full = full_from_half(self.grid, self.half)
+        full.flags.writeable = False
+        return full
+
+
+@dataclass
+class SpectralScalarField(_SpectralField):
+    """Fourier coefficients of a real scalar field, shape (n, n, n/2 + 1)."""
 
 
 @dataclass
@@ -264,78 +329,84 @@ class VelocityField:
 
 
 @dataclass
-class SpectralVelocityField:
-    """Fourier coefficients of a real 3-vector field; also used for generic
-    spectral 3-vectors such as gradients and the vorticity."""
+class SpectralVelocityField(_SpectralField):
+    """Fourier coefficients of a real 3-vector field, shape (3, n, n, n/2 + 1);
+    also used for generic spectral 3-vectors such as gradients and the
+    vorticity."""
 
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = _check_values(
-            self.grid,
-            np.asarray(self.coefficients, dtype=np.complex128),
-            3,
-            "SpectralVelocityField",
-        )
-
-
-def _mirror_indices(n: int) -> np.ndarray:
-    return (-np.arange(n)) % n
+    _components = 3
 
 
 def hermitian_violation(coefficients: np.ndarray) -> float:
-    """Relative deviation from F(-k) == conj(F(k)), 0 for real fields."""
-    n = coefficients.shape[-1]
-    m = _mirror_indices(n)
+    """Relative deviation of a full cube from F(-k) == conj(F(k)), 0 for real fields."""
+    m = Grid(coefficients.shape[-1])._mirror_axis
     mirrored = coefficients[..., m, :, :][..., :, m, :][..., :, :, m]
-    num = np.abs(coefficients - np.conj(mirrored)).max()
-    den = np.abs(coefficients).max()
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    return _relative(np.abs(coefficients - np.conj(mirrored)).max(), coefficients)
+
+
+def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Rebuild full-cube coefficients from a half spectrum by conjugate mirror."""
+    out = np.empty(half.shape[:-3] + grid.shape, dtype=np.complex128)
+    out[..., : grid.half] = half
+    out[..., grid.half :] = _mirror_tail(grid, half)
+    return out
+
+
+def parseval_sum(grid: Grid, density: np.ndarray) -> float:
+    """Box volume times the full-cube sum of a density even in k, given on
+    the half spectrum; e.g. ``|u_hat|^2`` gives ``||u||_2^2``.  Each interior
+    kz plane stands for itself and its mirror plane, so it counts twice;
+    kz = 0 and kz = n/2 are their own mirror and count once."""
+    weights = np.full(grid.half, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(grid.volume * np.sum(weights * density))
 
 
 def fft_forward(f):
     """Transform a real field to spectral space (k = 0 coefficient = mean)."""
     if isinstance(f, RealScalarField):
-        return SpectralScalarField(f.grid, fftn(f.values))
+        return SpectralScalarField(f.grid, rfftn(f.values))
     if isinstance(f, VelocityField):
-        return SpectralVelocityField(f.grid, fftn(f.values))
+        return SpectralVelocityField(f.grid, rfftn(f.values))
     raise TypeError(f"cannot transform {type(f).__name__}")
 
 
 def fft_inverse(F):
     """Transform back to physical space.
 
-    Raises NonHermitianInput when the conjugate symmetry is violated by more
-    than 1e-10 relative; the remaining imaginary residue (roundoff, below
-    1e-12 relative by construction) is discarded.
+    Raises NonHermitianInput when the kz = 0 or kz = n/2 plane violates the
+    conjugate symmetry by more than 1e-10 relative; the other planes are
+    conjugate symmetric by construction.  Roundoff-level residue is dropped.
     """
-    viol = hermitian_violation(F.coefficients)
+    if isinstance(F, SpectralScalarField):
+        real_field = RealScalarField
+    elif isinstance(F, SpectralVelocityField):
+        real_field = VelocityField
+    else:
+        raise TypeError(f"cannot transform {type(F).__name__}")
+    m = F.grid._mirror_axis
+    edges = F.half[..., [0, -1]]
+    dev = np.abs(edges - np.conj(edges[..., m, :, :][..., :, m, :])).max(initial=0.0)
+    viol = _relative(dev, F.half)
     if viol > HERMITIAN_TOL:
         raise NonHermitianInput(
             f"conjugate symmetry violated: relative deviation {viol:.3e}"
         )
-    if isinstance(F, SpectralScalarField):
-        return RealScalarField(F.grid, ifftn_real(F.coefficients))
-    if isinstance(F, SpectralVelocityField):
-        return VelocityField(F.grid, ifftn_real(F.coefficients))
-    raise TypeError(f"cannot transform {type(F).__name__}")
+    return real_field(F.grid, irfftn_real(F.half, F.grid.n))
 
 
 def gradient(F: SpectralScalarField) -> SpectralVelocityField:
     """Spectral gradient; component j is i*k_j*F(k)."""
-    kx, ky, kz = F.grid.wavenumbers
-    c = F.coefficients
+    kx, ky, kz = F.grid.wavenumbers_half
+    c = F.half
     return SpectralVelocityField(
         F.grid, np.stack([1j * kx * c, 1j * ky * c, 1j * kz * c])
     )
 
 
 def curl(U: SpectralVelocityField) -> SpectralVelocityField:
-    kx, ky, kz = U.grid.wavenumbers
-    u, v, w = U.coefficients
+    kx, ky, kz = U.grid.wavenumbers_half
+    u, v, w = U.half
     return SpectralVelocityField(
         U.grid,
         np.stack(
@@ -349,8 +420,8 @@ def curl(U: SpectralVelocityField) -> SpectralVelocityField:
 
 
 def divergence(U: SpectralVelocityField) -> SpectralScalarField:
-    kx, ky, kz = U.grid.wavenumbers
-    u, v, w = U.coefficients
+    kx, ky, kz = U.grid.wavenumbers_half
+    u, v, w = U.half
     return SpectralScalarField(U.grid, 1j * (kx * u + ky * v + kz * w))
 
 
@@ -361,9 +432,9 @@ def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
     self-adjoint for the spectral inner product.
     """
     g = U.grid
-    kx, ky, kz = g.wavenumbers
-    u, v, w = U.coefficients
-    s = (kx * u + ky * v + kz * w) * g.inv_k_squared
+    kx, ky, kz = g.wavenumbers_half
+    u, v, w = U.half
+    s = (kx * u + ky * v + kz * w) * g.inv_k_squared_half
     return SpectralVelocityField(
         U.grid, np.stack([u - kx * s, v - ky * s, w - kz * s])
     )
@@ -371,22 +442,19 @@ def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
 
 def dealias(F):
     """Zero modes with integer max-norm above n/3; other modes unchanged."""
-    mask = F.grid.dealias_mask
-    if isinstance(F, SpectralScalarField):
-        return SpectralScalarField(F.grid, F.coefficients * mask)
-    if isinstance(F, SpectralVelocityField):
-        return SpectralVelocityField(F.grid, F.coefficients * mask)
-    raise TypeError(f"cannot dealias {type(F).__name__}")
+    if not isinstance(F, _SpectralField):
+        raise TypeError(f"cannot dealias {type(F).__name__}")
+    return type(F)(F.grid, F.half * F.grid.dealias_mask_half)
 
 
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
     """Physical-space derivative table d[a, c] = d u_c / d x_a, shape (3,3,n,n,n)."""
     g = U.grid
-    ik = g.ik_axes
-    hat = np.empty((3, 3) + g.shape, dtype=np.complex128)
+    ks = g.wavenumbers_half
+    hat = np.empty((3, 3) + g.half_shape, dtype=np.complex128)
     for a in range(3):
-        np.multiply(ik[a], U.coefficients, out=hat[a])
-    return ifftn_real(hat.reshape((9,) + g.shape)).reshape((3, 3) + g.shape)
+        np.multiply(1j * ks[a], U.half, out=hat[a])
+    return irfftn_real(hat.reshape((9,) + g.half_shape), g.n).reshape((3, 3) + g.shape)
 
 
 def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
@@ -395,34 +463,19 @@ def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     Mixed partials are filled by symmetry, so 18 inverse transforms suffice.
     """
     g = U.grid
-    ks = g.wavenumbers
+    ks = g.wavenumbers_half
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    hat = np.empty((len(pairs), 3) + g.shape, dtype=np.complex128)
+    hat = np.empty((len(pairs), 3) + g.half_shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(pairs):
-        np.multiply(-ks[i] * ks[j], U.coefficients, out=hat[idx])
-    phys = ifftn_real(hat.reshape((-1,) + g.shape)).reshape((len(pairs), 3) + g.shape)
+        np.multiply(-ks[i] * ks[j], U.half, out=hat[idx])
+    phys = irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
+        (len(pairs), 3) + g.shape
+    )
     out = np.empty((3, 3, 3) + g.shape)
     for idx, (i, j) in enumerate(pairs):
         out[i, j] = phys[idx]
         if i != j:
             out[j, i] = phys[idx]
-    return out
-
-
-def half_from_full(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
-    """Half-spectrum view (kz indices 0..n/2) of full Hermitian coefficients."""
-    return coefficients[..., : grid.half]
-
-
-def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Rebuild full-cube coefficients from a half spectrum by conjugate mirror."""
-    n, h = grid.n, grid.half
-    out = np.empty(half.shape[:-3] + grid.shape, dtype=np.complex128)
-    out[..., :h] = half
-    m = grid._mirror_axis
-    # kz index h + t mirrors source kz index (n - h) - t, t = 0 .. n - h - 1
-    src = half[..., m, :, :][..., :, m, :][..., 1 : n - h + 1]
-    out[..., h:] = np.conj(src[..., ::-1])
     return out
 
 
@@ -435,13 +488,12 @@ def convective_core_half(grid: Grid, half: np.ndarray) -> tuple[np.ndarray, floa
     """
     mask = grid.dealias_mask_half
     ud = half * mask
-    ik = grid.ik_axes_half
-    hshape = ud.shape[-3:]
-    hat = np.empty((4, 3) + hshape, dtype=np.complex128)
+    ks = grid.wavenumbers_half
+    hat = np.empty((4, 3) + grid.half_shape, dtype=np.complex128)
     hat[0] = ud
     for a in range(3):
-        np.multiply(ik[a], ud, out=hat[a + 1])
-    phys = irfftn_real(hat.reshape((12,) + hshape), grid.n).reshape((4, 3) + grid.shape)
+        np.multiply(1j * ks[a], ud, out=hat[a + 1])
+    phys = irfftn_real(hat.reshape((12,) + grid.half_shape), grid.n).reshape((4, 3) + grid.shape)
     u_phys, grads = phys[0], phys[1:]
     u_max = float(np.sqrt(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys)).max(initial=0.0))
     w = np.einsum("mxyz,mcxyz->cxyz", u_phys, grads)
@@ -451,53 +503,39 @@ def convective_core_half(grid: Grid, half: np.ndarray) -> tuple[np.ndarray, floa
 
 def convective(U: SpectralVelocityField) -> SpectralVelocityField:
     """Dealiased pseudo-spectral convective term (u . grad) u, unprojected."""
-    g = U.grid
-    w_half, _ = convective_core_half(g, half_from_full(g, U.coefficients))
-    return SpectralVelocityField(g, full_from_half(g, w_half))
+    return SpectralVelocityField(U.grid, convective_core_half(U.grid, U.half)[0])
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
     """Inverse transform without the Hermitian gate (internal fast path)."""
-    return VelocityField(U.grid, ifftn_real(U.coefficients))
+    return VelocityField(U.grid, irfftn_real(U.half, U.grid.n))
 
 
 def spectral_inner(U: SpectralVelocityField, V: SpectralVelocityField) -> float:
     """L^2 inner product evaluated in spectral space (Parseval)."""
-    return float(
-        U.grid.volume * np.sum(np.real(np.conj(U.coefficients) * V.coefficients))
-    )
+    return parseval_sum(U.grid, np.real(np.conj(U.half) * V.half))
 
 
 def resample(F, n_new: int):
     """Re-express a field on a grid with n_new points (same box).
 
-    Zero-pads (refinement) or truncates (coarsening) the centered spectrum.
-    Nyquist planes of both source and target are zeroed, consistent with the
+    Zero-pads (refinement) or truncates (coarsening) the spectrum.  Nyquist
+    planes of both source and target are zeroed, consistent with the
     derivative operators; band-limited fields round-trip exactly.
     """
     grid = F.grid
     new_grid = Grid(n_new, grid.length)
-    coeffs = F.coefficients
-    single = coeffs.ndim == 3
-    comps = coeffs[None] if single else coeffs
-    out = np.zeros((comps.shape[0],) + new_grid.shape, dtype=np.complex128)
-    n, m = grid.n, n_new
-    for c in range(comps.shape[0]):
-        src = np.fft.fftshift(comps[c]).copy()
-        src[0, :, :] = 0.0  # source Nyquist planes
-        src[:, 0, :] = 0.0
-        src[:, :, 0] = 0.0
-        if m >= n:
-            dst = np.zeros(new_grid.shape, dtype=np.complex128)
-            off = (m - n) // 2
-            dst[off : off + n, off : off + n, off : off + n] = src
-        else:
-            crop = (n - m) // 2
-            dst = src[crop : crop + m, crop : crop + m, crop : crop + m].copy()
-            dst[0, :, :] = 0.0  # target Nyquist planes
-            dst[:, 0, :] = 0.0
-            dst[:, :, 0] = 0.0
-        out[c] = np.fft.ifftshift(dst)
-    if single:
-        return SpectralScalarField(new_grid, out[0])
-    return SpectralVelocityField(new_grid, out)
+    # integer modes |k| < keep exist on both grids and are neither grid's Nyquist
+    keep = min(grid.n, n_new) // 2
+
+    def axis(target_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kept = np.abs(target_modes) < keep
+        return np.nonzero(kept)[0], target_modes[kept] % grid.n
+
+    dst_xy, src_xy = axis(new_grid.integer_modes)
+    dst_z, src_z = axis(np.arange(new_grid.half))
+    out = np.zeros(F.half.shape[:-3] + new_grid.half_shape, dtype=np.complex128)
+    out[(...,) + np.ix_(dst_xy, dst_xy, dst_z)] = F.half[
+        (...,) + np.ix_(src_xy, src_xy, src_z)
+    ]
+    return type(F)(new_grid, out)

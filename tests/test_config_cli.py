@@ -101,6 +101,18 @@ class TestSimulate:
         )
         assert header == expected
 
+    def test_every_sample_field_is_one_csv_column(self):
+        from dataclasses import fields
+
+        from regcrit.criteria import MonitorSample, PairSample
+
+        pair = SerrinPair(6.0, 4.0)
+        cols = cli.csv_columns((pair,))
+        names = [f.name for f in fields(MonitorSample) if f.name != "pairs"]
+        names += [f"{f.name}_{pair.label}" for f in fields(PairSample)]
+        assert sorted(names) == sorted(cols)
+        assert all(cols.count(name) == 1 for name in names)
+
     def test_csv_round_trips_doubles(self, tmp_path):
         p = write_config(tmp_path / "a.cfg", BASE)
         cli.main(["simulate", p])
@@ -241,6 +253,64 @@ class TestVerify:
         field.values[2] *= -1.0  # flip the sign of one component
         snap.write_snapshot(victim, field, t)
         assert cli.main(["verify", str(dst)]) == 3
+        report = (dst / "verify_report.txt").read_text()
+        assert "identity_snapshots: FAIL" in report
+
+
+def damaged_copy(calibrated_run, tmp_path):
+    import shutil
+
+    dst = tmp_path / "damaged"
+    shutil.copytree(calibrated_run / "run", dst)
+    return dst
+
+
+def assert_one_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+class TestVerifyDamaged:
+    def test_malformed_manifest_exits_one(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        (dst / "manifest.json").write_text('{"config": ', encoding="utf-8")
+        assert cli.main(["verify", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    def test_csv_missing_column_exits_one(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        csv = dst / "monitors.csv"
+        lines = csv.read_text().splitlines()
+        lines[0] = lines[0].replace("sobolev1", "sobolev_one")
+        csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["verify", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    def test_snapshot_header_size_mismatch_exits_one(self, calibrated_run, tmp_path, capsys):
+        import json
+
+        dst = damaged_copy(calibrated_run, tmp_path)
+        victim = dst / json.loads((dst / "manifest.json").read_text())["snapshots"][0]
+        raw = victim.read_bytes()
+        header, _, payload = raw.partition(b"\n")
+        head = json.loads(header)
+        head["n"] = 1 << 20  # implies a payload of 2.6e19 bytes
+        victim.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+        assert cli.main(["verify", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    def test_non_finite_snapshot_fails_identity(self, calibrated_run, tmp_path, capsys):
+        import json
+
+        dst = damaged_copy(calibrated_run, tmp_path)
+        victim = dst / json.loads((dst / "manifest.json").read_text())["snapshots"][-1]
+        raw = bytearray(victim.read_bytes())
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        raw[-8:] = nan  # last sample of u3
+        victim.write_bytes(bytes(raw))
+        assert cli.main(["verify", str(dst)]) == 3
+        assert_one_stderr_line(capsys)
         report = (dst / "verify_report.txt").read_text()
         assert "identity_snapshots: FAIL" in report
 

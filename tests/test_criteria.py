@@ -384,6 +384,20 @@ class TestCalibration:
         assert back.entries == rec.entries
         assert back.for_p(math.inf).c_gn == 2.0
 
+    @given(
+        p=st.floats(min_value=3.0, max_value=50.0, exclude_min=True) | st.just(math.inf),
+        c_gn=st.floats(min_value=1e-3, max_value=1e3),
+        c_cal=st.floats(min_value=1e-3, max_value=1e12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_record_round_trip_any_p(self, p, c_gn, c_cal):
+        # non-integer p puts a '.' inside the key, as in "p4.5.c_gn"
+        entry = crit.CalibrationEntry(p=p, c_gn=c_gn, c_cal=c_cal)
+        rec = crit.CalibrationRecord(mu=0.1, entries={f"p{crit._fmt_num(p)}": entry})
+        back = crit.CalibrationRecord.from_text(rec.to_text())
+        assert back.entries == rec.entries
+        assert back.for_p(p) == entry
+
 
 class TestEvaluateSample:
     def test_embed_ratio_logged(self):

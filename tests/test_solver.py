@@ -316,3 +316,31 @@ class TestConvergenceOrder:
             exact = math.exp(-mu * t_end) * u0
             errs.append(np.abs(state.u_hat.coefficients - exact).max())
         assert 13.0 <= errs[0] / errs[1] <= 19.0
+
+
+class TestWorkerCount:
+    def test_results_bitwise_equal_across_worker_counts(self, monkeypatch):
+        g = Grid(16)
+        cfg = solv.SolverConfig(
+            grid=g,
+            mu=0.1,
+            dt=1e-3,
+            t_end=3e-3,
+            init=solv.InitSpec("random_divfree", seed=5, spectrum_slope=-2.0),
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REGCRIT_THREADS", threads)
+            state = solv.SolverState(0.0, solv.make_initial(cfg))
+            for _ in range(3):
+                state = solv.step(state, cfg)
+            sample = crit.evaluate_sample(
+                state.u_hat, state.t, basic_monitors(),
+                rhs_hat=solv.nonlinear_rhs(state.u_hat), with_identity=True,
+            )
+            assert not math.isnan(sample.identity_residual)
+            outputs.append((state.u_hat.half, sample))
+        (half1, sample1), (half2, sample2) = outputs
+        assert np.array_equal(half1, half2)
+        # repr prints every float with round-trip precision (and NaN as nan)
+        assert repr(sample1) == repr(sample2)

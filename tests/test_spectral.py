@@ -109,6 +109,23 @@ class TestFFT:
         with pytest.raises(spec.NonHermitianInput):
             spec.fft_inverse(spec.SpectralScalarField(g, c))
 
+    def test_non_mirrored_planes_rejected(self):
+        g = spec.Grid(8)
+        # interior plane: kz = -1 is dropped on construction, so it must
+        # mirror kz = 1 there
+        c = np.zeros(g.shape, dtype=complex)
+        c[1, 2, 1] = 1.0
+        c[-1, -2, -1] = 0.5  # should be conj(c[1, 2, 1]) = 1.0
+        with pytest.raises(spec.NonHermitianInput):
+            spec.SpectralScalarField(g, c)
+        c[-1, -2, -1] = 1.0
+        assert spec.SpectralScalarField(g, c).coefficients[-1, -2, -1] == 1.0
+        # the kz = n/2 plane is stored whole; the inverse transform checks it
+        c = np.zeros(g.shape, dtype=complex)
+        c[1, 0, 4] = 1.0
+        with pytest.raises(spec.NonHermitianInput):
+            spec.fft_inverse(spec.SpectralScalarField(g, c))
+
     def test_plancherel_fixed_normalization(self):
         g = spec.Grid(16, length=2.0)
         f = random_scalar(g, 7)
@@ -287,10 +304,10 @@ class TestDealias:
 class TestHalfSpectrum:
     def test_full_from_half_round_trip(self):
         g = spec.Grid(16)
-        U = init_random_divfree(g, 21, -2.0, 1.0)
-        half = spec.half_from_full(g, U.coefficients)
-        full = spec.full_from_half(g, half)
-        assert np.array_equal(full, U.coefficients)
+        full = init_random_divfree(g, 21, -2.0, 1.0).coefficients
+        U = spec.SpectralVelocityField(g, full)
+        assert U.half.shape == (3,) + g.half_shape
+        assert np.array_equal(U.coefficients, full)
 
     def test_convective_matches_full_cube_route(self):
         g = spec.Grid(16)
