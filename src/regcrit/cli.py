@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria as crit
+from . import norms
 from . import snapshot as snap
 from . import solver as solv
 from .config import (
@@ -248,9 +249,10 @@ def cmd_calibrate(config_path: str) -> int:
     corpus = [
         solv.init_random_divfree(grid, seed, slope, amplitude) for seed in seeds
     ]
+    hessians = [norms.hessian_magnitude(U) for U in corpus]
     entries: dict[str, CalibrationEntry] = {}
     for p in p_list:
-        consts = crit.calibrate_constants(corpus, p, mu)
+        consts = crit.calibrate_constants(corpus, p, mu, hessians)
         entries[f"p{crit._fmt_num(p)}"] = CalibrationEntry(
             p=p, c_gn=consts["C_GN"], c_cal=consts["C_cal"]
         )
@@ -304,12 +306,24 @@ def _samples_from_columns(
     ]
 
 
-def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
-    """Every check of ``verify`` on one run directory.
+@dataclass
+class _Run:
+    """The parsed manifest and monitor CSV of one run directory."""
 
-    Raises DamagedArtifact when the manifest, the CSV or a snapshot is
-    missing or cannot be parsed.  A snapshot with non-finite samples is not
-    damaged but a failed ``identity_snapshots`` check.
+    pairs: tuple[SerrinPair, ...]
+    record: CalibrationRecord | None
+    mu: float
+    snap_paths: list[str]
+    cols: dict[str, np.ndarray]
+    samples: list[MonitorSample]
+
+
+def _load_run(rundir: str) -> _Run:
+    """Read and validate the manifest and monitor CSV of a run directory.
+
+    Raises DamagedArtifact when either is missing or cannot be parsed, when
+    the CSV lacks a column or has no sample rows, or when a listed snapshot
+    is missing.
     """
     manifest_path = os.path.join(rundir, MANIFEST_NAME)
     try:
@@ -332,6 +346,19 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             raise ValueError("no sample rows")
     except _READ_ERRORS as exc:
         raise DamagedArtifact(f"monitor CSV {csv_path}: {exc!r}") from exc
+    return _Run(pairs, record, mu, snap_paths, cols, samples)
+
+
+def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
+    """Every check of ``verify`` on one run directory.
+
+    Raises DamagedArtifact when the manifest, the CSV or a snapshot is
+    missing or cannot be parsed.  A snapshot with non-finite samples is not
+    damaged but a failed ``identity_snapshots`` check.
+    """
+    run = _load_run(rundir)
+    pairs, record, mu = run.pairs, run.record, run.mu
+    cols, samples, snap_paths = run.cols, run.samples, run.snap_paths
     results: list[CheckResult] = []
 
     # energy budget: dE + 2 mu int ||grad u||^2 dt == 0, per gap and overall
@@ -362,24 +389,24 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     worst_ident = 0.0
     worst_holder = math.inf
     holder_ok = True
-    cfg_duck = type("Cfg", (), {"mu": mu})()
     p_values = sorted({pair.p for pair in pairs})
     nonfinite = []
     for path in snap_paths:
         try:
-            field_, t_snap = snap.read_snapshot(path)
+            field_, _ = snap.read_snapshot(path)
         except NonFiniteSamples:
             nonfinite.append(os.path.basename(path))
             continue
         except _READ_ERRORS as exc:
             raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-        state = solv.SolverState(t_snap, fft_forward(field_))
-        res = crit.h2_identity_residual(state, cfg_duck)
+        u_hat = fft_forward(field_)
+        quad = crit.hessian_quadrature(u_hat)
+        res = crit.h2_identity_residual(u_hat, mu, quad=quad)
         worst_ident = max(
             worst_ident, res["residual"] / (1.0 + abs(res["lhs"]))
         )
         for p in p_values:
-            hc = crit.holder_check(state, p)
+            hc = crit.holder_check(u_hat, p, quad)
             holder_ok &= hc["satisfied"]
             worst_holder = min(worst_holder, hc["bound"] - hc["actual"])
     if nonfinite:
@@ -460,12 +487,7 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
 
 
 def cmd_verify(rundir: str) -> int:
-    try:
-        results, all_pass = run_checks(rundir)
-    except DamagedArtifact as exc:
-        # parser messages may span lines; the contract is one line
-        print(f"damaged run directory: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_USAGE
+    results, all_pass = run_checks(rundir)
     report_path = os.path.join(rundir, "verify_report.txt")
     lines = [r.line() for r in results]
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -479,15 +501,8 @@ def cmd_verify(rundir: str) -> int:
 
 
 def cmd_report(rundir: str, pressure: bool = False) -> int:
-    manifest_path = os.path.join(rundir, MANIFEST_NAME)
-    csv_path = os.path.join(rundir, CSV_NAME)
-    if not (os.path.exists(manifest_path) and os.path.exists(csv_path)):
-        print(f"missing artifacts in {rundir}", file=sys.stderr)
-        return EXIT_USAGE
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = RunManifest.from_json(fh.read())
-    pairs = manifest.serrin_pairs()
-    _, cols = read_series_csv(csv_path)
+    run = _load_run(rundir)
+    pairs, cols = run.pairs, run.cols
     outdir = os.path.join(rundir, REPORT_DIR)
     os.makedirs(outdir, exist_ok=True)
 
@@ -526,11 +541,14 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
         print(line)
 
     if pressure:
-        for name in manifest.snapshots:
-            field_, t = snap.read_snapshot(os.path.join(rundir, name))
+        for path in run.snap_paths:
+            try:
+                field_, t = snap.read_snapshot(path)
+            except _READ_ERRORS as exc:
+                raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
             q = solv.pressure_field(fft_forward(field_))
-            out = os.path.join(outdir, name.replace("snap_", "pressure_"))
-            snap.write_scalar_snapshot(out, q, t)
+            name = os.path.basename(path).replace("snap_", "pressure_")
+            snap.write_scalar_snapshot(os.path.join(outdir, name), q, t)
     return EXIT_OK
 
 
@@ -563,6 +581,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_report(args.rundir, pressure=args.pressure)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except DamagedArtifact as exc:
+        # parser messages may span lines; the contract is one line
+        print(f"damaged run directory: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_USAGE
     except crit.EmptyCorpus as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,6 +21,11 @@ Monitored quantities per sample:
     1 + ln(e + ||grad^2 u(t)||^2)
       <= [1 + ln(e + ||grad^2 u(0)||^2)] * exp(2 C int_0^t log-Serrin integrand)
 
+The identity's right side, the Hoelder step and the interpolation ratio read
+one quadrature per state: :func:`hessian_quadrature` builds the state's
+derivative table once and returns the right side and the pointwise
+|grad^2 u| that every L^q norm of the Hessian needs.
+
 Powers that leave the floating range become +inf sentinels: they poison the
 downstream running integrals but never abort a run.
 """
@@ -347,63 +352,111 @@ def _h2_rate(
     return parseval_sum(u_hat.grid, k2 * k2 * np.real(np.conj(u) * dudt))
 
 
-def _identity_sides(
+def _identity_lhs(
     u_hat: SpectralVelocityField, mu: float, rhs_hat: SpectralVelocityField
-) -> tuple[float, float]:
-    """Both sides of the H^2 identity, evaluated independently.
-
-    Left: <grad^2 u, grad^2 du/dt> + mu ||grad^3 u||^2.  Right: the two
-    contraction integrals by dealiased quadrature.
-    """
+) -> float:
+    """Spectral side of the H^2 identity: <grad^2 u, grad^2 du/dt> + mu ||grad^3 u||^2."""
     k2 = u_hat.grid.k_squared_half
     sob3_sq = parseval_sum(u_hat.grid, k2 * k2 * k2 * (np.abs(u_hat.half) ** 2))
-    lhs = _h2_rate(u_hat, mu, rhs_hat) + mu * sob3_sq
-    return lhs, _identity_rhs(u_hat)
+    return _h2_rate(u_hat, mu, rhs_hat) + mu * sob3_sq
 
 
-def _identity_rhs(u_hat: SpectralVelocityField) -> float:
-    """Quadrature side of the identity: the two nonlinear contraction integrals."""
-    g = u_hat.grid
-    grads = first_derivatives(u_hat)
-    d2 = second_derivatives(u_hat)
-    w = g.cell_volume
-    t1 = w * float(np.einsum("ijlabc,imabc,mjlabc->", d2, grads, d2, optimize=True))
-    t2 = w * float(np.einsum("ijlabc,ijmabc,mlabc->", d2, d2, grads, optimize=True))
-    return -2.0 * t1 - t2
+@dataclass(frozen=True)
+class HessianQuadrature:
+    """What the identity, the Hoelder step and the interpolation ratio read
+    of one state's derivative table."""
+
+    rhs: float  # quadrature side of the H^2 identity
+    hessian: np.ndarray  # pointwise Frobenius magnitude |grad^2 u|, shape (n, n, n)
 
 
-def h2_identity_residual(state, config, rhs_hat: SpectralVelocityField | None = None) -> dict:
-    """Residual of the H^2 energy identity on the current state.
+#: the 6 index pairs (a, b), a <= b, of a symmetric 3 x 3 table
+_UPPER = tuple((a, b) for a in range(3) for b in range(a, 3))
 
-    ``state`` needs ``.u_hat``; ``config`` needs ``.mu`` (duck-typed so the
-    check also runs on snapshot data).  Returns {'lhs', 'rhs', 'residual'}.
+
+def _gram_contraction(rows: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_{a,b} <grads[a, b], G[a, b]> and the pointwise trace of G, where
+    G[a, b] = sum_k rows[a, k] * rows[b, k] pointwise.  G is symmetric, so
+    only its 6 upper entries are formed."""
+    total = 0.0
+    trace = np.zeros(rows.shape[-1])
+    for a, b in _UPPER:
+        gram = np.einsum("kN,kN->N", rows[a], rows[b])
+        if a == b:
+            total += grads[a, a] @ gram
+            trace += gram
+        else:
+            total += grads[a, b] @ gram + grads[b, a] @ gram
+    return float(total), trace
+
+
+def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
+    """Build the state's derivative table once and contract it.
+
+    With S[i, m] = sum_{j,l} d_i d_j u_l d_m d_j u_l and
+    T[l, m] = sum_{i,j} d_i d_j u_l d_i d_j u_m, pointwise, the identity's
+    right side is -dx^3 (2 sum <d_i u_m, S[i, m]> + sum <d_m u_l, T[l, m]>),
+    and |grad^2 u|^2 is the trace of S.  The 36-field table is freed on
+    return; only the right side and |grad^2 u| outlive the call.
     """
-    u_hat = state.u_hat
+    g = u_hat.grid
+    points = g.n**3
+    # Hessian first, so its transform buffers are freed before the gradients exist
+    d2 = second_derivatives(u_hat).reshape(3, 3, 3, points)
+    grads = first_derivatives(u_hat).reshape(3, 3, points)
+    t1, hessian_sq = _gram_contraction(d2.reshape(3, 9, points), grads)
+    t2, _ = _gram_contraction(d2.reshape(9, 3, points).transpose(1, 0, 2), grads)
+    w = g.cell_volume
+    return HessianQuadrature(
+        rhs=-2.0 * (w * t1) - w * t2,
+        hessian=np.sqrt(hessian_sq).reshape(g.shape),
+    )
+
+
+def h2_identity_residual(
+    u_hat: SpectralVelocityField,
+    mu: float,
+    rhs_hat: SpectralVelocityField | None = None,
+    quad: HessianQuadrature | None = None,
+) -> dict:
+    """Residual of the H^2 energy identity on one state.
+
+    ``rhs_hat`` defaults to the projected convective term of ``u_hat``,
+    ``quad`` to :func:`hessian_quadrature` of it.  Returns {'lhs', 'rhs',
+    'residual'}.
+    """
     if rhs_hat is None:
         rhs_hat = SpectralVelocityField(
             u_hat.grid, -leray_project(convective(u_hat)).half
         )
-    lhs, rhs = _identity_sides(u_hat, config.mu, rhs_hat)
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
+    if quad is None:
+        quad = hessian_quadrature(u_hat)
+    lhs = _identity_lhs(u_hat, mu, rhs_hat)
+    return {"lhs": lhs, "rhs": quad.rhs, "residual": abs(lhs - quad.rhs)}
 
 
-def holder_check(state, p: float) -> dict:
+def holder_check(
+    u_hat: SpectralVelocityField, p: float, quad: HessianQuadrature | None = None
+) -> dict:
     """Hoelder bound on the identity right side with the literal factor 5:
-    |rhs| <= 5 ||u||_p ||grad^2 u||_{2p/(p-2)} ||grad^3 u||_2."""
+    |rhs| <= 5 ||u||_p ||grad^2 u||_{2p/(p-2)} ||grad^3 u||_2.
+
+    ``quad`` defaults to :func:`hessian_quadrature` of ``u_hat``; pass it
+    to check several p on one state."""
     p = float(p)
     if not p > 3.0:
         raise ValueError(f"Hoelder step needs 3 < p <= inf, got {p}")
-    u_hat = state.u_hat
-    rhs = _identity_rhs(u_hat)
+    if quad is None:
+        quad = hessian_quadrature(u_hat)
     q = 2.0 if math.isinf(p) else 2.0 * p / (p - 2.0)
     u_phys = to_physical(u_hat)
     bound = (
         HOLDER_FACTOR
         * _norms.lp_norm(u_phys, p)
-        * _norms.hessian_lq_norm(u_hat, q)
+        * _norms.hessian_lq_norm(u_hat, q, quad.hessian)
         * _norms.sobolev_seminorm(u_hat, 3)
     )
-    actual = abs(rhs)
+    actual = abs(quad.rhs)
     return {
         "bound": bound,
         "actual": actual,
@@ -512,7 +565,8 @@ def evaluate_sample(
     ddt = 2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat)
 
     if cfg.identity and with_identity:
-        lhs, rhs = _identity_sides(u_hat, cfg.mu, rhs_hat)
+        lhs = _identity_lhs(u_hat, cfg.mu, rhs_hat)
+        rhs = hessian_quadrature(u_hat).rhs
         residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     else:
         residual = math.nan
@@ -547,17 +601,24 @@ def young_split_constant(c_gn: float, p: float, mu: float) -> float:
 
 
 def calibrate_constants(
-    corpus: list[SpectralVelocityField], p: float, mu: float
+    corpus: list[SpectralVelocityField],
+    p: float,
+    mu: float,
+    hessians: list[np.ndarray] | None = None,
 ) -> dict:
     """Pin the interpolation constant and the growth-inequality constant.
 
     c_gn is the corpus maximum of the multiplicative ratio times a safety
     factor of 2; c_cal is the sharp Young-split constant derived from it,
-    times the same safety factor.
+    times the same safety factor.  ``hessians`` holds each corpus field's
+    pointwise |grad^2 u| (``norms.hessian_magnitude``) when the caller
+    calibrates several p on one corpus; they are built here otherwise.
     """
     if not corpus:
         raise EmptyCorpus("calibration corpus is empty")
-    worst = max(_norms.gn_ratio(U, p) for U in corpus)
+    if hessians is None:
+        hessians = [_norms.hessian_magnitude(U) for U in corpus]
+    worst = max(_norms.gn_ratio(U, p, h) for U, h in zip(corpus, hessians))
     c_gn = CALIBRATION_SAFETY * worst
     c_cal = CALIBRATION_SAFETY * young_split_constant(c_gn, p, mu)
     return {"C_GN": c_gn, "C_cal": c_cal}

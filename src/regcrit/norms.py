@@ -71,19 +71,31 @@ def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:
     return np.sqrt(np.einsum("ijcxyz,ijcxyz->xyz", d2, d2))
 
 
-def hessian_lq_norm(U: SpectralVelocityField, q: float) -> float:
-    """||grad^2 u||_{L^q} of the tensor magnitude by quadrature."""
+def hessian_lq_norm(
+    U: SpectralVelocityField, q: float, hessian: np.ndarray | None = None
+) -> float:
+    """||grad^2 u||_{L^q} of the tensor magnitude by quadrature.
+
+    ``hessian`` is U's pointwise |grad^2 u| when the caller already has it
+    (``hessian_magnitude``, ``criteria.hessian_quadrature``); it is built
+    here otherwise.
+    """
     q = _check_exponent(q)
-    return _scaled_lp(hessian_magnitude(U), q, U.grid.cell_volume)
+    if hessian is None:
+        hessian = hessian_magnitude(U)
+    return _scaled_lp(hessian, q, U.grid.cell_volume)
 
 
-def gn_ratio(U: SpectralVelocityField, p: float) -> float:
+def gn_ratio(
+    U: SpectralVelocityField, p: float, hessian: np.ndarray | None = None
+) -> float:
     """Multiplicative-inequality ratio
     ||grad^2 u||_{L^q} / (||grad^2 u||_2^{1-3/p} ||grad^3 u||_2^{3/p}),
     q = 2p/(p-2).
 
     For p = inf the exponents degenerate to q = 2 and (1, 0), so the ratio is
-    1 up to quadrature roundoff.  Scale invariant in u.
+    1 up to quadrature roundoff.  Scale invariant in u.  ``hessian`` is as in
+    :func:`hessian_lq_norm`, so one |grad^2 u| serves every p.
     """
     p = float(p)
     if not p > 3.0:
@@ -96,7 +108,7 @@ def gn_ratio(U: SpectralVelocityField, p: float) -> float:
         theta, q = 0.0, 2.0
     else:
         theta, q = 3.0 / p, 2.0 * p / (p - 2.0)
-    num = hessian_lq_norm(U, q)
+    num = hessian_lq_norm(U, q, hessian)
     return num / (a ** (1.0 - theta) * b**theta)
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from regcrit import cli
+from regcrit import cli, criteria, norms
 from regcrit import solver as solv
 from regcrit.config import ConfigError, parse_config, parse_pairs, parse_seed_list
 from regcrit.criteria import SerrinPair
@@ -365,6 +365,83 @@ output.dir = big
         assert cli.main(["report", rundir, "--pressure"]) == 0
         rep = calibrated_run / "run" / "report"
         assert any(f.name.startswith("pressure_") for f in rep.iterdir())
+
+
+class TestReportDamaged:
+    def test_csv_header_only_exits_one(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        csv = dst / "monitors.csv"
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        assert cli.main(["report", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    def test_csv_missing_column_exits_one(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        csv = dst / "monitors.csv"
+        lines = csv.read_text().splitlines()
+        lines[0] = lines[0].replace("serrin_int_p6_s4", "serrin_integral_p6_s4")
+        csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    def test_malformed_manifest_exits_one(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        (dst / "manifest.json").write_text('{"config": ', encoding="utf-8")
+        assert cli.main(["report", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    def test_damaged_snapshot_with_pressure_exits_one(self, calibrated_run, tmp_path, capsys):
+        import json
+
+        dst = damaged_copy(calibrated_run, tmp_path)
+        victim = dst / json.loads((dst / "manifest.json").read_text())["snapshots"][0]
+        victim.write_bytes(victim.read_bytes()[:-8])  # payload one sample short
+        assert cli.main(["report", str(dst), "--pressure"]) == 1
+        assert_one_stderr_line(capsys)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap ``name`` in every given module with one shared call counter."""
+    calls = []
+
+    def counting(inner):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        return counted
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls
+
+
+class TestSharedQuadrature:
+    def test_verify_builds_one_table_per_snapshot(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path / "sim.cfg",
+            BASE.replace("monitors.pairs = 4:8,5:5,6:4,inf:2", "monitors.pairs = 6:4, 5:5")
+            .replace("time.t_end = 0.02", "time.t_end = 0.01"),
+        )
+        assert cli.main(["simulate", cfg]) == 0
+        manifest = cli.RunManifest.from_json((tmp_path / "run" / "manifest.json").read_text())
+        assert len(manifest.snapshots) == 2
+        quads = count_calls(monkeypatch, "hessian_quadrature", criteria)
+        builds = count_calls(monkeypatch, "second_derivatives", criteria, norms)
+        assert cli.main(["verify", str(tmp_path / "run")]) == 0
+        assert len(quads) == 2
+        assert len(builds) == 2
+
+    def test_calibrate_builds_one_hessian_per_field(self, tmp_path, monkeypatch):
+        k = 3
+        cfg = write_config(
+            tmp_path / "cal.cfg",
+            f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..{k - 1}\n"
+            "calibration.p = 5,6\noutput.dir = out\n",
+        )
+        builds = count_calls(monkeypatch, "second_derivatives", criteria, norms)
+        assert cli.main(["calibrate", cfg]) == 0
+        assert len(builds) == k
 
 
 class TestManifest:

@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 from regcrit import criteria as crit
 from regcrit import norms
 from regcrit import solver as solv
-from regcrit.spectral import Grid, SpectralVelocityField, VelocityField, to_physical
+from regcrit.spectral import (
+    Grid,
+    SpectralVelocityField,
+    VelocityField,
+    first_derivatives,
+    second_derivatives,
+    to_physical,
+)
 
 E = math.e
 TWO_PI = 2.0 * math.pi
@@ -24,14 +31,6 @@ def constant_field(grid, c):
 
 def zero_spectral(grid):
     return SpectralVelocityField(grid, np.zeros((3,) + grid.shape, complex))
-
-
-def make_state(u_hat):
-    return solv.SolverState(0.0, u_hat)
-
-
-def duck_mu(mu):
-    return type("Cfg", (), {"mu": mu})()
 
 
 class TestSerrinPair:
@@ -212,7 +211,7 @@ class TestAccumulate:
 class TestIdentity:
     def test_zero_field(self):
         g = Grid(8)
-        res = crit.h2_identity_residual(make_state(zero_spectral(g)), duck_mu(0.1))
+        res = crit.h2_identity_residual(zero_spectral(g), 0.1)
         assert res["lhs"] == 0.0 and res["rhs"] == 0.0 and res["residual"] == 0.0
 
     def test_beltrami_closed_form(self):
@@ -220,7 +219,7 @@ class TestIdentity:
         g = Grid(16)
         mu = 0.1
         U = solv.init_beltrami(g, 1.0)
-        res = crit.h2_identity_residual(make_state(U), duck_mu(mu))
+        res = crit.h2_identity_residual(U, mu)
         scale = mu * norms.sobolev_seminorm(U, 3) ** 2
         assert abs(res["lhs"]) <= 1e-10 * scale
         assert abs(res["rhs"]) <= 1e-10 * scale
@@ -230,19 +229,71 @@ class TestIdentity:
     def test_random_band_limited(self, seed):
         g = Grid(32)
         U = solv.init_random_divfree(g, seed, -2.0, 1.0)
-        res = crit.h2_identity_residual(make_state(U), duck_mu(0.1))
+        res = crit.h2_identity_residual(U, 0.1)
         assert res["residual"] <= 1e-8 * (1.0 + abs(res["lhs"]))
+
+
+def reference_identity_rhs(U):
+    """Identity right side as the literal 27-entry contractions (reference route)."""
+    grads = first_derivatives(U)
+    d2 = second_derivatives(U)
+    w = U.grid.cell_volume
+    t1 = w * float(np.einsum("ijlabc,imabc,mjlabc->", d2, grads, d2, optimize=True))
+    t2 = w * float(np.einsum("ijlabc,ijmabc,mlabc->", d2, d2, grads, optimize=True))
+    return -2.0 * t1 - t2
+
+
+def reference_hessian(U):
+    """Pointwise Frobenius magnitude over the full 27-entry table (reference route)."""
+    d2 = second_derivatives(U)
+    return np.sqrt(np.einsum("ijcxyz,ijcxyz->xyz", d2, d2))
+
+
+def assert_hessian_matches(quad, U):
+    ref = reference_hessian(U)
+    np.testing.assert_allclose(quad.hessian, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+class TestHessianQuadrature:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_route(self, n, seed):
+        U = solv.init_random_divfree(Grid(n), seed, -2.0, 1.0)
+        quad = crit.hessian_quadrature(U)
+        ref = reference_identity_rhs(U)
+        assert abs(quad.rhs - ref) <= 1e-12 * abs(ref)
+        assert_hessian_matches(quad, U)
+
+    def test_taylor_green_rhs_vanishes(self):
+        U = solv.init_taylor_green(Grid(16), 1.0)
+        quad = crit.hessian_quadrature(U)
+        # |rhs| <= 3 ||grad u||_inf ||grad^2 u||_2^2 sets the scale of zero
+        scale = np.abs(first_derivatives(U)).max() * norms.sobolev_seminorm(U, 2) ** 2
+        assert abs(quad.rhs) <= 1e-12 * scale
+        assert abs(reference_identity_rhs(U)) <= 1e-12 * scale
+        assert_hessian_matches(quad, U)
+
+    def test_beltrami_both_sides_vanish(self):
+        mu = 0.1
+        U = solv.init_beltrami(Grid(16), 1.0)
+        quad = crit.hessian_quadrature(U)
+        res = crit.h2_identity_residual(U, mu, quad=quad)
+        scale = mu * norms.sobolev_seminorm(U, 3) ** 2
+        assert abs(res["lhs"]) <= 1e-12 * scale
+        assert abs(quad.rhs) <= 1e-12 * scale
+        assert abs(reference_identity_rhs(U)) <= 1e-12 * scale
+        assert_hessian_matches(quad, U)
 
 
 class TestHolder:
     def test_zero_field(self):
-        res = crit.holder_check(make_state(zero_spectral(Grid(8))), 6.0)
+        res = crit.holder_check(zero_spectral(Grid(8)), 6.0)
         assert res["satisfied"]
         assert res["actual"] == 0.0 and res["bound"] == 0.0
 
     def test_taylor_green_nonlinear_side_vanishes(self):
         U = solv.init_taylor_green(Grid(16), 1.0)
-        res = crit.holder_check(make_state(U), 6.0)
+        res = crit.holder_check(U, 6.0)
         assert res["satisfied"]
         assert res["actual"] <= 1e-9 * res["bound"]
 
@@ -250,7 +301,7 @@ class TestHolder:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_fields(self, p, seed):
         U = solv.init_random_divfree(Grid(16), seed, -2.0, 1.0)
-        res = crit.holder_check(make_state(U), p)
+        res = crit.holder_check(U, p)
         assert res["satisfied"]
 
 
