@@ -40,7 +40,6 @@ from .criteria import (
     CalibrationRecord,
     CriterionConfig,
     EmptyCorpus,
-    MonitorSample,
     MonitorSeries,
     NonMonotoneTime,
     SerrinPair,

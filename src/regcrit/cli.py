@@ -11,11 +11,13 @@ Exit codes are a contract: 0 success, 1 usage or config error or a
 damaged run directory, 2 numerical blowup (partial outputs preserved),
 3 verification failure.  Errors are reported in one line on stderr.
 
-The monitor CSV columns are, in order: t, energy, then per configured pair
-(lp, serrin, serrin_int, log_serrin, log_serrin_int), then linf, sobolev1,
-sobolev2, sobolev3, bkm, bkm_int, chan_vasseur, chan_vasseur_int,
-identity_residual, gronwall_bound, and two trailing diagnostics
-(ddt_sobolev2_sq, embed_ratio).  Values carry 17 significant digits, so a
+The monitor CSV is the monitor table as is: its header is exactly
+``criteria.monitor_columns(pairs)`` for the manifest's pairs, in that order
+(t, energy, then per configured pair lp, serrin, serrin_int, log_serrin,
+log_serrin_int, then linf, sobolev1, sobolev2, sobolev3, bkm, bkm_int,
+chan_vasseur, chan_vasseur_int, identity_residual, gronwall_bound,
+ddt_sobolev2_sq, embed_ratio), and ``verify``/``report`` treat any other
+header as a damaged run directory.  Values carry 17 significant digits, so a
 re-read reproduces every double bit for bit.
 """
 
@@ -42,14 +44,11 @@ from .config import (
     parse_seed_list,
 )
 from .criteria import (
-    PAIR_COLUMNS,
-    SAMPLE_COLUMNS,
     CalibrationEntry,
     CalibrationRecord,
-    MonitorSample,
     MonitorSeries,
-    PairSample,
     SerrinPair,
+    monitor_columns,
 )
 from .spectral import Grid, NonFiniteSamples, fft_forward
 
@@ -74,27 +73,11 @@ class DamagedArtifact(Exception):
     """A run-directory file is missing, unreadable or malformed."""
 
 
-def csv_columns(pairs: tuple[SerrinPair, ...]) -> list[str]:
-    """t and energy, then one block of PAIR_COLUMNS per pair, then the rest."""
-    pair_cols = [f"{c}_{pair.label}" for pair in pairs for c in PAIR_COLUMNS]
-    return [*SAMPLE_COLUMNS[:2], *pair_cols, *SAMPLE_COLUMNS[2:]]
-
-
-def _row_values(s: MonitorSample) -> dict[str, float]:
-    """Every CSV value of one sample, keyed by column name."""
-    row = {c: getattr(s, c) for c in SAMPLE_COLUMNS}
-    for lab, ps in s.pairs.items():
-        row.update({f"{c}_{lab}": getattr(ps, c) for c in PAIR_COLUMNS})
-    return row
-
-
 def write_series_csv(path: str, series: MonitorSeries) -> None:
-    cols = csv_columns(series.pairs)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for s in series.samples:
-            row = _row_values(s)
-            fh.write(",".join(f"{row[c]:.17g}" for c in cols) + "\n")
+        fh.write(",".join(series.table) + "\n")
+        for row in zip(*series.table.values()):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_series_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -124,7 +107,7 @@ class RunManifest:
     monitor_stride: int
     snapshot_stride: int
     pairs: list[list[str]]
-    calibration: dict | None
+    calibration: str | None  # CalibrationRecord.to_text()
     exit_status: int
 
     def to_json(self) -> str:
@@ -137,35 +120,9 @@ class RunManifest:
     def serrin_pairs(self) -> tuple[SerrinPair, ...]:
         return tuple(SerrinPair(_parse_pf(p), _parse_pf(s)) for p, s in self.pairs)
 
-    def calibration_record(self) -> CalibrationRecord | None:
-        if self.calibration is None:
-            return None
-        entries = {
-            lab: CalibrationEntry(p=_parse_pf(e["p"]), c_gn=e["c_gn"], c_cal=e["c_cal"])
-            for lab, e in self.calibration["entries"].items()
-        }
-        return CalibrationRecord(
-            mu=self.calibration["mu"],
-            entries=entries,
-            corpus=self.calibration.get("corpus", ""),
-        )
-
 
 def _parse_pf(raw: str) -> float:
     return math.inf if str(raw) == "inf" else float(raw)
-
-
-def _calibration_json(rec: CalibrationRecord | None) -> dict | None:
-    if rec is None:
-        return None
-    return {
-        "mu": rec.mu,
-        "corpus": rec.corpus,
-        "entries": {
-            lab: {"p": crit._fmt_num(e.p), "c_gn": e.c_gn, "c_cal": e.c_cal}
-            for lab, e in rec.entries.items()
-        },
-    }
 
 
 class DirectorySink(solv.RunSink):
@@ -184,6 +141,7 @@ def cmd_simulate(config_path: str) -> int:
     raw = parse_config(config_path)
     solver_cfg = build_solver_config(raw)
     criterion_cfg = build_criterion_config(raw)
+    record = criterion_cfg.calibration
     outdir = raw.require("output.dir")
     if not os.path.isabs(outdir):
         outdir = os.path.join(os.path.dirname(os.path.abspath(config_path)), outdir)
@@ -214,12 +172,12 @@ def cmd_simulate(config_path: str) -> int:
         monitor_stride=solver_cfg.monitor_stride,
         snapshot_stride=solver_cfg.snapshot_stride,
         pairs=[[crit._fmt_num(p.p), crit._fmt_num(p.s)] for p in criterion_cfg.pairs],
-        calibration=_calibration_json(criterion_cfg.calibration),
+        calibration=None if record is None else record.to_text(),
         exit_status=status,
     )
     with open(os.path.join(outdir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(manifest.to_json() + "\n")
-    print(f"run written to {outdir} ({len(series.samples)} samples)")
+    print(f"run written to {outdir} ({len(series)} samples)")
     return status
 
 
@@ -288,49 +246,36 @@ class CheckResult:
         return f"{self.name}: {status} (worst={self.worst:.6g}, tol={self.tol:.6g}){extra}"
 
 
-def _samples_from_columns(
-    cols: dict[str, np.ndarray], pairs: tuple[SerrinPair, ...]
-) -> list[MonitorSample]:
-    """Monitor samples of a read CSV; KeyError names a missing column."""
-    return [
-        MonitorSample(
-            pairs={
-                pair.label: PairSample(
-                    **{c: cols[f"{c}_{pair.label}"][i] for c in PAIR_COLUMNS}
-                )
-                for pair in pairs
-            },
-            **{c: cols[c][i] for c in SAMPLE_COLUMNS},
-        )
-        for i in range(len(cols["t"]))
-    ]
-
-
 @dataclass
 class _Run:
     """The parsed manifest and monitor CSV of one run directory."""
 
-    pairs: tuple[SerrinPair, ...]
     record: CalibrationRecord | None
     mu: float
     snap_paths: list[str]
-    cols: dict[str, np.ndarray]
-    samples: list[MonitorSample]
+    series: MonitorSeries
 
 
 def _load_run(rundir: str) -> _Run:
     """Read and validate the manifest and monitor CSV of a run directory.
 
-    Raises DamagedArtifact when either is missing or cannot be parsed, when
-    the CSV lacks a column or has no sample rows, or when a listed snapshot
-    is missing.
+    Raises DamagedArtifact when either is missing or cannot be parsed (a
+    calibration that is not a record's text included), when the CSV header
+    is not exactly ``monitor_columns`` of the manifest's pairs, when the CSV
+    has no sample rows or its times do not increase, or when a listed
+    snapshot is missing.
     """
     manifest_path = os.path.join(rundir, MANIFEST_NAME)
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = RunManifest.from_json(fh.read())
         pairs = manifest.serrin_pairs()
-        record = manifest.calibration_record()
+        if manifest.calibration is None:
+            record = None
+        elif isinstance(manifest.calibration, str):
+            record = CalibrationRecord.from_text(manifest.calibration)
+        else:
+            raise TypeError("calibration is not a calibration record's text")
         mu = float(manifest.mu)
         csv_path = os.path.join(rundir, manifest.csv)
         snap_paths = [os.path.join(rundir, name) for name in manifest.snapshots]
@@ -340,13 +285,15 @@ def _load_run(rundir: str) -> _Run:
         if not os.path.exists(p):
             raise DamagedArtifact(f"missing snapshot: {p}")
     try:
-        _, cols = read_series_csv(csv_path)
-        samples = _samples_from_columns(cols, pairs)
-        if not samples:
+        header, cols = read_series_csv(csv_path)
+        if header != monitor_columns(pairs):
+            raise ValueError("header is not the monitor columns of the manifest's pairs")
+        series = MonitorSeries.from_columns(pairs, cols)
+        if not len(series):
             raise ValueError("no sample rows")
     except _READ_ERRORS as exc:
         raise DamagedArtifact(f"monitor CSV {csv_path}: {exc!r}") from exc
-    return _Run(pairs, record, mu, snap_paths, cols, samples)
+    return _Run(record, mu, snap_paths, series)
 
 
 def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
@@ -357,14 +304,14 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     damaged but a failed ``identity_snapshots`` check.
     """
     run = _load_run(rundir)
-    pairs, record, mu = run.pairs, run.record, run.mu
-    cols, samples, snap_paths = run.cols, run.samples, run.snap_paths
+    record, mu, snap_paths, series = run.record, run.mu, run.snap_paths, run.series
+    pairs = series.pairs
     results: list[CheckResult] = []
 
     # energy budget: dE + 2 mu int ||grad u||^2 dt == 0, per gap and overall
-    t = cols["t"]
-    energy = cols["energy"]
-    enstrophy = cols["sobolev1"] ** 2
+    t = series.column("t")
+    energy = series.column("energy")
+    enstrophy = series.column("sobolev1") ** 2
     e0 = energy[0] if len(energy) else 0.0
     tol = ENERGY_TOL * max(e0, 1e-300)
     if len(t) > 1:
@@ -377,7 +324,7 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     results.append(CheckResult("energy_law", worst <= tol, worst, tol))
 
     # identity residual column (already normalized by 1 + |lhs|)
-    ident = cols["identity_residual"]
+    ident = series.column("identity_residual")
     finite = ident[~np.isnan(ident)]
     if finite.size:
         worst = float(finite.max())
@@ -439,8 +386,8 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
                 continue
             ok = True
             margin = math.inf
-            for s in samples:
-                chk = crit.differential_inequality_check(s, pair, entry.c_cal, mu)
+            for i in range(len(series)):
+                chk = crit.differential_inequality_check(series.row(i), pair, entry.c_cal, mu)
                 ok &= chk["satisfied"]
                 if not math.isinf(chk["rhs"]):
                     margin = min(margin, chk["rhs"] - chk["lhs"])
@@ -450,11 +397,10 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
                     note="margin = min(rhs - lhs)",
                 )
             )
-            series = MonitorSeries(pairs=pairs, samples=samples)
             bounds = crit.gronwall_bound(series, pair, entry.c_cal)
             # same expression as the bound's t = 0 value, so equality there is exact
             measured = np.array(
-                [1.0 + math.log(math.e + v**2) for v in cols["sobolev2"]]
+                [1.0 + math.log(math.e + v**2) for v in series.table["sobolev2"]]
             )
             dom_margin = bounds - measured
             results.append(
@@ -471,9 +417,9 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     five = next(
         (pr for pr in pairs if pr.p == 5.0 and pr.s == 5.0), None
     )
-    if five is not None and not np.isnan(cols["chan_vasseur"]).all():
-        log5 = cols[f"log_serrin_{five.label}"]
-        cv = cols["chan_vasseur"]
+    if five is not None:
+        log5 = series.column(f"log_serrin_{five.label}")
+        cv = series.column("chan_vasseur")
         ok = bool(np.all(log5 <= cv))
         results.append(
             CheckResult(
@@ -502,7 +448,8 @@ def cmd_verify(rundir: str) -> int:
 
 def cmd_report(rundir: str, pressure: bool = False) -> int:
     run = _load_run(rundir)
-    pairs, cols = run.pairs, run.cols
+    series = run.series
+    t = series.table["t"]
     outdir = os.path.join(rundir, REPORT_DIR)
     os.makedirs(outdir, exist_ok=True)
 
@@ -512,25 +459,19 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
         with open(
             os.path.join(outdir, f"{name}.dat"), "w", encoding="utf-8", newline="\n"
         ) as fh:
-            for tv, vv in zip(cols["t"], values):
+            for tv, vv in zip(t, values):
                 fh.write(f"{tv:.17g} {vv:.17g}\n")
 
-    emit("energy", cols["energy"])
-    emit("linf", cols["linf"])
-    emit("bkm", cols["bkm"])
-    emit("chan_vasseur", cols["chan_vasseur"])
-    emit("identity_residual", cols["identity_residual"])
-    emit("gronwall_bound", cols["gronwall_bound"])
-    for pair in pairs:
-        lab = pair.label
-        emit(f"serrin_{lab}", cols[f"serrin_{lab}"])
-        emit(f"log_serrin_{lab}", cols[f"log_serrin_{lab}"])
+    names = ["energy", "linf", "bkm", "chan_vasseur", "identity_residual", "gronwall_bound"]
+    names += [f"{c}_{pair.label}" for pair in series.pairs for c in ("serrin", "log_serrin")]
+    for name in names:
+        emit(name, series.column(name))
 
     lines = ["pair  classical_integral  log_improved_integral  ratio"]
-    for pair in pairs:
+    for pair in series.pairs:
         lab = pair.label
-        classical = cols[f"serrin_int_{lab}"][-1]
-        logged = cols[f"log_serrin_int_{lab}"][-1]
+        classical = series.table[f"serrin_int_{lab}"][-1]
+        logged = series.table[f"log_serrin_int_{lab}"][-1]
         ratio = logged / classical if classical > 0 else math.nan
         lines.append(f"{lab}  {classical:.17g}  {logged:.17g}  {ratio:.6g}")
     with open(

@@ -1,6 +1,11 @@
 """Regularity-criterion functionals and the energy-estimate verification
 chain.
 
+A run's monitors form one table, :class:`MonitorSeries`, whose only schema
+is :func:`monitor_columns`: one float column per name, one row per sample
+(:func:`evaluate_sample`), with the running integrals and the Gronwall bound
+filled as whole columns after the run.  The monitor CSV is this table as is.
+
 Monitored quantities per sample:
 
 * classical Serrin integrand   ||u||_p^s          (pairs with 3/p + 2/s <= 1)
@@ -33,7 +38,7 @@ downstream running integrals but never abort a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,104 +174,101 @@ class CalibrationRecord:
 
 @dataclass
 class CriterionConfig:
-    """Which functionals to monitor, for which Serrin pairs, with which
-    calibrated constants."""
+    """Which Serrin pairs to monitor, with which calibrated constants."""
 
     pairs: tuple[SerrinPair, ...]
     mu: float
     calibration: CalibrationRecord | None = None
-    serrin: bool = True
-    log_serrin: bool = True
-    bkm: bool = True
-    chan_vasseur: bool = True
     identity: bool = True
-    gronwall: bool = True
     oversample_linf: bool = False
     identity_stride: int = 1  # steps between the (expensive) identity quadratures
 
     def __post_init__(self):
         self.pairs = tuple(self.pairs)
-        if (self.serrin or self.log_serrin) and not self.pairs:
-            raise ValueError("serrin monitors enabled but no (p, s) pairs given")
+        if not self.pairs:
+            raise ValueError("serrin monitors need at least one (p, s) pair")
         if not self.mu > 0.0:
             raise ValueError("viscosity must be positive")
         if self.identity_stride < 1:
             raise ValueError("identity_stride must be >= 1")
 
 
-#: monitor-sample schema: the float fields of PairSample and MonitorSample,
-#: in monitor-CSV column order (the CSV layout itself is cli.csv_columns)
+#: per-pair column stems, suffixed with the pair label in the table
 PAIR_COLUMNS = ("lp", "serrin", "serrin_int", "log_serrin", "log_serrin_int")
-SAMPLE_COLUMNS = (
-    "t",
-    "energy",
-    "linf",
-    "sobolev1",
-    "sobolev2",
-    "sobolev3",
-    "bkm",
-    "bkm_int",
-    "chan_vasseur",
-    "chan_vasseur_int",
-    "identity_residual",
-    "gronwall_bound",
-    "ddt_sobolev2_sq",
-    "embed_ratio",
-)
 
 
-@dataclass
-class PairSample:
-    lp: float
-    serrin: float
-    log_serrin: float
-    serrin_int: float = math.nan
-    log_serrin_int: float = math.nan
+def monitor_columns(pairs: tuple[SerrinPair, ...]) -> list[str]:
+    """The monitor table's schema, in monitor-CSV column order: t and energy,
+    one block of PAIR_COLUMNS per pair, then the pair-free functionals."""
+    return [
+        "t",
+        "energy",
+        *(f"{c}_{pair.label}" for pair in pairs for c in PAIR_COLUMNS),
+        "linf",
+        "sobolev1",
+        "sobolev2",
+        "sobolev3",
+        "bkm",
+        "bkm_int",
+        "chan_vasseur",
+        "chan_vasseur_int",
+        "identity_residual",
+        "gronwall_bound",
+        "ddt_sobolev2_sq",
+        "embed_ratio",
+    ]
 
 
-@dataclass
-class MonitorSample:
-    t: float
-    energy: float
-    linf: float
-    sobolev1: float
-    sobolev2: float
-    sobolev3: float
-    bkm: float
-    chan_vasseur: float
-    identity_residual: float
-    ddt_sobolev2_sq: float
-    embed_ratio: float
-    pairs: dict[str, PairSample]
-    bkm_int: float = math.nan
-    chan_vasseur_int: float = math.nan
-    gronwall_bound: float = math.nan
-
-
-@dataclass
 class MonitorSeries:
-    """Append-only, time-ordered record of all monitored functionals.
+    """Append-only, time-ordered table of every monitored functional.
 
-    One writer appends; running integrals are filled by :func:`accumulate`
-    (trapezoid rule, so they are exact on constant integrands and
-    recomputable, hence idempotent).
+    ``table`` holds one float list per name of :func:`monitor_columns`, in
+    that order.  One writer appends rows; running integrals are filled by
+    :func:`accumulate` (trapezoid rule, so they are exact on constant
+    integrands and recomputable, hence idempotent).
     """
 
-    pairs: tuple[SerrinPair, ...]
-    samples: list[MonitorSample] = field(default_factory=list)
+    def __init__(self, pairs: tuple[SerrinPair, ...]):
+        self.pairs = tuple(pairs)
+        self.table: dict[str, list[float]] = {
+            c: [] for c in monitor_columns(self.pairs)
+        }
 
-    def append(self, sample: MonitorSample) -> None:
-        if self.samples and sample.t <= self.samples[-1].t:
-            raise NonMonotoneTime(
-                f"sample time {sample.t} not after {self.samples[-1].t}"
+    @classmethod
+    def from_columns(
+        cls, pairs: tuple[SerrinPair, ...], columns: dict[str, np.ndarray]
+    ) -> "MonitorSeries":
+        """A series holding the given whole columns (e.g. a read CSV)."""
+        series = cls(pairs)
+        series._check_keys(columns)
+        if not np.all(np.diff(columns["t"]) > 0.0):
+            raise NonMonotoneTime("sample times are not strictly increasing")
+        series.table = {c: [float(v) for v in columns[c]] for c in series.table}
+        return series
+
+    def _check_keys(self, row) -> None:
+        if set(row) != set(self.table):
+            raise ValueError(
+                "keys differ from the monitor columns: "
+                f"{sorted(set(row) ^ set(self.table))}"
             )
-        self.samples.append(sample)
+
+    def __len__(self) -> int:
+        return len(self.table["t"])
+
+    def append(self, row: dict[str, float]) -> None:
+        self._check_keys(row)
+        times = self.table["t"]
+        if times and not row["t"] > times[-1]:
+            raise NonMonotoneTime(f"sample time {row['t']} not after {times[-1]}")
+        for c, values in self.table.items():
+            values.append(float(row[c]))
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.samples])
+        return np.array(self.table[name])
 
-    def pair_column(self, label: str, name: str) -> np.ndarray:
-        return np.array([getattr(s.pairs[label], name) for s in self.samples])
+    def row(self, i: int) -> dict[str, float]:
+        return {c: values[i] for c, values in self.table.items()}
 
 
 def _pow_sentinel(base: float, exponent: float) -> float:
@@ -324,19 +326,13 @@ def accumulate(series: MonitorSeries) -> MonitorSeries:
             out[1:] = np.cumsum(seg)
         return out
 
-    for name, target in (("bkm", "bkm_int"), ("chan_vasseur", "chan_vasseur_int")):
-        vals = running(series.column(name))
-        for s, v in zip(series.samples, vals):
-            setattr(s, target, float(v))
+    integrals = [("bkm", "bkm_int"), ("chan_vasseur", "chan_vasseur_int")]
     for pair in series.pairs:
         lab = pair.label
-        for name, target in (
-            ("serrin", "serrin_int"),
-            ("log_serrin", "log_serrin_int"),
-        ):
-            vals = running(series.pair_column(lab, name))
-            for s, v in zip(series.samples, vals):
-                setattr(s.pairs[lab], target, float(v))
+        integrals.append((f"serrin_{lab}", f"serrin_int_{lab}"))
+        integrals.append((f"log_serrin_{lab}", f"log_serrin_int_{lab}"))
+    for name, target in integrals:
+        series.table[target] = running(series.column(name)).tolist()
     return series
 
 
@@ -465,23 +461,23 @@ def holder_check(
 
 
 def differential_inequality_check(
-    sample: MonitorSample, pair: SerrinPair, c_cal: float, mu: float
+    row: dict[str, float], pair: SerrinPair, c_cal: float, mu: float
 ) -> dict:
     """Growth inequality for ||grad^2 u||^2 with the calibrated constant.
 
-    lhs = d/dt ||grad^2 u||^2 + mu ||grad^3 u||^2, taken from the sample's
+    lhs = d/dt ||grad^2 u||^2 + mu ||grad^3 u||^2, taken from the row's
     spectrally evaluated time derivative; rhs is the calibrated product with
     the log-improved integrand restored.
     """
-    lhs = sample.ddt_sobolev2_sq + mu * sample.sobolev3**2
-    x = sample.pairs[pair.label].lp
+    lhs = row["ddt_sobolev2_sq"] + mu * row["sobolev3"] ** 2
+    x = row[f"lp_{pair.label}"]
     s = SerrinPair.canonical_s(pair.p)
     grow = _pow_sentinel(x, s)
-    h2 = sample.sobolev2**2
+    h2 = row["sobolev2"] ** 2
     rhs = (
         2.0
         * c_cal
-        * (grow / log_denominator(sample.linf))
+        * (grow / log_denominator(row["linf"]))
         * (1.0 + math.log(E + h2))
         * h2
     )
@@ -503,10 +499,10 @@ def gronwall_bound(
         raise ValueError(
             f"Gronwall bound needs the canonical pair s = 2p/(p-3), got {pair}"
         )
-    if not series.samples:
+    if not len(series):
         return np.empty(0)
-    z0 = 1.0 + math.log(E + series.samples[0].sobolev2 ** 2)
-    integral = series.pair_column(pair.label, "log_serrin_int")
+    z0 = 1.0 + math.log(E + series.table["sobolev2"][0] ** 2)
+    integral = series.column(f"log_serrin_int_{pair.label}")
     with np.errstate(over="ignore"):
         bounds = z0 * np.exp(2.0 * c_cal * integral)
     return bounds
@@ -514,14 +510,13 @@ def gronwall_bound(
 
 def attach_gronwall(series: MonitorSeries, cfg: CriterionConfig) -> None:
     """Fill the gronwall_bound column for the first canonical calibrated pair."""
-    if not (cfg.gronwall and cfg.calibration and series.samples):
+    if not (cfg.calibration and len(series)):
         return
     for pair in series.pairs:
         entry = cfg.calibration.for_p(pair.p)
         if pair.is_canonical and entry is not None:
             bounds = gronwall_bound(series, pair, entry.c_cal)
-            for s, b in zip(series.samples, bounds):
-                s.gronwall_bound = float(b)
+            series.table["gronwall_bound"] = bounds.tolist()
             return
 
 
@@ -531,14 +526,17 @@ def evaluate_sample(
     cfg: CriterionConfig,
     rhs_hat: SpectralVelocityField,
     with_identity: bool = True,
-) -> MonitorSample:
-    """Compute every configured functional on one state.
+) -> dict[str, float]:
+    """One row of the monitor table: every functional on one state, keyed by
+    :func:`monitor_columns`.
 
     ``rhs_hat`` is the projected convective term of the same state (the
     caller usually has it at hand from stepping); it feeds the spectral time
-    derivative of the H^2 seminorm and the identity check.  Disabled monitors
-    yield NaN so the sample layout never changes; ``with_identity=False``
-    skips only the identity quadrature (its residual becomes NaN).
+    derivative of the H^2 seminorm and the identity check.  The running
+    integrals and ``gronwall_bound`` are NaN until :func:`accumulate` and
+    :func:`attach_gronwall` fill them; ``with_identity=False`` (or
+    ``cfg.identity`` off) skips the identity quadrature, and its residual is
+    NaN.
     """
     g = u_hat.grid
     u_phys = to_physical(u_hat)
@@ -550,19 +548,14 @@ def evaluate_sample(
     else:
         linf = float(mag.max(initial=0.0))
 
-    pair_samples: dict[str, PairSample] = {}
+    row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
     for pair in cfg.pairs:
+        lab = pair.label
         lp = _norms.lp_norm(u_phys, pair.p)
         powered = _pow_sentinel(lp, pair.s)
-        pair_samples[pair.label] = PairSample(
-            lp=lp,
-            serrin=powered if cfg.serrin else math.nan,
-            log_serrin=powered / log_denominator(linf) if cfg.log_serrin else math.nan,
-        )
-
-    bkm = bkm_integrand(u_hat) if cfg.bkm else math.nan
-    chan = _chan_vasseur(mag, g.cell_volume) if cfg.chan_vasseur else math.nan
-    ddt = 2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat)
+        row[f"lp_{lab}"] = lp
+        row[f"serrin_{lab}"] = powered
+        row[f"log_serrin_{lab}"] = powered / log_denominator(linf)
 
     if cfg.identity and with_identity:
         lhs = _identity_lhs(u_hat, cfg.mu, rhs_hat)
@@ -571,22 +564,20 @@ def evaluate_sample(
     else:
         residual = math.nan
 
-    embed = (1.0 + math.log(E + sob[2] ** 2)) / log_denominator(linf)
-
-    return MonitorSample(
+    row.update(
         t=t,
         energy=energy,
         linf=linf,
         sobolev1=sob[1],
         sobolev2=sob[2],
         sobolev3=sob[3],
-        bkm=bkm,
-        chan_vasseur=chan,
+        bkm=bkm_integrand(u_hat),
+        chan_vasseur=_chan_vasseur(mag, g.cell_volume),
         identity_residual=residual,
-        ddt_sobolev2_sq=ddt,
-        embed_ratio=embed,
-        pairs=pair_samples,
+        ddt_sobolev2_sq=2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat),
+        embed_ratio=(1.0 + math.log(E + sob[2] ** 2)) / log_denominator(linf),
     )
+    return row
 
 
 def young_split_constant(c_gn: float, p: float, mu: float) -> float:

@@ -3,6 +3,7 @@ contract and the CSV schema."""
 
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -100,18 +101,6 @@ class TestSimulate:
             ]
         )
         assert header == expected
-
-    def test_every_sample_field_is_one_csv_column(self):
-        from dataclasses import fields
-
-        from regcrit.criteria import MonitorSample, PairSample
-
-        pair = SerrinPair(6.0, 4.0)
-        cols = cli.csv_columns((pair,))
-        names = [f.name for f in fields(MonitorSample) if f.name != "pairs"]
-        names += [f"{f.name}_{pair.label}" for f in fields(PairSample)]
-        assert sorted(names) == sorted(cols)
-        assert all(cols.count(name) == 1 for name in names)
 
     def test_csv_round_trips_doubles(self, tmp_path):
         p = write_config(tmp_path / "a.cfg", BASE)
@@ -271,6 +260,36 @@ def assert_one_stderr_line(capsys):
     assert "Traceback" not in err
 
 
+def swap_sobolev_names(lines):
+    cols = lines[0].split(",")
+    i, j = cols.index("sobolev1"), cols.index("sobolev2")
+    cols[i], cols[j] = cols[j], cols[i]
+    lines[0] = ",".join(cols)
+
+
+def extra_energy_column(lines):
+    lines[:] = [lines[0] + ",energy"] + [line + ",0" for line in lines[1:]]
+
+
+def damage_header(csv, damage):
+    """Rewrite the monitor CSV's lines with ``damage``."""
+    lines = csv.read_text().splitlines()
+    damage(lines)
+    csv.write_text("\n".join(lines) + "\n")
+
+
+HEADER_DAMAGES = [swap_sobolev_names, extra_energy_column]
+
+
+def set_manifest_calibration(rundir, value):
+    import json
+
+    path = rundir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["calibration"] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 class TestVerifyDamaged:
     def test_malformed_manifest_exits_one(self, calibrated_run, tmp_path, capsys):
         dst = damaged_copy(calibrated_run, tmp_path)
@@ -284,6 +303,35 @@ class TestVerifyDamaged:
         lines = csv.read_text().splitlines()
         lines[0] = lines[0].replace("sobolev1", "sobolev_one")
         csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["verify", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    @pytest.mark.parametrize("damage", HEADER_DAMAGES)
+    def test_csv_header_not_the_monitor_columns_exits_one(
+        self, calibrated_run, tmp_path, capsys, damage
+    ):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        damage_header(dst / "monitors.csv", damage)
+        (dst / "verify_report.txt").unlink(missing_ok=True)  # left by earlier tests
+        assert cli.main(["verify", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+        assert not (dst / "verify_report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "calibration",
+        [
+            # the manifest layout that stored the record as a JSON object
+            {"mu": 0.1, "corpus": "", "entries": {"p6": {"p": "6", "c_gn": 1.0, "c_cal": 1.0}}},
+            "mu = 0.1\np6.c_gn = 1.0\n",
+            "not a record",
+            7,
+        ],
+    )
+    def test_calibration_not_a_record_text_exits_one(
+        self, calibrated_run, tmp_path, capsys, calibration
+    ):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        set_manifest_calibration(dst, calibration)
         assert cli.main(["verify", str(dst)]) == 1
         assert_one_stderr_line(capsys)
 
@@ -390,6 +438,17 @@ class TestReportDamaged:
         assert cli.main(["report", str(dst)]) == 1
         assert_one_stderr_line(capsys)
 
+    @pytest.mark.parametrize("damage", HEADER_DAMAGES)
+    def test_csv_header_not_the_monitor_columns_exits_one(
+        self, calibrated_run, tmp_path, capsys, damage
+    ):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        damage_header(dst / "monitors.csv", damage)
+        shutil.rmtree(dst / "report", ignore_errors=True)  # left by earlier tests
+        assert cli.main(["report", str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+        assert not (dst / "report").exists()
+
     def test_damaged_snapshot_with_pressure_exits_one(self, calibrated_run, tmp_path, capsys):
         import json
 
@@ -444,6 +503,14 @@ class TestSharedQuadrature:
         assert len(builds) == k
 
 
+class TestMonitorTable:
+    def test_loaded_run_rewrites_csv_byte_for_byte(self, calibrated_run, tmp_path):
+        rundir = calibrated_run / "run"
+        out = tmp_path / "rewritten.csv"
+        cli.write_series_csv(str(out), cli._load_run(str(rundir)).series)
+        assert out.read_bytes() == (rundir / "monitors.csv").read_bytes()
+
+
 class TestManifest:
     def test_round_trip(self, calibrated_run):
         text = (calibrated_run / "run" / "manifest.json").read_text()
@@ -451,5 +518,5 @@ class TestManifest:
         assert m.to_json() == text.strip()
         pairs = m.serrin_pairs()
         assert pairs[-1].p == math.inf
-        rec = m.calibration_record()
+        rec = criteria.CalibrationRecord.from_text(m.calibration)
         assert rec is not None and rec.for_p(6.0).c_cal > 0

@@ -145,67 +145,54 @@ def synthetic_series(times, values):
     pair = crit.SerrinPair(6.0, 4.0)
     series = crit.MonitorSeries(pairs=(pair,))
     for t, v in zip(times, values):
-        series.append(
-            crit.MonitorSample(
-                t=t,
-                energy=0.0,
-                linf=0.0,
-                sobolev1=0.0,
-                sobolev2=0.0,
-                sobolev3=0.0,
-                bkm=v,
-                chan_vasseur=0.0,
-                identity_residual=0.0,
-                ddt_sobolev2_sq=0.0,
-                embed_ratio=1.0,
-                pairs={pair.label: crit.PairSample(lp=0.0, serrin=v, log_serrin=v)},
-            )
-        )
+        row = dict.fromkeys(crit.monitor_columns(series.pairs), 0.0)
+        row.update(t=t, bkm=v, embed_ratio=1.0, serrin_p6_s4=v, log_serrin_p6_s4=v)
+        series.append(row)
     return series
 
 
 class TestAccumulate:
     def test_single_sample_integral_zero(self):
         s = crit.accumulate(synthetic_series([0.0], [3.0]))
-        assert s.samples[0].bkm_int == 0.0
+        assert s.table["bkm_int"][0] == 0.0
 
     def test_constant_integrand_exact(self):
         times = np.linspace(0.0, 2.0, 21)
         s = crit.accumulate(synthetic_series(times, np.full(21, 0.7)))
-        assert s.samples[-1].bkm_int == pytest.approx(1.4, rel=1e-13)
+        assert s.table["bkm_int"][-1] == pytest.approx(1.4, rel=1e-13)
 
     def test_exponential_integrand(self):
         times = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         s = crit.accumulate(synthetic_series(times, np.exp(-times)))
-        assert s.samples[-1].bkm_int == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
+        assert s.table["bkm_int"][-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
 
     def test_idempotent(self):
         times = np.linspace(0.0, 1.0, 11)
         s = crit.accumulate(synthetic_series(times, times**2))
-        first = [x.bkm_int for x in s.samples]
+        first = list(s.table["bkm_int"])
         crit.accumulate(s)
-        second = [x.bkm_int for x in s.samples]
+        second = list(s.table["bkm_int"])
         assert first == second
 
     def test_running_integral_nondecreasing(self):
         times = np.linspace(0.0, 1.0, 50)
         s = crit.accumulate(synthetic_series(times, np.abs(np.sin(9 * times))))
-        ints = [x.bkm_int for x in s.samples]
+        ints = s.table["bkm_int"]
         assert all(a <= b for a, b in zip(ints, ints[1:]))
 
     def test_non_monotone_time_rejected(self):
         series = synthetic_series([0.0, 1.0], [1.0, 1.0])
-        series.samples[1].t = 0.0
+        series.table["t"][1] = 0.0
         with pytest.raises(crit.NonMonotoneTime):
             crit.accumulate(series)
         with pytest.raises(crit.NonMonotoneTime):
-            series.append(
-                crit.MonitorSample(
-                    t=-1.0, energy=0, linf=0, sobolev1=0, sobolev2=0, sobolev3=0,
-                    bkm=0, chan_vasseur=0, identity_residual=0, ddt_sobolev2_sq=0,
-                    embed_ratio=1.0, pairs={"p6_s4": crit.PairSample(0, 0, 0)},
-                )
-            )
+            series.append(dict(series.row(0), t=-1.0))
+        # a row is rejected unless its keys are exactly the monitor columns
+        later = dict(series.row(0), t=5.0)
+        for wrong in (dict(later, extra=0.0), {k: v for k, v in later.items() if k != "bkm"}):
+            with pytest.raises(ValueError, match="monitor columns"):
+                series.append(wrong)
+        assert len(series) == 2
 
 
 class TestIdentity:
@@ -308,7 +295,7 @@ class TestHolder:
 class TestDifferentialInequality:
     def test_zero_sample(self):
         pair = crit.SerrinPair(6.0, 4.0)
-        s = synthetic_series([0.0], [0.0]).samples[0]
+        s = synthetic_series([0.0], [0.0]).row(0)
         res = crit.differential_inequality_check(s, pair, c_cal=1.0, mu=0.1)
         assert res["satisfied"] and res["lhs"] == 0.0 and res["rhs"] == 0.0
 
@@ -322,9 +309,9 @@ class TestDifferentialInequality:
         pair = crit.SerrinPair(6.0, 4.0)
         mon = crit.CriterionConfig(pairs=(pair,), mu=mu)
         series = solv.run(cfg, mon)
-        s = series.samples[0]
+        s = series.row(0)
         z = 3.0 * amp**2 * TWO_PI**3
-        assert s.ddt_sobolev2_sq == pytest.approx(-2.0 * mu * z, rel=1e-9)
+        assert s["ddt_sobolev2_sq"] == pytest.approx(-2.0 * mu * z, rel=1e-9)
         res = crit.differential_inequality_check(s, pair, c_cal=1.0, mu=mu)
         assert res["lhs"] == pytest.approx(-mu * z, rel=1e-9)
         assert res["satisfied"]  # pure decay: lhs < 0 <= rhs
@@ -334,7 +321,7 @@ class TestGronwall:
     def test_initial_bound_is_exact(self):
         times = [0.0, 0.5]
         series = crit.accumulate(synthetic_series(times, [1.0, 1.0]))
-        series.samples[0].sobolev2 = 2.0
+        series.table["sobolev2"][0] = 2.0
         pair = crit.SerrinPair(6.0, 4.0)
         bounds = crit.gronwall_bound(series, pair, c_cal=3.0)
         assert bounds[0] == 1.0 + math.log(E + 4.0)
@@ -344,7 +331,7 @@ class TestGronwall:
         series = crit.accumulate(synthetic_series(times, np.zeros(5)))
         pair = crit.SerrinPair(6.0, 4.0)
         bounds = crit.gronwall_bound(series, pair, c_cal=5.0)
-        measured = [1.0 + math.log(E + s.sobolev2**2) for s in series.samples]
+        measured = [1.0 + math.log(E + v**2) for v in series.table["sobolev2"]]
         assert np.allclose(bounds, 2.0) and np.allclose(measured, 2.0)
         assert all(b >= m for b, m in zip(bounds, measured))
 
@@ -357,7 +344,7 @@ class TestGronwall:
         times = np.linspace(0.0, 1.0, 6)
         base = crit.accumulate(synthetic_series(times, np.full(6, 1.0)))
         bumped_series = synthetic_series(times, np.full(6, 1.0))
-        bumped_series.samples[2].pairs["p6_s4"].log_serrin = 2.0
+        bumped_series.table["log_serrin_p6_s4"][2] = 2.0
         bumped = crit.accumulate(bumped_series)
         pair = crit.SerrinPair(6.0, 4.0)
         b0 = crit.gronwall_bound(base, pair, c_cal=1.0)
@@ -373,7 +360,7 @@ class TestGronwall:
         mon = crit.CriterionConfig(pairs=(pair,), mu=mu)
         series = solv.run(cfg, mon)
         bounds = crit.gronwall_bound(series, pair, c_cal=10.0)
-        measured = [1.0 + math.log(E + s.sobolev2**2) for s in series.samples]
+        measured = [1.0 + math.log(E + v**2) for v in series.table["sobolev2"]]
         assert all(b >= m for b, m in zip(bounds, measured))
 
 
@@ -459,16 +446,14 @@ class TestEvaluateSample:
         sob2 = norms.sobolev_seminorm(U, 2)
         linf = norms.lp_norm(to_physical(U), math.inf)
         expected = (1.0 + math.log(E + sob2**2)) / (1.0 + math.log(E + linf))
-        assert s.embed_ratio == pytest.approx(expected, rel=1e-12)
+        assert s["embed_ratio"] == pytest.approx(expected, rel=1e-12)
 
     def test_disabled_monitors_yield_nan(self):
         g = Grid(8)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
-        mon = crit.CriterionConfig(
-            pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1,
-            bkm=False, chan_vasseur=False, identity=False,
+        mon = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1)
+        s = crit.evaluate_sample(
+            U, 0.0, mon, rhs_hat=solv.nonlinear_rhs(U), with_identity=False
         )
-        s = crit.evaluate_sample(U, 0.0, mon, rhs_hat=solv.nonlinear_rhs(U))
-        assert math.isnan(s.bkm) and math.isnan(s.chan_vasseur)
-        assert math.isnan(s.identity_residual)
-        assert not math.isnan(s.energy)
+        assert math.isnan(s["identity_residual"])
+        assert not math.isnan(s["energy"])
