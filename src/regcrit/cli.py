@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes are a contract: 0 success, 1 usage or config error or a
 damaged run directory, 2 numerical blowup (partial outputs preserved),
-3 verification failure.  Errors are reported in one line on stderr.
+3 verification failure.  A timestep that breaks a stability bound is a config
+error, also when only the initial field shows it; such a run writes no
+monitor CSV, manifest or snapshot.  Errors are reported in one line on stderr.
 
 The monitor CSV is the monitor table as is: its header is exactly
 ``criteria.monitor_columns(pairs)`` for the manifest's pairs, in that order
@@ -38,10 +40,12 @@ from . import snapshot as snap
 from . import solver as solv
 from .config import (
     ConfigError,
+    _parse_float,
+    build_calibration_config,
     build_criterion_config,
     build_solver_config,
+    output_dir,
     parse_config,
-    parse_seed_list,
 )
 from .criteria import (
     CalibrationEntry,
@@ -50,7 +54,7 @@ from .criteria import (
     SerrinPair,
     monitor_columns,
 )
-from .spectral import Grid, NonFiniteSamples, fft_forward
+from .spectral import NonFiniteSamples, fft_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,11 +122,7 @@ class RunManifest:
         return cls(**json.loads(text))
 
     def serrin_pairs(self) -> tuple[SerrinPair, ...]:
-        return tuple(SerrinPair(_parse_pf(p), _parse_pf(s)) for p, s in self.pairs)
-
-
-def _parse_pf(raw: str) -> float:
-    return math.inf if str(raw) == "inf" else float(raw)
+        return tuple(SerrinPair(_parse_float(p), _parse_float(s)) for p, s in self.pairs)
 
 
 class DirectorySink(solv.RunSink):
@@ -142,9 +142,7 @@ def cmd_simulate(config_path: str) -> int:
     solver_cfg = build_solver_config(raw)
     criterion_cfg = build_criterion_config(raw)
     record = criterion_cfg.calibration
-    outdir = raw.require("output.dir")
-    if not os.path.isabs(outdir):
-        outdir = os.path.join(os.path.dirname(os.path.abspath(config_path)), outdir)
+    outdir = output_dir(raw)
     os.makedirs(outdir, exist_ok=True)
     sink = DirectorySink(outdir)
 
@@ -183,43 +181,28 @@ def cmd_simulate(config_path: str) -> int:
 
 def cmd_calibrate(config_path: str) -> int:
     raw = parse_config(config_path)
-    n = raw.get_int("grid.n")
-    length = raw.get_float("grid.length", 2.0 * math.pi)
-    mu = raw.get_float("fluid.mu")
-    amplitude = raw.get_float("init.amplitude", 1.0)
-    slope = raw.get_float("init.spectrum_slope", -2.0)
-    seeds = parse_seed_list(raw.require("calibration.seeds"))
-    if not seeds:
-        raise ConfigError("empty corpus", key="calibration.seeds")
-    p_list = [
-        _parse_pf(tok.strip())
-        for tok in raw.require("calibration.p").split(",")
-        if tok.strip()
-    ]
-    if not p_list:
-        raise ConfigError("no exponents given", key="calibration.p")
-    outdir = raw.require("output.dir")
-    if not os.path.isabs(outdir):
-        outdir = os.path.join(os.path.dirname(os.path.abspath(config_path)), outdir)
+    cfg = build_calibration_config(raw)
+    outdir = output_dir(raw)
     os.makedirs(outdir, exist_ok=True)
 
-    grid = Grid(n, length)
     corpus = [
-        solv.init_random_divfree(grid, seed, slope, amplitude) for seed in seeds
+        solv.init_random_divfree(cfg.grid, seed, cfg.spectrum_slope, cfg.amplitude)
+        for seed in cfg.seeds
     ]
     hessians = [norms.hessian_magnitude(U) for U in corpus]
     entries: dict[str, CalibrationEntry] = {}
-    for p in p_list:
-        consts = crit.calibrate_constants(corpus, p, mu, hessians)
+    for p in cfg.exponents:
+        consts = crit.calibrate_constants(corpus, p, cfg.mu, hessians)
         entries[f"p{crit._fmt_num(p)}"] = CalibrationEntry(
             p=p, c_gn=consts["C_GN"], c_cal=consts["C_cal"]
         )
+    seeds = cfg.seeds
     record = CalibrationRecord(
-        mu=mu,
+        mu=cfg.mu,
         entries=entries,
         corpus=(
-            f"random_divfree n={n} slope={slope!r} amplitude={amplitude!r} "
-            f"seeds={seeds[0]}..{seeds[-1]} count={len(seeds)}"
+            f"random_divfree n={cfg.grid.n} slope={cfg.spectrum_slope!r} "
+            f"amplitude={cfg.amplitude!r} seeds={seeds[0]}..{seeds[-1]} count={len(seeds)}"
         ),
     )
     path = os.path.join(outdir, CALIBRATION_NAME)
@@ -277,6 +260,10 @@ def _load_run(rundir: str) -> _Run:
         else:
             raise TypeError("calibration is not a calibration record's text")
         mu = float(manifest.mu)
+        if record is not None and record.mu != mu:
+            raise ValueError(
+                f"calibration record is for mu = {record.mu!r}, not the run's mu = {mu!r}"
+            )
         csv_path = os.path.join(rundir, manifest.csv)
         snap_paths = [os.path.join(rundir, name) for name in manifest.snapshots]
     except _READ_ERRORS as exc:
@@ -520,15 +507,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.rundir)
         return cmd_report(args.rundir, pressure=args.pressure)
-    except ConfigError as exc:
+    except (ConfigError, solv.UnstableTimestep, crit.EmptyCorpus) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DamagedArtifact as exc:
         # parser messages may span lines; the contract is one line
         print(f"damaged run directory: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_USAGE
-    except crit.EmptyCorpus as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,24 +16,48 @@ Recognized keys:
                            (default "6:4")
     monitors.stride        evaluate monitors every k steps (default 1)
     monitors.identity_stride   steps between identity quadratures (default 1)
-    monitors.oversample_linf   true|false (default false)
     monitors.calibration   path to a calibration record (relative to the
                            config file); enables the Gronwall column
     snapshots.stride       write snapshots every k steps (default 100)
     output.dir             run directory (required)
     calibration.seeds      corpus seeds, "0..99" or comma list (calibrate)
     calibration.p          exponent list, e.g. "4,5,6,inf" (calibrate)
+
+Any other key is an error.  Every command reads its config through this
+module's builders, which check every value without building a field.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .criteria import CalibrationRecord, CriterionConfig, SerrinPair
 from .solver import InitSpec, SolverConfig
 from .spectral import Grid, TWO_PI
+
+#: every key a config file may set, in the order the module docstring lists them
+KEYS = (
+    "grid.n",
+    "grid.length",
+    "fluid.mu",
+    "time.dt",
+    "time.t_end",
+    "init.kind",
+    "init.amplitude",
+    "init.seed",
+    "init.spectrum_slope",
+    "monitors.pairs",
+    "monitors.stride",
+    "monitors.identity_stride",
+    "monitors.calibration",
+    "snapshots.stride",
+    "output.dir",
+    "calibration.seeds",
+    "calibration.p",
+)
 
 
 class ConfigError(ValueError):
@@ -65,16 +89,23 @@ class RawConfig:
             raise ConfigError(f"missing required key", key=key)
         return self.values[key]
 
+    @contextmanager
+    def checking(self, key: str | None = None):
+        """Re-raise a ValueError of the enclosed block as a ConfigError on ``key``."""
+        try:
+            yield
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=self.lines.get(key)) from exc
+
     def _convert(self, key: str, conv, default):
         if key not in self.values:
             if default is None:
                 raise ConfigError("missing required key", key=key)
             return default
-        raw = self.values[key]
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=self.lines.get(key)) from exc
+        with self.checking(key):
+            return conv(self.values[key])
 
     def get_int(self, key: str, default: int | None = None) -> int:
         return self._convert(key, int, default)
@@ -82,23 +113,11 @@ class RawConfig:
     def get_float(self, key: str, default: float | None = None) -> float:
         return self._convert(key, _parse_float, default)
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        return self._convert(key, _parse_bool, default)
-
 
 def _parse_float(raw: str) -> float:
-    if raw.strip().lower() == "inf":
+    if str(raw).strip().lower() == "inf":
         return math.inf
     return float(raw)
-
-
-def _parse_bool(raw: str) -> bool:
-    v = raw.strip().lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def parse_config(path: str) -> RawConfig:
@@ -119,6 +138,8 @@ def parse_config(path: str) -> RawConfig:
         key = key.strip()
         if not key:
             raise ConfigError("empty key", line=i)
+        if key not in KEYS:
+            raise ConfigError("unknown key", key=key, line=i)
         if key in values:
             raise ConfigError("duplicate key", key=key, line=i)
         values[key] = val.strip()
@@ -159,12 +180,21 @@ def parse_seed_list(raw: str, key: str = "calibration.seeds") -> tuple[int, ...]
         raise ConfigError(str(exc), key=key) from exc
 
 
+def build_grid(raw: RawConfig) -> Grid:
+    with raw.checking():
+        return Grid(raw.get_int("grid.n"), raw.get_float("grid.length", TWO_PI))
+
+
+def output_dir(raw: RawConfig) -> str:
+    """output.dir, taken relative to the config file's directory unless absolute."""
+    return os.path.join(os.path.dirname(os.path.abspath(raw.path)), raw.require("output.dir"))
+
+
 def build_solver_config(raw: RawConfig) -> SolverConfig:
-    grid = Grid(raw.get_int("grid.n"), raw.get_float("grid.length", TWO_PI))
-    kind = raw.require("init.kind")
-    try:
+    grid = build_grid(raw)
+    with raw.checking():
         init = InitSpec(
-            kind=kind,
+            kind=raw.require("init.kind"),
             amplitude=raw.get_float("init.amplitude", 1.0),
             seed=raw.get_int("init.seed", 0),
             spectrum_slope=raw.get_float("init.spectrum_slope", -2.0),
@@ -178,10 +208,6 @@ def build_solver_config(raw: RawConfig) -> SolverConfig:
             monitor_stride=raw.get_int("monitors.stride", 1),
             snapshot_stride=raw.get_int("snapshots.stride", 100),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_calibration(raw: RawConfig) -> CalibrationRecord | None:
@@ -200,15 +226,55 @@ def load_calibration(raw: RawConfig) -> CalibrationRecord | None:
 
 def build_criterion_config(raw: RawConfig) -> CriterionConfig:
     pairs = parse_pairs(raw.get("monitors.pairs", "6:4"))
-    try:
+    mu = raw.get_float("fluid.mu")
+    record = load_calibration(raw)
+    if record is not None and record.mu != mu:
+        raise ConfigError(
+            f"calibration record is for mu = {record.mu!r}, not fluid.mu = {mu!r}",
+            key="monitors.calibration",
+        )
+    with raw.checking():
         return CriterionConfig(
             pairs=pairs,
-            mu=raw.get_float("fluid.mu"),
-            calibration=load_calibration(raw),
-            oversample_linf=raw.get_bool("monitors.oversample_linf", False),
+            mu=mu,
+            calibration=record,
             identity_stride=raw.get_int("monitors.identity_stride", 1),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class CalibrationConfig:
+    """The corpus and the exponents of ``calibrate``."""
+
+    grid: Grid
+    mu: float
+    amplitude: float
+    spectrum_slope: float
+    seeds: tuple[int, ...]
+    exponents: tuple[float, ...]
+
+
+def build_calibration_config(raw: RawConfig) -> CalibrationConfig:
+    grid = build_grid(raw)
+    mu = raw.get_float("fluid.mu")
+    if not mu > 0.0:
+        raise ConfigError(f"viscosity must be positive, got {mu}", key="fluid.mu")
+    seeds = parse_seed_list(raw.require("calibration.seeds"))
+    if not seeds:
+        raise ConfigError("empty corpus", key="calibration.seeds")
+    with raw.checking("calibration.p"):
+        exponents = tuple(
+            SerrinPair.canonical(_parse_float(tok)).p
+            for tok in raw.require("calibration.p").split(",")
+            if tok.strip()
+        )
+    if not exponents:
+        raise ConfigError("no exponents given", key="calibration.p")
+    return CalibrationConfig(
+        grid=grid,
+        mu=mu,
+        amplitude=raw.get_float("init.amplitude", 1.0),
+        spectrum_slope=raw.get_float("init.spectrum_slope", -2.0),
+        seeds=seeds,
+        exponents=exponents,
+    )

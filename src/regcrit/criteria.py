@@ -169,6 +169,8 @@ class CalibrationRecord:
             entries[lab] = CalibrationEntry(
                 p=p, c_gn=float(kv[f"{lab}.c_gn"]), c_cal=float(kv[f"{lab}.c_cal"])
             )
+        if not entries:
+            raise ValueError("calibration record has no entries")
         return cls(mu=mu, entries=entries, corpus=corpus)
 
 
@@ -180,7 +182,6 @@ class CriterionConfig:
     mu: float
     calibration: CalibrationRecord | None = None
     identity: bool = True
-    oversample_linf: bool = False
     identity_stride: int = 1  # steps between the (expensive) identity quadratures
 
     def __post_init__(self):
@@ -543,10 +544,7 @@ def evaluate_sample(
     mag = u_phys.magnitude()
     energy = parseval_sum(g, np.abs(u_hat.half) ** 2)
     sob = {m: _norms.sobolev_seminorm(u_hat, m) for m in (1, 2, 3)}
-    if cfg.oversample_linf:
-        linf = _norms.linf_oversampled(u_hat)
-    else:
-        linf = float(mag.max(initial=0.0))
+    linf = float(mag.max(initial=0.0))
 
     row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
     for pair in cfg.pairs:

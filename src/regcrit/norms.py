@@ -18,9 +18,7 @@ from .spectral import (
     SpectralVelocityField,
     VelocityField,
     parseval_sum,
-    resample,
     second_derivatives,
-    to_physical,
 )
 
 
@@ -110,16 +108,6 @@ def gn_ratio(
         theta, q = 3.0 / p, 2.0 * p / (p - 2.0)
     num = hessian_lq_norm(U, q, hessian)
     return num / (a ** (1.0 - theta) * b**theta)
-
-
-def linf_oversampled(U: SpectralVelocityField, factor: int = 2) -> float:
-    """Sup norm on a spectrally interpolated finer grid.
-
-    Bounds the gap the plain grid max leaves between nodes for band-limited
-    fields.
-    """
-    fine = resample(U, factor * U.grid.n)
-    return float(to_physical(fine).magnitude().max())
 
 
 @dataclass

@@ -7,15 +7,18 @@ four-stage Runge-Kutta on the full spectral right-hand side
 ``du/dt = -P(u . grad u) - mu |k|^2 u``.  Treating the viscous term inside the
 stage derivatives (instead of an exact exponential factor) leaves a clean
 fourth-order error signature on the exact-decay oracles; the price is a
-viscous stability bound, validated at construction alongside the advective
-CFL bound.  States stay band-limited (modes with integer max-norm <= n/3)
-because the initializers band-limit and every right-hand side is dealiased.
+viscous stability bound.  :class:`SolverConfig` checks it and the timestep
+ceiling at construction, since neither needs a field; :func:`run` checks the
+advective CFL bound on the initial field before it writes anything, and every
+step re-checks it on the current field.  States stay band-limited (modes with
+integer max-norm <= n/3) because the initializers band-limit and every
+right-hand side is dealiased.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +45,10 @@ RK4_VISCOUS_LIMIT = 2.5
 DT_CEILING = 0.5
 
 INIT_KINDS = ("taylor_green", "beltrami", "random_divfree")
+
+
+class UnstableTimestep(ValueError):
+    """The configured dt exceeds a stability bound before any step is taken."""
 
 
 class NumericalBlowup(RuntimeError):
@@ -77,7 +84,6 @@ class SolverConfig:
     init: InitSpec
     monitor_stride: int = 1
     snapshot_stride: int = 100
-    dt_max: float = field(init=False)
 
     def __post_init__(self):
         if not self.mu > 0.0:
@@ -93,15 +99,11 @@ class SolverConfig:
             raise ValueError(
                 f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
             )
-        u0 = make_initial(self)
-        u_max = float(to_physical(u0).magnitude().max(initial=0.0))
-        advective = self.grid.spacing / u_max if u_max > 0.0 else math.inf
         viscous = RK4_VISCOUS_LIMIT / (self.mu * self.grid.k_squared_max_retained)
-        object.__setattr__(self, "dt_max", min(advective, viscous, DT_CEILING))
-        if self.dt > self.dt_max:
-            raise ValueError(
-                f"dt={self.dt} exceeds the stability bound dt_max={self.dt_max:.6g} "
-                f"(advective {advective:.6g}, viscous {viscous:.6g}, ceiling {DT_CEILING})"
+        if self.dt > min(viscous, DT_CEILING):
+            raise UnstableTimestep(
+                f"dt={self.dt} exceeds the stability bound "
+                f"(viscous {viscous:.6g}, ceiling {DT_CEILING})"
             )
 
 
@@ -278,7 +280,9 @@ def run(
     """Integrate from t = 0 to t_end, evaluating monitors every monitor_stride
     steps and emitting snapshots every snapshot_stride steps (plus step 0 and
     the final step).  Returns the accumulated monitor series; on blowup the
-    partial series is attached to the raised NumericalBlowup.
+    partial series is attached to the raised NumericalBlowup.  Raises
+    UnstableTimestep, before any sample or snapshot, when dt breaks the
+    advective CFL bound on the initial field.
     """
     state = SolverState(t=0.0, u_hat=make_initial(config))
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
@@ -291,6 +295,11 @@ def run(
             u_half = state.u_hat.half
             # stage-1 nonlinear term doubles as the monitors' time derivative
             nl, u_max = _nonlinear_half(g, u_half)
+            if i == 0 and u_max > 0.0 and config.dt > g.spacing / u_max:
+                raise UnstableTimestep(
+                    f"dt={config.dt} exceeds the stability bound "
+                    f"(advective dx/u_max={g.spacing / u_max:.6g} on the initial field)"
+                )
             if state.step_index % config.monitor_stride == 0 or final:
                 with_identity = monitors.identity and (
                     state.step_index % monitors.identity_stride == 0 or final

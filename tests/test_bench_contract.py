@@ -9,13 +9,14 @@ import sys
 
 import pytest
 
-from regcrit import criteria, snapshot
+from regcrit import config, criteria, snapshot
 from regcrit import solver as solv
 from regcrit.spectral import Grid
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
 tracing = importlib.import_module("tracing")
+workloads = importlib.import_module("workloads")
 
 
 def traced_names():
@@ -60,3 +61,15 @@ def test_annotators_bind_their_arguments(tmp_path):
     rec = {}
     annotators["snapshot.read_snapshot"](rec, (path,), {}, None)
     assert rec["bytes"] == os.path.getsize(path)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_configs_pass_the_config_reader(name, tmp_path):
+    """A benchmark config the config reader rejects fails here, not in the
+    benchmark."""
+    workloads.write_configs(workloads.WORKLOADS[name], seed=1, workdir=str(tmp_path))
+    for cfg_name in sorted(set(workloads.CONFIGS.values())):
+        raw = config.parse_config(str(tmp_path / cfg_name))
+        config.build_solver_config(raw)
+    calibrate = config.parse_config(str(tmp_path / workloads.CONFIGS["calibrate"]))
+    config.build_calibration_config(calibrate)

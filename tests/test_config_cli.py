@@ -1,16 +1,24 @@
 """Config parsing and the four CLI subcommands, including the exit-code
 contract and the CSV schema."""
 
+import json
 import math
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from regcrit import cli, criteria, norms
+from regcrit import cli, config, criteria, norms
 from regcrit import solver as solv
-from regcrit.config import ConfigError, parse_config, parse_pairs, parse_seed_list
+from regcrit.config import (
+    ConfigError,
+    build_solver_config,
+    parse_config,
+    parse_pairs,
+    parse_seed_list,
+)
 from regcrit.criteria import SerrinPair
 
 
@@ -73,6 +81,17 @@ class TestConfigParsing:
         assert parse_seed_list("5, 9, 2") == (5, 9, 2)
         with pytest.raises(ConfigError):
             parse_seed_list("9..5")
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        p = write_config(tmp_path / "a.cfg", BASE + "monitors.strid = 5\n")
+        with pytest.raises(ConfigError, match=r"unknown key.*'monitors.strid', line 12"):
+            parse_config(p)
+        assert cli.main(["simulate", p]) == 1
+        assert_config_error(capsys)
+
+    def test_docstring_lists_exactly_the_keys(self):
+        documented = re.findall(r"^    (\S+)\s", config.__doc__, flags=re.MULTILINE)
+        assert documented == list(config.KEYS)
 
 
 class TestSimulate:
@@ -139,6 +158,43 @@ class TestSimulate:
         assert len(csv.read_text().strip().splitlines()) == 7  # header + 6 samples
         manifest = (tmp_path / "run" / "manifest.json").read_text()
         assert '"exit_status": 2' in manifest
+
+    def test_advective_bound_only_exits_one_without_outputs(self, tmp_path, capsys):
+        # advective bound dx/u_max = 0.393, viscous bound 33, ceiling 0.5
+        cfg = (
+            BASE.replace("fluid.mu = 0.1", "fluid.mu = 0.001")
+            .replace("time.dt = 1e-3", "time.dt = 0.45")
+            .replace("time.t_end = 0.02", "time.t_end = 0.45")
+        )
+        p = write_config(tmp_path / "a.cfg", cfg)
+        build_solver_config(parse_config(p))  # only the run sees the field
+        assert cli.main(["simulate", p]) == 1
+        assert "advective" in assert_config_error(capsys)
+        run = tmp_path / "run"
+        assert not (run / "monitors.csv").exists()
+        assert not (run / "manifest.json").exists()
+        assert not list(run.glob("snap_*"))
+
+    def test_initial_field_built_once(self, tmp_path, monkeypatch):
+        p = write_config(tmp_path / "a.cfg", BASE.replace("0.02", "0.002"))
+        builds = count_calls(monkeypatch, "make_initial", solv)
+        build_solver_config(parse_config(p))
+        assert len(builds) == 0
+        assert cli.main(["simulate", p]) == 0
+        assert len(builds) == 1
+
+    def test_calibration_at_another_mu_exits_one(self, calibrated_run, tmp_path, capsys):
+        record = calibrated_run / "cal" / "calibration.txt"  # made at mu = 0.1
+        cfg = BASE.replace("fluid.mu = 0.1", "fluid.mu = 0.05")
+        p = write_config(tmp_path / "a.cfg", cfg + f"monitors.calibration = {record}\n")
+        assert cli.main(["simulate", p]) == 1
+        assert "mu" in assert_config_error(capsys)
+
+    def test_empty_calibration_record_exits_one(self, tmp_path, capsys):
+        (tmp_path / "empty.txt").write_text("mu = 0.1\n", encoding="utf-8")
+        p = write_config(tmp_path / "a.cfg", BASE + "monitors.calibration = empty.txt\n")
+        assert cli.main(["simulate", p]) == 1
+        assert_config_error(capsys)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +270,25 @@ output.dir = out{i}
         )
         assert cli.main(["calibrate", p]) == 1
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("grid.n = 16", "grid.n = 15"),
+            ("fluid.mu = 0.1", "fluid.mu = 0"),
+            ("fluid.mu = 0.1", "fluid.mu = -1"),
+            ("calibration.p = 6", "calibration.p = 2"),
+            ("calibration.p = 6", "calibration.p = 4,x"),
+        ],
+    )
+    def test_bad_input_exits_one(self, tmp_path, capsys, old, new):
+        cfg = (
+            "grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..1\n"
+            "calibration.p = 6\noutput.dir = out\n"
+        )
+        p = write_config(tmp_path / "c.cfg", cfg.replace(old, new))
+        assert cli.main(["calibrate", p]) == 1
+        assert_config_error(capsys)
+
 
 class TestVerify:
     def test_verify_passes_on_fresh_run(self, calibrated_run):
@@ -258,6 +333,14 @@ def assert_one_stderr_line(capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def assert_config_error(capsys):
+    """Check that stderr is one ``config error:`` line, and return it."""
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("config error:"), err
+    return err
 
 
 def swap_sobolev_names(lines):
@@ -413,6 +496,29 @@ output.dir = big
         assert cli.main(["report", rundir, "--pressure"]) == 0
         rep = calibrated_run / "run" / "report"
         assert any(f.name.startswith("pressure_") for f in rep.iterdir())
+
+
+def set_manifest_mu(rundir, mu):
+    path = rundir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["mu"] = mu
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestRunRecordChecks:
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_record_at_another_mu_exits_one(self, calibrated_run, tmp_path, capsys, command):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        set_manifest_mu(dst, 0.05)  # the record says mu = 0.1
+        assert cli.main([command, str(dst)]) == 1
+        assert_one_stderr_line(capsys)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_record_without_entries_exits_one(self, calibrated_run, tmp_path, capsys, command):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        set_manifest_calibration(dst, "mu = 0.1\n")
+        assert cli.main([command, str(dst)]) == 1
+        assert_one_stderr_line(capsys)
 
 
 class TestReportDamaged:

@@ -161,17 +161,6 @@ class TestGnRatio:
             norms.gn_ratio(init_beltrami(Grid(8), 1.0), 3.0)
 
 
-class TestOversampledSup:
-    def test_dominates_grid_max_and_finds_peak(self):
-        g = Grid(6)
-        U = single_sine(g)
-        grid_max = norms.lp_norm(U, math.inf)
-        assert grid_max < 1.0  # no sample at pi/2 when n = 6
-        refined = norms.linf_oversampled(fft_forward(U), factor=2)
-        assert refined >= grid_max
-        assert refined == pytest.approx(1.0, abs=1e-12)
-
-
 class TestNormReport:
     def test_build_and_invariant(self):
         g = Grid(16)
