@@ -11,7 +11,7 @@ viscous stability bound.  :class:`SolverConfig` checks it and the timestep
 ceiling at construction, since neither needs a field; :func:`run` checks the
 advective CFL bound on the initial field before it writes anything, and every
 step re-checks it on the current field.  States stay band-limited (modes with
-integer max-norm <= n/3) because the initializers band-limit and every
+3 * integer max-norm < n) because the initializers band-limit and every
 right-hand side is dealiased.
 """
 
@@ -149,10 +149,13 @@ def init_random_divfree(
 ) -> SpectralVelocityField:
     """Seeded random divergence-free field.
 
-    Moduli follow |k|^slope on 0 < |k| <= n/3 (Euclidean), phases are uniform,
-    conjugate symmetry is enforced exactly, the result is Leray projected and
-    rescaled so the L^2 norm equals ``amplitude``.  Bit-reproducible for a
-    fixed seed.
+    Moduli follow |k|^slope on 0 < 3|k| < n (Euclidean, inside the dealias
+    mask), phases are uniform, conjugate symmetry is enforced exactly, the
+    result is Leray projected and rescaled so the L^2 norm equals
+    ``amplitude``.  Bit-reproducible for a fixed seed.  Phases are drawn on
+    the closed ball 3|k| <= n, so the shell 3|k| = n (which exists when 3
+    divides n) has a phase but zero modulus, and every other mode keeps the
+    phase it would have without that shell.
     """
     n = grid.n
     rng = np.random.default_rng(seed)
@@ -161,12 +164,12 @@ def init_random_divfree(
     ky = ints.reshape(1, n, 1)
     kz = ints.reshape(1, 1, n)
     k2 = (kx**2 + ky**2 + kz**2).astype(np.float64)
-    band = (k2 > 0) & (np.sqrt(k2) <= n / 3.0)
+    drawn = (k2 > 0) & (9.0 * k2 <= n * n)
     with np.errstate(divide="ignore"):
-        moduli = np.where(band, np.sqrt(k2) ** spectrum_slope, 0.0)
+        moduli = np.where(drawn & (9.0 * k2 < n * n), np.sqrt(k2) ** spectrum_slope, 0.0)
     # canonical half-space: kx > 0, or kx = 0 and ky > 0, or kx = ky = 0, kz > 0
     half = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
-    sel = band & half
+    sel = drawn & half
     ix, iy, iz = np.nonzero(sel)
     mx, my, mz = (-ix) % n, (-iy) % n, (-iz) % n
     coeffs = np.zeros((3, n, n, n), dtype=np.complex128)

@@ -18,8 +18,12 @@ Conventions, fixed once for the whole package:
 * integer wavevectors run over ``{-n/2, ..., n/2 - 1}`` per axis, scaled by
   ``2*pi/length``; the unpaired Nyquist mode ``-n/2`` is zeroed in every
   derivative operator
-* quadratic products are dealiased by zeroing modes with
-  ``max(|kx|, |ky|, |kz|) > n/3`` (integer wavevector max-norm)
+* quadratic products are dealiased by the 2/3 rule: a mode is kept when
+  ``3 * max(|kx|, |ky|, |kz|) < n`` (integer wavevector max-norm) and zeroed
+  otherwise.  The bound is strict: a product of kept modes reaches at most
+  ``2 max|k|``, which aliases to ``2 max|k| - n``; that stays outside the
+  kept band only when ``3 max|k| < n``.  (With ``3 | n`` and ``max|k| = n/3``
+  kept, mode ``2n/3`` would alias onto the kept mode ``-n/3``.)
 
 All operations are pure functions.  Reductions are plain C-order numpy sums,
 so results are reproducible run to run at a fixed worker count.  The
@@ -37,9 +41,6 @@ import numpy as np
 from scipy import fft as _fft
 
 TWO_PI = 2.0 * np.pi
-
-#: modes with integer max-norm above n/DEALIAS_DENOM are discarded in products
-DEALIAS_DENOM = 3.0
 
 HERMITIAN_TOL = 1e-10
 
@@ -160,9 +161,7 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        cut = self.n / DEALIAS_DENOM
-        m = np.abs(self.integer_modes)
-        keep1 = m <= cut
+        keep1 = 3 * np.abs(self.integer_modes) < self.n
         n = self.n
         return (
             keep1.reshape(n, 1, 1)
@@ -441,7 +440,7 @@ def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
 
 
 def dealias(F):
-    """Zero modes with integer max-norm above n/3; other modes unchanged."""
+    """Zero modes with 3 * (integer max-norm) >= n; other modes unchanged."""
     if not isinstance(F, _SpectralField):
         raise TypeError(f"cannot dealias {type(F).__name__}")
     return type(F)(F.grid, F.half * F.grid.dealias_mask_half)

@@ -19,6 +19,35 @@ def basic_monitors(mu=0.1):
     return crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=mu)
 
 
+def band_limited_random(g, seed):
+    """Random real 3-vector filling every mode the dealias mask keeps."""
+    rng = np.random.default_rng(seed)
+    half = spec.rfftn(rng.standard_normal((3,) + g.shape)) * g.dealias_mask_half
+    return SpectralVelocityField(g, half)
+
+
+def padded_projected_rhs(U):
+    """-P((u . grad) u) on the kept modes, from the exact product.
+
+    u is zero-padded to m = 3n/2 points per axis.  Kept modes have
+    max|k| <= n/3, so a product mode q' (max|q'| <= 2n/3) aliases onto a
+    kept mode q only if |q' - q| = m, which needs n/3 + 2n/3 >= 3n/2: on the
+    padded grid the product is exact on every kept mode.
+    """
+    g = U.grid
+    m = 3 * g.n // 2
+    fine = spec.resample(U, m)
+    ks = fine.grid.wavenumbers_half
+    u = spec.irfftn_real(fine.half, m)
+    w = np.zeros_like(u)
+    for c in range(3):
+        for a in range(3):
+            w[c] += u[a] * spec.irfftn_real(1j * ks[a] * fine.half[c], m)
+    W = SpectralVelocityField(fine.grid, spec.rfftn(w))
+    kept = spec.resample(W, g.n).half * g.dealias_mask_half
+    return -spec.leray_project(SpectralVelocityField(g, kept)).half
+
+
 class TestInitializers:
     def test_taylor_green_divergence_free(self):
         U = solv.init_taylor_green(Grid(16), 1.0)
@@ -62,6 +91,20 @@ class TestInitializers:
         kz = ints.reshape(1, 1, -1)
         outside = np.sqrt(kx**2 + ky**2 + kz**2) > g.n / 3.0
         assert np.abs(a.coefficients[:, outside]).max() == 0.0
+
+    def test_random_divfree_inside_dealias_mask(self):
+        # at n = 24 the shell |k| = 8 = n/3 would sit on the mask's edge
+        g = Grid(24)
+        a = solv.init_random_divfree(g, 1, -2.0, 1.0)
+        assert np.abs(a.half[:, ~g.dealias_mask_half]).max() == 0.0
+        ints = g.integer_modes
+        k2 = (
+            ints.reshape(-1, 1, 1) ** 2
+            + ints.reshape(1, -1, 1) ** 2
+            + ints.reshape(1, 1, -1) ** 2
+        )
+        assert np.abs(a.coefficients[:, 9 * k2 >= g.n**2]).max() == 0.0
+        assert np.abs(a.coefficients[:, k2 == 7**2]).max() > 0.0
 
     def test_random_divfree_zero_amplitude(self):
         a = solv.init_random_divfree(Grid(8), 0, -2.0, 0.0)
@@ -120,6 +163,15 @@ class TestConfigValidation:
 
 
 class TestNonlinearTerm:
+    @pytest.mark.parametrize("n", [12, 16, 24, 48, 96])
+    def test_matches_padded_exact_product(self, n):
+        # with 3 | n, a mask keeping max|k| = n/3 lets mode 2n/3 alias onto -n/3
+        U = band_limited_random(Grid(n), n)
+        ref = padded_projected_rhs(U)
+        out = solv.nonlinear_rhs(U).half
+        rel = float(np.abs(out - ref).max() / np.abs(ref).max())
+        assert rel <= 1e-13
+
     def test_zero_field(self):
         g = Grid(8)
         zero = SpectralVelocityField(g, np.zeros((3,) + g.shape, complex))

@@ -53,6 +53,15 @@ class TestGrid:
             kept = bool(g.dealias_mask[i, 0, 0])
             assert kept == (abs(m) <= 16 / 3)
 
+    @pytest.mark.parametrize("n", [12, 24, 96])
+    def test_dealias_mask_strict_when_three_divides_n(self, n):
+        # max|k| = n/3 would receive the alias of the product mode 2n/3
+        g = spec.Grid(n)
+        kept = g.dealias_mask[:, 0, 0]
+        assert not kept[n // 3] and not kept[-(n // 3)]
+        assert kept[n // 3 - 1] and kept[-(n // 3 - 1)]
+        assert g.dealias_mask_half[0, 0, n // 3 - 1] and not g.dealias_mask_half[0, 0, n // 3]
+
     def test_deriv_modes_drop_nyquist(self):
         g = spec.Grid(8)
         assert g.integer_modes[4] == -4
