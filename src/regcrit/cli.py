@@ -340,7 +340,7 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             worst_ident, res["residual"] / (1.0 + abs(res["lhs"]))
         )
         for p in p_values:
-            hc = crit.holder_check(u_hat, p, quad)
+            hc = crit.holder_check(u_hat, p, quad, field_)
             holder_ok &= hc["satisfied"]
             worst_holder = min(worst_holder, hc["bound"] - hc["actual"])
     if nonfinite:

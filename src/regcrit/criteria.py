@@ -46,7 +46,7 @@ from . import norms as _norms
 from .spectral import (
     SpectralVelocityField,
     VelocityField,
-    convective,
+    convective_core_half,
     curl,
     first_derivatives,
     leray_project,
@@ -418,13 +418,15 @@ def h2_identity_residual(
 ) -> dict:
     """Residual of the H^2 energy identity on one state.
 
-    ``rhs_hat`` defaults to the projected convective term of ``u_hat``,
-    ``quad`` to :func:`hessian_quadrature` of it.  Returns {'lhs', 'rhs',
-    'residual'}.
+    ``rhs_hat`` defaults to the projected convective term -P(omega x u) of
+    ``u_hat``, ``quad`` to :func:`hessian_quadrature` of it.  Returns
+    {'lhs', 'rhs', 'residual'}.
     """
     if rhs_hat is None:
+        g = u_hat.grid
+        w_hat = convective_core_half(g, u_hat.half)[0]
         rhs_hat = SpectralVelocityField(
-            u_hat.grid, -leray_project(convective(u_hat)).half
+            g, -leray_project(SpectralVelocityField(g, w_hat)).half
         )
     if quad is None:
         quad = hessian_quadrature(u_hat)
@@ -433,23 +435,28 @@ def h2_identity_residual(
 
 
 def holder_check(
-    u_hat: SpectralVelocityField, p: float, quad: HessianQuadrature | None = None
+    u_hat: SpectralVelocityField,
+    p: float,
+    quad: HessianQuadrature | None = None,
+    field: VelocityField | None = None,
 ) -> dict:
     """Hoelder bound on the identity right side with the literal factor 5:
     |rhs| <= 5 ||u||_p ||grad^2 u||_{2p/(p-2)} ||grad^3 u||_2.
 
-    ``quad`` defaults to :func:`hessian_quadrature` of ``u_hat``; pass it
-    to check several p on one state."""
+    ``quad`` defaults to :func:`hessian_quadrature` of ``u_hat`` and
+    ``field`` to its grid samples; pass them to check several p on one
+    state."""
     p = float(p)
     if not p > 3.0:
         raise ValueError(f"Hoelder step needs 3 < p <= inf, got {p}")
     if quad is None:
         quad = hessian_quadrature(u_hat)
+    if field is None:
+        field = to_physical(u_hat)
     q = 2.0 if math.isinf(p) else 2.0 * p / (p - 2.0)
-    u_phys = to_physical(u_hat)
     bound = (
         HOLDER_FACTOR
-        * _norms.lp_norm(u_phys, p)
+        * _norms.lp_norm(field, p)
         * _norms.hessian_lq_norm(u_hat, q, quad.hessian)
         * _norms.sobolev_seminorm(u_hat, 3)
     )
@@ -521,40 +528,59 @@ def attach_gronwall(series: MonitorSeries, cfg: CriterionConfig) -> None:
             return
 
 
+def _grid_columns(
+    pairs: tuple[SerrinPair, ...], u_phys: VelocityField, omega: VelocityField
+) -> dict[str, float]:
+    """The monitor columns that read the grid samples of u and omega."""
+    mag = u_phys.magnitude()
+    linf = float(mag.max(initial=0.0))
+    cols = {
+        "linf": linf,
+        "bkm": _norms.lp_norm(omega, math.inf),
+        "chan_vasseur": _chan_vasseur(mag, u_phys.grid.cell_volume),
+    }
+    for pair in pairs:
+        lab = pair.label
+        lp = _norms.lp_norm(u_phys, pair.p)
+        powered = _pow_sentinel(lp, pair.s)
+        cols[f"lp_{lab}"] = lp
+        cols[f"serrin_{lab}"] = powered
+        cols[f"log_serrin_{lab}"] = powered / log_denominator(linf)
+    return cols
+
+
 def evaluate_sample(
     u_hat: SpectralVelocityField,
     t: float,
     cfg: CriterionConfig,
     rhs_hat: SpectralVelocityField,
     with_identity: bool = True,
+    physical: list[VelocityField] | None = None,
 ) -> dict[str, float]:
     """One row of the monitor table: every functional on one state, keyed by
     :func:`monitor_columns`.
 
     ``rhs_hat`` is the projected convective term of the same state (the
     caller usually has it at hand from stepping); it feeds the spectral time
-    derivative of the H^2 seminorm and the identity check.  The running
+    derivative of the H^2 seminorm and the identity check.  ``physical`` is
+    the list [u, curl u] of the state's grid samples when the caller has
+    them (``solver.run`` has them from the stage-1 nonlinear term); they are
+    transformed here otherwise.  The list is emptied once they are read, so
+    that they are freed before the identity quadrature runs.  The running
     integrals and ``gronwall_bound`` are NaN until :func:`accumulate` and
     :func:`attach_gronwall` fill them; ``with_identity=False`` (or
     ``cfg.identity`` off) skips the identity quadrature, and its residual is
     NaN.
     """
     g = u_hat.grid
-    u_phys = to_physical(u_hat)
-    mag = u_phys.magnitude()
+    if physical is None:
+        physical = [to_physical(u_hat), to_physical(curl(u_hat))]
+    row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
+    row.update(_grid_columns(cfg.pairs, *physical))
+    physical.clear()
+
     energy = parseval_sum(g, np.abs(u_hat.half) ** 2)
     sob = {m: _norms.sobolev_seminorm(u_hat, m) for m in (1, 2, 3)}
-    linf = float(mag.max(initial=0.0))
-
-    row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
-    for pair in cfg.pairs:
-        lab = pair.label
-        lp = _norms.lp_norm(u_phys, pair.p)
-        powered = _pow_sentinel(lp, pair.s)
-        row[f"lp_{lab}"] = lp
-        row[f"serrin_{lab}"] = powered
-        row[f"log_serrin_{lab}"] = powered / log_denominator(linf)
-
     if cfg.identity and with_identity:
         lhs = _identity_lhs(u_hat, cfg.mu, rhs_hat)
         rhs = hessian_quadrature(u_hat).rhs
@@ -565,15 +591,12 @@ def evaluate_sample(
     row.update(
         t=t,
         energy=energy,
-        linf=linf,
         sobolev1=sob[1],
         sobolev2=sob[2],
         sobolev3=sob[3],
-        bkm=bkm_integrand(u_hat),
-        chan_vasseur=_chan_vasseur(mag, g.cell_volume),
         identity_residual=residual,
         ddt_sobolev2_sq=2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat),
-        embed_ratio=(1.0 + math.log(E + sob[2] ** 2)) / log_denominator(linf),
+        embed_ratio=(1.0 + math.log(E + sob[2] ** 2)) / log_denominator(row["linf"]),
     )
     return row
 

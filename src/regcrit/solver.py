@@ -1,18 +1,23 @@
 """Pseudo-spectral time integration of incompressible Navier-Stokes on the
 periodic box, plus the exact-solution initializers used as oracles.
 
-The convective term is the literal (u . grad) u form, dealiased and Leray
-projected, so the pressure gradient never appears.  Time stepping is classical
-four-stage Runge-Kutta on the full spectral right-hand side
-``du/dt = -P(u . grad u) - mu |k|^2 u``.  Treating the viscous term inside the
-stage derivatives (instead of an exact exponential factor) leaves a clean
-fourth-order error signature on the exact-decay oracles; the price is a
-viscous stability bound.  :class:`SolverConfig` checks it and the timestep
-ceiling at construction, since neither needs a field; :func:`run` checks the
-advective CFL bound on the initial field before it writes anything, and every
-step re-checks it on the current field.  States stay band-limited (modes with
-3 * integer max-norm < n) because the initializers band-limit and every
-right-hand side is dealiased.
+The nonlinear term is taken in rotational form: omega x u, dealiased and
+Leray projected.  It differs from (u . grad) u by grad |u|^2/2, which the
+projection removes, so the pressure gradient never appears and the
+right-hand side is ``du/dt = -P(omega x u) - mu |k|^2 u``.  One evaluation
+costs 9 three-dimensional FFTs: 6 inverse (u and omega) and 3 forward (the
+product).  Time stepping is classical four-stage Runge-Kutta on that full
+spectral right-hand side, in place in three stage buffers per step.
+Treating the viscous term inside the stage derivatives (instead of an exact
+exponential factor) leaves a clean fourth-order error signature on the
+exact-decay oracles; the price is a viscous stability bound.
+:class:`SolverConfig` checks it and the timestep ceiling at construction,
+since neither needs a field; :func:`run` checks the advective CFL bound on
+the initial field before it writes anything, and every step re-checks it on
+the current field.  The grid samples of u and omega from a step's stage-1
+term also feed that step's monitor sample and snapshot.  States stay
+band-limited (modes with 3 * integer max-norm < n) because the initializers
+band-limit and every right-hand side is dealiased.
 """
 
 from __future__ import annotations
@@ -28,14 +33,13 @@ from .spectral import (
     RealScalarField,
     SpectralVelocityField,
     VelocityField,
-    convective,
     convective_core_half,
     divergence,
     fft_forward,
     irfftn_real,
     leray_project,
     parseval_sum,
-    to_physical,
+    rfftn,
 )
 
 #: explicit RK4 is stable for mu*|k|^2*dt below ~2.785 on the real axis
@@ -198,15 +202,20 @@ def make_initial(config: SolverConfig) -> SpectralVelocityField:
     )
 
 
-def _nonlinear_half(grid: Grid, half: np.ndarray) -> tuple[np.ndarray, float]:
-    """Half-spectrum coefficients of -P((u . grad) u) plus the grid max of |u|."""
-    w_hat, u_max = convective_core_half(grid, half)
-    return -leray_project(SpectralVelocityField(grid, w_hat)).half, u_max
+def _nonlinear_half(
+    grid: Grid, half: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Half-spectrum coefficients of -P(omega x u), the grid max of |u|, and
+    the grid samples of u and omega (see :func:`convective_core_half`)."""
+    w_hat, u_max, u_phys, omega = convective_core_half(grid, half)
+    nl = leray_project(SpectralVelocityField(grid, w_hat)).half
+    np.negative(nl, out=nl)
+    return nl, u_max, u_phys, omega
 
 
 def nonlinear_rhs(u_hat: SpectralVelocityField) -> SpectralVelocityField:
-    """Projected convective term -P((u . grad) u); the viscous term is handled
-    separately by the time stepper."""
+    """Projected convective term -P((u . grad) u) = -P(omega x u); the viscous
+    term is handled separately by the time stepper."""
     g = u_hat.grid
     return SpectralVelocityField(g, _nonlinear_half(g, u_hat.half)[0])
 
@@ -218,7 +227,13 @@ def _advance(
     nl1: np.ndarray,
     u_max: float,
 ) -> SolverState:
-    """RK4 update in the half spectrum, given the stage-1 nonlinear term."""
+    """RK4 update in the half spectrum, given the stage-1 nonlinear term.
+
+    Three stage buffers are allocated once per step and every combination
+    runs in place, in the operation order of
+    ``u + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)`` with stage inputs
+    ``u + (c dt) k``; the sum accumulates as the stages run.
+    """
     g = config.grid
     if u_max > 0.0 and config.dt > g.spacing / u_max:
         raise NumericalBlowup(
@@ -227,19 +242,29 @@ def _advance(
         )
     dt, mu = config.dt, config.mu
     k2_visc = mu * g.k_squared_half
+    k = np.empty_like(u_half)  # the current stage derivative
+    acc = np.empty_like(u_half)  # the weighted sum of the stage derivatives
+    tmp = np.empty_like(u_half)  # the stage input, then the weighted derivative
 
-    def rhs(coeffs: np.ndarray, nl: np.ndarray | None = None) -> np.ndarray:
-        if nl is None:
-            nl = _nonlinear_half(g, coeffs)[0]
-        return nl - k2_visc * coeffs
+    def rhs(coeffs: np.ndarray, nl: np.ndarray) -> None:
+        np.multiply(k2_visc, coeffs, out=k)
+        np.subtract(nl, k, out=k)
 
     # overflow policy: let non-finite values flow to the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(u_half, nl1)
-        k2 = rhs(u_half + 0.5 * dt * k1)
-        k3 = rhs(u_half + 0.5 * dt * k2)
-        k4 = rhs(u_half + dt * k3)
-        new = u_half + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(u_half, nl1)
+        acc[...] = k
+        for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+            np.multiply(k, c, out=tmp)
+            np.add(u_half, tmp, out=tmp)
+            rhs(tmp, _nonlinear_half(g, tmp)[0])
+            if weight == 1.0:
+                acc += k
+            else:
+                np.multiply(k, weight, out=tmp)
+                acc += tmp
+        acc *= dt / 6.0
+        new = np.add(u_half, acc, out=acc)
     if not np.isfinite(new).all():
         raise NumericalBlowup(f"non-finite coefficients after step to t={state.t + dt:.6g}")
     return SolverState(
@@ -257,14 +282,23 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     """
     u_half = state.u_hat.half
     with np.errstate(over="ignore", invalid="ignore"):
-        nl1, u_max = _nonlinear_half(config.grid, u_half)
+        nl1, u_max = _nonlinear_half(config.grid, u_half)[:2]
     return _advance(state, config, u_half, nl1, u_max)
 
 
 def pressure_field(u_hat: SpectralVelocityField):
-    """Diagnostic pressure from Delta q = -div((u . grad) u), mean zero."""
+    """Diagnostic pressure q, mean zero, from Delta q = -div((u . grad) u).
+
+    With (u . grad) u = omega x u + grad |u|^2/2, q = -Delta^-1 div(omega x u)
+    - |u|^2/2.  |u|^2 is formed from the same dealiased samples as omega x u
+    and dealiased like it.
+    """
     g = u_hat.grid
-    q_hat = divergence(convective(u_hat)).half * g.inv_k_squared_half
+    w_hat, _, u_phys, _ = convective_core_half(g, u_hat.half)
+    ke_hat = rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
+    q_hat = divergence(SpectralVelocityField(g, w_hat)).half * g.inv_k_squared_half
+    q_hat -= ke_hat * g.dealias_mask_half
+    q_hat[0, 0, 0] = 0.0
     return RealScalarField(g, irfftn_real(q_hat, g.n))
 
 
@@ -291,22 +325,36 @@ def run(
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
     n_steps = int(round(config.t_end / config.dt))
 
+    g = config.grid
     try:
         for i in range(n_steps + 1):
             final = i == n_steps
-            g = config.grid
             u_half = state.u_hat.half
-            # stage-1 nonlinear term doubles as the monitors' time derivative
-            nl, u_max = _nonlinear_half(g, u_half)
+            # the stage-1 term doubles as the monitors' time derivative, and
+            # its grid samples of u and omega serve the sample and the snapshot
+            nl, u_max, u_phys, omega = _nonlinear_half(g, u_half)
             if i == 0 and u_max > 0.0 and config.dt > g.spacing / u_max:
                 raise UnstableTimestep(
                     f"dt={config.dt} exceeds the stability bound "
                     f"(advective dx/u_max={g.spacing / u_max:.6g} on the initial field)"
                 )
-            if state.step_index % config.monitor_stride == 0 or final:
+            sample_due = state.step_index % config.monitor_stride == 0 or final
+            snapshot_due = sink is not None and (
+                state.step_index % config.snapshot_stride == 0 or final
+            )
+            physical = (
+                [VelocityField(g, u_phys), VelocityField(g, omega)]
+                if sample_due or snapshot_due
+                else []
+            )
+            del u_phys, omega
+            if snapshot_due:
+                sink.snapshot(state.step_index, state.t, physical[0])
+            if sample_due:
                 with_identity = monitors.identity and (
                     state.step_index % monitors.identity_stride == 0 or final
                 )
+                # empties ``physical`` before the identity quadrature runs
                 series.append(
                     _criteria.evaluate_sample(
                         state.u_hat,
@@ -314,12 +362,10 @@ def run(
                         monitors,
                         rhs_hat=SpectralVelocityField(g, nl),
                         with_identity=with_identity,
+                        physical=physical,
                     )
                 )
-            if sink is not None and (
-                state.step_index % config.snapshot_stride == 0 or final
-            ):
-                sink.snapshot(state.step_index, state.t, to_physical(state.u_hat))
+            del physical
             if final:
                 break
             state = _advance(state, config, u_half, nl, u_max)

@@ -24,6 +24,10 @@ Conventions, fixed once for the whole package:
   ``2 max|k|``, which aliases to ``2 max|k| - n``; that stays outside the
   kept band only when ``3 max|k| < n``.  (With ``3 | n`` and ``max|k| = n/3``
   kept, mode ``2n/3`` would alias onto the kept mode ``-n/3``.)
+* the nonlinear term is the rotational product ``omega x u``
+  (:func:`convective_core_half`): one batched inverse transform of the 6
+  fields [u, omega] and one forward transform of the 3 product components,
+  9 three-dimensional FFTs per right-hand side
 
 All operations are pure functions.  Reductions are plain C-order numpy sums,
 so results are reproducible run to run at a fixed worker count.  The
@@ -33,6 +37,7 @@ environment variable ``REGCRIT_THREADS`` caps the FFT worker pool
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -478,31 +483,42 @@ def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     return out
 
 
-def convective_core_half(grid: Grid, half: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dealiased (u . grad) u on the half spectrum, plus the grid max of |u|.
+def convective_core_half(
+    grid: Grid, half: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Dealiased rotational nonlinear term omega x u on the half spectrum,
+    the grid max of |u|, and the grid samples of u and omega = curl u.
 
+    omega x u differs from (u . grad) u by grad |u|^2/2, which the Leray
+    projection removes, so both give the same projected right-hand side.
     Both factors are dealiased before the pointwise product and the product
     is dealiased again, so retained modes of band-limited inputs are exact.
-    The max feeds the advective CFL re-check without an extra transform.
+    One batched inverse transform of the 6 fields [u, omega] and one forward
+    transform of the 3 product components: 9 FFTs.  The max feeds the
+    advective CFL check, and the samples (views of one (6, n, n, n) array,
+    of the dealiased u) feed the monitors and snapshots of the same state,
+    without another transform.
     """
     mask = grid.dealias_mask_half
-    ud = half * mask
-    ks = grid.wavenumbers_half
-    hat = np.empty((4, 3) + grid.half_shape, dtype=np.complex128)
-    hat[0] = ud
-    for a in range(3):
-        np.multiply(1j * ks[a], ud, out=hat[a + 1])
-    phys = irfftn_real(hat.reshape((12,) + grid.half_shape), grid.n).reshape((4, 3) + grid.shape)
-    u_phys, grads = phys[0], phys[1:]
-    u_max = float(np.sqrt(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys)).max(initial=0.0))
-    w = np.einsum("mxyz,mcxyz->cxyz", u_phys, grads)
-    w_hat = rfftn(w) * mask
-    return w_hat, u_max
-
-
-def convective(U: SpectralVelocityField) -> SpectralVelocityField:
-    """Dealiased pseudo-spectral convective term (u . grad) u, unprojected."""
-    return SpectralVelocityField(U.grid, convective_core_half(U.grid, U.half)[0])
+    kx, ky, kz = grid.wavenumbers_half
+    hat = np.empty((6,) + grid.half_shape, dtype=np.complex128)
+    np.multiply(half, mask, out=hat[:3])
+    u, v, w = hat[:3]
+    hat[3] = ky * w - kz * v
+    hat[4] = kz * u - kx * w
+    hat[5] = kx * v - ky * u
+    hat[3:] *= 1j
+    phys = irfftn_real(hat, grid.n)
+    u_phys, omega = phys[:3], phys[3:]
+    cross = np.empty((3,) + grid.shape)
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        np.multiply(omega[a], u_phys[b], out=cross[c])
+        cross[c] -= omega[b] * u_phys[a]
+    w_hat = rfftn(cross)
+    w_hat *= mask
+    u_max = math.sqrt(float(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys).max(initial=0.0)))
+    return w_hat, u_max, u_phys, omega
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:

@@ -11,7 +11,7 @@ import pytest
 
 from regcrit import config, criteria, snapshot
 from regcrit import solver as solv
-from regcrit.spectral import Grid
+from regcrit.spectral import Grid, to_physical
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -53,7 +53,7 @@ def test_annotators_bind_their_arguments(tmp_path):
     assert rec == {"identity": False}
 
     path = str(tmp_path / "snap.bin")
-    field = solv.to_physical(u_hat)
+    field = to_physical(u_hat)
     snapshot.write_snapshot(path, field, 0.0)
     rec = {}
     annotators["snapshot.write_snapshot"](rec, (path, field, 0.0), {}, None)

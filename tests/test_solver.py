@@ -2,6 +2,7 @@
 stability validation, and the convergence window."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -237,6 +238,94 @@ class TestPressure:
         half_sq = 0.5 * np.sum(to_physical(U).values ** 2, axis=0)
         exact = -(half_sq - half_sq.mean())
         assert np.abs(q - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+class CountingFFT:
+    """Stands in for ``spectral._fft``; counts 3-D transforms by direction."""
+
+    def __init__(self, module):
+        self.module = module
+        self.counts = {"forward": 0, "inverse": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(self.module, name)
+        direction = "forward" if name in ("fftn", "rfftn") else "inverse"
+
+        def call(x, *args, **kwargs):
+            self.counts[direction] += math.prod(np.shape(x)[:-3])
+            return fn(x, *args, **kwargs)
+
+        return call
+
+
+class TestTransformCount:
+    def test_nonlinear_term_is_six_inverse_and_three_forward(self, monkeypatch):
+        g = Grid(16)
+        U = solv.init_random_divfree(g, 4, -2.0, 1.0)
+        fft = CountingFFT(spec._fft)
+        monkeypatch.setattr(spec, "_fft", fft)
+        solv._nonlinear_half(g, U.half)
+        assert fft.counts == {"forward": 3, "inverse": 6}
+
+    def test_monitored_run_reuses_the_stage_one_samples(self, monkeypatch):
+        # samples and snapshots every step, identity off: every transform of
+        # the run is one of the 4 nonlinear terms of a step, or the stage-1
+        # term of the final sample
+        steps = 3
+        cfg = solv.SolverConfig(
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=steps * 1e-2,
+            init=solv.InitSpec("random_divfree", seed=2), snapshot_stride=1,
+        )
+        monitors = crit.CriterionConfig(
+            pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1, identity=False
+        )
+
+        class Sink(solv.RunSink):
+            def __init__(self):
+                self.fields = []
+
+            def snapshot(self, step_index, t, field):
+                self.fields.append(field.values.copy())
+
+        fft = CountingFFT(spec._fft)
+        monkeypatch.setattr(spec, "_fft", fft)
+        sink = Sink()
+        series = solv.run(cfg, monitors, sink)
+        calls = 4 * steps + 1
+        assert fft.counts == {"forward": 3 * calls, "inverse": 6 * calls}
+        assert len(series) == len(sink.fields) == steps + 1
+        monkeypatch.undo()
+        # the snapshots are the samples of the states the series describes
+        state = solv.SolverState(0.0, solv.make_initial(cfg))
+        for i in range(steps + 1):
+            expected = to_physical(state.u_hat).values
+            assert np.abs(sink.fields[i] - expected).max() <= 1e-14 * np.abs(expected).max()
+            linf = float(np.sqrt(np.sum(expected**2, axis=0)).max())
+            assert series.table["linf"][i] == pytest.approx(linf, rel=1e-13)
+            state = solv.step(state, cfg)
+
+
+    def test_stage_one_samples_freed_before_identity(self, monkeypatch):
+        cfg = solv.SolverConfig(
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=2e-2,
+            init=solv.InitSpec("random_divfree", seed=2), snapshot_stride=1,
+        )
+        kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
+        samples, alive = [], []
+
+        def recording_kernel(grid, half):
+            out = kernel(grid, half)
+            samples.append(weakref.ref(out[2].base))
+            return out
+
+        def checking_quadrature(u_hat):
+            alive.append(samples[-1]() is not None)
+            return quadrature(u_hat)
+
+        monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
+        monkeypatch.setattr(crit, "hessian_quadrature", checking_quadrature)
+        solv.run(cfg, basic_monitors(), solv.RunSink())
+        assert alive == [False, False, False]
 
 
 class TestStep:
