@@ -10,8 +10,10 @@ Subcommands:
 Exit codes are a contract: 0 success, 1 usage or config error or a
 damaged run directory, 2 numerical blowup (partial outputs preserved),
 3 verification failure.  A timestep that breaks a stability bound is a config
-error, also when only the initial field shows it; such a run writes no
-monitor CSV, manifest or snapshot.  Errors are reported in one line on stderr.
+error, also when only the initial field shows it; such a run creates no run
+directory.  A calibration record with no entry for a monitored canonical pair
+is a config error in ``simulate`` and a failed ``growth_inequality_<pair>``
+check in ``verify``.  Errors are reported in one line on stderr.
 
 The monitor CSV is the monitor table as is: its header is exactly
 ``criteria.monitor_columns(pairs)`` for the manifest's pairs, in that order
@@ -126,11 +128,15 @@ class RunManifest:
 
 
 class DirectorySink(solv.RunSink):
+    """Writes snapshots into ``outdir``, created at the first write, so a run
+    rejected before its first snapshot leaves no directory behind."""
+
     def __init__(self, outdir: str):
         self.outdir = outdir
         self.snapshots: list[str] = []
 
     def snapshot(self, step_index: int, t: float, field) -> None:
+        os.makedirs(self.outdir, exist_ok=True)
         name = f"snap_{step_index:08d}.bin"
         snap.write_snapshot(os.path.join(self.outdir, name), field, t)
         if name not in self.snapshots:
@@ -143,7 +149,6 @@ def cmd_simulate(config_path: str) -> int:
     criterion_cfg = build_criterion_config(raw)
     record = criterion_cfg.calibration
     outdir = output_dir(raw)
-    os.makedirs(outdir, exist_ok=True)
     sink = DirectorySink(outdir)
 
     status = EXIT_OK
@@ -156,6 +161,7 @@ def cmd_simulate(config_path: str) -> int:
         )
         status = EXIT_BLOWUP
 
+    os.makedirs(outdir, exist_ok=True)
     write_series_csv(os.path.join(outdir, CSV_NAME), series)
     manifest = RunManifest(
         config=os.path.abspath(config_path),
@@ -368,8 +374,16 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     # growth inequality and Gronwall dominance per canonical calibrated pair
     if record is not None:
         for pair in pairs:
+            if not pair.is_canonical:
+                continue
             entry = record.for_p(pair.p)
-            if entry is None or not pair.is_canonical:
+            if entry is None:
+                results.append(
+                    CheckResult(
+                        f"growth_inequality_{pair.label}", False, math.nan, 0.0,
+                        note=f"no calibration entry for p = {crit._fmt_num(pair.p)}",
+                    )
+                )
                 continue
             ok = True
             margin = math.inf

@@ -233,6 +233,18 @@ def build_criterion_config(raw: RawConfig) -> CriterionConfig:
             f"calibration record is for mu = {record.mu!r}, not fluid.mu = {mu!r}",
             key="monitors.calibration",
         )
+    if record is not None:
+        missing = [
+            pair.label
+            for pair in pairs
+            if pair.is_canonical and record.for_p(pair.p) is None
+        ]
+        if missing:
+            raise ConfigError(
+                f"calibration record has no entry for the monitored pair(s) "
+                f"{', '.join(missing)}",
+                key="monitors.calibration",
+            )
     with raw.checking():
         return CriterionConfig(
             pairs=pairs,

@@ -170,10 +170,7 @@ class TestSimulate:
         build_solver_config(parse_config(p))  # only the run sees the field
         assert cli.main(["simulate", p]) == 1
         assert "advective" in assert_config_error(capsys)
-        run = tmp_path / "run"
-        assert not (run / "monitors.csv").exists()
-        assert not (run / "manifest.json").exists()
-        assert not list(run.glob("snap_*"))
+        assert not (tmp_path / "run").exists()
 
     def test_initial_field_built_once(self, tmp_path, monkeypatch):
         p = write_config(tmp_path / "a.cfg", BASE.replace("0.02", "0.002"))
@@ -189,6 +186,19 @@ class TestSimulate:
         p = write_config(tmp_path / "a.cfg", cfg + f"monitors.calibration = {record}\n")
         assert cli.main(["simulate", p]) == 1
         assert "mu" in assert_config_error(capsys)
+
+    def test_calibration_without_a_monitored_pair_exits_one(
+        self, calibrated_run, tmp_path, capsys
+    ):
+        record = criteria.CalibrationRecord.from_text(
+            (calibrated_run / "cal" / "calibration.txt").read_text()
+        )
+        del record.entries["p6"]
+        (tmp_path / "cal.txt").write_text(record.to_text(), encoding="utf-8")
+        p = write_config(tmp_path / "a.cfg", BASE + "monitors.calibration = cal.txt\n")
+        assert cli.main(["simulate", p]) == 1
+        assert "p6_s4" in assert_config_error(capsys)
+        assert not (tmp_path / "run").exists()
 
     def test_empty_calibration_record_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty.txt").write_text("mu = 0.1\n", encoding="utf-8")
@@ -519,6 +529,19 @@ class TestRunRecordChecks:
         set_manifest_calibration(dst, "mu = 0.1\n")
         assert cli.main([command, str(dst)]) == 1
         assert_one_stderr_line(capsys)
+
+
+    def test_record_without_a_monitored_pair_fails(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        manifest = json.loads((dst / "manifest.json").read_text())
+        text = manifest["calibration"]
+        kept = [line for line in text.splitlines() if not line.startswith("p6.")]
+        set_manifest_calibration(dst, "\n".join(kept) + "\n")
+        assert cli.main(["verify", str(dst)]) == 3
+        report = (dst / "verify_report.txt").read_text()
+        assert "growth_inequality_p6_s4: FAIL" in report
+        assert "growth_inequality_p5_s5: PASS" in report
+        assert "growth_inequality_p6_s4" in capsys.readouterr().err
 
 
 class TestReportDamaged:
