@@ -157,9 +157,9 @@ def init_random_divfree(
     mask), phases are uniform, conjugate symmetry is enforced exactly, the
     result is Leray projected and rescaled so the L^2 norm equals
     ``amplitude``.  Bit-reproducible for a fixed seed.  Phases are drawn on
-    the closed ball 3|k| <= n, so the shell 3|k| = n (which exists when 3
-    divides n) has a phase but zero modulus, and every other mode keeps the
-    phase it would have without that shell.
+    the closed ball 3|k| <= n and the moduli vanish on its boundary shell
+    3|k| = n (present when 3 divides n), so no mode's phase depends on
+    whether that shell is kept.
     """
     n = grid.n
     rng = np.random.default_rng(seed)
@@ -169,8 +169,9 @@ def init_random_divfree(
     kz = ints.reshape(1, 1, n)
     k2 = (kx**2 + ky**2 + kz**2).astype(np.float64)
     drawn = (k2 > 0) & (9.0 * k2 <= n * n)
+    band = drawn & (9.0 * k2 < n * n)
     with np.errstate(divide="ignore"):
-        moduli = np.where(drawn & (9.0 * k2 < n * n), np.sqrt(k2) ** spectrum_slope, 0.0)
+        moduli = np.where(band, np.sqrt(k2) ** spectrum_slope, 0.0)
     # canonical half-space: kx > 0, or kx = 0 and ky > 0, or kx = ky = 0, kz > 0
     half = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
     sel = drawn & half
