@@ -348,6 +348,8 @@ def run(
                 if sample_due or snapshot_due
                 else []
             )
+            # only ``physical`` holds the samples from here, so they are freed
+            # before the identity quadrature and before the RK stages
             del u_phys, omega
             if snapshot_due:
                 sink.snapshot(state.step_index, state.t, physical[0])
@@ -355,7 +357,7 @@ def run(
                 with_identity = monitors.identity and (
                     state.step_index % monitors.identity_stride == 0 or final
                 )
-                # empties ``physical`` before the identity quadrature runs
+                # evaluate_sample empties ``physical`` before its quadrature
                 series.append(
                     _criteria.evaluate_sample(
                         state.u_hat,

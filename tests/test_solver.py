@@ -507,3 +507,18 @@ class TestWorkerCount:
         assert np.array_equal(half1, half2)
         # repr prints every float with round-trip precision (and NaN as nan)
         assert repr(sample1) == repr(sample2)
+
+    def test_run_bitwise_equal_across_worker_counts(self, monkeypatch):
+        # run() feeds the samples from the stage-1 transform batch
+        cfg = solv.SolverConfig(
+            grid=Grid(16),
+            mu=0.1,
+            dt=1e-3,
+            t_end=3e-3,
+            init=solv.InitSpec("random_divfree", seed=5, spectrum_slope=-2.0),
+        )
+        tables = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REGCRIT_THREADS", threads)
+            tables.append(repr(solv.run(cfg, basic_monitors()).table))
+        assert tables[0] == tables[1]
