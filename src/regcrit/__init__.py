@@ -14,14 +14,11 @@ from .spectral import (
     fft_inverse,
     gradient,
     leray_project,
-    resample,
 )
 from .norms import (
     DegenerateField,
-    NormReport,
     gn_ratio,
     lp_norm,
-    norm_report,
     sobolev_seminorm,
 )
 from .solver import (

@@ -56,7 +56,7 @@ from .criteria import (
     SerrinPair,
     monitor_columns,
 )
-from .spectral import NonFiniteSamples, fft_forward
+from .spectral import Grid, NonFiniteSamples, fft_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,6 +241,7 @@ class _Run:
 
     record: CalibrationRecord | None
     mu: float
+    grid: Grid
     snap_paths: list[str]
     series: MonitorSeries
 
@@ -252,7 +253,8 @@ def _load_run(rundir: str) -> _Run:
     calibration that is not a record's text included), when the CSV header
     is not exactly ``monitor_columns`` of the manifest's pairs, when the CSV
     has no sample rows or its times do not increase, or when a listed
-    snapshot is missing.
+    snapshot is missing.  ``grid`` is the manifest's grid, the one every
+    snapshot of the run must be on.
     """
     manifest_path = os.path.join(rundir, MANIFEST_NAME)
     try:
@@ -266,6 +268,7 @@ def _load_run(rundir: str) -> _Run:
         else:
             raise TypeError("calibration is not a calibration record's text")
         mu = float(manifest.mu)
+        grid = Grid(manifest.grid_n, float(manifest.grid_length))
         if record is not None and record.mu != mu:
             raise ValueError(
                 f"calibration record is for mu = {record.mu!r}, not the run's mu = {mu!r}"
@@ -286,15 +289,16 @@ def _load_run(rundir: str) -> _Run:
             raise ValueError("no sample rows")
     except _READ_ERRORS as exc:
         raise DamagedArtifact(f"monitor CSV {csv_path}: {exc!r}") from exc
-    return _Run(record, mu, snap_paths, series)
+    return _Run(record, mu, grid, snap_paths, series)
 
 
 def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     """Every check of ``verify`` on one run directory.
 
     Raises DamagedArtifact when the manifest, the CSV or a snapshot is
-    missing or cannot be parsed.  A snapshot with non-finite samples is not
-    damaged but a failed ``identity_snapshots`` check.
+    missing or cannot be parsed, or when a snapshot's grid is not the
+    manifest's.  A snapshot with non-finite samples is not damaged but a
+    failed ``identity_snapshots`` check.
     """
     run = _load_run(rundir)
     record, mu, snap_paths, series = run.record, run.mu, run.snap_paths, run.series
@@ -333,7 +337,7 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     nonfinite = []
     for path in snap_paths:
         try:
-            field_, _ = snap.read_snapshot(path)
+            field_, _ = snap.read_snapshot(path, run.grid)
         except NonFiniteSamples:
             nonfinite.append(os.path.basename(path))
             continue
@@ -345,8 +349,9 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
         worst_ident = max(
             worst_ident, res["residual"] / (1.0 + abs(res["lhs"]))
         )
+        mag = field_.magnitude()
         for p in p_values:
-            hc = crit.holder_check(u_hat, p, quad, field_)
+            hc = crit.holder_check(u_hat, p, quad, field_, mag)
             holder_ok &= hc["satisfied"]
             worst_holder = min(worst_holder, hc["bound"] - hc["actual"])
     if nonfinite:
@@ -485,7 +490,7 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
     if pressure:
         for path in run.snap_paths:
             try:
-                field_, t = snap.read_snapshot(path)
+                field_, t = snap.read_snapshot(path, run.grid)
             except _READ_ERRORS as exc:
                 raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
             q = solv.pressure_field(fft_forward(field_))

@@ -439,13 +439,14 @@ def holder_check(
     p: float,
     quad: HessianQuadrature | None = None,
     field: VelocityField | None = None,
+    magnitude: np.ndarray | None = None,
 ) -> dict:
     """Hoelder bound on the identity right side with the literal factor 5:
     |rhs| <= 5 ||u||_p ||grad^2 u||_{2p/(p-2)} ||grad^3 u||_2.
 
-    ``quad`` defaults to :func:`hessian_quadrature` of ``u_hat`` and
-    ``field`` to its grid samples; pass them to check several p on one
-    state."""
+    ``quad`` defaults to :func:`hessian_quadrature` of ``u_hat``, ``field``
+    to its grid samples and ``magnitude`` to their pointwise |u|; pass them
+    to check several p on one state."""
     p = float(p)
     if not p > 3.0:
         raise ValueError(f"Hoelder step needs 3 < p <= inf, got {p}")
@@ -456,7 +457,7 @@ def holder_check(
     q = 2.0 if math.isinf(p) else 2.0 * p / (p - 2.0)
     bound = (
         HOLDER_FACTOR
-        * _norms.lp_norm(field, p)
+        * _norms.lp_norm(field, p, magnitude)
         * _norms.hessian_lq_norm(u_hat, q, quad.hessian)
         * _norms.sobolev_seminorm(u_hat, 3)
     )
@@ -541,7 +542,7 @@ def _grid_columns(
     }
     for pair in pairs:
         lab = pair.label
-        lp = _norms.lp_norm(u_phys, pair.p)
+        lp = _norms.lp_norm(u_phys, pair.p, mag)
         powered = _pow_sentinel(lp, pair.s)
         cols[f"lp_{lab}"] = lp
         cols[f"serrin_{lab}"] = powered

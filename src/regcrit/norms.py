@@ -10,7 +10,6 @@ weight dx^3, spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +43,17 @@ def _scaled_lp(magnitude: np.ndarray, p: float, cell_volume: float) -> float:
     return float(peak * s ** (1.0 / p))
 
 
-def lp_norm(U: VelocityField, p: float) -> float:
-    """||u||_{L^p} of the pointwise Euclidean magnitude; p = inf is the grid max."""
+def lp_norm(U: VelocityField, p: float, magnitude: np.ndarray | None = None) -> float:
+    """||u||_{L^p} of the pointwise Euclidean magnitude; p = inf is the grid max.
+
+    ``magnitude`` is U's pointwise |u| when the caller already has it
+    (``U.magnitude()``), so one magnitude serves every p; it is formed here
+    otherwise.
+    """
     p = _check_exponent(p)
-    return _scaled_lp(U.magnitude(), p, U.grid.cell_volume)
+    if magnitude is None:
+        magnitude = U.magnitude()
+    return _scaled_lp(magnitude, p, U.grid.cell_volume)
 
 
 def sobolev_seminorm(U: SpectralVelocityField, m: int) -> float:
@@ -108,34 +114,3 @@ def gn_ratio(
         theta, q = 3.0 / p, 2.0 * p / (p - 2.0)
     num = hessian_lq_norm(U, q, hessian)
     return num / (a ** (1.0 - theta) * b**theta)
-
-
-@dataclass
-class NormReport:
-    """Norm snapshot of one field: L^p values, Sobolev seminorms, sup norm."""
-
-    lp: dict[float, float]
-    sobolev: dict[int, float]
-    linf: float
-
-    def __post_init__(self):
-        for v in list(self.lp.values()) + list(self.sobolev.values()) + [self.linf]:
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"norm entries must be finite and >= 0, got {v}")
-        if 0 in self.sobolev and 2.0 in self.lp:
-            a, b = self.sobolev[0], self.lp[2.0]
-            if abs(a - b) > 1e-10 * max(1.0, abs(b)):
-                raise ValueError(
-                    f"Parseval mismatch: sobolev[0]={a!r} vs lp[2]={b!r}"
-                )
-
-
-def norm_report(
-    U: VelocityField,
-    U_hat: SpectralVelocityField,
-    exponents: tuple[float, ...] = (2.0,),
-) -> NormReport:
-    lp = {float(p): lp_norm(U, p) for p in exponents}
-    lp.setdefault(2.0, lp_norm(U, 2.0))
-    sob = {m: sobolev_seminorm(U_hat, m) for m in range(4)}
-    return NormReport(lp=lp, sobolev=sob, linf=float(U.magnitude().max(initial=0.0)))

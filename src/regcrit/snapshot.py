@@ -66,12 +66,25 @@ def _read_header(fh) -> dict:
     return head
 
 
-def read_snapshot(path) -> tuple[VelocityField, float]:
+def read_snapshot(path, expected: Grid | None = None) -> tuple[VelocityField, float]:
+    """The velocity field and time stored at ``path``.
+
+    A header whose ``n`` is not an integer is a ValueError, and so is a
+    header grid other than ``expected``, when one is given.
+    """
     with open(path, "rb") as fh:
         head = _read_header(fh)
         if head.get("components") != VELOCITY_COMPONENTS:
             raise ValueError(f"not a velocity snapshot: {head.get('components')!r}")
-        grid = Grid(int(head["n"]), float(head["length"]))
+        n = head["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"snapshot grid size n is not an integer: {n!r}")
+        grid = Grid(n, float(head["length"]))
+        if expected is not None and grid != expected:
+            raise ValueError(
+                f"snapshot grid (n={grid.n}, length={grid.length!r}) is not the "
+                f"run's (n={expected.n}, length={expected.length!r})"
+            )
         n3 = grid.n**3
         want = 3 * n3 * 8
         have = os.fstat(fh.fileno()).st_size - fh.tell()

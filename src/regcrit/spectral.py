@@ -8,13 +8,13 @@ Conventions, fixed once for the whole package:
 * the forward transform divides by ``n**3``, so the ``k = 0`` coefficient
   equals the field mean and Parseval reads
   ``sum(samples**2) * dx**3 == sum(|coeffs|**2) * length**3``, the sum
-  running over the full cube of coefficients
+  running over every wavevector of the cube
 * spectral fields store the rfft half spectrum, kz indices ``0 .. n/2``
-  (shape ``(..., n, n, n/2 + 1)``); the kz < 0 planes are the conjugate
-  mirror of the kept ones and exist only in the full cube that
-  ``.coefficients`` builds on request.  A full-cube sum of a quantity even
-  in k is a half-spectrum sum with Parseval weights: 1 on the kz = 0 and
-  kz = n/2 planes, 2 on every other plane (:func:`parseval_sum`)
+  (shape ``(..., n, n, n/2 + 1)``), and their constructors accept no other
+  shape; the kz < 0 coefficients are the conjugate mirror of the kept ones.
+  A sum over every wavevector of a quantity even in k is a half-spectrum sum
+  with Parseval weights: 1 on the kz = 0 and kz = n/2 planes, 2 on every
+  other plane (:func:`parseval_sum`)
 * integer wavevectors run over ``{-n/2, ..., n/2 - 1}`` per axis, scaled by
   ``2*pi/length``; the unpaired Nyquist mode ``-n/2`` is zeroed in every
   derivative operator
@@ -55,7 +55,7 @@ class NonHermitianInput(ValueError):
 
 
 class NonFiniteSamples(ValueError):
-    """Field samples or coefficients hold NaN or infinity."""
+    """Field samples hold NaN or infinity."""
 
 
 def _workers() -> int:
@@ -66,25 +66,6 @@ def _workers() -> int:
     except ValueError:
         cap = cpus
     return max(1, min(cpus, cap))
-
-
-def fftn(values: np.ndarray) -> np.ndarray:
-    """Full-cube forward transform over the trailing three axes, mean-normalized.
-
-    The package itself works on the half spectrum; the full-cube transforms
-    are kept as an independent reference route.  Leading axes (component
-    stacks) are transformed in one library call, here and below.
-    """
-    return _fft.fftn(values, axes=(-3, -2, -1), norm="forward", workers=_workers())
-
-
-def ifftn(coefficients: np.ndarray) -> np.ndarray:
-    return _fft.ifftn(coefficients, axes=(-3, -2, -1), norm="forward", workers=_workers())
-
-
-def ifftn_real(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse transform discarding the (roundoff) imaginary residue."""
-    return ifftn(coefficients).real
 
 
 def rfftn(values: np.ndarray) -> np.ndarray:
@@ -109,8 +90,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid needs n >= 4 and even, got n={self.n}")
-        if not self.length > 0.0:
-            raise ValueError(f"box length must be positive, got {self.length}")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
 
     @property
     def spacing(self) -> float:
@@ -145,42 +126,6 @@ class Grid:
         m[self.n // 2] = 0
         return m
 
-    @cached_property
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Physical derivative wavenumbers, broadcastable to (n, n, n)."""
-        scale = TWO_PI / self.length
-        k = self.deriv_modes.astype(np.float64) * scale
-        n = self.n
-        return (k.reshape(n, 1, 1), k.reshape(1, n, 1), k.reshape(1, 1, n))
-
-    @cached_property
-    def ik_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Spectral derivative multipliers i*k_j, broadcastable."""
-        kx, ky, kz = self.wavenumbers
-        return (1j * kx, 1j * ky, 1j * kz)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        kx, ky, kz = self.wavenumbers
-        return kx**2 + ky**2 + kz**2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        keep1 = 3 * np.abs(self.integer_modes) < self.n
-        n = self.n
-        return (
-            keep1.reshape(n, 1, 1)
-            & keep1.reshape(1, n, 1)
-            & keep1.reshape(1, 1, n)
-        )
-
-    @cached_property
-    def k_squared_max_retained(self) -> float:
-        """Largest |k|^2 surviving the dealias mask; sets the viscous CFL."""
-        return float((self.k_squared * self.dealias_mask).max())
-
-    # --- half-spectrum (rfft) companions: the storage layout of spectral fields ---
-
     @property
     def half(self) -> int:
         """Number of kept kz planes, kz = 0 .. n/2."""
@@ -188,16 +133,20 @@ class Grid:
 
     @property
     def half_shape(self) -> tuple[int, int, int]:
+        """Shape of a half spectrum, the storage layout of spectral fields."""
         return (self.n, self.n, self.half)
 
     @cached_property
     def wavenumbers_half(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        kx, ky, kz = self.wavenumbers
-        return (kx, ky, kz[..., : self.half])
+        """Physical derivative wavenumbers, broadcastable to the half shape."""
+        k = self.deriv_modes.astype(np.float64) * (TWO_PI / self.length)
+        n, h = self.n, self.half
+        return (k.reshape(n, 1, 1), k.reshape(1, n, 1), k[:h].reshape(1, 1, h))
 
     @cached_property
     def k_squared_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.k_squared[..., : self.half])
+        kx, ky, kz = self.wavenumbers_half
+        return kx**2 + ky**2 + kz**2
 
     @cached_property
     def inv_k_squared_half(self) -> np.ndarray:
@@ -209,7 +158,14 @@ class Grid:
 
     @cached_property
     def dealias_mask_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.dealias_mask[..., : self.half])
+        keep = 3 * np.abs(self.integer_modes) < self.n
+        n, h = self.n, self.half
+        return keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep[:h].reshape(1, 1, h)
+
+    @cached_property
+    def k_squared_max_retained(self) -> float:
+        """Largest |k|^2 surviving the dealias mask; sets the viscous CFL."""
+        return float((self.k_squared_half * self.dealias_mask_half).max())
 
     @cached_property
     def _mirror_axis(self) -> np.ndarray:
@@ -235,34 +191,6 @@ def _relative(deviation: float, coefficients: np.ndarray) -> float:
     return 0.0 if scale == 0.0 else float(deviation / scale)
 
 
-def _mirror_tail(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """The kz > n/2 planes of the full cube: conj(F(-k)) taken from the
-    interior kept planes kz = 1 .. n/2 - 1, in full-cube storage order."""
-    m = grid._mirror_axis
-    interior = half[..., 1 : grid.half - 1]
-    return np.conj(interior[..., m, :, :][..., :, m, :][..., ::-1])
-
-
-def _half_spectrum(grid: Grid, coefficients, nc: int, kind: str) -> np.ndarray:
-    """Half spectrum of ``coefficients``, given either as a half spectrum
-    (taken as is) or as a full cube.  A full cube must be finite, and its
-    kz > n/2 planes must be the conjugate mirror of the kept planes: they
-    are dropped, so anything else would be lost silently."""
-    arr = np.asarray(coefficients, dtype=np.complex128)
-    if arr.shape == ((nc,) if nc > 1 else ()) + grid.half_shape:
-        return arr
-    full = _check_values(grid, arr, nc, kind)
-    half = np.ascontiguousarray(full[..., : grid.half])
-    dev = np.abs(full[..., grid.half :] - _mirror_tail(grid, half)).max(initial=0.0)
-    viol = _relative(dev, full)
-    if viol > HERMITIAN_TOL:
-        raise NonHermitianInput(
-            f"{kind}: kz > n/2 planes are not the conjugate mirror of the kept "
-            f"planes: relative deviation {viol:.3e}"
-        )
-    return half
-
-
 @dataclass
 class RealScalarField:
     grid: Grid
@@ -276,11 +204,8 @@ class RealScalarField:
 
 @dataclass
 class _SpectralField:
-    """Fourier coefficients held as the half spectrum ``half``.
-
-    Construct from a half spectrum, the internal form, which is taken as is,
-    or from a full cube, which is checked (see :func:`_half_spectrum`).
-    """
+    """Fourier coefficients held as the half spectrum ``half``, taken as is;
+    any other shape is a ValueError."""
 
     grid: Grid
     half: np.ndarray
@@ -288,16 +213,13 @@ class _SpectralField:
     _components = 1
 
     def __post_init__(self):
-        self.half = _half_spectrum(
-            self.grid, self.half, self._components, type(self).__name__
-        )
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Read-only full cube, rebuilt from the half spectrum on each call."""
-        full = full_from_half(self.grid, self.half)
-        full.flags.writeable = False
-        return full
+        want = ((self._components,) if self._components > 1 else ()) + self.grid.half_shape
+        self.half = np.asarray(self.half, dtype=np.complex128)
+        if self.half.shape != want:
+            raise ValueError(
+                f"{type(self).__name__}: expected a half spectrum of shape {want}, "
+                f"got {self.half.shape}"
+            )
 
 
 @dataclass
@@ -317,16 +239,6 @@ class VelocityField:
             self.grid, np.asarray(self.values, dtype=np.float64), 3, "VelocityField"
         )
 
-    @property
-    def components(self) -> tuple[RealScalarField, RealScalarField, RealScalarField]:
-        return tuple(RealScalarField(self.grid, c) for c in self.values)
-
-    @classmethod
-    def from_components(cls, u1: RealScalarField, u2: RealScalarField, u3: RealScalarField):
-        if not (u1.grid == u2.grid == u3.grid):
-            raise ValueError("velocity components must share one grid")
-        return cls(u1.grid, np.stack([u1.values, u2.values, u3.values]))
-
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean magnitude of the 3-vector."""
         return np.sqrt(np.einsum("cxyz,cxyz->xyz", self.values, self.values))
@@ -341,19 +253,21 @@ class SpectralVelocityField(_SpectralField):
     _components = 3
 
 
-def hermitian_violation(coefficients: np.ndarray) -> float:
-    """Relative deviation of a full cube from F(-k) == conj(F(k)), 0 for real fields."""
-    m = Grid(coefficients.shape[-1])._mirror_axis
-    mirrored = coefficients[..., m, :, :][..., :, m, :][..., :, :, m]
-    return _relative(np.abs(coefficients - np.conj(mirrored)).max(), coefficients)
-
-
+# used only by the tests' full-cube route; kept here because the benchmark traces it
 def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Rebuild full-cube coefficients from a half spectrum by conjugate mirror."""
     out = np.empty(half.shape[:-3] + grid.shape, dtype=np.complex128)
     out[..., : grid.half] = half
     out[..., grid.half :] = _mirror_tail(grid, half)
     return out
+
+
+def _mirror_tail(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The kz > n/2 planes of the full cube: conj(F(-k)) taken from the
+    interior kept planes kz = 1 .. n/2 - 1, in full-cube storage order."""
+    m = grid._mirror_axis
+    interior = half[..., 1 : grid.half - 1]
+    return np.conj(interior[..., m, :, :][..., :, m, :][..., ::-1])
 
 
 def parseval_sum(grid: Grid, density: np.ndarray) -> float:
@@ -524,33 +438,3 @@ def convective_core_half(
 def to_physical(U: SpectralVelocityField) -> VelocityField:
     """Inverse transform without the Hermitian gate (internal fast path)."""
     return VelocityField(U.grid, irfftn_real(U.half, U.grid.n))
-
-
-def spectral_inner(U: SpectralVelocityField, V: SpectralVelocityField) -> float:
-    """L^2 inner product evaluated in spectral space (Parseval)."""
-    return parseval_sum(U.grid, np.real(np.conj(U.half) * V.half))
-
-
-def resample(F, n_new: int):
-    """Re-express a field on a grid with n_new points (same box).
-
-    Zero-pads (refinement) or truncates (coarsening) the spectrum.  Nyquist
-    planes of both source and target are zeroed, consistent with the
-    derivative operators; band-limited fields round-trip exactly.
-    """
-    grid = F.grid
-    new_grid = Grid(n_new, grid.length)
-    # integer modes |k| < keep exist on both grids and are neither grid's Nyquist
-    keep = min(grid.n, n_new) // 2
-
-    def axis(target_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kept = np.abs(target_modes) < keep
-        return np.nonzero(kept)[0], target_modes[kept] % grid.n
-
-    dst_xy, src_xy = axis(new_grid.integer_modes)
-    dst_z, src_z = axis(np.arange(new_grid.half))
-    out = np.zeros(F.half.shape[:-3] + new_grid.half_shape, dtype=np.complex128)
-    out[(...,) + np.ix_(dst_xy, dst_xy, dst_z)] = F.half[
-        (...,) + np.ix_(src_xy, src_xy, src_z)
-    ]
-    return type(F)(new_grid, out)

@@ -10,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from regcrit import cli, config, criteria, norms
+from regcrit import cli, config, criteria, norms, spectral
 from regcrit import solver as solv
 from regcrit.config import (
     ConfigError,
@@ -137,6 +137,13 @@ class TestSimulate:
         )
         p = write_config(tmp_path / "a.cfg", cfg)
         assert cli.main(["simulate", p]) == 1
+
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_length_exits_one(self, tmp_path, capsys, length):
+        p = write_config(tmp_path / "a.cfg", BASE + f"grid.length = {length}\n")
+        assert cli.main(["simulate", p]) == 1
+        assert "finite" in assert_config_error(capsys)
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_init_exits_one(self, tmp_path):
         p = write_config(tmp_path / "a.cfg", BASE.replace("taylor_green", "vortex"))
@@ -288,6 +295,7 @@ output.dir = out{i}
             ("fluid.mu = 0.1", "fluid.mu = -1"),
             ("calibration.p = 6", "calibration.p = 2"),
             ("calibration.p = 6", "calibration.p = 4,x"),
+            ("grid.n = 16", "grid.n = 16\ngrid.length = inf"),
         ],
     )
     def test_bad_input_exits_one(self, tmp_path, capsys, old, new):
@@ -331,6 +339,14 @@ class TestVerify:
         assert "identity_snapshots: FAIL" in report
 
 
+def rewrite_snapshot_header(rundir, index, change):
+    """Update the header of the run's ``index``-th snapshot with ``change``."""
+    victim = rundir / json.loads((rundir / "manifest.json").read_text())["snapshots"][index]
+    header, _, payload = victim.read_bytes().partition(b"\n")
+    head = dict(json.loads(header), **change)
+    victim.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+
+
 def damaged_copy(calibrated_run, tmp_path):
     import shutil
 
@@ -351,6 +367,13 @@ def assert_config_error(capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("config error:"), err
     return err
+
+
+def assert_damaged_run(capsys):
+    """Check that stderr is one ``damaged run directory:`` line."""
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("damaged run directory:"), err
 
 
 def swap_sobolev_names(lines):
@@ -440,6 +463,16 @@ class TestVerifyDamaged:
         victim.write_bytes(json.dumps(head).encode() + b"\n" + payload)
         assert cli.main(["verify", str(dst)]) == 1
         assert_one_stderr_line(capsys)
+
+    @pytest.mark.parametrize(
+        "change", [{"length": math.inf}, {"n": 16.7}, {"length": 2.0}]
+    )
+    def test_snapshot_off_the_run_grid_exits_one(self, calibrated_run, tmp_path, capsys, change):
+        # a 2pi run; the payload still holds 16^3 samples per component
+        dst = damaged_copy(calibrated_run, tmp_path)
+        rewrite_snapshot_header(dst, 0, change)
+        assert cli.main(["verify", str(dst)]) == 1
+        assert_damaged_run(capsys)
 
     def test_non_finite_snapshot_fails_identity(self, calibrated_run, tmp_path, capsys):
         import json
@@ -578,6 +611,15 @@ class TestReportDamaged:
         assert_one_stderr_line(capsys)
         assert not (dst / "report").exists()
 
+    @pytest.mark.parametrize("change", [{"n": 16.7}, {"length": 2.0}])
+    def test_snapshot_off_the_run_grid_with_pressure_exits_one(
+        self, calibrated_run, tmp_path, capsys, change
+    ):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        rewrite_snapshot_header(dst, -1, change)
+        assert cli.main(["report", str(dst), "--pressure"]) == 1
+        assert_damaged_run(capsys)
+
     def test_damaged_snapshot_with_pressure_exits_one(self, calibrated_run, tmp_path, capsys):
         import json
 
@@ -620,6 +662,26 @@ class TestSharedQuadrature:
         assert len(quads) == 2
         assert len(builds) == 2
 
+    @pytest.mark.parametrize("pairs", ["6:4", "4:8,5:5,6:4,inf:2"])
+    def test_verify_forms_one_magnitude_per_snapshot(self, tmp_path, monkeypatch, pairs):
+        cfg = write_config(
+            tmp_path / "sim.cfg",
+            BASE.replace("monitors.pairs = 4:8,5:5,6:4,inf:2", f"monitors.pairs = {pairs}")
+            .replace("time.t_end = 0.02", "time.t_end = 0.01"),
+        )
+        assert cli.main(["simulate", cfg]) == 0
+        manifest = cli.RunManifest.from_json((tmp_path / "run" / "manifest.json").read_text())
+        calls = []
+        magnitude = spectral.VelocityField.magnitude
+
+        def counted(field):
+            calls.append(1)
+            return magnitude(field)
+
+        monkeypatch.setattr(spectral.VelocityField, "magnitude", counted)
+        cli.run_checks(str(tmp_path / "run"))
+        assert len(calls) == len(manifest.snapshots) == 2
+
     def test_calibrate_builds_one_hessian_per_field(self, tmp_path, monkeypatch):
         k = 3
         cfg = write_config(
@@ -649,3 +711,35 @@ class TestManifest:
         assert pairs[-1].p == math.inf
         rec = criteria.CalibrationRecord.from_text(m.calibration)
         assert rec is not None and rec.for_p(6.0).c_cal > 0
+
+
+class RealTransformsOnly:
+    """Stands in for ``scipy.fft`` inside ``regcrit.spectral``, exposing only
+    the real-input transforms of the half spectrum."""
+
+    def __init__(self, module):
+        self.rfftn = module.rfftn
+        self.irfftn = module.irfftn
+
+
+class TestSingleRepresentation:
+    def test_commands_run_on_the_half_spectrum_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "_fft", RealTransformsOnly(spectral._fft))
+        cal = write_config(
+            tmp_path / "cal.cfg",
+            "grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..1\n"
+            "calibration.p = 6\noutput.dir = cal\n",
+        )
+        sim = write_config(
+            tmp_path / "sim.cfg",
+            BASE.replace("taylor_green", "random_divfree")
+            .replace("monitors.pairs = 4:8,5:5,6:4,inf:2", "monitors.pairs = 6:4")
+            + "monitors.calibration = cal/calibration.txt\n",
+        )
+        rundir = str(tmp_path / "run")
+        assert cli.main(["calibrate", cal]) == 0
+        assert cli.main(["simulate", sim]) == 0
+        assert cli.main(["verify", rundir]) == 0
+        assert cli.main(["report", rundir, "--pressure"]) == 0
+        report = os.listdir(tmp_path / "run" / "report")
+        assert any(name.startswith("pressure_") for name in report)

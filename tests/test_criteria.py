@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from regcrit import criteria as crit
 from regcrit import norms
 from regcrit import solver as solv
+from regcrit.config import parse_pairs
 from regcrit.spectral import (
     Grid,
     SpectralVelocityField,
@@ -30,7 +31,7 @@ def constant_field(grid, c):
 
 
 def zero_spectral(grid):
-    return SpectralVelocityField(grid, np.zeros((3,) + grid.shape, complex))
+    return SpectralVelocityField(grid, np.zeros((3,) + grid.half_shape, complex))
 
 
 class TestSerrinPair:
@@ -457,3 +458,24 @@ class TestEvaluateSample:
         )
         assert math.isnan(s["identity_residual"])
         assert not math.isnan(s["energy"])
+
+    @pytest.mark.parametrize("pairs", ["6:4", "4:8,5:5,6:4,inf:2"])
+    def test_one_magnitude_per_field_whatever_the_pairs(self, monkeypatch, pairs):
+        g = Grid(16)
+        U = solv.init_random_divfree(g, 2, -2.0, 1.0)
+        mon = crit.CriterionConfig(pairs=parse_pairs(pairs), mu=0.1)
+        expected = {pair.p: norms.lp_norm(to_physical(U), pair.p) for pair in mon.pairs}
+        calls = []
+        magnitude = VelocityField.magnitude
+
+        def counted(field):
+            calls.append(1)
+            return magnitude(field)
+
+        monkeypatch.setattr(VelocityField, "magnitude", counted)
+        s = crit.evaluate_sample(
+            U, 0.0, mon, rhs_hat=solv.nonlinear_rhs(U), with_identity=False
+        )
+        assert len(calls) == 2  # |u| and |curl u|
+        for pair in mon.pairs:
+            assert s[f"lp_{pair.label}"] == expected[pair.p]

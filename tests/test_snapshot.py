@@ -68,6 +68,34 @@ def test_truncated_payload_rejected(tmp_path):
         snap.read_snapshot(path)
 
 
+def rewrite_header(path, **changes):
+    header, _, payload = path.read_bytes().partition(b"\n")
+    head = dict(json.loads(header), **changes)
+    path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("n", [16.7, 16.0, "16", True])
+def test_non_integer_n_rejected(tmp_path, n):
+    g = Grid(16)
+    path = tmp_path / "snap.bin"
+    snap.write_snapshot(path, VelocityField(g, np.zeros((3,) + g.shape)), time=0.0)
+    rewrite_header(path, n=n)
+    with pytest.raises(ValueError, match="not an integer"):
+        snap.read_snapshot(path)
+
+
+def test_grid_other_than_the_expected_rejected(tmp_path):
+    g = Grid(8)
+    path = tmp_path / "snap.bin"
+    snap.write_snapshot(path, VelocityField(g, np.zeros((3,) + g.shape)), time=0.0)
+    assert snap.read_snapshot(path, g)[0].grid == g
+    with pytest.raises(ValueError, match="not the run's"):
+        snap.read_snapshot(path, Grid(8, 2.0))
+    rewrite_header(path, length=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        snap.read_snapshot(path)
+
+
 def test_scalar_snapshot_layout(tmp_path):
     from regcrit.spectral import RealScalarField
 

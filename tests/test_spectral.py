@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from regcrit import spectral as spec
 from regcrit.solver import init_beltrami, init_random_divfree
 
@@ -50,14 +51,14 @@ class TestGrid:
         g = spec.Grid(16)
         modes = g.integer_modes
         for i, m in enumerate(modes):
-            kept = bool(g.dealias_mask[i, 0, 0])
+            kept = bool(reference.dealias_mask(g)[i, 0, 0])
             assert kept == (abs(m) <= 16 / 3)
 
     @pytest.mark.parametrize("n", [12, 24, 96])
     def test_dealias_mask_strict_when_three_divides_n(self, n):
         # max|k| = n/3 would receive the alias of the product mode 2n/3
         g = spec.Grid(n)
-        kept = g.dealias_mask[:, 0, 0]
+        kept = reference.dealias_mask(g)[:, 0, 0]
         assert not kept[n // 3] and not kept[-(n // 3)]
         assert kept[n // 3 - 1] and kept[-(n // 3 - 1)]
         assert g.dealias_mask_half[0, 0, n // 3 - 1] and not g.dealias_mask_half[0, 0, n // 3]
@@ -67,13 +68,53 @@ class TestGrid:
         assert g.integer_modes[4] == -4
         assert g.deriv_modes[4] == 0
 
+    @pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(ValueError, match="finite"):
+            spec.Grid(8, length=length)
+
+    @pytest.mark.parametrize("length", [TWO_PI, 2.0])
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 64, 96])
+    def test_half_arrays_are_the_full_cube_tables_sliced(self, n, length):
+        # built directly on the half spectrum, bit for bit the kz >= 0 planes
+        # of the full-cube tables
+        g = spec.Grid(n, length)
+        h = g.half
+        kx, ky, kz = reference.wavenumbers(g)
+        for half_axis, full_axis in zip(g.wavenumbers_half, (kx, ky, kz[..., :h])):
+            assert half_axis.shape == full_axis.shape
+            assert np.array_equal(half_axis, full_axis)
+        k2 = reference.k_squared(g)
+        mask = reference.dealias_mask(g)
+        assert np.array_equal(g.k_squared_half, k2[..., :h])
+        assert np.array_equal(g.dealias_mask_half, mask[..., :h])
+        assert g.k_squared_max_retained == float((k2 * mask).max())
+
+
+class TestConstructors:
+    def test_full_cube_rejected(self):
+        g = spec.Grid(8)
+        with pytest.raises(ValueError, match="half spectrum"):
+            spec.SpectralScalarField(g, np.zeros(g.shape, complex))
+        with pytest.raises(ValueError, match="half spectrum"):
+            spec.SpectralVelocityField(g, np.zeros((3,) + g.shape, complex))
+
+    def test_half_spectrum_taken_as_is(self):
+        g = spec.Grid(8)
+        half = np.ones((3,) + g.half_shape, complex)
+        assert spec.SpectralVelocityField(g, half).half is half
+        with pytest.raises(ValueError, match="half spectrum"):
+            spec.SpectralVelocityField(g, half[0])
+        with pytest.raises(ValueError, match="half spectrum"):
+            spec.SpectralScalarField(g, half)
+
 
 class TestFFT:
     def test_constant_field_is_mean_only(self):
         g = spec.Grid(8)
         F = spec.fft_forward(spec.RealScalarField(g, np.full(g.shape, 3.25)))
-        assert F.coefficients[0, 0, 0] == pytest.approx(3.25, abs=1e-14)
-        rest = np.abs(F.coefficients).sum() - abs(F.coefficients[0, 0, 0])
+        assert reference.full(F)[0, 0, 0] == pytest.approx(3.25, abs=1e-14)
+        rest = np.abs(reference.full(F)).sum() - abs(reference.full(F)[0, 0, 0])
         assert rest < 1e-13
 
     def test_sine_coefficients_match_direct_dft(self):
@@ -81,11 +122,11 @@ class TestFFT:
         f = scalar_field(g, lambda x, y, z: np.sin(x))
         F = spec.fft_forward(f)
         # analytic series: sin x = -i/2 e^{ix} + i/2 e^{-ix}
-        assert F.coefficients[1, 0, 0] == pytest.approx(-0.5j, abs=1e-14)
-        assert F.coefficients[-1, 0, 0] == pytest.approx(0.5j, abs=1e-14)
+        assert reference.full(F)[1, 0, 0] == pytest.approx(-0.5j, abs=1e-14)
+        assert reference.full(F)[-1, 0, 0] == pytest.approx(0.5j, abs=1e-14)
         # independent oracle: direct DFT summation
         assert direct_dft_mode(f.values, (1, 0, 0)) == pytest.approx(-0.5j, abs=1e-13)
-        others = np.abs(F.coefficients).sum() - 1.0
+        others = np.abs(reference.full(F)).sum() - 1.0
         assert others < 1e-12
 
     def test_single_mode_pair_inverts_to_sine(self):
@@ -93,13 +134,13 @@ class TestFFT:
         c = np.zeros(g.shape, dtype=complex)
         c[1, 0, 0] = -0.5j
         c[-1, 0, 0] = 0.5j
-        f = spec.fft_inverse(spec.SpectralScalarField(g, c))
+        f = spec.fft_inverse(spec.SpectralScalarField(g, reference.half(g, c)))
         expected = np.sin(g.meshes()[0])
         np.testing.assert_allclose(f.values, expected, atol=1e-14)
 
     def test_zero_inverts_to_zero(self):
         g = spec.Grid(8)
-        f = spec.fft_inverse(spec.SpectralScalarField(g, np.zeros(g.shape, complex)))
+        f = spec.fft_inverse(spec.SpectralScalarField(g, np.zeros(g.half_shape, complex)))
         assert np.all(f.values == 0.0)
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -116,31 +157,31 @@ class TestFFT:
         c = np.zeros(g.shape, dtype=complex)
         c[1, 0, 0] = 1.0  # no conjugate partner
         with pytest.raises(spec.NonHermitianInput):
-            spec.fft_inverse(spec.SpectralScalarField(g, c))
+            spec.fft_inverse(spec.SpectralScalarField(g, reference.half(g, c)))
 
     def test_non_mirrored_planes_rejected(self):
         g = spec.Grid(8)
-        # interior plane: kz = -1 is dropped on construction, so it must
-        # mirror kz = 1 there
+        # interior plane: kz = -1 is dropped when the half spectrum is taken,
+        # so it must mirror kz = 1 there
         c = np.zeros(g.shape, dtype=complex)
         c[1, 2, 1] = 1.0
         c[-1, -2, -1] = 0.5  # should be conj(c[1, 2, 1]) = 1.0
         with pytest.raises(spec.NonHermitianInput):
-            spec.SpectralScalarField(g, c)
+            reference.half(g, c)
         c[-1, -2, -1] = 1.0
-        assert spec.SpectralScalarField(g, c).coefficients[-1, -2, -1] == 1.0
+        assert reference.full(spec.SpectralScalarField(g, reference.half(g, c)))[-1, -2, -1] == 1.0
         # the kz = n/2 plane is stored whole; the inverse transform checks it
         c = np.zeros(g.shape, dtype=complex)
         c[1, 0, 4] = 1.0
         with pytest.raises(spec.NonHermitianInput):
-            spec.fft_inverse(spec.SpectralScalarField(g, c))
+            spec.fft_inverse(spec.SpectralScalarField(g, reference.half(g, c)))
 
     def test_plancherel_fixed_normalization(self):
         g = spec.Grid(16, length=2.0)
         f = random_scalar(g, 7)
         F = spec.fft_forward(f)
         phys = np.sum(f.values**2) * g.cell_volume
-        spectral_side = np.sum(np.abs(F.coefficients) ** 2) * g.volume
+        spectral_side = np.sum(np.abs(reference.full(F)) ** 2) * g.volume
         assert spectral_side == pytest.approx(phys, rel=1e-12)
 
 
@@ -149,31 +190,31 @@ class TestDerivatives:
         g = spec.Grid(16)
         F = spec.fft_forward(scalar_field(g, lambda x, y, z: np.sin(x)))
         grad = spec.gradient(F)
-        gx = spec.ifftn_real(grad.coefficients[0])
+        gx = reference.ifftn_real(reference.full(grad)[0])
         X = g.meshes()[0]
         np.testing.assert_allclose(gx, np.cos(X), atol=1e-13)
-        assert np.abs(grad.coefficients[1:]).max() < 1e-14
+        assert np.abs(reference.full(grad)[1:]).max() < 1e-14
 
     def test_gradient_of_constant_is_zero(self):
         g = spec.Grid(8)
         F = spec.fft_forward(spec.RealScalarField(g, np.full(g.shape, 2.5)))
-        assert np.abs(spec.gradient(F).coefficients).max() < 1e-14
+        assert np.abs(reference.full(spec.gradient(F))).max() < 1e-14
 
     def test_second_derivative_of_sine(self):
         g = spec.Grid(16)
         F = spec.fft_forward(scalar_field(g, lambda x, y, z: np.sin(x)))
-        gxx = spec.gradient(F).coefficients[0]
-        gxx = spec.gradient(spec.SpectralScalarField(g, gxx)).coefficients[0]
+        gxx = reference.full(spec.gradient(F))[0]
+        gxx = reference.full(spec.gradient(spec.SpectralScalarField(g, reference.half(g, gxx))))[0]
         X = g.meshes()[0]
-        np.testing.assert_allclose(spec.ifftn_real(gxx), -np.sin(X), atol=1e-12)
+        np.testing.assert_allclose(reference.ifftn_real(gxx), -np.sin(X), atol=1e-12)
 
     def test_mixed_partials_commute(self):
         g = spec.Grid(8)
         F = spec.fft_forward(random_scalar(g, 3))
-        dx = spec.gradient(F).coefficients[0]
-        dxy = spec.gradient(spec.SpectralScalarField(g, dx)).coefficients[1]
-        dy = spec.gradient(F).coefficients[1]
-        dyx = spec.gradient(spec.SpectralScalarField(g, dy)).coefficients[0]
+        dx = reference.full(spec.gradient(F))[0]
+        dxy = reference.full(spec.gradient(spec.SpectralScalarField(g, reference.half(g, dx))))[1]
+        dy = reference.full(spec.gradient(F))[1]
+        dyx = reference.full(spec.gradient(spec.SpectralScalarField(g, reference.half(g, dy))))[0]
         assert np.abs(dxy - dyx).max() <= 1e-15 * max(np.abs(dxy).max(), 1.0)
 
     def test_second_derivative_table_is_symmetric(self):
@@ -190,8 +231,8 @@ class TestDerivatives:
         U = init_random_divfree(g, 11, -2.0, 1.0)
         d2 = spec.second_derivatives(U)
         quad = np.sum(d2**2) * g.cell_volume
-        k4 = g.k_squared**2
-        plancherel = g.volume * np.sum(k4 * np.abs(U.coefficients) ** 2)
+        k4 = reference.k_squared(g) ** 2
+        plancherel = g.volume * np.sum(k4 * np.abs(reference.full(U)) ** 2)
         assert quad == pytest.approx(plancherel, rel=1e-11)
 
 
@@ -202,10 +243,10 @@ class TestCurlDivergence:
         X = g.meshes()[0]
         u[2] = np.sin(X)
         w = spec.curl(spec.fft_forward(spec.VelocityField(g, u)))
-        wy = spec.ifftn_real(w.coefficients[1])
+        wy = reference.ifftn_real(reference.full(w)[1])
         np.testing.assert_allclose(wy, -np.cos(X), atol=1e-13)
-        assert np.abs(w.coefficients[0]).max() < 1e-14
-        assert np.abs(w.coefficients[2]).max() < 1e-14
+        assert np.abs(reference.full(w)[0]).max() < 1e-14
+        assert np.abs(reference.full(w)[2]).max() < 1e-14
 
     def test_divergence_oracles(self):
         g = spec.Grid(16)
@@ -213,10 +254,10 @@ class TestCurlDivergence:
         u = np.zeros((3,) + g.shape)
         u[0] = np.sin(Y)
         d = spec.divergence(spec.fft_forward(spec.VelocityField(g, u)))
-        assert np.abs(d.coefficients).max() < 1e-14
+        assert np.abs(reference.full(d)).max() < 1e-14
         u[0] = np.sin(X)
         d = spec.divergence(spec.fft_forward(spec.VelocityField(g, u)))
-        np.testing.assert_allclose(spec.ifftn_real(d.coefficients), np.cos(X), atol=1e-13)
+        np.testing.assert_allclose(reference.ifftn_real(reference.full(d)), np.cos(X), atol=1e-13)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -224,17 +265,17 @@ class TestCurlDivergence:
         g = spec.Grid(8)
         F = spec.fft_forward(random_scalar(g, seed))
         cg = spec.curl(spec.gradient(F))
-        scale = max(np.abs(F.coefficients).max(), 1.0)
-        assert np.abs(cg.coefficients).max() <= 1e-12 * scale
+        scale = max(np.abs(reference.full(F)).max(), 1.0)
+        assert np.abs(reference.full(cg)).max() <= 1e-12 * scale
         U = init_random_divfree(g, seed, -1.0, 1.0)
         dc = spec.divergence(spec.curl(U))
-        assert np.abs(dc.coefficients).max() <= 1e-12
+        assert np.abs(reference.full(dc)).max() <= 1e-12
 
     def test_curl_of_beltrami_is_identity(self):
         g = spec.Grid(16)
         U = init_beltrami(g, 1.3)
         W = spec.curl(U)
-        assert np.abs(W.coefficients - U.coefficients).max() < 1e-13
+        assert np.abs(reference.full(W) - reference.full(U)).max() < 1e-13
 
 
 class TestLeray:
@@ -243,7 +284,7 @@ class TestLeray:
         F = spec.fft_forward(random_scalar(g, 2))
         grad = spec.gradient(F)
         out = spec.leray_project(grad)
-        assert np.abs(out.coefficients).max() <= 1e-13 * np.abs(grad.coefficients).max()
+        assert np.abs(reference.full(out)).max() <= 1e-13 * np.abs(reference.full(grad)).max()
 
     def test_idempotent(self):
         g = spec.Grid(16)
@@ -251,15 +292,15 @@ class TestLeray:
         U = spec.fft_forward(spec.VelocityField(g, rng.standard_normal((3,) + g.shape)))
         once = spec.leray_project(U)
         twice = spec.leray_project(once)
-        assert np.abs(twice.coefficients - once.coefficients).max() <= 1e-13 * np.abs(
-            once.coefficients
+        assert np.abs(reference.full(twice) - reference.full(once)).max() <= 1e-13 * np.abs(
+            reference.full(once)
         ).max()
 
     def test_beltrami_unchanged(self):
         g = spec.Grid(16)
         U = init_beltrami(g, 1.0)
         out = spec.leray_project(U)
-        assert np.abs(out.coefficients - U.coefficients).max() <= 1e-13
+        assert np.abs(reference.full(out) - reference.full(U)).max() <= 1e-13
 
     def test_projected_field_is_divergence_free(self):
         g = spec.Grid(16)
@@ -267,24 +308,24 @@ class TestLeray:
         U = spec.fft_forward(spec.VelocityField(g, rng.standard_normal((3,) + g.shape)))
         P = spec.leray_project(U)
         div = spec.divergence(P)
-        norm = math.sqrt(np.sum(np.abs(P.coefficients) ** 2))
-        assert np.abs(div.coefficients).max() <= 1e-12 * norm
+        norm = math.sqrt(np.sum(np.abs(reference.full(P)) ** 2))
+        assert np.abs(reference.full(div)).max() <= 1e-12 * norm
 
     def test_self_adjoint(self):
         g = spec.Grid(8)
         rng = np.random.default_rng(12)
         U = spec.fft_forward(spec.VelocityField(g, rng.standard_normal((3,) + g.shape)))
         V = spec.fft_forward(spec.VelocityField(g, rng.standard_normal((3,) + g.shape)))
-        lhs = spec.spectral_inner(spec.leray_project(U), V)
-        rhs = spec.spectral_inner(U, spec.leray_project(V))
+        lhs = reference.spectral_inner(spec.leray_project(U), V)
+        rhs = reference.spectral_inner(U, spec.leray_project(V))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_mean_mode_passes_through(self):
         g = spec.Grid(8)
         c = np.zeros((3,) + g.shape, dtype=complex)
         c[:, 0, 0, 0] = [1.0, 2.0, -3.0]
-        out = spec.leray_project(spec.SpectralVelocityField(g, c))
-        assert np.array_equal(out.coefficients[:, 0, 0, 0], c[:, 0, 0, 0])
+        out = spec.leray_project(spec.SpectralVelocityField(g, reference.half(g, c)))
+        assert np.array_equal(reference.full(out)[:, 0, 0, 0], c[:, 0, 0, 0])
 
 
 class TestDealias:
@@ -292,12 +333,12 @@ class TestDealias:
         g = spec.Grid(16)
         c = np.zeros(g.shape, dtype=complex)
         c[1, 0, 0] = 1.0 - 2.0j
-        out = spec.dealias(spec.SpectralScalarField(g, c))
-        assert out.coefficients[1, 0, 0] == c[1, 0, 0]
+        out = spec.dealias(spec.SpectralScalarField(g, reference.half(g, c)))
+        assert reference.full(out)[1, 0, 0] == c[1, 0, 0]
         c2 = np.zeros(g.shape, dtype=complex)
         c2[7, 0, 0] = 1.0
-        out2 = spec.dealias(spec.SpectralScalarField(g, c2))
-        assert out2.coefficients[7, 0, 0] == 0.0
+        out2 = spec.dealias(spec.SpectralScalarField(g, reference.half(g, c2)))
+        assert reference.full(out2)[7, 0, 0] == 0.0
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -305,18 +346,18 @@ class TestDealias:
         g = spec.Grid(8)
         F = spec.fft_forward(random_scalar(g, seed))
         out = spec.dealias(F)
-        assert np.sum(np.abs(out.coefficients) ** 2) <= np.sum(
-            np.abs(F.coefficients) ** 2
+        assert np.sum(np.abs(reference.full(out)) ** 2) <= np.sum(
+            np.abs(reference.full(F)) ** 2
         )
 
 
 class TestHalfSpectrum:
     def test_full_from_half_round_trip(self):
         g = spec.Grid(16)
-        full = init_random_divfree(g, 21, -2.0, 1.0).coefficients
-        U = spec.SpectralVelocityField(g, full)
+        full = reference.full(init_random_divfree(g, 21, -2.0, 1.0))
+        U = spec.SpectralVelocityField(g, reference.half(g, full))
         assert U.half.shape == (3,) + g.half_shape
-        assert np.array_equal(U.coefficients, full)
+        assert np.array_equal(reference.full(U), full)
 
     def test_convective_matches_full_cube_route(self):
         # the kernel's form may differ from (u . grad) u by a gradient, which
@@ -325,14 +366,14 @@ class TestHalfSpectrum:
             g = spec.Grid(n)
             U = init_random_divfree(g, 22, -2.0, 1.0)
             w = spec.convective_core_half(g, U.half)[0]
-            mask = g.dealias_mask
-            ud = U.coefficients * mask
-            up = spec.ifftn_real(ud)
+            mask = reference.dealias_mask(g)
+            ud = reference.full(U) * mask
+            up = reference.ifftn_real(ud)
             conv = np.zeros_like(up)
-            for a, ik in enumerate(g.ik_axes):
-                conv += up[a] * spec.ifftn_real(ik * ud)
+            for a, ik in enumerate(reference.ik_axes(g)):
+                conv += up[a] * reference.ifftn_real(ik * ud)
             ref = spec.leray_project(
-                spec.SpectralVelocityField(g, spec.fftn(conv) * mask)
+                spec.SpectralVelocityField(g, reference.half(g, reference.fftn(conv) * mask))
             ).half
             out = spec.leray_project(spec.SpectralVelocityField(g, w)).half
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -342,14 +383,14 @@ class TestResample:
     def test_band_limited_round_trip(self):
         g = spec.Grid(16)
         U = init_random_divfree(g, 8, -2.0, 1.0)
-        up = spec.resample(U, 32)
-        back = spec.resample(up, 16)
-        assert np.abs(back.coefficients - U.coefficients).max() <= 1e-14
+        up = reference.resample(U, 32)
+        back = reference.resample(up, 16)
+        assert np.abs(reference.full(back) - reference.full(U)).max() <= 1e-14
 
     def test_refinement_preserves_samples_on_common_points(self):
         g = spec.Grid(8)
         f = scalar_field(g, lambda x, y, z: np.sin(x) + np.cos(2 * y))
         F = spec.fft_forward(f)
-        fine = spec.resample(F, 16)
-        fine_phys = spec.ifftn_real(fine.coefficients)
+        fine = reference.resample(F, 16)
+        fine_phys = reference.ifftn_real(reference.full(fine))
         np.testing.assert_allclose(fine_phys[::2, ::2, ::2], f.values, atol=1e-13)
