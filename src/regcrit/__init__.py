@@ -2,17 +2,12 @@
 
 from .spectral import (
     Grid,
-    NonHermitianInput,
     RealScalarField,
     SpectralScalarField,
     SpectralVelocityField,
     VelocityField,
-    curl,
-    dealias,
     divergence,
     fft_forward,
-    fft_inverse,
-    gradient,
     leray_project,
 )
 from .norms import (
@@ -41,15 +36,11 @@ from .criteria import (
     NonMonotoneTime,
     SerrinPair,
     accumulate,
-    bkm_integrand,
     calibrate_constants,
-    chan_vasseur_integrand,
     differential_inequality_check,
     gronwall_bound,
     h2_identity_residual,
     holder_check,
-    log_serrin_integrand,
-    serrin_integrand,
 )
 
 __version__ = "0.1.0"

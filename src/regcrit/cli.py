@@ -189,7 +189,6 @@ def cmd_calibrate(config_path: str) -> int:
     raw = parse_config(config_path)
     cfg = build_calibration_config(raw)
     outdir = output_dir(raw)
-    os.makedirs(outdir, exist_ok=True)
 
     corpus = [
         solv.init_random_divfree(cfg.grid, seed, cfg.spectrum_slope, cfg.amplitude)
@@ -211,6 +210,7 @@ def cmd_calibrate(config_path: str) -> int:
             f"amplitude={cfg.amplitude!r} seeds={seeds[0]}..{seeds[-1]} count={len(seeds)}"
         ),
     )
+    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, CALIBRATION_NAME)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(record.to_text())
@@ -345,13 +345,11 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
         u_hat = fft_forward(field_)
         quad = crit.hessian_quadrature(u_hat)
-        res = crit.h2_identity_residual(u_hat, mu, quad=quad)
-        worst_ident = max(
-            worst_ident, res["residual"] / (1.0 + abs(res["lhs"]))
-        )
+        res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad)
+        worst_ident = max(worst_ident, res["residual"])
         mag = field_.magnitude()
         for p in p_values:
-            hc = crit.holder_check(u_hat, p, quad, field_, mag)
+            hc = crit.holder_check(u_hat, p, quad, mag)
             holder_ok &= hc["satisfied"]
             worst_holder = min(worst_holder, hc["bound"] - hc["actual"])
     if nonfinite:
@@ -526,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.rundir)
         return cmd_report(args.rundir, pressure=args.pressure)
-    except (ConfigError, solv.UnstableTimestep, crit.EmptyCorpus) as exc:
+    except (ConfigError, solv.UnstableTimestep, crit.EmptyCorpus, crit.ConstantOutOfRange) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DamagedArtifact as exc:

@@ -46,13 +46,9 @@ from . import norms as _norms
 from .spectral import (
     SpectralVelocityField,
     VelocityField,
-    convective_core_half,
-    curl,
     first_derivatives,
-    leray_project,
     parseval_sum,
     second_derivatives,
-    to_physical,
 )
 
 E = math.e
@@ -72,6 +68,10 @@ class NonMonotoneTime(ValueError):
 
 class EmptyCorpus(ValueError):
     """Calibration needs at least one field."""
+
+
+class ConstantOutOfRange(ValueError):
+    """A calibrated constant leaves the floating range."""
 
 
 def _fmt_num(x: float) -> str:
@@ -128,8 +128,11 @@ class CalibrationEntry:
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "c_gn", float(self.c_gn))
         object.__setattr__(self, "c_cal", float(self.c_cal))
-        if not (self.c_gn > 0.0 and self.c_cal > 0.0):
-            raise ValueError("calibrated constants must be positive")
+        if not all(0.0 < c < math.inf for c in (self.c_gn, self.c_cal)):
+            raise ValueError(
+                f"calibrated constants must be finite and positive, got "
+                f"c_gn={self.c_gn!r}, c_cal={self.c_cal!r}"
+            )
 
 
 @dataclass
@@ -281,33 +284,13 @@ def _pow_sentinel(base: float, exponent: float) -> float:
     return math.inf if math.isinf(out) or math.isnan(out) else out
 
 
-def serrin_integrand(U: VelocityField, pair: SerrinPair) -> float:
-    """Classical Serrin integrand ||u||_{L^p}^s."""
-    return _pow_sentinel(_norms.lp_norm(U, pair.p), pair.s)
-
-
 def log_denominator(linf: float) -> float:
     return 1.0 + math.log(E + linf)
 
 
-def log_serrin_integrand(U: VelocityField, pair: SerrinPair) -> float:
-    """Log-improved integrand ||u||_{L^p}^s / (1 + ln(e + ||u||_inf))."""
-    num = serrin_integrand(U, pair)
-    return num / log_denominator(_norms.lp_norm(U, math.inf))
-
-
-def bkm_integrand(U: SpectralVelocityField) -> float:
-    """Vorticity sup norm ||curl u||_inf."""
-    return _norms.lp_norm(to_physical(curl(U)), math.inf)
-
-
 def _chan_vasseur(mag: np.ndarray, cell_volume: float) -> float:
-    return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
-
-
-def chan_vasseur_integrand(U: VelocityField) -> float:
     """Pointwise-log integrand: dx^3 * sum |u|^5 / ln(e + |u|)."""
-    return _chan_vasseur(U.magnitude(), U.grid.cell_volume)
+    return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
 
 
 def accumulate(series: MonitorSeries) -> MonitorSeries:
@@ -413,52 +396,45 @@ def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
 def h2_identity_residual(
     u_hat: SpectralVelocityField,
     mu: float,
-    rhs_hat: SpectralVelocityField | None = None,
-    quad: HessianQuadrature | None = None,
+    rhs_hat: SpectralVelocityField,
+    quad: HessianQuadrature,
 ) -> dict:
     """Residual of the H^2 energy identity on one state.
 
-    ``rhs_hat`` defaults to the projected convective term -P(omega x u) of
-    ``u_hat``, ``quad`` to :func:`hessian_quadrature` of it.  Returns
-    {'lhs', 'rhs', 'residual'}.
+    ``rhs_hat`` is the state's projected convective term -P(omega x u)
+    (``solver.nonlinear_rhs``) and ``quad`` its :func:`hessian_quadrature`.
+    Returns {'lhs', 'rhs', 'residual'}, the residual being
+    |lhs - rhs| / (1 + |lhs|).
     """
-    if rhs_hat is None:
-        g = u_hat.grid
-        w_hat = convective_core_half(g, u_hat.half)[0]
-        rhs_hat = SpectralVelocityField(
-            g, -leray_project(SpectralVelocityField(g, w_hat)).half
-        )
-    if quad is None:
-        quad = hessian_quadrature(u_hat)
     lhs = _identity_lhs(u_hat, mu, rhs_hat)
-    return {"lhs": lhs, "rhs": quad.rhs, "residual": abs(lhs - quad.rhs)}
+    return {
+        "lhs": lhs,
+        "rhs": quad.rhs,
+        "residual": abs(lhs - quad.rhs) / (1.0 + abs(lhs)),
+    }
 
 
 def holder_check(
     u_hat: SpectralVelocityField,
     p: float,
-    quad: HessianQuadrature | None = None,
-    field: VelocityField | None = None,
-    magnitude: np.ndarray | None = None,
+    quad: HessianQuadrature,
+    magnitude: np.ndarray,
 ) -> dict:
     """Hoelder bound on the identity right side with the literal factor 5:
     |rhs| <= 5 ||u||_p ||grad^2 u||_{2p/(p-2)} ||grad^3 u||_2.
 
-    ``quad`` defaults to :func:`hessian_quadrature` of ``u_hat``, ``field``
-    to its grid samples and ``magnitude`` to their pointwise |u|; pass them
-    to check several p on one state."""
+    ``quad`` is the state's :func:`hessian_quadrature` and ``magnitude`` the
+    pointwise |u| of its grid samples; both serve every p checked on the
+    state."""
     p = float(p)
     if not p > 3.0:
         raise ValueError(f"Hoelder step needs 3 < p <= inf, got {p}")
-    if quad is None:
-        quad = hessian_quadrature(u_hat)
-    if field is None:
-        field = to_physical(u_hat)
+    g = u_hat.grid
     q = 2.0 if math.isinf(p) else 2.0 * p / (p - 2.0)
     bound = (
         HOLDER_FACTOR
-        * _norms.lp_norm(field, p, magnitude)
-        * _norms.hessian_lq_norm(u_hat, q, quad.hessian)
+        * _norms.lp_norm(g, magnitude, p)
+        * _norms.hessian_lq_norm(g, quad.hessian, q)
         * _norms.sobolev_seminorm(u_hat, 3)
     )
     actual = abs(quad.rhs)
@@ -533,16 +509,17 @@ def _grid_columns(
     pairs: tuple[SerrinPair, ...], u_phys: VelocityField, omega: VelocityField
 ) -> dict[str, float]:
     """The monitor columns that read the grid samples of u and omega."""
+    g = u_phys.grid
     mag = u_phys.magnitude()
     linf = float(mag.max(initial=0.0))
     cols = {
         "linf": linf,
-        "bkm": _norms.lp_norm(omega, math.inf),
-        "chan_vasseur": _chan_vasseur(mag, u_phys.grid.cell_volume),
+        "bkm": _norms.lp_norm(g, omega.magnitude(), math.inf),
+        "chan_vasseur": _chan_vasseur(mag, g.cell_volume),
     }
     for pair in pairs:
         lab = pair.label
-        lp = _norms.lp_norm(u_phys, pair.p, mag)
+        lp = _norms.lp_norm(g, mag, pair.p)
         powered = _pow_sentinel(lp, pair.s)
         cols[f"lp_{lab}"] = lp
         cols[f"serrin_{lab}"] = powered
@@ -555,27 +532,24 @@ def evaluate_sample(
     t: float,
     cfg: CriterionConfig,
     rhs_hat: SpectralVelocityField,
+    physical: list[VelocityField],
     with_identity: bool = True,
-    physical: list[VelocityField] | None = None,
 ) -> dict[str, float]:
     """One row of the monitor table: every functional on one state, keyed by
     :func:`monitor_columns`.
 
-    ``rhs_hat`` is the projected convective term of the same state (the
-    caller usually has it at hand from stepping); it feeds the spectral time
-    derivative of the H^2 seminorm and the identity check.  ``physical`` is
-    the list [u, curl u] of the state's grid samples when the caller has
-    them (``solver.run`` has them from the stage-1 nonlinear term); they are
-    transformed here otherwise.  The list is emptied once they are read, so
-    that they are freed before the identity quadrature runs.  The running
-    integrals and ``gronwall_bound`` are NaN until :func:`accumulate` and
-    :func:`attach_gronwall` fill them; ``with_identity=False`` (or
-    ``cfg.identity`` off) skips the identity quadrature, and its residual is
-    NaN.
+    ``rhs_hat`` is the projected convective term of the same state, from the
+    stepper's stage-1 evaluation; it feeds the spectral time derivative of
+    the H^2 seminorm and the identity check.  ``physical`` is the list
+    [u, curl u] of the state's grid samples, which
+    ``spectral.convective_core_half`` returns with that term.  The list is
+    emptied once they are read, so that they are freed before the identity
+    quadrature runs.  The running integrals and ``gronwall_bound`` are NaN
+    until :func:`accumulate` and :func:`attach_gronwall` fill them;
+    ``with_identity=False`` (or ``cfg.identity`` off) skips the identity
+    quadrature, and its residual is NaN.
     """
     g = u_hat.grid
-    if physical is None:
-        physical = [to_physical(u_hat), to_physical(curl(u_hat))]
     row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
     row.update(_grid_columns(cfg.pairs, *physical))
     physical.clear()
@@ -583,9 +557,9 @@ def evaluate_sample(
     energy = parseval_sum(g, np.abs(u_hat.half) ** 2)
     sob = {m: _norms.sobolev_seminorm(u_hat, m) for m in (1, 2, 3)}
     if cfg.identity and with_identity:
-        lhs = _identity_lhs(u_hat, cfg.mu, rhs_hat)
-        rhs = hessian_quadrature(u_hat).rhs
-        residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+        residual = h2_identity_residual(
+            u_hat, cfg.mu, rhs_hat, hessian_quadrature(u_hat)
+        )["residual"]
     else:
         residual = math.nan
 
@@ -617,21 +591,28 @@ def calibrate_constants(
     corpus: list[SpectralVelocityField],
     p: float,
     mu: float,
-    hessians: list[np.ndarray] | None = None,
+    hessians: list[np.ndarray],
 ) -> dict:
     """Pin the interpolation constant and the growth-inequality constant.
 
     c_gn is the corpus maximum of the multiplicative ratio times a safety
     factor of 2; c_cal is the sharp Young-split constant derived from it,
     times the same safety factor.  ``hessians`` holds each corpus field's
-    pointwise |grad^2 u| (``norms.hessian_magnitude``) when the caller
-    calibrates several p on one corpus; they are built here otherwise.
+    pointwise |grad^2 u| (``norms.hessian_magnitude``), so one build serves
+    every p.  Raises ConstantOutOfRange when c_cal leaves the floating
+    range, as it does for p close to 3.
     """
     if not corpus:
         raise EmptyCorpus("calibration corpus is empty")
-    if hessians is None:
-        hessians = [_norms.hessian_magnitude(U) for U in corpus]
     worst = max(_norms.gn_ratio(U, p, h) for U, h in zip(corpus, hessians))
     c_gn = CALIBRATION_SAFETY * worst
-    c_cal = CALIBRATION_SAFETY * young_split_constant(c_gn, p, mu)
+    try:
+        c_cal = CALIBRATION_SAFETY * young_split_constant(c_gn, p, mu)
+    except OverflowError:
+        c_cal = math.inf
+    # c_cal grows with c_gn, so a non-finite c_gn makes it non-finite too
+    if not math.isfinite(c_cal):
+        raise ConstantOutOfRange(
+            f"C_cal for p = {_fmt_num(p)} leaves the floating range (C_GN = {c_gn!r})"
+        )
     return {"C_GN": c_gn, "C_cal": c_cal}

@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-from .spectral import (
-    SpectralVelocityField,
-    VelocityField,
-    parseval_sum,
-    second_derivatives,
-)
+from .spectral import Grid, SpectralVelocityField, parseval_sum, second_derivatives
 
 
 class DegenerateField(ValueError):
@@ -43,17 +38,11 @@ def _scaled_lp(magnitude: np.ndarray, p: float, cell_volume: float) -> float:
     return float(peak * s ** (1.0 / p))
 
 
-def lp_norm(U: VelocityField, p: float, magnitude: np.ndarray | None = None) -> float:
-    """||u||_{L^p} of the pointwise Euclidean magnitude; p = inf is the grid max.
-
-    ``magnitude`` is U's pointwise |u| when the caller already has it
-    (``U.magnitude()``), so one magnitude serves every p; it is formed here
-    otherwise.
-    """
-    p = _check_exponent(p)
-    if magnitude is None:
-        magnitude = U.magnitude()
-    return _scaled_lp(magnitude, p, U.grid.cell_volume)
+def lp_norm(grid: Grid, magnitude: np.ndarray, p: float) -> float:
+    """||u||_{L^p} on ``grid`` from the pointwise Euclidean magnitude |u|
+    (``VelocityField.magnitude``), so one magnitude serves every p; p = inf
+    is the grid max."""
+    return _scaled_lp(magnitude, _check_exponent(p), grid.cell_volume)
 
 
 def sobolev_seminorm(U: SpectralVelocityField, m: int) -> float:
@@ -75,31 +64,22 @@ def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:
     return np.sqrt(np.einsum("ijcxyz,ijcxyz->xyz", d2, d2))
 
 
-def hessian_lq_norm(
-    U: SpectralVelocityField, q: float, hessian: np.ndarray | None = None
-) -> float:
-    """||grad^2 u||_{L^q} of the tensor magnitude by quadrature.
-
-    ``hessian`` is U's pointwise |grad^2 u| when the caller already has it
-    (``hessian_magnitude``, ``criteria.hessian_quadrature``); it is built
-    here otherwise.
-    """
-    q = _check_exponent(q)
-    if hessian is None:
-        hessian = hessian_magnitude(U)
-    return _scaled_lp(hessian, q, U.grid.cell_volume)
+def hessian_lq_norm(grid: Grid, hessian: np.ndarray, q: float) -> float:
+    """||grad^2 u||_{L^q} on ``grid`` by quadrature of the pointwise tensor
+    magnitude |grad^2 u| (``hessian_magnitude``,
+    ``criteria.hessian_quadrature``)."""
+    return _scaled_lp(hessian, _check_exponent(q), grid.cell_volume)
 
 
-def gn_ratio(
-    U: SpectralVelocityField, p: float, hessian: np.ndarray | None = None
-) -> float:
+def gn_ratio(U: SpectralVelocityField, p: float, hessian: np.ndarray) -> float:
     """Multiplicative-inequality ratio
     ||grad^2 u||_{L^q} / (||grad^2 u||_2^{1-3/p} ||grad^3 u||_2^{3/p}),
     q = 2p/(p-2).
 
     For p = inf the exponents degenerate to q = 2 and (1, 0), so the ratio is
-    1 up to quadrature roundoff.  Scale invariant in u.  ``hessian`` is as in
-    :func:`hessian_lq_norm`, so one |grad^2 u| serves every p.
+    1 up to quadrature roundoff.  Scale invariant in u.  ``hessian`` is U's
+    pointwise |grad^2 u|, as in :func:`hessian_lq_norm`, so one build serves
+    every p.
     """
     p = float(p)
     if not p > 3.0:
@@ -112,5 +92,5 @@ def gn_ratio(
         theta, q = 0.0, 2.0
     else:
         theta, q = 3.0 / p, 2.0 * p / (p - 2.0)
-    num = hessian_lq_norm(U, q, hessian)
+    num = hessian_lq_norm(U.grid, hessian, q)
     return num / (a ** (1.0 - theta) * b**theta)

@@ -47,13 +47,6 @@ from scipy import fft as _fft
 
 TWO_PI = 2.0 * np.pi
 
-HERMITIAN_TOL = 1e-10
-
-
-class NonHermitianInput(ValueError):
-    """Spectral data is not the spectrum of a real field: F(-k) != conj(F(k))."""
-
-
 class NonFiniteSamples(ValueError):
     """Field samples hold NaN or infinity."""
 
@@ -167,10 +160,6 @@ class Grid:
         """Largest |k|^2 surviving the dealias mask; sets the viscous CFL."""
         return float((self.k_squared_half * self.dealias_mask_half).max())
 
-    @cached_property
-    def _mirror_axis(self) -> np.ndarray:
-        return (-np.arange(self.n)) % self.n
-
     def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = self.coordinates
         return np.meshgrid(x, x, x, indexing="ij")
@@ -184,11 +173,6 @@ def _check_values(grid: Grid, values: np.ndarray, nc: int, kind: str) -> np.ndar
     if not np.isfinite(arr).all():
         raise NonFiniteSamples(f"{kind}: non-finite samples")
     return arr
-
-
-def _relative(deviation: float, coefficients: np.ndarray) -> float:
-    scale = np.abs(coefficients).max(initial=0.0)
-    return 0.0 if scale == 0.0 else float(deviation / scale)
 
 
 @dataclass
@@ -247,8 +231,7 @@ class VelocityField:
 @dataclass
 class SpectralVelocityField(_SpectralField):
     """Fourier coefficients of a real 3-vector field, shape (3, n, n, n/2 + 1);
-    also used for generic spectral 3-vectors such as gradients and the
-    vorticity."""
+    also used for the convective term."""
 
     _components = 3
 
@@ -265,7 +248,7 @@ def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 def _mirror_tail(grid: Grid, half: np.ndarray) -> np.ndarray:
     """The kz > n/2 planes of the full cube: conj(F(-k)) taken from the
     interior kept planes kz = 1 .. n/2 - 1, in full-cube storage order."""
-    m = grid._mirror_axis
+    m = (-np.arange(grid.n)) % grid.n
     interior = half[..., 1 : grid.half - 1]
     return np.conj(interior[..., m, :, :][..., :, m, :][..., ::-1])
 
@@ -289,54 +272,6 @@ def fft_forward(f):
     raise TypeError(f"cannot transform {type(f).__name__}")
 
 
-def fft_inverse(F):
-    """Transform back to physical space.
-
-    Raises NonHermitianInput when the kz = 0 or kz = n/2 plane violates the
-    conjugate symmetry by more than 1e-10 relative; the other planes are
-    conjugate symmetric by construction.  Roundoff-level residue is dropped.
-    """
-    if isinstance(F, SpectralScalarField):
-        real_field = RealScalarField
-    elif isinstance(F, SpectralVelocityField):
-        real_field = VelocityField
-    else:
-        raise TypeError(f"cannot transform {type(F).__name__}")
-    m = F.grid._mirror_axis
-    edges = F.half[..., [0, -1]]
-    dev = np.abs(edges - np.conj(edges[..., m, :, :][..., :, m, :])).max(initial=0.0)
-    viol = _relative(dev, F.half)
-    if viol > HERMITIAN_TOL:
-        raise NonHermitianInput(
-            f"conjugate symmetry violated: relative deviation {viol:.3e}"
-        )
-    return real_field(F.grid, irfftn_real(F.half, F.grid.n))
-
-
-def gradient(F: SpectralScalarField) -> SpectralVelocityField:
-    """Spectral gradient; component j is i*k_j*F(k)."""
-    kx, ky, kz = F.grid.wavenumbers_half
-    c = F.half
-    return SpectralVelocityField(
-        F.grid, np.stack([1j * kx * c, 1j * ky * c, 1j * kz * c])
-    )
-
-
-def curl(U: SpectralVelocityField) -> SpectralVelocityField:
-    kx, ky, kz = U.grid.wavenumbers_half
-    u, v, w = U.half
-    return SpectralVelocityField(
-        U.grid,
-        np.stack(
-            [
-                1j * (ky * w - kz * v),
-                1j * (kz * u - kx * w),
-                1j * (kx * v - ky * u),
-            ]
-        ),
-    )
-
-
 def divergence(U: SpectralVelocityField) -> SpectralScalarField:
     kx, ky, kz = U.grid.wavenumbers_half
     u, v, w = U.half
@@ -356,13 +291,6 @@ def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
     return SpectralVelocityField(
         U.grid, np.stack([u - kx * s, v - ky * s, w - kz * s])
     )
-
-
-def dealias(F):
-    """Zero modes with 3 * (integer max-norm) >= n; other modes unchanged."""
-    if not isinstance(F, _SpectralField):
-        raise TypeError(f"cannot dealias {type(F).__name__}")
-    return type(F)(F.grid, F.half * F.grid.dealias_mask_half)
 
 
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
@@ -436,5 +364,7 @@ def convective_core_half(
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
-    """Inverse transform without the Hermitian gate (internal fast path)."""
+    """The grid samples of a spectral velocity field.  No command calls it:
+    the commands take their samples from :func:`convective_core_half`.  It
+    is kept because the benchmark traces it by name."""
     return VelocityField(U.grid, irfftn_real(U.half, U.grid.n))

@@ -13,12 +13,20 @@ storage order, the Nyquist mode zeroed in derivative wavenumbers, and the
 2/3 rule ``3 * max|k| < n``.
 """
 
+import math
+
 import numpy as np
 from scipy import fft as _fft
 
 from regcrit import spectral as spec
 
 AXES = (-3, -2, -1)
+
+HERMITIAN_TOL = 1e-10
+
+
+class NonHermitianInput(ValueError):
+    """Spectral data is not the spectrum of a real field: F(-k) != conj(F(k))."""
 
 
 def fftn(values: np.ndarray) -> np.ndarray:
@@ -77,7 +85,7 @@ def half(grid: spec.Grid, coefficients: np.ndarray) -> np.ndarray:
     """The half spectrum of a full cube, for the spectral field constructors.
 
     The kz > n/2 planes are dropped, so they must be the conjugate mirror of
-    the kept planes; otherwise raises ``spec.NonHermitianInput``.
+    the kept planes; otherwise raises ``NonHermitianInput``.
     """
     cube = np.asarray(coefficients, dtype=np.complex128)
     if cube.shape[-3:] != grid.shape:
@@ -85,8 +93,8 @@ def half(grid: spec.Grid, coefficients: np.ndarray) -> np.ndarray:
     kept = np.ascontiguousarray(cube[..., : grid.half])
     tail = spec.full_from_half(grid, kept)[..., grid.half :]
     viol = _relative(np.abs(cube[..., grid.half :] - tail).max(initial=0.0), cube)
-    if viol > spec.HERMITIAN_TOL:
-        raise spec.NonHermitianInput(
+    if viol > HERMITIAN_TOL:
+        raise NonHermitianInput(
             f"kz > n/2 planes are not the conjugate mirror of the kept planes: "
             f"relative deviation {viol:.3e}"
         )
@@ -128,3 +136,36 @@ def resample(F, n_new: int):
         (...,) + np.ix_(src_xy, src_xy, src_z)
     ]
     return type(F)(new_grid, out)
+
+
+def random_divfree_full(grid: spec.Grid, seed: int, spectrum_slope: float, amplitude: float):
+    """The full-cube construction of ``solver.init_random_divfree``: every
+    drawn mode and its conjugate partner are written into a full
+    ``(3, n, n, n)`` cube, whose kz >= 0 planes are kept."""
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    ints = grid.integer_modes
+    kx = ints.reshape(n, 1, 1)
+    ky = ints.reshape(1, n, 1)
+    kz = ints.reshape(1, 1, n)
+    k2 = (kx**2 + ky**2 + kz**2).astype(np.float64)
+    drawn = (k2 > 0) & (9.0 * k2 <= n * n)
+    band = drawn & (9.0 * k2 < n * n)
+    with np.errstate(divide="ignore"):
+        moduli = np.where(band, np.sqrt(k2) ** spectrum_slope, 0.0)
+    half_space = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
+    ix, iy, iz = np.nonzero(drawn & half_space)
+    mx, my, mz = (-ix) % n, (-iy) % n, (-iz) % n
+    coeffs = np.zeros((3, n, n, n), dtype=np.complex128)
+    for c in range(3):
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=ix.shape)
+        vals = moduli[ix, iy, iz] * np.exp(1j * phases)
+        coeffs[c][ix, iy, iz] = vals
+        coeffs[c][mx, my, mz] = np.conj(vals)
+    U = spec.leray_project(
+        spec.SpectralVelocityField(grid, np.ascontiguousarray(coeffs[..., : grid.half]))
+    )
+    if amplitude == 0.0:
+        return spec.SpectralVelocityField(grid, np.zeros_like(U.half))
+    current = math.sqrt(spec.parseval_sum(grid, np.abs(U.half) ** 2))
+    return spec.SpectralVelocityField(grid, U.half * (amplitude / current))

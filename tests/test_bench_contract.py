@@ -11,7 +11,7 @@ import pytest
 
 from regcrit import config, criteria, snapshot
 from regcrit import solver as solv
-from regcrit.spectral import Grid, to_physical
+from regcrit.spectral import Grid, VelocityField, convective_core_half, to_physical
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -44,8 +44,13 @@ def test_annotators_bind_their_arguments(tmp_path):
     u_hat = solv.init_taylor_green(g, 1.0)
     cfg = criteria.CriterionConfig(pairs=(criteria.SerrinPair(6.0, 4.0),), mu=0.1)
     # the call shape solver.run uses
+    _, _, u_phys, omega = convective_core_half(g, u_hat.half)
     args = (u_hat, 0.0, cfg)
-    kwargs = {"rhs_hat": solv.nonlinear_rhs(u_hat), "with_identity": False}
+    kwargs = {
+        "rhs_hat": solv.nonlinear_rhs(u_hat),
+        "with_identity": False,
+        "physical": [VelocityField(g, u_phys), VelocityField(g, omega)],
+    }
     bound = tracing._bound(criteria.evaluate_sample, args, kwargs)
     assert {"cfg", "with_identity"} <= set(bound)
     rec = {}

@@ -207,11 +207,31 @@ class TestSimulate:
         assert "p6_s4" in assert_config_error(capsys)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("constant", ["c_gn", "c_cal"])
+    def test_calibration_with_an_infinite_constant_exits_one(
+        self, calibrated_run, tmp_path, capsys, constant
+    ):
+        text = (calibrated_run / "cal" / "calibration.txt").read_text()
+        (tmp_path / "cal.txt").write_text(with_infinite(text, constant), encoding="utf-8")
+        p = write_config(tmp_path / "a.cfg", BASE + "monitors.calibration = cal.txt\n")
+        assert cli.main(["simulate", p]) == 1
+        assert "finite" in assert_config_error(capsys)
+        assert not (tmp_path / "run").exists()
+
     def test_empty_calibration_record_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty.txt").write_text("mu = 0.1\n", encoding="utf-8")
         p = write_config(tmp_path / "a.cfg", BASE + "monitors.calibration = empty.txt\n")
         assert cli.main(["simulate", p]) == 1
         assert_config_error(capsys)
+
+
+def with_infinite(record_text, constant):
+    """A calibration record's text with its p6 ``constant`` set to inf."""
+    out, count = re.subn(
+        rf"^p6\.{constant} = .*$", f"p6.{constant} = inf", record_text, flags=re.M
+    )
+    assert count == 1
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +306,17 @@ output.dir = out{i}
             "calibration.p = 6\noutput.dir = out\n",
         )
         assert cli.main(["calibrate", p]) == 1
+
+    def test_constant_out_of_float_range_exits_one(self, tmp_path, capsys):
+        # c_cal at p = 3.01 overflows a double
+        p = write_config(
+            tmp_path / "c.cfg",
+            "grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..2\n"
+            "calibration.p = 6,3.01\noutput.dir = out\n",
+        )
+        assert cli.main(["calibrate", p]) == 1
+        assert "p = 3.01" in assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "old, new",
@@ -563,6 +594,17 @@ class TestRunRecordChecks:
         assert cli.main([command, str(dst)]) == 1
         assert_one_stderr_line(capsys)
 
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("constant", ["c_gn", "c_cal"])
+    def test_record_with_an_infinite_constant_exits_one(
+        self, calibrated_run, tmp_path, capsys, command, constant
+    ):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        text = json.loads((dst / "manifest.json").read_text())["calibration"]
+        set_manifest_calibration(dst, with_infinite(text, constant))
+        assert cli.main([command, str(dst)]) == 1
+        assert_damaged_run(capsys)
 
     def test_record_without_a_monitored_pair_fails(self, calibrated_run, tmp_path, capsys):
         dst = damaged_copy(calibrated_run, tmp_path)

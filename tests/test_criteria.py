@@ -15,6 +15,7 @@ from regcrit.spectral import (
     Grid,
     SpectralVelocityField,
     VelocityField,
+    convective_core_half,
     first_derivatives,
     second_derivatives,
     to_physical,
@@ -24,14 +25,51 @@ E = math.e
 TWO_PI = 2.0 * math.pi
 
 
-def constant_field(grid, c):
-    u = np.zeros((3,) + grid.shape)
-    u[0] = c
-    return VelocityField(grid, u)
+def constant_spectral(grid, c):
+    """The spectrum of u = (c, 0, 0)."""
+    half = np.zeros((3,) + grid.half_shape, complex)
+    half[0, 0, 0, 0] = c
+    return SpectralVelocityField(grid, half)
 
 
 def zero_spectral(grid):
     return SpectralVelocityField(grid, np.zeros((3,) + grid.half_shape, complex))
+
+
+def kernel_samples(U):
+    """[u, curl u] on the grid, as solver.run takes them from the kernel."""
+    _, _, u_phys, omega = convective_core_half(U.grid, U.half)
+    return [VelocityField(U.grid, u_phys), VelocityField(U.grid, omega)]
+
+
+def sample(U, pairs, with_identity=False):
+    """One monitor row of the state U, by the route solver.run takes."""
+    mon = crit.CriterionConfig(pairs=tuple(pairs), mu=0.1)
+    return crit.evaluate_sample(
+        U, 0.0, mon, solv.nonlinear_rhs(U), kernel_samples(U), with_identity
+    )
+
+
+def identity(U, mu):
+    return crit.h2_identity_residual(
+        U, mu, solv.nonlinear_rhs(U), crit.hessian_quadrature(U)
+    )
+
+
+def holder(U, p):
+    return crit.holder_check(
+        U, p, crit.hessian_quadrature(U), kernel_samples(U)[0].magnitude()
+    )
+
+
+def calibrate(corpus, p, mu):
+    return crit.calibrate_constants(
+        corpus, p, mu, [norms.hessian_magnitude(U) for U in corpus]
+    )
+
+
+FIVE = crit.SerrinPair(5.0, 5.0)
+SIX = crit.SerrinPair(6.0, 4.0)
 
 
 class TestSerrinPair:
@@ -60,84 +98,66 @@ class TestSerrinPair:
 
 
 class TestIntegrands:
+    """The grid columns of a monitor row."""
+
     def test_serrin_constant_field(self):
-        g = Grid(8)
         c = 1.4
-        pair = crit.SerrinPair(5.0, 5.0)
-        val = crit.serrin_integrand(constant_field(g, c), pair)
+        val = sample(constant_spectral(Grid(8), c), [FIVE])["serrin_p5_s5"]
         assert val == pytest.approx(c**5 * TWO_PI**3, rel=1e-12)
 
     def test_serrin_zero_field(self):
-        g = Grid(8)
-        assert crit.serrin_integrand(constant_field(g, 0.0), crit.SerrinPair(6.0, 4.0)) == 0.0
+        assert sample(constant_spectral(Grid(8), 0.0), [SIX])["serrin_p6_s4"] == 0.0
 
     def test_log_serrin_denominator_hits_three(self):
-        g = Grid(8)
         c = E**2 - E  # makes 1 + ln(e + c) = 3
-        pair = crit.SerrinPair(5.0, 5.0)
-        classical = crit.serrin_integrand(constant_field(g, c), pair)
-        logged = crit.log_serrin_integrand(constant_field(g, c), pair)
-        assert logged == pytest.approx(classical / 3.0, rel=1e-13)
+        row = sample(constant_spectral(Grid(8), c), [FIVE])
+        assert row["log_serrin_p5_s5"] == pytest.approx(row["serrin_p5_s5"] / 3.0, rel=1e-13)
 
     @given(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.1, 30.0))
     @settings(max_examples=15, deadline=None)
     def test_log_serrin_at_most_half_classical(self, seed, amp):
-        g = Grid(8)
-        U = to_physical(solv.init_random_divfree(g, seed, -2.0, amp))
-        pair = crit.SerrinPair(5.0, 5.0)
-        classical = crit.serrin_integrand(U, pair)
-        logged = crit.log_serrin_integrand(U, pair)
-        assert logged <= classical / 2.0 + 1e-300
+        row = sample(solv.init_random_divfree(Grid(8), seed, -2.0, amp), [FIVE])
+        assert row["log_serrin_p5_s5"] <= row["serrin_p5_s5"] / 2.0 + 1e-300
 
     def test_overflow_becomes_inf_sentinel(self):
-        g = Grid(8)
-        pair = crit.SerrinPair(5.0, 5.0)
-        val = crit.serrin_integrand(constant_field(g, 1e80), pair)
+        val = sample(constant_spectral(Grid(8), 1e80), [FIVE])["serrin_p5_s5"]
         assert math.isinf(val)
 
     def test_bkm_on_curl_eigenfield(self):
-        g = Grid(16)
-        U = solv.init_beltrami(g, 0.9)
-        assert crit.bkm_integrand(U) == pytest.approx(
-            norms.lp_norm(to_physical(U), math.inf), rel=1e-13
-        )
+        row = sample(solv.init_beltrami(Grid(16), 0.9), [SIX])
+        assert row["bkm"] == pytest.approx(row["linf"], rel=1e-13)
 
     def test_bkm_on_taylor_green(self):
-        g = Grid(16)
         amp = 1.1
-        U = solv.init_taylor_green(g, amp)
-        assert crit.bkm_integrand(U) == pytest.approx(2.0 * amp, rel=1e-12)
+        row = sample(solv.init_taylor_green(Grid(16), amp), [SIX])
+        assert row["bkm"] == pytest.approx(2.0 * amp, rel=1e-12)
 
     def test_bkm_zero(self):
-        assert crit.bkm_integrand(zero_spectral(Grid(8))) == 0.0
+        assert sample(zero_spectral(Grid(8)), [SIX])["bkm"] == 0.0
 
     def test_chan_vasseur_unit_constant(self):
-        g = Grid(8)
         expected = TWO_PI**3 / math.log(E + 1.0)
-        assert crit.chan_vasseur_integrand(constant_field(g, 1.0)) == pytest.approx(
-            expected, rel=1e-13
-        )
+        row = sample(constant_spectral(Grid(8), 1.0), [SIX])
+        assert row["chan_vasseur"] == pytest.approx(expected, rel=1e-13)
 
     def test_chan_vasseur_zero(self):
-        assert crit.chan_vasseur_integrand(constant_field(Grid(8), 0.0)) == 0.0
+        assert sample(constant_spectral(Grid(8), 0.0), [SIX])["chan_vasseur"] == 0.0
 
     @given(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.05, 50.0))
     @settings(max_examples=20, deadline=None)
     def test_pointwise_log_domination(self, seed, amp):
         # grid sup dominates every sample, so the comparison is exact
-        g = Grid(8)
-        U = to_physical(solv.init_random_divfree(g, seed, -2.0, amp))
-        pair = crit.SerrinPair(5.0, 5.0)
-        assert crit.log_serrin_integrand(U, pair) <= crit.chan_vasseur_integrand(U)
+        row = sample(solv.init_random_divfree(Grid(8), seed, -2.0, amp), [FIVE])
+        assert row["log_serrin_p5_s5"] <= row["chan_vasseur"]
 
     def test_integrand_lipschitz_in_small_perturbations(self):
         g = Grid(8)
-        U = to_physical(solv.init_random_divfree(g, 7, -2.0, 1.0))
-        pair = crit.SerrinPair(6.0, 4.0)
-        base = crit.serrin_integrand(U, pair)
+        U = solv.init_random_divfree(g, 7, -2.0, 1.0)
+        base = sample(U, [SIX])["serrin_p6_s4"]
         delta = 1e-6
-        bumped = VelocityField(g, U.values + delta)
-        moved = abs(crit.serrin_integrand(bumped, pair) - base)
+        bumped = U.half.copy()
+        bumped[:, 0, 0, 0] += delta  # u + delta in every component
+        moved = abs(sample(SpectralVelocityField(g, bumped), [SIX])["serrin_p6_s4"] - base)
         assert moved <= 1e-3  # local Lipschitz bound, generous at this scale
 
 
@@ -199,7 +219,7 @@ class TestAccumulate:
 class TestIdentity:
     def test_zero_field(self):
         g = Grid(8)
-        res = crit.h2_identity_residual(zero_spectral(g), 0.1)
+        res = identity(zero_spectral(g), 0.1)
         assert res["lhs"] == 0.0 and res["rhs"] == 0.0 and res["residual"] == 0.0
 
     def test_beltrami_closed_form(self):
@@ -207,18 +227,18 @@ class TestIdentity:
         g = Grid(16)
         mu = 0.1
         U = solv.init_beltrami(g, 1.0)
-        res = crit.h2_identity_residual(U, mu)
+        res = identity(U, mu)
         scale = mu * norms.sobolev_seminorm(U, 3) ** 2
         assert abs(res["lhs"]) <= 1e-10 * scale
         assert abs(res["rhs"]) <= 1e-10 * scale
-        assert res["residual"] <= 1e-10 * (1.0 + abs(res["lhs"]))
+        assert res["residual"] <= 1e-10  # |lhs - rhs| / (1 + |lhs|)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_band_limited(self, seed):
         g = Grid(32)
         U = solv.init_random_divfree(g, seed, -2.0, 1.0)
-        res = crit.h2_identity_residual(U, 0.1)
-        assert res["residual"] <= 1e-8 * (1.0 + abs(res["lhs"]))
+        res = identity(U, 0.1)
+        assert res["residual"] <= 1e-8  # |lhs - rhs| / (1 + |lhs|)
 
 
 def reference_identity_rhs(U):
@@ -265,7 +285,7 @@ class TestHessianQuadrature:
         mu = 0.1
         U = solv.init_beltrami(Grid(16), 1.0)
         quad = crit.hessian_quadrature(U)
-        res = crit.h2_identity_residual(U, mu, quad=quad)
+        res = crit.h2_identity_residual(U, mu, solv.nonlinear_rhs(U), quad)
         scale = mu * norms.sobolev_seminorm(U, 3) ** 2
         assert abs(res["lhs"]) <= 1e-12 * scale
         assert abs(quad.rhs) <= 1e-12 * scale
@@ -275,13 +295,13 @@ class TestHessianQuadrature:
 
 class TestHolder:
     def test_zero_field(self):
-        res = crit.holder_check(zero_spectral(Grid(8)), 6.0)
+        res = holder(zero_spectral(Grid(8)), 6.0)
         assert res["satisfied"]
         assert res["actual"] == 0.0 and res["bound"] == 0.0
 
     def test_taylor_green_nonlinear_side_vanishes(self):
         U = solv.init_taylor_green(Grid(16), 1.0)
-        res = crit.holder_check(U, 6.0)
+        res = holder(U, 6.0)
         assert res["satisfied"]
         assert res["actual"] <= 1e-9 * res["bound"]
 
@@ -289,7 +309,7 @@ class TestHolder:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_fields(self, p, seed):
         U = solv.init_random_divfree(Grid(16), seed, -2.0, 1.0)
-        res = crit.holder_check(U, p)
+        res = holder(U, p)
         assert res["satisfied"]
 
 
@@ -368,7 +388,7 @@ class TestGronwall:
 class TestCalibration:
     def test_beltrami_corpus_infinite_p(self):
         corpus = [solv.init_beltrami(Grid(16), 1.0)]
-        out = crit.calibrate_constants(corpus, math.inf, mu=0.1)
+        out = calibrate(corpus, math.inf, mu=0.1)
         assert out["C_GN"] == pytest.approx(2.0, rel=1e-10)
 
     def test_young_split_constant_closed_form(self):
@@ -395,18 +415,30 @@ class TestCalibration:
     def test_determinism_and_monotonicity(self):
         g = Grid(16)
         corpus = [solv.init_random_divfree(g, s, -2.0, 1.0) for s in range(5)]
-        a = crit.calibrate_constants(corpus, 6.0, 0.1)
-        b = crit.calibrate_constants(
-            [solv.init_random_divfree(g, s, -2.0, 1.0) for s in range(5)], 6.0, 0.1
-        )
+        a = calibrate(corpus, 6.0, 0.1)
+        b = calibrate([solv.init_random_divfree(g, s, -2.0, 1.0) for s in range(5)], 6.0, 0.1)
         assert a == b
         bigger = corpus + [solv.init_random_divfree(g, 99, -2.0, 1.0)]
-        c = crit.calibrate_constants(bigger, 6.0, 0.1)
+        c = calibrate(bigger, 6.0, 0.1)
         assert c["C_GN"] >= a["C_GN"]
+
+    def test_constant_out_of_float_range_rejected(self):
+        # c_cal grows like base ** (2 / a) with a = 1 - 3/p, so p near 3
+        # leaves the float range; p = 3.1 still gives about 3e120
+        corpus = [solv.init_random_divfree(Grid(16), s, -2.0, 1.0) for s in range(3)]
+        assert math.isfinite(calibrate(corpus, 3.1, 0.1)["C_cal"])
+        with pytest.raises(crit.ConstantOutOfRange, match="p = 3.01"):
+            calibrate(corpus, 3.01, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["c_gn", "c_cal"])
+    def test_entry_needs_finite_positive_constants(self, bad, which):
+        with pytest.raises(ValueError, match="finite and positive"):
+            crit.CalibrationEntry(p=6.0, **dict({"c_gn": 1.0, "c_cal": 1.0}, **{which: bad}))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(crit.EmptyCorpus):
-            crit.calibrate_constants([], 6.0, 0.1)
+            crit.calibrate_constants([], 6.0, 0.1, [])
 
     def test_record_round_trip(self):
         rec = crit.CalibrationRecord(
@@ -443,19 +475,16 @@ class TestEvaluateSample:
         g = Grid(16)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
         mon = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1)
-        s = crit.evaluate_sample(U, 0.0, mon, rhs_hat=solv.nonlinear_rhs(U))
+        s = crit.evaluate_sample(U, 0.0, mon, solv.nonlinear_rhs(U), kernel_samples(U))
         sob2 = norms.sobolev_seminorm(U, 2)
-        linf = norms.lp_norm(to_physical(U), math.inf)
+        linf = float(to_physical(U).magnitude().max())
         expected = (1.0 + math.log(E + sob2**2)) / (1.0 + math.log(E + linf))
         assert s["embed_ratio"] == pytest.approx(expected, rel=1e-12)
 
     def test_disabled_monitors_yield_nan(self):
         g = Grid(8)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
-        mon = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1)
-        s = crit.evaluate_sample(
-            U, 0.0, mon, rhs_hat=solv.nonlinear_rhs(U), with_identity=False
-        )
+        s = sample(U, [SIX], with_identity=False)
         assert math.isnan(s["identity_residual"])
         assert not math.isnan(s["energy"])
 
@@ -464,7 +493,8 @@ class TestEvaluateSample:
         g = Grid(16)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
         mon = crit.CriterionConfig(pairs=parse_pairs(pairs), mu=0.1)
-        expected = {pair.p: norms.lp_norm(to_physical(U), pair.p) for pair in mon.pairs}
+        u = kernel_samples(U)[0]
+        expected = {pair.p: norms.lp_norm(g, u.magnitude(), pair.p) for pair in mon.pairs}
         calls = []
         magnitude = VelocityField.magnitude
 
@@ -473,9 +503,7 @@ class TestEvaluateSample:
             return magnitude(field)
 
         monkeypatch.setattr(VelocityField, "magnitude", counted)
-        s = crit.evaluate_sample(
-            U, 0.0, mon, rhs_hat=solv.nonlinear_rhs(U), with_identity=False
-        )
+        s = sample(U, mon.pairs)
         assert len(calls) == 2  # |u| and |curl u|
         for pair in mon.pairs:
             assert s[f"lp_{pair.label}"] == expected[pair.p]

@@ -28,34 +28,43 @@ def constant_field(grid, c):
     return VelocityField(grid, u)
 
 
+def lp(U, p):
+    """||u||_p of grid samples, from their magnitude as the commands form it."""
+    return norms.lp_norm(U.grid, U.magnitude(), p)
+
+
+def gn(U, p):
+    return norms.gn_ratio(U, p, norms.hessian_magnitude(U))
+
+
 class TestLpNorm:
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
     def test_constant_field_closed_form(self, p):
         g = Grid(8)
         c = 1.7
         expected = c * TWO_PI ** (3.0 / p)
-        assert norms.lp_norm(constant_field(g, c), p) == pytest.approx(expected, rel=1e-13)
+        assert lp(constant_field(g, c), p) == pytest.approx(expected, rel=1e-13)
 
     def test_constant_field_sup(self):
         g = Grid(8)
-        assert norms.lp_norm(constant_field(g, 2.5), math.inf) == pytest.approx(2.5)
+        assert lp(constant_field(g, 2.5), math.inf) == pytest.approx(2.5)
 
     def test_sine_l2_closed_form(self):
         # integral of sin^2 over one period is pi, so the squared norm is
         # (2 pi)^2 * pi and the norm (2 pi)^{3/2} / sqrt(2)
         expected = TWO_PI**1.5 / math.sqrt(2.0)
-        v16 = norms.lp_norm(single_sine(Grid(16)), 2.0)
-        v32 = norms.lp_norm(single_sine(Grid(32)), 2.0)
+        v16 = lp(single_sine(Grid(16)), 2.0)
+        v32 = lp(single_sine(Grid(32)), 2.0)
         assert v16 == pytest.approx(expected, rel=1e-13)
         assert v32 == pytest.approx(expected, rel=1e-13)
 
     def test_sine_sup_exact_on_grid(self):
         # n divisible by 4 puts a sample at x = pi/2
-        assert norms.lp_norm(single_sine(Grid(16)), math.inf) == 1.0
+        assert lp(single_sine(Grid(16)), math.inf) == 1.0
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
-            norms.lp_norm(single_sine(Grid(8)), 1.0)
+            lp(single_sine(Grid(8)), 1.0)
 
     def test_scaling_exact_for_binary_factors(self):
         g = Grid(8)
@@ -63,7 +72,7 @@ class TestLpNorm:
         for lam in (0.5, 2.0, 4.0):
             scaled = VelocityField(g, lam * U.values)
             for p in (2.0, 4.0, math.inf):
-                assert norms.lp_norm(scaled, p) == lam * norms.lp_norm(U, p)
+                assert lp(scaled, p) == lam * lp(U, p)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -71,16 +80,16 @@ class TestLpNorm:
         g = Grid(8)
         U = to_physical(init_random_divfree(g, seed, -1.5, 1.0))
         vals = [
-            g.volume ** (-1.0 / p) * norms.lp_norm(U, p) for p in (2.0, 4.0, 6.0)
+            g.volume ** (-1.0 / p) * lp(U, p) for p in (2.0, 4.0, 6.0)
         ]
-        vals.append(norms.lp_norm(U, math.inf))
+        vals.append(lp(U, math.inf))
         for a, b in zip(vals, vals[1:]):
             assert a <= b * (1.0 + 1e-12)
 
     def test_large_p_approaches_sup(self):
         # frozen desk value: (sin x, 0, 0) on the 2 pi box, p = 64
         U = single_sine(Grid(32))
-        v = norms.lp_norm(U, 64.0)
+        v = lp(U, 64.0)
         gap = abs(v - 1.0)
         assert gap < 0.15
         assert v == pytest.approx(1.0513, abs=2e-3)
@@ -90,7 +99,7 @@ class TestSobolev:
     def test_m0_matches_l2(self):
         g = Grid(16)
         U_hat = init_random_divfree(g, 3, -2.0, 1.0)
-        via_quadrature = norms.lp_norm(to_physical(U_hat), 2.0)
+        via_quadrature = lp(to_physical(U_hat), 2.0)
         assert norms.sobolev_seminorm(U_hat, 0) == pytest.approx(
             via_quadrature, rel=1e-10
         )
@@ -127,7 +136,7 @@ class TestSobolev:
 class TestGnRatio:
     def test_infinite_p_degenerates_to_one(self):
         U = init_random_divfree(Grid(16), 4, -2.0, 1.0)
-        assert norms.gn_ratio(U, math.inf) == pytest.approx(1.0, rel=1e-10)
+        assert gn(U, math.inf) == pytest.approx(1.0, rel=1e-10)
 
     def test_beltrami_closed_form(self):
         # single-shell field: tensor magnitude is constant sqrt(3)*amp, so
@@ -135,29 +144,29 @@ class TestGnRatio:
         expected = TWO_PI**-0.5
         for n in (16, 32):
             U = init_beltrami(Grid(n), 0.7)
-            assert norms.gn_ratio(U, 6.0) == pytest.approx(expected, rel=1e-12)
+            assert gn(U, 6.0) == pytest.approx(expected, rel=1e-12)
 
     def test_resolution_stability_on_beltrami(self):
         U32 = init_beltrami(Grid(32), 1.0)
         U64 = reference.resample(U32, 64)
-        r32 = norms.gn_ratio(U32, 6.0)
-        r64 = norms.gn_ratio(U64, 6.0)
+        r32 = gn(U32, 6.0)
+        r64 = gn(U64, 6.0)
         assert abs(r64 - r32) <= 1e-6 * r32
 
     def test_scale_invariant(self):
         U = init_random_divfree(Grid(16), 6, -2.0, 1.0)
         scaled = type(U)(U.grid, reference.half(U.grid, 3.7 * reference.full(U)))
-        assert norms.gn_ratio(scaled, 6.0) == pytest.approx(
-            norms.gn_ratio(U, 6.0), rel=1e-12
+        assert gn(scaled, 6.0) == pytest.approx(
+            gn(U, 6.0), rel=1e-12
         )
 
     def test_degenerate_field_rejected(self):
         g = Grid(8)
         zero = type(init_beltrami(g, 0.0))(g, np.zeros((3,) + g.half_shape, complex))
         with pytest.raises(norms.DegenerateField):
-            norms.gn_ratio(zero, 6.0)
+            gn(zero, 6.0)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            norms.gn_ratio(init_beltrami(Grid(8), 1.0), 3.0)
+            gn(init_beltrami(Grid(8), 1.0), 3.0)
 

@@ -17,6 +17,17 @@ from regcrit.spectral import Grid, SpectralVelocityField, to_physical
 TWO_PI = 2.0 * np.pi
 
 
+def l2(U):
+    """||u||_2 of a spectral field, by quadrature of its grid samples."""
+    return lp_norm(U.grid, to_physical(U).magnitude(), 2.0)
+
+
+def kernel_samples(U):
+    """[u, curl u] on the grid, as solver.run takes them from the kernel."""
+    _, _, u_phys, omega = spec.convective_core_half(U.grid, U.half)
+    return [spec.VelocityField(U.grid, u_phys), spec.VelocityField(U.grid, omega)]
+
+
 def basic_monitors(mu=0.1):
     return crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=mu)
 
@@ -73,16 +84,16 @@ class TestInitializers:
         amp = 1.3
         U = solv.init_taylor_green(Grid(16), amp)
         expected = amp * math.sqrt(4.0 * math.pi**3)
-        assert lp_norm(to_physical(U), 2.0) == pytest.approx(expected, rel=1e-12)
+        assert l2(U) == pytest.approx(expected, rel=1e-12)
 
     def test_beltrami_eigenfield_and_norm(self):
         amp = 0.8
         U = solv.init_beltrami(Grid(16), amp)
-        W = spec.curl(U)
-        assert np.abs(reference.full(W) - reference.full(U)).max() <= 1e-13
+        u, omega = kernel_samples(U)
+        assert np.abs(omega.values - u.values).max() <= 1e-13
         assert np.abs(reference.full(spec.divergence(U))).max() <= 1e-13
         expected = amp * math.sqrt(3.0) * TWO_PI**1.5
-        assert lp_norm(to_physical(U), 2.0) == pytest.approx(expected, rel=1e-12)
+        assert l2(U) == pytest.approx(expected, rel=1e-12)
 
     def test_random_divfree_contract(self):
         g = Grid(16)
@@ -93,8 +104,18 @@ class TestInitializers:
         assert not np.array_equal(reference.full(a), reference.full(c))
         norm = math.sqrt(np.sum(np.abs(reference.full(a)) ** 2))
         assert np.abs(reference.full(spec.divergence(a))).max() <= 1e-12 * norm
-        assert lp_norm(to_physical(a), 2.0) == pytest.approx(0.7, rel=1e-12)
+        assert l2(a) == pytest.approx(0.7, rel=1e-12)
         assert reference.hermitian_violation(reference.full(a)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 24, 96])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_random_divfree_matches_the_full_cube_construction(self, n, seed):
+        # the draw order is the full cube's, so the field is bit for bit the
+        # kz >= 0 planes of the full-cube construction
+        g = Grid(n)
+        a = solv.init_random_divfree(g, seed, -2.0, 1.0)
+        b = reference.random_divfree_full(g, seed, -2.0, 1.0)
+        assert np.array_equal(a.half, b.half)
 
     def test_random_divfree_band_limited(self):
         g = Grid(16)
@@ -210,9 +231,9 @@ class TestNonlinearTerm:
         U = solv.init_random_divfree(g, 17, -2.0, 1.0)
         w = full_cube_convective(U)
         q = solv.pressure_field(U)
-        q_hat = spec.fft_forward(q)
-        grad_q = spec.gradient(q_hat)
-        direct = -(reference.full(w) + reference.full(grad_q))
+        q_full = reference.fftn(q.values)
+        grad_q = np.stack([ik * q_full for ik in reference.ik_axes(g)])
+        direct = -(reference.full(w) + grad_q)
         projected = reference.full(solv.nonlinear_rhs(U))
         # both remove the gradient part; mean modes of w are untouched by P
         direct[:, 0, 0, 0] = projected[:, 0, 0, 0]
@@ -502,7 +523,8 @@ class TestWorkerCount:
                 state = solv.step(state, cfg)
             sample = crit.evaluate_sample(
                 state.u_hat, state.t, basic_monitors(),
-                rhs_hat=solv.nonlinear_rhs(state.u_hat), with_identity=True,
+                rhs_hat=solv.nonlinear_rhs(state.u_hat),
+                physical=kernel_samples(state.u_hat), with_identity=True,
             )
             assert not math.isnan(sample["identity_residual"])
             outputs.append((state.u_hat.half, sample))
