@@ -31,7 +31,6 @@ from .solver import (
 from .criteria import (
     CalibrationRecord,
     CriterionConfig,
-    EmptyCorpus,
     MonitorSeries,
     NonMonotoneTime,
     SerrinPair,

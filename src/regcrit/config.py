@@ -9,9 +9,9 @@ Recognized keys:
     time.dt                timestep (float, required for simulate)
     time.t_end             final time (float, required for simulate)
     init.kind              taylor_green | beltrami | random_divfree
-    init.amplitude         float, default 1.0
-    init.seed              int, default 0 (random_divfree)
-    init.spectrum_slope    float, default -2.0 (random_divfree)
+    init.amplitude         finite float, default 1.0; nonzero for calibrate
+    init.seed              int >= 0, default 0 (random_divfree)
+    init.spectrum_slope    finite float, default -2.0 (random_divfree)
     monitors.pairs         comma-separated p:s entries, "inf" accepted for p
                            (default "6:4")
     monitors.stride        evaluate monitors every k steps (default 1)
@@ -20,7 +20,8 @@ Recognized keys:
                            config file); enables the Gronwall column
     snapshots.stride       write snapshots every k steps (default 100)
     output.dir             run directory (required)
-    calibration.seeds      corpus seeds, "0..99" or comma list (calibrate)
+    calibration.seeds      corpus seeds >= 0, "0..99" or comma list, at
+                           least one (calibrate)
     calibration.p          exponent list, e.g. "4,5,6,inf" (calibrate)
 
 Any other key is an error.  Every command reads its config through this
@@ -282,11 +283,20 @@ def build_calibration_config(raw: RawConfig) -> CalibrationConfig:
         )
     if not exponents:
         raise ConfigError("no exponents given", key="calibration.p")
+    amplitude = raw.get_float("init.amplitude", 1.0)
+    slope = raw.get_float("init.spectrum_slope", -2.0)
+    with raw.checking():
+        # the corpus fields obey InitSpec's rules; the lowest seed is the one
+        # its seed rule can reject
+        InitSpec("random_divfree", amplitude, min(seeds), slope)
+    if amplitude == 0.0:
+        # a zero field is a valid simulate run, but it has no ratio to calibrate
+        raise ConfigError("calibration needs a nonzero amplitude", key="init.amplitude")
     return CalibrationConfig(
         grid=grid,
         mu=mu,
-        amplitude=raw.get_float("init.amplitude", 1.0),
-        spectrum_slope=raw.get_float("init.spectrum_slope", -2.0),
+        amplitude=amplitude,
+        spectrum_slope=slope,
         seeds=seeds,
         exponents=exponents,
     )

@@ -66,10 +66,6 @@ class NonMonotoneTime(ValueError):
     """Sample times must be strictly increasing."""
 
 
-class EmptyCorpus(ValueError):
-    """Calibration needs at least one field."""
-
-
 class ConstantOutOfRange(ValueError):
     """A calibrated constant leaves the floating range."""
 
@@ -135,6 +131,11 @@ class CalibrationEntry:
             )
 
 
+def calibration_key(p: float) -> str:
+    """A calibration record's key for exponent p, e.g. "p6", "p4.5", "pinf"."""
+    return f"p{_fmt_num(p)}"
+
+
 @dataclass
 class CalibrationRecord:
     """Calibrated constants per exponent p, with corpus provenance."""
@@ -144,7 +145,7 @@ class CalibrationRecord:
     corpus: str = ""
 
     def for_p(self, p: float) -> CalibrationEntry | None:
-        return self.entries.get(f"p{_fmt_num(p)}")
+        return self.entries.get(calibration_key(p))
 
     def to_text(self) -> str:
         lines = [f"mu = {self.mu!r}", f"corpus = {self.corpus}"]
@@ -284,13 +285,16 @@ def _pow_sentinel(base: float, exponent: float) -> float:
     return math.inf if math.isinf(out) or math.isnan(out) else out
 
 
-def log_denominator(linf: float) -> float:
-    return 1.0 + math.log(E + linf)
+def log_factor(x: float) -> float:
+    """The paper's log factor 1 + ln(e + x)."""
+    return 1.0 + math.log(E + x)
 
 
 def _chan_vasseur(mag: np.ndarray, cell_volume: float) -> float:
-    """Pointwise-log integrand: dx^3 * sum |u|^5 / ln(e + |u|)."""
-    return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
+    """Pointwise-log integrand: dx^3 * sum |u|^5 / ln(e + |u|); overflow is
+    the +inf sentinel, as in :func:`_pow_sentinel`."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
 
 
 def accumulate(series: MonitorSeries) -> MonitorSeries:
@@ -459,13 +463,7 @@ def differential_inequality_check(
     s = SerrinPair.canonical_s(pair.p)
     grow = _pow_sentinel(x, s)
     h2 = row["sobolev2"] ** 2
-    rhs = (
-        2.0
-        * c_cal
-        * (grow / log_denominator(row["linf"]))
-        * (1.0 + math.log(E + h2))
-        * h2
-    )
+    rhs = 2.0 * c_cal * (grow / log_factor(row["linf"])) * log_factor(h2) * h2
     satisfied = bool(lhs <= rhs * (1.0 + REL_SLACK)) or math.isinf(rhs)
     return {"lhs": lhs, "rhs": rhs, "satisfied": satisfied}
 
@@ -486,7 +484,7 @@ def gronwall_bound(
         )
     if not len(series):
         return np.empty(0)
-    z0 = 1.0 + math.log(E + series.table["sobolev2"][0] ** 2)
+    z0 = log_factor(series.table["sobolev2"][0] ** 2)
     integral = series.column(f"log_serrin_int_{pair.label}")
     with np.errstate(over="ignore"):
         bounds = z0 * np.exp(2.0 * c_cal * integral)
@@ -523,7 +521,7 @@ def _grid_columns(
         powered = _pow_sentinel(lp, pair.s)
         cols[f"lp_{lab}"] = lp
         cols[f"serrin_{lab}"] = powered
-        cols[f"log_serrin_{lab}"] = powered / log_denominator(linf)
+        cols[f"log_serrin_{lab}"] = powered / log_factor(linf)
     return cols
 
 
@@ -571,7 +569,7 @@ def evaluate_sample(
         sobolev3=sob[3],
         identity_residual=residual,
         ddt_sobolev2_sq=2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat),
-        embed_ratio=(1.0 + math.log(E + sob[2] ** 2)) / log_denominator(row["linf"]),
+        embed_ratio=log_factor(sob[2] ** 2) / log_factor(row["linf"]),
     )
     return row
 
@@ -587,25 +585,17 @@ def young_split_constant(c_gn: float, p: float, mu: float) -> float:
     return (a * mu / (2.0 * (2.0 - a))) * base ** (2.0 / a)
 
 
-def calibrate_constants(
-    corpus: list[SpectralVelocityField],
-    p: float,
-    mu: float,
-    hessians: list[np.ndarray],
-) -> dict:
-    """Pin the interpolation constant and the growth-inequality constant.
+def calibrate_constants(ratios: list[float], p: float, mu: float) -> CalibrationEntry:
+    """Pin the interpolation constant and the growth-inequality constant of
+    exponent p.
 
-    c_gn is the corpus maximum of the multiplicative ratio times a safety
+    ``ratios`` holds one :func:`norms.gn_ratio` at p per corpus field, so
+    only floats outlive a field.  c_gn is their maximum times a safety
     factor of 2; c_cal is the sharp Young-split constant derived from it,
-    times the same safety factor.  ``hessians`` holds each corpus field's
-    pointwise |grad^2 u| (``norms.hessian_magnitude``), so one build serves
-    every p.  Raises ConstantOutOfRange when c_cal leaves the floating
-    range, as it does for p close to 3.
+    times the same safety factor.  Raises ConstantOutOfRange when c_cal
+    leaves the floating range, as it does for p close to 3.
     """
-    if not corpus:
-        raise EmptyCorpus("calibration corpus is empty")
-    worst = max(_norms.gn_ratio(U, p, h) for U, h in zip(corpus, hessians))
-    c_gn = CALIBRATION_SAFETY * worst
+    c_gn = CALIBRATION_SAFETY * max(ratios)
     try:
         c_cal = CALIBRATION_SAFETY * young_split_constant(c_gn, p, mu)
     except OverflowError:
@@ -615,4 +605,4 @@ def calibrate_constants(
         raise ConstantOutOfRange(
             f"C_cal for p = {_fmt_num(p)} leaves the floating range (C_GN = {c_gn!r})"
         )
-    return {"C_GN": c_gn, "C_cal": c_cal}
+    return CalibrationEntry(p=p, c_gn=c_gn, c_cal=c_cal)

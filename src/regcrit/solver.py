@@ -77,6 +77,13 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {self.kind!r}; choose from {INIT_KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.spectrum_slope)):
+            raise ValueError(
+                f"amplitude and spectrum slope must be finite, got "
+                f"{self.amplitude!r} and {self.spectrum_slope!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,8 @@ class SolverConfig:
             raise ValueError(f"viscosity must be positive, got {self.mu}")
         if not self.dt > 0.0:
             raise ValueError(f"timestep must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.monitor_stride < 1 or self.snapshot_stride < 1:
             raise ValueError("strides must be >= 1")
         steps = self.t_end / self.dt

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,25 @@ class TestSimulate:
         assert cli.main(["simulate", p]) == 1
         assert "finite" in assert_config_error(capsys)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("init.kind = taylor_green", "init.kind = random_divfree\ninit.seed = -1"),
+            ("time.t_end = 0.02", "time.t_end = inf"),
+            ("init.amplitude = 1.0", "init.amplitude = nan"),
+            ("init.kind = taylor_green", "init.kind = random_divfree\ninit.spectrum_slope = nan"),
+        ],
+    )
+    def test_damaged_value_exits_one_without_outputs(self, tmp_path, capsys, old, new):
+        p = write_config(tmp_path / "a.cfg", BASE.replace(old, new))
+        assert cli.main(["simulate", p]) == 1
+        assert_config_error(capsys)
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_amplitude_is_a_valid_run(self, tmp_path):
+        cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 0").replace("0.02", "0.002")
+        assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 0
 
     def test_unknown_init_exits_one(self, tmp_path):
         p = write_config(tmp_path / "a.cfg", BASE.replace("taylor_green", "vortex"))
@@ -327,6 +347,11 @@ output.dir = out{i}
             ("calibration.p = 6", "calibration.p = 2"),
             ("calibration.p = 6", "calibration.p = 4,x"),
             ("grid.n = 16", "grid.n = 16\ngrid.length = inf"),
+            ("calibration.seeds = 0..1", "calibration.seeds = -2..-1"),
+            ("calibration.seeds = 0..1", "calibration.seeds = 3,-1"),
+            ("fluid.mu = 0.1", "fluid.mu = 0.1\ninit.amplitude = 0"),
+            ("fluid.mu = 0.1", "fluid.mu = 0.1\ninit.amplitude = nan"),
+            ("fluid.mu = 0.1", "fluid.mu = 0.1\ninit.spectrum_slope = nan"),
         ],
     )
     def test_bad_input_exits_one(self, tmp_path, capsys, old, new):
@@ -337,6 +362,28 @@ output.dir = out{i}
         p = write_config(tmp_path / "c.cfg", cfg.replace(old, new))
         assert cli.main(["calibrate", p]) == 1
         assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        """The 8-field corpus peaks less than one corpus field above the
+        2-field one, so no field outlives its ratios."""
+        field_bytes = 3 * 16 * 16 * 9 * 16  # one n = 16 half spectrum, complex128
+
+        def peak(seeds):
+            cfg = write_config(
+                tmp_path / f"c{seeds}.cfg",
+                f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..{seeds - 1}\n"
+                f"calibration.p = 5,6\noutput.dir = out{seeds}\n",
+            )
+            tracemalloc.start()
+            try:
+                assert cli.main(["calibrate", cfg]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations (imports, caches) land here
+        assert peak(8) - peak(2) < field_bytes
 
 
 class TestVerify:

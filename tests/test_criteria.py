@@ -2,6 +2,7 @@
 closed-form fields, quadrature checks, and calibration algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,9 +64,8 @@ def holder(U, p):
 
 
 def calibrate(corpus, p, mu):
-    return crit.calibrate_constants(
-        corpus, p, mu, [norms.hessian_magnitude(U) for U in corpus]
-    )
+    ratios = [norms.gn_ratio(U, p, norms.hessian_magnitude(U)) for U in corpus]
+    return crit.calibrate_constants(ratios, p, mu)
 
 
 FIVE = crit.SerrinPair(5.0, 5.0)
@@ -120,8 +120,11 @@ class TestIntegrands:
         assert row["log_serrin_p5_s5"] <= row["serrin_p5_s5"] / 2.0 + 1e-300
 
     def test_overflow_becomes_inf_sentinel(self):
-        val = sample(constant_spectral(Grid(8), 1e80), [FIVE])["serrin_p5_s5"]
-        assert math.isinf(val)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            row = sample(constant_spectral(Grid(8), 1e80), [FIVE])
+        assert row["serrin_p5_s5"] == math.inf
+        assert row["chan_vasseur"] == math.inf
 
     def test_bkm_on_curl_eigenfield(self):
         row = sample(solv.init_beltrami(Grid(16), 0.9), [SIX])
@@ -389,7 +392,7 @@ class TestCalibration:
     def test_beltrami_corpus_infinite_p(self):
         corpus = [solv.init_beltrami(Grid(16), 1.0)]
         out = calibrate(corpus, math.inf, mu=0.1)
-        assert out["C_GN"] == pytest.approx(2.0, rel=1e-10)
+        assert out.c_gn == pytest.approx(2.0, rel=1e-10)
 
     def test_young_split_constant_closed_form(self):
         # p = 6: a = 1/2, sharp constant (a mu / (2 (2 - a))) ((2 - a) 5 C / mu)^4
@@ -420,13 +423,13 @@ class TestCalibration:
         assert a == b
         bigger = corpus + [solv.init_random_divfree(g, 99, -2.0, 1.0)]
         c = calibrate(bigger, 6.0, 0.1)
-        assert c["C_GN"] >= a["C_GN"]
+        assert c.c_gn >= a.c_gn
 
     def test_constant_out_of_float_range_rejected(self):
         # c_cal grows like base ** (2 / a) with a = 1 - 3/p, so p near 3
         # leaves the float range; p = 3.1 still gives about 3e120
         corpus = [solv.init_random_divfree(Grid(16), s, -2.0, 1.0) for s in range(3)]
-        assert math.isfinite(calibrate(corpus, 3.1, 0.1)["C_cal"])
+        assert math.isfinite(calibrate(corpus, 3.1, 0.1).c_cal)
         with pytest.raises(crit.ConstantOutOfRange, match="p = 3.01"):
             calibrate(corpus, 3.01, 0.1)
 
@@ -435,10 +438,6 @@ class TestCalibration:
     def test_entry_needs_finite_positive_constants(self, bad, which):
         with pytest.raises(ValueError, match="finite and positive"):
             crit.CalibrationEntry(p=6.0, **dict({"c_gn": 1.0, "c_cal": 1.0}, **{which: bad}))
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(crit.EmptyCorpus):
-            crit.calibrate_constants([], 6.0, 0.1, [])
 
     def test_record_round_trip(self):
         rec = crit.CalibrationRecord(
@@ -464,7 +463,7 @@ class TestCalibration:
     def test_record_round_trip_any_p(self, p, c_gn, c_cal):
         # non-integer p puts a '.' inside the key, as in "p4.5.c_gn"
         entry = crit.CalibrationEntry(p=p, c_gn=c_gn, c_cal=c_cal)
-        rec = crit.CalibrationRecord(mu=0.1, entries={f"p{crit._fmt_num(p)}": entry})
+        rec = crit.CalibrationRecord(mu=0.1, entries={crit.calibration_key(p): entry})
         back = crit.CalibrationRecord.from_text(rec.to_text())
         assert back.entries == rec.entries
         assert back.for_p(p) == entry
