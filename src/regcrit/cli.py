@@ -522,7 +522,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.rundir)
         return cmd_report(args.rundir, pressure=args.pressure)
-    except (ConfigError, solv.UnstableTimestep, crit.ConstantOutOfRange) as exc:
+    except (
+        ConfigError,
+        solv.UnstableTimestep,
+        solv.InitialFieldOutOfRange,
+        crit.ConstantOutOfRange,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DamagedArtifact as exc:

@@ -28,7 +28,7 @@ Monitored quantities per sample:
 
 The identity's right side, the Hoelder step and the interpolation ratio read
 one quadrature per state: :func:`hessian_quadrature` builds the state's
-derivative table once and returns the right side and the pointwise
+derivative tables once and returns the right side and the pointwise
 |grad^2 u| that every L^q norm of the Hessian needs.
 
 Powers that leave the floating range become +inf sentinels: they poison the
@@ -44,6 +44,8 @@ import numpy as np
 
 from . import norms as _norms
 from .spectral import (
+    HESSIAN_PAIRS,
+    PAIR,
     SpectralVelocityField,
     VelocityField,
     first_derivatives,
@@ -354,42 +356,51 @@ class HessianQuadrature:
     hessian: np.ndarray  # pointwise Frobenius magnitude |grad^2 u|, shape (n, n, n)
 
 
-#: the 6 index pairs (a, b), a <= b, of a symmetric 3 x 3 table
-_UPPER = tuple((a, b) for a in range(3) for b in range(a, 3))
-
-
-def _gram_contraction(rows: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_{a,b} <grads[a, b], G[a, b]> and the pointwise trace of G, where
-    G[a, b] = sum_k rows[a, k] * rows[b, k] pointwise.  G is symmetric, so
-    only its 6 upper entries are formed."""
+def _contract(rows, grads: np.ndarray, acc: np.ndarray, tmp: np.ndarray,
+              trace: np.ndarray | None) -> float:
+    """sum_{a,b} <grads[a, b], G[a, b]>, where G[a, b] = sum_k rows[a][k] *
+    rows[b][k] pointwise, accumulated into ``acc`` in k order.  G is
+    symmetric, so only its 6 upper entries are formed; ``trace``, unless
+    None, gains the 3 diagonal ones."""
     total = 0.0
-    trace = np.zeros(rows.shape[-1])
-    for a, b in _UPPER:
-        gram = np.einsum("kN,kN->N", rows[a], rows[b])
+    for a, b in HESSIAN_PAIRS:
+        acc.fill(0.0)
+        for x, y in zip(rows[a], rows[b]):
+            np.multiply(x, y, out=tmp)
+            acc += tmp
         if a == b:
-            total += grads[a, a] @ gram
-            trace += gram
+            total += grads[a, a] @ acc
+            if trace is not None:
+                trace += acc
         else:
-            total += grads[a, b] @ gram + grads[b, a] @ gram
-    return float(total), trace
+            total += grads[a, b] @ acc + grads[b, a] @ acc
+    return float(total)
 
 
 def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
-    """Build the state's derivative table once and contract it.
+    """Build the state's derivative tables once and contract them.
 
     With S[i, m] = sum_{j,l} d_i d_j u_l d_m d_j u_l and
     T[l, m] = sum_{i,j} d_i d_j u_l d_i d_j u_m, pointwise, the identity's
     right side is -dx^3 (2 sum <d_i u_m, S[i, m]> + sum <d_m u_l, T[l, m]>),
-    and |grad^2 u|^2 is the trace of S.  The 36-field table is freed on
-    return; only the right side and |grad^2 u| outlive the call.
+    and |grad^2 u|^2 is the trace of S.  Each entry of S and T is summed in
+    place, (j, l) and (i, j) in row-major order, and contracted before the
+    next is formed.
+
+    The gradients come first: their 9-field transform is done and its
+    spectrum freed before the 18-field Hessian pair table is built one pair
+    at a time, so at most about 33 grid fields are live at once.  Only the
+    right side and |grad^2 u| outlive the call.
     """
     g = u_hat.grid
     points = g.n**3
-    # Hessian first, so its transform buffers are freed before the gradients exist
-    d2 = second_derivatives(u_hat).reshape(3, 3, 3, points)
     grads = first_derivatives(u_hat).reshape(3, 3, points)
-    t1, hessian_sq = _gram_contraction(d2.reshape(3, 9, points), grads)
-    t2, _ = _gram_contraction(d2.reshape(9, 3, points).transpose(1, 0, 2), grads)
+    d2 = second_derivatives(u_hat).reshape(len(HESSIAN_PAIRS), 3, points)
+    s_rows = [[d2[PAIR[i][j], l] for j in range(3) for l in range(3)] for i in range(3)]
+    t_rows = [[d2[PAIR[i][j], l] for i in range(3) for j in range(3)] for l in range(3)]
+    acc, tmp, hessian_sq = np.empty(points), np.empty(points), np.zeros(points)
+    t1 = _contract(s_rows, grads, acc, tmp, hessian_sq)
+    t2 = _contract(t_rows, grads, acc, tmp, None)
     w = g.cell_volume
     return HessianQuadrature(
         rhs=-2.0 * (w * t1) - w * t2,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .spectral import Grid, SpectralVelocityField, parseval_sum, second_derivatives
+from .spectral import PAIR, Grid, SpectralVelocityField, parseval_sum, second_derivatives
 
 
 class DegenerateField(ValueError):
@@ -59,9 +59,19 @@ def sobolev_seminorm(U: SpectralVelocityField, m: int) -> float:
 
 
 def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:
-    """Pointwise Frobenius magnitude of the full 27-entry second-derivative tensor."""
+    """Pointwise Frobenius magnitude of the second-derivative tensor: the 27
+    squares of d_i d_j u_c summed in (i, j, c) order, each off-diagonal
+    (i, j) read from the one row of the pair table that holds both orders."""
     d2 = second_derivatives(U)
-    return np.sqrt(np.einsum("ijcxyz,ijcxyz->xyz", d2, d2))
+    acc = np.zeros(U.grid.shape)
+    tmp = np.empty(U.grid.shape)
+    for i in range(3):
+        for j in range(3):
+            for c in range(3):
+                x = d2[PAIR[i][j], c]
+                np.multiply(x, x, out=tmp)
+                acc += tmp
+    return np.sqrt(acc, out=acc)
 
 
 def hessian_lq_norm(grid: Grid, hessian: np.ndarray, q: float) -> float:

@@ -303,25 +303,30 @@ def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
     return irfftn_real(hat.reshape((9,) + g.half_shape), g.n).reshape((3, 3) + g.shape)
 
 
-def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
-    """Physical-space table d2[i, j, c] = d^2 u_c / dx_i dx_j, shape (3,3,3,n,n,n).
+#: the 6 index pairs (i, j), i <= j, of the symmetric Hessian, in table order
+HESSIAN_PAIRS = tuple((i, j) for i in range(3) for j in range(i, 3))
 
-    Mixed partials are filled by symmetry, so 18 inverse transforms suffice.
+#: PAIR[i][j]: the row of the pair table holding d_i d_j, for either order of i, j
+PAIR = tuple(
+    tuple(HESSIAN_PAIRS.index((min(i, j), max(i, j))) for j in range(3)) for i in range(3)
+)
+
+
+def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
+    """Physical-space pair table d2[PAIR[i][j], c] = d^2 u_c / dx_i dx_j,
+    shape (6, 3, n, n, n), one row per pair i <= j of :data:`HESSIAN_PAIRS`.
+
+    The Hessian is symmetric in (i, j), so the 6 pairs hold all 27 entries.
+    They are transformed one pair at a time, 3 fields per inverse transform,
+    so besides the table only one pair's spectrum and samples are live.
     """
     g = U.grid
     ks = g.wavenumbers_half
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    hat = np.empty((len(pairs), 3) + g.half_shape, dtype=np.complex128)
-    for idx, (i, j) in enumerate(pairs):
-        np.multiply(-ks[i] * ks[j], U.half, out=hat[idx])
-    phys = irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
-        (len(pairs), 3) + g.shape
-    )
-    out = np.empty((3, 3, 3) + g.shape)
-    for idx, (i, j) in enumerate(pairs):
-        out[i, j] = phys[idx]
-        if i != j:
-            out[j, i] = phys[idx]
+    out = np.empty((len(HESSIAN_PAIRS), 3) + g.shape)
+    hat = np.empty((3,) + g.half_shape, dtype=np.complex128)
+    for idx, (i, j) in enumerate(HESSIAN_PAIRS):
+        np.multiply(-ks[i] * ks[j], U.half, out=hat)
+        out[idx] = irfftn_real(hat, g.n)
     return out
 
 

@@ -11,6 +11,11 @@ from this module.
 Conventions are the package's: mean-normalized forward transforms, FFT
 storage order, the Nyquist mode zeroed in derivative wavenumbers, and the
 2/3 rule ``3 * max|k| < n``.
+
+The Hessian routes at the end are the exception: they keep the package's
+earlier 27-entry derivative table, built with the package's own transform,
+so that the pair table and its in-place sums can be pinned bitwise to the
+route they replaced.
 """
 
 import math
@@ -169,3 +174,70 @@ def random_divfree_full(grid: spec.Grid, seed: int, spectrum_slope: float, ampli
         return spec.SpectralVelocityField(grid, np.zeros_like(U.half))
     current = math.sqrt(spec.parseval_sum(grid, np.abs(U.half) ** 2))
     return spec.SpectralVelocityField(grid, U.half * (amplitude / current))
+
+
+def hessian_table(U) -> np.ndarray:
+    """The full table d2[i, j, c] = d^2 u_c / dx_i dx_j, shape (3, 3, 3, n, n, n):
+    the 18 distinct fields in one batched transform, the mixed partials
+    copied into both (i, j) and (j, i)."""
+    g = U.grid
+    ks = g.wavenumbers_half
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    hat = np.empty((len(pairs), 3) + g.half_shape, dtype=np.complex128)
+    for idx, (i, j) in enumerate(pairs):
+        np.multiply(-ks[i] * ks[j], U.half, out=hat[idx])
+    phys = spec.irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
+        (len(pairs), 3) + g.shape
+    )
+    out = np.empty((3, 3, 3) + g.shape)
+    for idx, (i, j) in enumerate(pairs):
+        out[i, j] = phys[idx]
+        if i != j:
+            out[j, i] = phys[idx]
+    return out
+
+
+def hessian_magnitude(U) -> np.ndarray:
+    """Pointwise Frobenius magnitude of the 27-entry table, by one einsum."""
+    d2 = hessian_table(U)
+    return np.sqrt(np.einsum("ijcxyz,ijcxyz->xyz", d2, d2))
+
+
+def _gram_contraction(rows: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_{a,b} <grads[a, b], G[a, b]> and the pointwise trace of G, where
+    G[a, b] = sum_k rows[a, k] * rows[b, k] pointwise, one einsum per upper
+    entry of the symmetric G."""
+    total = 0.0
+    trace = np.zeros(rows.shape[-1])
+    for a in range(3):
+        for b in range(a, 3):
+            gram = np.einsum("kN,kN->N", rows[a], rows[b])
+            if a == b:
+                total += grads[a, a] @ gram
+                trace += gram
+            else:
+                total += grads[a, b] @ gram + grads[b, a] @ gram
+    return float(total), trace
+
+
+def gram_quadrature(U) -> tuple[float, np.ndarray]:
+    """The H^2 identity's right side and |grad^2 u| from the 27-entry table
+    by einsum Gram sums: S[i, m] over rows (j, l), T[l, m] over rows (i, j)."""
+    g = U.grid
+    points = g.n**3
+    d2 = hessian_table(U).reshape(3, 3, 3, points)
+    grads = spec.first_derivatives(U).reshape(3, 3, points)
+    t1, hessian_sq = _gram_contraction(d2.reshape(3, 9, points), grads)
+    t2, _ = _gram_contraction(d2.reshape(9, 3, points).transpose(1, 0, 2), grads)
+    w = g.cell_volume
+    return -2.0 * (w * t1) - w * t2, np.sqrt(hessian_sq).reshape(g.shape)
+
+
+def identity_rhs_einsum(U) -> float:
+    """The H^2 identity's right side as the literal 27-entry contractions."""
+    grads = spec.first_derivatives(U)
+    d2 = hessian_table(U)
+    w = U.grid.cell_volume
+    t1 = w * float(np.einsum("ijlabc,imabc,mjlabc->", d2, grads, d2, optimize=True))
+    t2 = w * float(np.einsum("ijlabc,ijmabc,mlabc->", d2, d2, grads, optimize=True))
+    return -2.0 * t1 - t2

@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ class TestSimulate:
         p = write_config(tmp_path / "a.cfg", BASE.replace(old, new))
         assert cli.main(["simulate", p]) == 1
         assert_config_error(capsys)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "init", ["init.spectrum_slope = 400", "init.amplitude = 1e300"]
+    )
+    def test_initial_field_out_of_range_exits_one(self, tmp_path, capsys, init):
+        cfg = BASE.replace("init.kind = taylor_green", "init.kind = random_divfree").replace(
+            "init.amplitude = 1.0", init
+        )
+        p = write_config(tmp_path / "a.cfg", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", p]) == 1
+        assert "random_divfree" in assert_config_error(capsys)
         assert not (tmp_path / "run").exists()
 
     def test_zero_amplitude_is_a_valid_run(self, tmp_path):
@@ -362,6 +377,21 @@ output.dir = out{i}
         p = write_config(tmp_path / "c.cfg", cfg.replace(old, new))
         assert cli.main(["calibrate", p]) == 1
         assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "init", ["init.spectrum_slope = 400", "init.amplitude = 1e300"]
+    )
+    def test_initial_field_out_of_range_exits_one(self, tmp_path, capsys, init):
+        p = write_config(
+            tmp_path / "c.cfg",
+            f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..1\n"
+            f"calibration.p = 6\noutput.dir = out\n{init}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["calibrate", p]) == 1
+        assert "random_divfree" in assert_config_error(capsys)
         assert not (tmp_path / "out").exists()
 
     def test_memory_does_not_grow_with_the_corpus(self, tmp_path):

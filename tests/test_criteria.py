@@ -2,12 +2,14 @@
 closed-form fields, quadrature checks, and calibration algebra."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from regcrit import criteria as crit
 from regcrit import norms
 from regcrit import solver as solv
@@ -18,7 +20,6 @@ from regcrit.spectral import (
     VelocityField,
     convective_core_half,
     first_derivatives,
-    second_derivatives,
     to_physical,
 )
 
@@ -244,25 +245,27 @@ class TestIdentity:
         assert res["residual"] <= 1e-8  # |lhs - rhs| / (1 + |lhs|)
 
 
-def reference_identity_rhs(U):
-    """Identity right side as the literal 27-entry contractions (reference route)."""
-    grads = first_derivatives(U)
-    d2 = second_derivatives(U)
-    w = U.grid.cell_volume
-    t1 = w * float(np.einsum("ijlabc,imabc,mjlabc->", d2, grads, d2, optimize=True))
-    t2 = w * float(np.einsum("ijlabc,ijmabc,mlabc->", d2, d2, grads, optimize=True))
-    return -2.0 * t1 - t2
-
-
-def reference_hessian(U):
-    """Pointwise Frobenius magnitude over the full 27-entry table (reference route)."""
-    d2 = second_derivatives(U)
-    return np.sqrt(np.einsum("ijcxyz,ijcxyz->xyz", d2, d2))
-
-
 def assert_hessian_matches(quad, U):
-    ref = reference_hessian(U)
+    ref = reference.hessian_magnitude(U)
     np.testing.assert_allclose(quad.hessian, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+def traced_peak_fields(fn, U):
+    """Peak tracemalloc growth of fn(U), in n^3 float64 fields."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * U.grid.n**3)
+
+
+def quadrature_states(n):
+    g = Grid(n)
+    states = [solv.init_random_divfree(g, seed, -2.0, 1.0) for seed in (0, 1, 2)]
+    return states + [solv.init_taylor_green(g, 1.0), solv.init_beltrami(g, 1.0)]
 
 
 class TestHessianQuadrature:
@@ -271,9 +274,28 @@ class TestHessianQuadrature:
     def test_matches_reference_route(self, n, seed):
         U = solv.init_random_divfree(Grid(n), seed, -2.0, 1.0)
         quad = crit.hessian_quadrature(U)
-        ref = reference_identity_rhs(U)
+        ref = reference.identity_rhs_einsum(U)
         assert abs(quad.rhs - ref) <= 1e-12 * abs(ref)
         assert_hessian_matches(quad, U)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_bitwise_equal_to_27_entry_route(self, n):
+        # the pair table and the in-place Gram sums reproduce the 27-entry
+        # table with its einsum contractions exactly, not just to roundoff
+        for U in quadrature_states(n):
+            quad = crit.hessian_quadrature(U)
+            rhs, hessian = reference.gram_quadrature(U)
+            assert quad.rhs == rhs
+            assert np.array_equal(quad.hessian, hessian)
+            assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_peak_memory_of_the_derivative_tables(self, n):
+        # 9 gradients + 18 pair fields + one pair's transform (about 33), and
+        # 18 + 6 for the magnitude alone; the 27-entry route peaked at 64 each
+        U = solv.init_random_divfree(Grid(n), 1, -2.0, 1.0)
+        assert traced_peak_fields(crit.hessian_quadrature, U) <= 40
+        assert traced_peak_fields(norms.hessian_magnitude, U) <= 30
 
     def test_taylor_green_rhs_vanishes(self):
         U = solv.init_taylor_green(Grid(16), 1.0)
@@ -281,7 +303,7 @@ class TestHessianQuadrature:
         # |rhs| <= 3 ||grad u||_inf ||grad^2 u||_2^2 sets the scale of zero
         scale = np.abs(first_derivatives(U)).max() * norms.sobolev_seminorm(U, 2) ** 2
         assert abs(quad.rhs) <= 1e-12 * scale
-        assert abs(reference_identity_rhs(U)) <= 1e-12 * scale
+        assert abs(reference.identity_rhs_einsum(U)) <= 1e-12 * scale
         assert_hessian_matches(quad, U)
 
     def test_beltrami_both_sides_vanish(self):
@@ -292,7 +314,7 @@ class TestHessianQuadrature:
         scale = mu * norms.sobolev_seminorm(U, 3) ** 2
         assert abs(res["lhs"]) <= 1e-12 * scale
         assert abs(quad.rhs) <= 1e-12 * scale
-        assert abs(reference_identity_rhs(U)) <= 1e-12 * scale
+        assert abs(reference.identity_rhs_einsum(U)) <= 1e-12 * scale
         assert_hessian_matches(quad, U)
 
 

@@ -217,7 +217,10 @@ class TestDerivatives:
         g = spec.Grid(16)
         d2 = spec.second_derivatives(x_component(g, lambda x, y, z: np.sin(x)))
         X = g.meshes()[0]
-        np.testing.assert_allclose(d2[0, 0, 0], -np.sin(X), atol=1e-12)
+        np.testing.assert_allclose(d2[spec.PAIR[0][0], 0], -np.sin(X), atol=1e-12)
+        assert np.abs(d2[:, 1:]).max() < 1e-14
+        others = [spec.PAIR[i][j] for i, j in spec.HESSIAN_PAIRS if (i, j) != (0, 0)]
+        assert np.abs(d2[others]).max() < 1e-14
 
     def test_mixed_partials_commute(self):
         g = spec.Grid(8)
@@ -227,19 +230,27 @@ class TestDerivatives:
         assert np.abs(dxy - dyx).max() <= 1e-15 * max(np.abs(dxy).max(), 1.0)
 
     def test_second_derivative_table_is_symmetric(self):
+        # each (i, j) and (j, i) entry of the 27-entry table is bitwise the
+        # one row the pair table stores for that pair
         g = spec.Grid(8)
         U = init_random_divfree(g, 5, -2.0, 1.0)
         d2 = spec.second_derivatives(U)
+        assert d2.shape == (6, 3) + g.shape
+        assert spec.HESSIAN_PAIRS == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        full = reference.hessian_table(U)
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(d2[i, j], d2[j, i])
+                assert spec.PAIR[i][j] == spec.PAIR[j][i]
+                assert np.array_equal(d2[spec.PAIR[i][j]], full[i, j])
 
     def test_sobolev_identity_against_tensor(self):
-        # sum_k |k|^4 |u|^2 equals the Frobenius norm of the full tensor
+        # sum_k |k|^4 |u|^2 equals the Frobenius norm of the full tensor,
+        # whose off-diagonal pairs each stand for two entries
         g = spec.Grid(16)
         U = init_random_divfree(g, 11, -2.0, 1.0)
         d2 = spec.second_derivatives(U)
-        quad = np.sum(d2**2) * g.cell_volume
+        weights = np.array([1.0 if i == j else 2.0 for i, j in spec.HESSIAN_PAIRS])
+        quad = np.sum(weights[:, None, None, None, None] * d2**2) * g.cell_volume
         k4 = reference.k_squared(g) ** 2
         plancherel = g.volume * np.sum(k4 * np.abs(reference.full(U)) ** 2)
         assert quad == pytest.approx(plancherel, rel=1e-11)
