@@ -15,6 +15,11 @@ directory.  A calibration record with no entry for a monitored canonical pair
 is a config error in ``simulate`` and a failed ``growth_inequality_<pair>``
 check in ``verify``.  Errors are reported in one line on stderr.
 
+``verify`` reduces each check's per-item values with a NaN-propagating max
+or min: a NaN or infinite residual, and a NaN margin, fails its check and
+prints as its ``worst``, and floating-point overflow on a snapshot ends so,
+not in a warning.
+
 The monitor CSV is the monitor table as is: its header is exactly
 ``criteria.monitor_columns(pairs)`` for the manifest's pairs, in that order
 (t, energy, then per configured pair lp, serrin, serrin_int, log_serrin,
@@ -293,13 +298,30 @@ def _load_run(rundir: str) -> _Run:
     return _Run(record, mu, grid, snap_paths, series)
 
 
+def _largest_residual(name: str, residuals, tol: float, note: str = "") -> CheckResult:
+    """Passes when every residual is at most ``tol``; worst is the largest."""
+    worst = float(np.max(residuals))
+    return CheckResult(name, worst <= tol, worst, tol, note)
+
+
+def _smallest_margin(name: str, holds, margins, margin: str) -> CheckResult:
+    """Passes when every item holds; worst is the smallest of the margins
+    (inf if none), each the difference that ``margin`` names."""
+    worst = float(np.min(margins, initial=math.inf))
+    passed = bool(np.all(holds)) and not math.isnan(worst)
+    return CheckResult(name, passed, worst, 0.0, note=f"margin = min({margin})")
+
+
 def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     """Every check of ``verify`` on one run directory.
 
+    A NaN or infinite residual, and a NaN margin, fails its check and prints
+    as its ``worst``; overflow on a snapshot ends so, not in a warning.
+
     Raises DamagedArtifact when the manifest, the CSV or a snapshot is
     missing or cannot be parsed, or when a snapshot's grid is not the
-    manifest's.  A snapshot with non-finite samples is not damaged but a
-    failed ``identity_snapshots`` check.
+    manifest's.  A snapshot with non-finite samples is not damaged but an
+    infinite residual of the ``identity_snapshots`` check.
     """
     run = _load_run(rundir)
     record, mu, snap_paths, series = run.record, run.mu, run.snap_paths, run.series
@@ -310,30 +332,20 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     t = series.column("t")
     energy = series.column("energy")
     enstrophy = series.column("sobolev1") ** 2
-    e0 = energy[0] if len(energy) else 0.0
-    tol = ENERGY_TOL * max(e0, 1e-300)
-    if len(t) > 1:
-        seg = 0.5 * (enstrophy[1:] + enstrophy[:-1]) * np.diff(t)
-        gap_residual = np.abs(np.diff(energy) + 2.0 * mu * seg)
-        total_residual = abs(energy[-1] - energy[0] + 2.0 * mu * np.sum(seg))
-        worst = float(max(gap_residual.max(), total_residual))
-    else:
-        worst = 0.0
-    results.append(CheckResult("energy_law", worst <= tol, worst, tol))
+    seg = 0.5 * (enstrophy[1:] + enstrophy[:-1]) * np.diff(t)
+    gap_residual = np.abs(np.diff(energy) + 2.0 * mu * seg)
+    total_residual = abs(energy[-1] - energy[0] + 2.0 * mu * np.sum(seg))
+    tol = ENERGY_TOL * max(energy[0], 1e-300)
+    results.append(_largest_residual("energy_law", np.append(gap_residual, total_residual), tol))
 
-    # identity residual column (already normalized by 1 + |lhs|)
+    # identity residual column (already normalized by 1 + |lhs|; NaN = not computed)
     ident = series.column("identity_residual")
-    finite = ident[~np.isnan(ident)]
-    if finite.size:
-        worst = float(finite.max())
-        results.append(
-            CheckResult("identity_series", worst <= IDENTITY_TOL, worst, IDENTITY_TOL)
-        )
+    computed = ident[~np.isnan(ident)]
+    if computed.size:
+        results.append(_largest_residual("identity_series", computed, IDENTITY_TOL))
 
     # recompute identity and the Hoelder bound on every snapshot
-    worst_ident = 0.0
-    worst_holder = math.inf
-    holder_ok = True
+    residuals, holder_holds, holder_margins = [], [], []
     p_values = sorted({pair.p for pair in pairs})
     nonfinite = []
     for path in snap_paths:
@@ -341,38 +353,25 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             field_, _ = snap.read_snapshot(path, run.grid)
         except NonFiniteSamples:
             nonfinite.append(os.path.basename(path))
+            residuals.append(math.inf)
             continue
         except _READ_ERRORS as exc:
             raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-        u_hat = fft_forward(field_)
-        quad = crit.hessian_quadrature(u_hat)
-        res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad)
-        worst_ident = max(worst_ident, res["residual"])
-        mag = field_.magnitude()
-        for p in p_values:
-            hc = crit.holder_check(u_hat, p, quad, mag)
-            holder_ok &= hc["satisfied"]
-            worst_holder = min(worst_holder, hc["bound"] - hc["actual"])
-    if nonfinite:
-        worst_ident = math.inf
+        with np.errstate(all="ignore"):
+            u_hat = fft_forward(field_)
+            quad = crit.hessian_quadrature(u_hat)
+            res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad)
+            residuals.append(res["residual"])
+            mag = field_.magnitude()
+            for p in p_values:
+                hc = crit.holder_check(u_hat, p, quad, mag)
+                holder_holds.append(hc["satisfied"])
+                holder_margins.append(hc["bound"] - hc["actual"])
     if snap_paths:
+        note = f"non-finite samples in {', '.join(nonfinite)}" if nonfinite else ""
+        results.append(_largest_residual("identity_snapshots", residuals, IDENTITY_TOL, note))
         results.append(
-            CheckResult(
-                "identity_snapshots",
-                worst_ident <= IDENTITY_TOL,
-                worst_ident,
-                IDENTITY_TOL,
-                note=f"non-finite samples in {', '.join(nonfinite)}" if nonfinite else "",
-            )
-        )
-        results.append(
-            CheckResult(
-                "holder_snapshots",
-                bool(holder_ok),
-                worst_holder,
-                0.0,
-                note="margin = min(bound - actual)",
-            )
+            _smallest_margin("holder_snapshots", holder_holds, holder_margins, "bound - actual")
         )
 
     # growth inequality and Gronwall dominance per canonical calibrated pair
@@ -389,44 +388,32 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
                     )
                 )
                 continue
-            ok = True
-            margin = math.inf
-            for i in range(len(series)):
-                chk = crit.differential_inequality_check(series.row(i), pair, entry.c_cal, mu)
-                ok &= chk["satisfied"]
-                if not math.isinf(chk["rhs"]):
-                    margin = min(margin, chk["rhs"] - chk["lhs"])
+            checks = [
+                crit.differential_inequality_check(series.row(i), pair, entry.c_cal, mu)
+                for i in range(len(series))
+            ]
+            holds = [c["satisfied"] for c in checks]
+            margins = [c["rhs"] - c["lhs"] for c in checks if not math.isinf(c["rhs"])]
             results.append(
-                CheckResult(
-                    f"growth_inequality_{pair.label}", bool(ok), margin, 0.0,
-                    note="margin = min(rhs - lhs)",
-                )
+                _smallest_margin(f"growth_inequality_{pair.label}", holds, margins, "rhs - lhs")
             )
             bounds = crit.gronwall_bound(series, pair, entry.c_cal)
             measured = np.array([crit.log_factor(v**2) for v in series.table["sobolev2"]])
-            dom_margin = bounds - measured
             results.append(
-                CheckResult(
-                    f"gronwall_dominance_{pair.label}",
-                    bool(np.all(bounds >= measured)),
-                    float(np.min(dom_margin)),
-                    0.0,
-                    note="margin = min(bound - measured)",
+                _smallest_margin(
+                    f"gronwall_dominance_{pair.label}", bounds >= measured, bounds - measured,
+                    "bound - measured",
                 )
             )
 
     # pointwise-log domination, exact inequality, needs the (5, 5) pair
-    five = next(
-        (pr for pr in pairs if pr.p == 5.0 and pr.s == 5.0), None
-    )
+    five = next((pr for pr in pairs if pr.p == 5.0 and pr.s == 5.0), None)
     if five is not None:
         log5 = series.column(f"log_serrin_{five.label}")
         cv = series.column("chan_vasseur")
-        ok = bool(np.all(log5 <= cv))
         results.append(
-            CheckResult(
-                "pointwise_log_domination", ok, float(np.min(cv - log5)), 0.0,
-                note="margin = min(chan_vasseur - log_serrin)",
+            _smallest_margin(
+                "pointwise_log_domination", log5 <= cv, cv - log5, "chan_vasseur - log_serrin"
             )
         )
 
@@ -489,7 +476,11 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
                 field_, t = snap.read_snapshot(path, run.grid)
             except _READ_ERRORS as exc:
                 raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-            q = solv.pressure_field(fft_forward(field_))
+            try:
+                with np.errstate(all="ignore"):  # an overflowing pressure is non-finite
+                    q = solv.pressure_field(fft_forward(field_))
+            except NonFiniteSamples as exc:
+                raise DamagedArtifact(f"snapshot {path}: non-finite pressure ({exc})") from exc
             name = os.path.basename(path).replace("snap_", "pressure_")
             snap.write_scalar_snapshot(os.path.join(outdir, name), q, t)
     return EXIT_OK

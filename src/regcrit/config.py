@@ -12,8 +12,8 @@ Recognized keys:
     init.amplitude         finite float, default 1.0; nonzero for calibrate
     init.seed              int >= 0, default 0 (random_divfree)
     init.spectrum_slope    finite float, default -2.0 (random_divfree)
-    monitors.pairs         comma-separated p:s entries, "inf" accepted for p
-                           (default "6:4")
+    monitors.pairs         comma-separated p:s entries, "inf" accepted for p,
+                           no pair twice (default "6:4")
     monitors.stride        evaluate monitors every k steps (default 1)
     monitors.identity_stride   steps between identity quadratures (default 1)
     monitors.calibration   path to a calibration record (relative to the
@@ -148,37 +148,36 @@ def parse_config(path: str) -> RawConfig:
     return RawConfig(path=path, values=values, lines=lines)
 
 
-def parse_pairs(raw: str, key: str = "monitors.pairs") -> tuple[SerrinPair, ...]:
-    pairs = []
+def parse_pairs(raw: str) -> tuple[SerrinPair, ...]:
+    """Comma-separated p:s entries, at least one, no two with the same label."""
+    pairs: list[SerrinPair] = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ":" not in chunk:
-            raise ConfigError(f"pair entry {chunk!r} is not p:s", key=key)
+            raise ValueError(f"pair entry {chunk!r} is not p:s")
         ps, _, ss = chunk.partition(":")
-        try:
-            pairs.append(SerrinPair(_parse_float(ps), _parse_float(ss)))
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key) from exc
+        pair = SerrinPair(_parse_float(ps), _parse_float(ss))
+        if pair.label in {q.label for q in pairs}:
+            raise ValueError(f"pair entry {chunk!r} repeats the label {pair.label}")
+        pairs.append(pair)
     if not pairs:
-        raise ConfigError("no pairs given", key=key)
+        raise ValueError("no pairs given")
     return tuple(pairs)
 
 
-def parse_seed_list(raw: str, key: str = "calibration.seeds") -> tuple[int, ...]:
-    """Either "a..b" (inclusive range) or a comma list of integers."""
+def parse_seed_list(raw: str) -> tuple[int, ...]:
+    """Either "a..b" (inclusive range) or a comma list of integers, at least one."""
     raw = raw.strip()
-    try:
-        if ".." in raw:
-            lo, _, hi = raw.partition("..")
-            a, b = int(lo), int(hi)
-            if b < a:
-                raise ValueError(f"empty seed range {raw!r}")
-            return tuple(range(a, b + 1))
-        return tuple(int(s) for s in raw.split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=key) from exc
+    if ".." in raw:
+        lo, _, hi = raw.partition("..")
+        seeds = tuple(range(int(lo), int(hi) + 1))
+    else:
+        seeds = tuple(int(s) for s in raw.split(",") if s.strip())
+    if not seeds:
+        raise ValueError(f"no seeds in {raw!r}")
+    return seeds
 
 
 def build_grid(raw: RawConfig) -> Grid:
@@ -226,7 +225,8 @@ def load_calibration(raw: RawConfig) -> CalibrationRecord | None:
 
 
 def build_criterion_config(raw: RawConfig) -> CriterionConfig:
-    pairs = parse_pairs(raw.get("monitors.pairs", "6:4"))
+    with raw.checking("monitors.pairs"):
+        pairs = parse_pairs(raw.get("monitors.pairs", "6:4"))
     mu = raw.get_float("fluid.mu")
     record = load_calibration(raw)
     if record is not None and record.mu != mu:
@@ -272,9 +272,8 @@ def build_calibration_config(raw: RawConfig) -> CalibrationConfig:
     mu = raw.get_float("fluid.mu")
     if not mu > 0.0:
         raise ConfigError(f"viscosity must be positive, got {mu}", key="fluid.mu")
-    seeds = parse_seed_list(raw.require("calibration.seeds"))
-    if not seeds:
-        raise ConfigError("empty corpus", key="calibration.seeds")
+    with raw.checking("calibration.seeds"):
+        seeds = parse_seed_list(raw.require("calibration.seeds"))
     with raw.checking("calibration.p"):
         exponents = tuple(
             SerrinPair.canonical(_parse_float(tok)).p

@@ -159,22 +159,35 @@ class CalibrationRecord:
 
     @classmethod
     def from_text(cls, text: str) -> "CalibrationRecord":
+        """The record that :meth:`to_text` wrote.
+
+        A repeated key, a label other than ``calibration_key(p)`` of some
+        3 < p <= inf, a field other than ``c_gn`` and ``c_cal``, and a record
+        without entries are ValueErrors; a missing ``mu`` or constant is a
+        KeyError.
+        """
         kv: dict[str, str] = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
+            key = key.strip()
+            if key in kv:
+                raise ValueError(f"calibration record repeats the key {key!r}")
+            kv[key] = val.strip()
         mu = float(kv.pop("mu"))
         corpus = kv.pop("corpus", "")
         entries: dict[str, CalibrationEntry] = {}
-        labels = {k.rpartition(".")[0] for k in kv}
-        for lab in labels:
-            p = math.inf if lab == "pinf" else float(lab[1:])
+        for lab in sorted({k.rpartition(".")[0] for k in kv}):
+            p = float(lab[1:]) if lab.startswith("p") else math.nan
+            if not (p > 3.0 and calibration_key(p) == lab):
+                raise ValueError(f"calibration label {lab!r} is not p<p> with 3 < p <= inf")
             entries[lab] = CalibrationEntry(
-                p=p, c_gn=float(kv[f"{lab}.c_gn"]), c_cal=float(kv[f"{lab}.c_cal"])
+                p=p, c_gn=float(kv.pop(f"{lab}.c_gn")), c_cal=float(kv.pop(f"{lab}.c_cal"))
             )
+        if kv:
+            raise ValueError(f"calibration record has unknown fields {sorted(kv)}")
         if not entries:
             raise ValueError("calibration record has no entries")
         return cls(mu=mu, entries=entries, corpus=corpus)

@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from regcrit import cli, config, criteria, norms, spectral
+from regcrit import snapshot as snap
 from regcrit import solver as solv
 from regcrit.config import (
     ConfigError,
+    build_calibration_config,
+    build_criterion_config,
     build_solver_config,
     parse_config,
     parse_pairs,
@@ -42,6 +45,18 @@ snapshots.stride = 10
 output.dir = run
 """
 
+#: damages to a calibration record's text, each with a word of the
+#: ValueError that the reader raises on it
+RECORD_DAMAGES = {
+    # the repeated key comes last, so a reader that let the last value win
+    # would run with c_cal = 1e-300
+    "repeated_key": (lambda text: text + "p5.c_cal = 1e-300\n", "repeats"),
+    "unknown_field": (lambda text: text + "p6.foo = 3\n", "unknown"),
+    "label_p5.0": (lambda text: text.replace("p5.", "p5.0."), "label"),
+    "label_p2": (lambda text: text.replace("p5.", "p2."), "label"),
+    "label_pnan": (lambda text: text.replace("p5.", "pnan."), "label"),
+}
+
 
 class TestConfigParsing:
     def test_full_parse_and_defaults(self, tmp_path):
@@ -62,6 +77,14 @@ class TestConfigParsing:
         raw = parse_config(p)
         with pytest.raises(ConfigError, match="line 2"):
             raw.get_float("fluid.mu")
+        # the pair and seed lists report their line like every other key
+        for key, value, build in [
+            ("monitors.pairs", "6:x", build_criterion_config),
+            ("calibration.seeds", "0..x", build_calibration_config),
+        ]:
+            cfg = f"grid.n = 16\nfluid.mu = 0.1\n{key} = {value}\n"
+            with pytest.raises(ConfigError, match=rf"'{key}', line 3\)"):
+                build(parse_config(write_config(tmp_path / "b.cfg", cfg)))
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = write_config(tmp_path / "a.cfg", "grid.n = 16\ngrid.n = 8\n")
@@ -72,17 +95,20 @@ class TestConfigParsing:
         pairs = parse_pairs("6:4, inf:2")
         assert pairs == (SerrinPair(6.0, 4.0), SerrinPair(math.inf, 2.0))
 
-    def test_pairs_malformed_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_pairs("6")
-        with pytest.raises(ConfigError):
-            parse_pairs("3:10")
+    def test_pairs_malformed_rejected(self, tmp_path):
+        # a repeated label would give the monitor CSV two blocks of one name
+        for pairs in ["6", "3:10", ",", "6:4, 6:4", "6:4, 6.0:4.0"]:
+            p = write_config(tmp_path / "a.cfg", BASE.replace("4:8,5:5,6:4,inf:2", pairs))
+            with pytest.raises(ConfigError, match=r"'monitors.pairs', line 9\)"):
+                build_criterion_config(parse_config(p))
 
-    def test_seed_range_and_list(self):
+    def test_seed_range_and_list(self, tmp_path):
         assert parse_seed_list("0..3") == (0, 1, 2, 3)
         assert parse_seed_list("5, 9, 2") == (5, 9, 2)
-        with pytest.raises(ConfigError):
-            parse_seed_list("9..5")
+        for seeds in ["9..5", ","]:
+            cfg = f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = {seeds}\n"
+            with pytest.raises(ConfigError, match=r"'calibration.seeds', line 3\)"):
+                build_calibration_config(parse_config(write_config(tmp_path / "a.cfg", cfg)))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         p = write_config(tmp_path / "a.cfg", BASE + "monitors.strid = 5\n")
@@ -154,6 +180,8 @@ class TestSimulate:
             ("time.t_end = 0.02", "time.t_end = inf"),
             ("init.amplitude = 1.0", "init.amplitude = nan"),
             ("init.kind = taylor_green", "init.kind = random_divfree\ninit.spectrum_slope = nan"),
+            ("4:8,5:5,6:4,inf:2", "6:4, 6:4"),
+            ("4:8,5:5,6:4,inf:2", "6:4, 6.0:4.0"),
         ],
     )
     def test_damaged_value_exits_one_without_outputs(self, tmp_path, capsys, old, new):
@@ -251,6 +279,16 @@ class TestSimulate:
         p = write_config(tmp_path / "a.cfg", BASE + "monitors.calibration = cal.txt\n")
         assert cli.main(["simulate", p]) == 1
         assert "finite" in assert_config_error(capsys)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("damage", list(RECORD_DAMAGES))
+    def test_damaged_calibration_record_exits_one(self, calibrated_run, tmp_path, capsys, damage):
+        damaging, word = RECORD_DAMAGES[damage]
+        text = (calibrated_run / "cal" / "calibration.txt").read_text()
+        (tmp_path / "cal.txt").write_text(damaging(text), encoding="utf-8")
+        p = write_config(tmp_path / "a.cfg", BASE + "monitors.calibration = cal.txt\n")
+        assert cli.main(["simulate", p]) == 1
+        assert word in assert_config_error(capsys)
         assert not (tmp_path / "run").exists()
 
     def test_empty_calibration_record_exits_one(self, tmp_path, capsys):
@@ -478,10 +516,32 @@ def assert_config_error(capsys):
 
 
 def assert_damaged_run(capsys):
-    """Check that stderr is one ``damaged run directory:`` line."""
+    """Check that stderr is one ``damaged run directory:`` line, and return it."""
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("damaged run directory:"), err
+    return err
+
+
+def nan_sample(victim):
+    raw = bytearray(victim.read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last sample of u3
+    victim.write_bytes(bytes(raw))
+
+
+def scale_by_1e160(victim):
+    """Finite samples whose identity, Hoelder bound and pressure overflow."""
+    field, t = snap.read_snapshot(victim)
+    field.values[...] *= 1e160
+    snap.write_snapshot(victim, field, t)
+
+
+def cut_last_sample(victim):
+    victim.write_bytes(victim.read_bytes()[:-8])
+
+
+def snapshot_path(rundir, index):
+    return rundir / json.loads((rundir / "manifest.json").read_text())["snapshots"][index]
 
 
 def swap_sobolev_names(lines):
@@ -583,18 +643,17 @@ class TestVerifyDamaged:
         assert_damaged_run(capsys)
 
     def test_non_finite_snapshot_fails_identity(self, calibrated_run, tmp_path, capsys):
-        import json
-
-        dst = damaged_copy(calibrated_run, tmp_path)
-        victim = dst / json.loads((dst / "manifest.json").read_text())["snapshots"][-1]
-        raw = bytearray(victim.read_bytes())
-        nan = np.array([np.nan], dtype="<f8").tobytes()
-        raw[-8:] = nan  # last sample of u3
-        victim.write_bytes(bytes(raw))
-        assert cli.main(["verify", str(dst)]) == 3
-        assert_one_stderr_line(capsys)
-        report = (dst / "verify_report.txt").read_text()
-        assert "identity_snapshots: FAIL" in report
+        for damage in (nan_sample, scale_by_1e160):
+            dst = damaged_copy(calibrated_run, tmp_path / damage.__name__)
+            damage(snapshot_path(dst, -1))
+            assert cli.main(["verify", str(dst)]) == 3
+            assert_one_stderr_line(capsys)
+            report = (dst / "verify_report.txt").read_text()
+            assert "identity_snapshots: FAIL" in report
+        # the residual and the margin of the scaled snapshot are NaN, and a
+        # NaN fails its check
+        assert "identity_snapshots: FAIL (worst=nan," in report
+        assert "holder_snapshots: FAIL (worst=nan," in report
 
 
 class TestReport:
@@ -673,6 +732,16 @@ class TestRunRecordChecks:
 
 
     @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("damage", list(RECORD_DAMAGES))
+    def test_damaged_record_exits_one(self, calibrated_run, tmp_path, capsys, command, damage):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        damaging, word = RECORD_DAMAGES[damage]
+        text = json.loads((dst / "manifest.json").read_text())["calibration"]
+        set_manifest_calibration(dst, damaging(text))
+        assert cli.main([command, str(dst)]) == 1
+        assert word in assert_damaged_run(capsys)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("constant", ["c_gn", "c_cal"])
     def test_record_with_an_infinite_constant_exits_one(
         self, calibrated_run, tmp_path, capsys, command, constant
@@ -740,13 +809,12 @@ class TestReportDamaged:
         assert_damaged_run(capsys)
 
     def test_damaged_snapshot_with_pressure_exits_one(self, calibrated_run, tmp_path, capsys):
-        import json
-
-        dst = damaged_copy(calibrated_run, tmp_path)
-        victim = dst / json.loads((dst / "manifest.json").read_text())["snapshots"][0]
-        victim.write_bytes(victim.read_bytes()[:-8])  # payload one sample short
-        assert cli.main(["report", str(dst), "--pressure"]) == 1
-        assert_one_stderr_line(capsys)
+        for damage in (cut_last_sample, scale_by_1e160):
+            dst = damaged_copy(calibrated_run, tmp_path / damage.__name__)
+            victim = snapshot_path(dst, 0)
+            damage(victim)
+            assert cli.main(["report", str(dst), "--pressure"]) == 1
+            assert victim.name in assert_damaged_run(capsys)
 
 
 def count_calls(monkeypatch, name, *modules):
