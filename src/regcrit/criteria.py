@@ -2,9 +2,12 @@
 chain.
 
 A run's monitors form one table, :class:`MonitorSeries`, whose only schema
-is :func:`monitor_columns`: one float column per name, one row per sample
-(:func:`evaluate_sample`), with the running integrals and the Gronwall bound
-filled as whole columns after the run.  The monitor CSV is this table as is.
+is :func:`monitor_columns`: one float column per name, one row per sample,
+with the running integrals and the Gronwall bound filled as whole columns
+after the run.  The monitor CSV is this table as is.  A row is built in two
+parts: :func:`grid_columns` reads the state's grid samples of u and curl u,
+and :func:`evaluate_sample` takes those columns and reads the rest from the
+spectrum, so the caller can free the samples before the identity quadrature.
 
 Monitored quantities per sample:
 
@@ -482,11 +485,11 @@ def differential_inequality_check(
     spectrally evaluated time derivative; rhs is the calibrated product with
     the log-improved integrand restored.
     """
-    lhs = row["ddt_sobolev2_sq"] + mu * row["sobolev3"] ** 2
+    lhs = row["ddt_sobolev2_sq"] + mu * np.float64(row["sobolev3"]) ** 2
     x = row[f"lp_{pair.label}"]
     s = SerrinPair.canonical_s(pair.p)
     grow = _pow_sentinel(x, s)
-    h2 = row["sobolev2"] ** 2
+    h2 = np.float64(row["sobolev2"]) ** 2
     rhs = 2.0 * c_cal * (grow / log_factor(row["linf"])) * log_factor(h2) * h2
     satisfied = bool(lhs <= rhs * (1.0 + REL_SLACK)) or math.isinf(rhs)
     return {"lhs": lhs, "rhs": rhs, "satisfied": satisfied}
@@ -508,9 +511,9 @@ def gronwall_bound(
         )
     if not len(series):
         return np.empty(0)
-    z0 = log_factor(series.table["sobolev2"][0] ** 2)
     integral = series.column(f"log_serrin_int_{pair.label}")
     with np.errstate(over="ignore"):
+        z0 = log_factor(np.float64(series.table["sobolev2"][0]) ** 2)
         bounds = z0 * np.exp(2.0 * c_cal * integral)
     return bounds
 
@@ -527,12 +530,13 @@ def attach_gronwall(series: MonitorSeries, cfg: CriterionConfig) -> None:
             return
 
 
-def _grid_columns(
-    pairs: tuple[SerrinPair, ...], u_phys: VelocityField, omega: VelocityField
+def grid_columns(
+    pairs: tuple[SerrinPair, ...], u: VelocityField, omega: VelocityField
 ) -> dict[str, float]:
-    """The monitor columns that read the grid samples of u and omega."""
-    g = u_phys.grid
-    mag = u_phys.magnitude()
+    """The monitor columns that read the grid samples of u and omega = curl u;
+    |u| and |omega| are each formed once, whatever the pairs."""
+    g = u.grid
+    mag = u.magnitude()
     linf = float(mag.max(initial=0.0))
     cols = {
         "linf": linf,
@@ -554,31 +558,29 @@ def evaluate_sample(
     t: float,
     cfg: CriterionConfig,
     rhs_hat: SpectralVelocityField,
-    physical: list[VelocityField],
-    with_identity: bool = True,
+    columns: dict[str, float],
+    with_identity: bool,
 ) -> dict[str, float]:
     """One row of the monitor table: every functional on one state, keyed by
     :func:`monitor_columns`.
 
-    ``rhs_hat`` is the projected convective term of the same state, from the
-    stepper's stage-1 evaluation; it feeds the spectral time derivative of
-    the H^2 seminorm and the identity check.  ``physical`` is the list
-    [u, curl u] of the state's grid samples, which
-    ``spectral.convective_core_half`` returns with that term.  The list is
-    emptied once they are read, so that they are freed before the identity
-    quadrature runs.  The running integrals and ``gronwall_bound`` are NaN
-    until :func:`accumulate` and :func:`attach_gronwall` fill them;
-    ``with_identity=False`` (or ``cfg.identity`` off) skips the identity
-    quadrature, and its residual is NaN.
+    ``columns`` is :func:`grid_columns` of the state, which the caller takes
+    from the grid samples of u and curl u and may free before this call;
+    everything else is read from the spectrum.  ``rhs_hat`` is the projected
+    convective term of the same state, from the stepper's stage-1
+    evaluation; it feeds the spectral time derivative of the H^2 seminorm
+    and the identity check.  ``with_identity=False`` skips the identity
+    quadrature, and its residual is NaN.  The running integrals and
+    ``gronwall_bound`` are NaN until :func:`accumulate` and
+    :func:`attach_gronwall` fill them.
     """
     g = u_hat.grid
     row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
-    row.update(_grid_columns(cfg.pairs, *physical))
-    physical.clear()
+    row.update(columns)
 
     energy = parseval_sum(g, np.abs(u_hat.half) ** 2)
     sob = {m: _norms.sobolev_seminorm(u_hat, m) for m in (1, 2, 3)}
-    if cfg.identity and with_identity:
+    if with_identity:
         residual = h2_identity_residual(
             u_hat, cfg.mu, rhs_hat, hessian_quadrature(u_hat)
         )["residual"]

@@ -377,44 +377,37 @@ def run(
                     f"dt={config.dt} exceeds the stability bound "
                     f"(advective dx/u_max={g.spacing / u_max:.6g} on the initial field)"
                 )
+            if sink is not None and (state.step_index % config.snapshot_stride == 0 or final):
+                sink.snapshot(state.step_index, state.t, VelocityField(g, u_phys))
             sample_due = state.step_index % config.monitor_stride == 0 or final
-            snapshot_due = sink is not None and (
-                state.step_index % config.snapshot_stride == 0 or final
-            )
-            physical = (
-                [VelocityField(g, u_phys), VelocityField(g, omega)]
-                if sample_due or snapshot_due
-                else []
-            )
-            # only ``physical`` holds the samples from here, so they are freed
-            # before the identity quadrature and before the RK stages
+            if sample_due:
+                columns = _criteria.grid_columns(
+                    monitors.pairs, VelocityField(g, u_phys), VelocityField(g, omega)
+                )
+            # the samples are freed here, before the identity quadrature and
+            # before the RK stages
             del u_phys, omega
-            if snapshot_due:
-                sink.snapshot(state.step_index, state.t, physical[0])
             if sample_due:
                 with_identity = monitors.identity and (
                     state.step_index % monitors.identity_stride == 0 or final
                 )
-                # evaluate_sample empties ``physical`` before its quadrature
                 series.append(
                     _criteria.evaluate_sample(
                         state.u_hat,
                         state.t,
                         monitors,
                         rhs_hat=SpectralVelocityField(g, nl),
+                        columns=columns,
                         with_identity=with_identity,
-                        physical=physical,
                     )
                 )
-            del physical
             if final:
                 break
             state = _advance(state, config, u_half, nl, u_max)
     except NumericalBlowup as exc:
-        _criteria.accumulate(series)
-        _criteria.attach_gronwall(series, monitors)
         exc.series = series
         raise
-    _criteria.accumulate(series)
-    _criteria.attach_gronwall(series, monitors)
+    finally:
+        _criteria.accumulate(series)
+        _criteria.attach_gronwall(series, monitors)
     return series

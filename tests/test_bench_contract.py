@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from regcrit import config, criteria, snapshot
+from regcrit import cli, config, criteria, snapshot
 from regcrit import solver as solv
-from regcrit.spectral import Grid, VelocityField, convective_core_half, to_physical
+from regcrit.spectral import Grid
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -36,32 +36,49 @@ def test_traced_name_is_a_regcrit_function(name):
     assert not attr.startswith("_") or name in tracing.PRIVATE_SPANS
 
 
-def test_annotators_bind_their_arguments(tmp_path):
+def recorded_calls(monkeypatch, module, name):
+    """Record the (args, kwargs) of every call to ``module.name``, and call
+    through."""
+    calls = []
+    inner = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_annotators_bind_their_arguments(tmp_path, monkeypatch):
     mods = {m: importlib.import_module(f"regcrit.{m}") for m in tracing.MODULES}
     annotators = tracing._annotators(mods)
 
+    # the call shapes of a real run: samples at steps 0, 1 and 2, the
+    # identity at steps 0 and 2 only, and a snapshot through DirectorySink
     g = Grid(8)
-    u_hat = solv.init_taylor_green(g, 1.0)
-    cfg = criteria.CriterionConfig(pairs=(criteria.SerrinPair(6.0, 4.0),), mu=0.1)
-    # the call shape solver.run uses
-    _, _, u_phys, omega = convective_core_half(g, u_hat.half)
-    args = (u_hat, 0.0, cfg)
-    kwargs = {
-        "rhs_hat": solv.nonlinear_rhs(u_hat),
-        "with_identity": False,
-        "physical": [VelocityField(g, u_phys), VelocityField(g, omega)],
-    }
+    run_cfg = solv.SolverConfig(
+        grid=g, mu=0.1, dt=1e-2, t_end=2e-2, init=solv.InitSpec("taylor_green")
+    )
+    cfg = criteria.CriterionConfig(
+        pairs=(criteria.SerrinPair(6.0, 4.0),), mu=0.1, identity_stride=2
+    )
+    evaluations = recorded_calls(monkeypatch, criteria, "evaluate_sample")
+    writes = recorded_calls(monkeypatch, snapshot, "write_snapshot")
+    solv.run(run_cfg, cfg, cli.DirectorySink(str(tmp_path / "run")))
+    monkeypatch.undo()
+
+    args, kwargs = evaluations[1]
     bound = tracing._bound(criteria.evaluate_sample, args, kwargs)
     assert {"cfg", "with_identity"} <= set(bound)
     rec = {}
     annotators["criteria.evaluate_sample"](rec, args, kwargs, None)
     assert rec == {"identity": False}
 
-    path = str(tmp_path / "snap.bin")
-    field = to_physical(u_hat)
-    snapshot.write_snapshot(path, field, 0.0)
+    args, kwargs = writes[0]
+    path = tracing._bound(snapshot.write_snapshot, args, kwargs)["path"]
     rec = {}
-    annotators["snapshot.write_snapshot"](rec, (path, field, 0.0), {}, None)
+    annotators["snapshot.write_snapshot"](rec, args, kwargs, None)
     assert rec["bytes"] == os.path.getsize(path) > 0
     rec = {}
     annotators["snapshot.read_snapshot"](rec, (path,), {}, None)

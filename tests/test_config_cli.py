@@ -297,6 +297,12 @@ class TestSimulate:
         assert cli.main(["simulate", p]) == 1
         assert_config_error(capsys)
 
+    def test_output_dir_is_a_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "run").write_text("", encoding="utf-8")
+        p = write_config(tmp_path / "a.cfg", BASE)
+        assert cli.main(["simulate", p]) == 1
+        assert_output_error(capsys, tmp_path / "run")
+
 
 def with_infinite(record_text, constant):
     """A calibration record's text with its p6 ``constant`` set to inf."""
@@ -432,6 +438,16 @@ output.dir = out{i}
         assert "random_divfree" in assert_config_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_output_dir_is_a_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("", encoding="utf-8")
+        p = write_config(
+            tmp_path / "c.cfg",
+            "grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..1\n"
+            "calibration.p = 6\noutput.dir = out\n",
+        )
+        assert cli.main(["calibrate", p]) == 1
+        assert_output_error(capsys, tmp_path / "out")
+
     def test_memory_does_not_grow_with_the_corpus(self, tmp_path):
         """The 8-field corpus peaks less than one corpus field above the
         2-field one, so no field outlives its ratios."""
@@ -461,6 +477,10 @@ class TestVerify:
         report = (calibrated_run / "run" / "verify_report.txt").read_text()
         assert "energy_law: PASS" in report
         assert "gronwall_dominance" in report
+        # at t = 0 the bound equals the measured value, so the margin is
+        # taken from sample 1 on
+        margins = re.findall(r"^gronwall_dominance_\S+: PASS \(worst=([^,]+),", report, re.M)
+        assert len(margins) == 4 and all(float(m) > 0.0 for m in margins), report
 
     def test_missing_artifacts_exit_one(self, tmp_path):
         assert cli.main(["verify", str(tmp_path)]) == 1
@@ -513,6 +533,14 @@ def assert_config_error(capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("config error:"), err
     return err
+
+
+def assert_output_error(capsys, path):
+    """Check that stderr is one ``output error:`` line naming ``path``."""
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("output error:"), err
+    assert str(path) in err, err
 
 
 def assert_damaged_run(capsys):
@@ -654,6 +682,29 @@ class TestVerifyDamaged:
         # NaN fails its check
         assert "identity_snapshots: FAIL (worst=nan," in report
         assert "holder_snapshots: FAIL (worst=nan," in report
+
+    @pytest.mark.parametrize(
+        "column, value, failed",
+        [
+            ("sobolev2", "1e160", "gronwall_dominance_p6_s4: FAIL (worst=-inf,"),
+            ("sobolev3", "1e160", "growth_inequality_p6_s4: FAIL (worst=-inf,"),
+            ("sobolev1", "1e200", "energy_law: FAIL (worst=inf,"),
+        ],
+    )
+    def test_csv_value_whose_square_overflows_fails_its_check(
+        self, calibrated_run, tmp_path, capsys, column, value, failed
+    ):
+        # a sample after t = 0, where the Gronwall bound is not the measured value
+        dst = damaged_copy(calibrated_run, tmp_path)
+        csv = dst / "monitors.csv"
+        lines = csv.read_text().splitlines()
+        row = lines[10].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[10] = ",".join(row)
+        csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["verify", str(dst)]) == 3
+        assert_one_stderr_line(capsys)
+        assert failed in (dst / "verify_report.txt").read_text()
 
 
 class TestReport:
@@ -807,6 +858,13 @@ class TestReportDamaged:
         rewrite_snapshot_header(dst, -1, change)
         assert cli.main(["report", str(dst), "--pressure"]) == 1
         assert_damaged_run(capsys)
+
+    def test_report_entry_is_a_file_exits_one(self, calibrated_run, tmp_path, capsys):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        shutil.rmtree(dst / "report", ignore_errors=True)  # left by earlier tests
+        (dst / "report").write_text("", encoding="utf-8")
+        assert cli.main(["report", str(dst)]) == 1
+        assert_output_error(capsys, dst / "report")
 
     def test_damaged_snapshot_with_pressure_exits_one(self, calibrated_run, tmp_path, capsys):
         for damage in (cut_last_sample, scale_by_1e160):

@@ -47,8 +47,9 @@ def kernel_samples(U):
 def sample(U, pairs, with_identity=False):
     """One monitor row of the state U, by the route solver.run takes."""
     mon = crit.CriterionConfig(pairs=tuple(pairs), mu=0.1)
+    columns = crit.grid_columns(mon.pairs, *kernel_samples(U))
     return crit.evaluate_sample(
-        U, 0.0, mon, solv.nonlinear_rhs(U), kernel_samples(U), with_identity
+        U, 0.0, mon, solv.nonlinear_rhs(U), columns, with_identity
     )
 
 
@@ -495,8 +496,7 @@ class TestEvaluateSample:
     def test_embed_ratio_logged(self):
         g = Grid(16)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
-        mon = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1)
-        s = crit.evaluate_sample(U, 0.0, mon, solv.nonlinear_rhs(U), kernel_samples(U))
+        s = sample(U, [SIX], with_identity=True)
         sob2 = norms.sobolev_seminorm(U, 2)
         linf = float(to_physical(U).magnitude().max())
         expected = (1.0 + math.log(E + sob2**2)) / (1.0 + math.log(E + linf))

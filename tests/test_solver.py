@@ -349,6 +349,31 @@ class TestTransformCount:
         solv.run(cfg, basic_monitors(), solv.RunSink())
         assert alive == [False, False, False]
 
+    def test_stage_one_samples_freed_before_the_rk_stages(self, monkeypatch):
+        # steps 0 and 2 take a sample and a snapshot, steps 1 and 3 only a
+        # snapshot; the final step 4 does not advance
+        cfg = solv.SolverConfig(
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=4e-2,
+            init=solv.InitSpec("random_divfree", seed=2),
+            monitor_stride=2, snapshot_stride=1,
+        )
+        kernel, advance = solv.convective_core_half, solv._advance
+        samples, alive = [], []
+
+        def recording_kernel(grid, half):
+            out = kernel(grid, half)
+            samples.append(weakref.ref(out[2].base))
+            return out
+
+        def checking_advance(*args):
+            alive.append(samples[-1]() is not None)
+            return advance(*args)
+
+        monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
+        monkeypatch.setattr(solv, "_advance", checking_advance)
+        solv.run(cfg, basic_monitors(), solv.RunSink())
+        assert alive == [False, False, False, False]
+
 
 class TestStep:
     def test_zero_state_stays_zero(self):
@@ -521,10 +546,12 @@ class TestWorkerCount:
             state = solv.SolverState(0.0, solv.make_initial(cfg))
             for _ in range(3):
                 state = solv.step(state, cfg)
+            monitors = basic_monitors()
             sample = crit.evaluate_sample(
-                state.u_hat, state.t, basic_monitors(),
+                state.u_hat, state.t, monitors,
                 rhs_hat=solv.nonlinear_rhs(state.u_hat),
-                physical=kernel_samples(state.u_hat), with_identity=True,
+                columns=crit.grid_columns(monitors.pairs, *kernel_samples(state.u_hat)),
+                with_identity=True,
             )
             assert not math.isnan(sample["identity_residual"])
             outputs.append((state.u_hat.half, sample))
