@@ -377,7 +377,16 @@ def _contract(rows, grads: np.ndarray, acc: np.ndarray, tmp: np.ndarray,
     """sum_{a,b} <grads[a, b], G[a, b]>, where G[a, b] = sum_k rows[a][k] *
     rows[b][k] pointwise, accumulated into ``acc`` in k order.  G is
     symmetric, so only its 6 upper entries are formed; ``trace``, unless
-    None, gains the 3 diagonal ones."""
+    None, gains the 3 diagonal ones.
+
+    Each inner product is numpy's own sum of a product formed in ``tmp``,
+    not ``@``: that is a BLAS dot, which splits its sum across the BLAS
+    threads, so its last bits depend on the thread count."""
+
+    def dot(x: np.ndarray) -> float:
+        np.multiply(x, acc, out=tmp)
+        return tmp.sum()
+
     total = 0.0
     for a, b in HESSIAN_PAIRS:
         acc.fill(0.0)
@@ -385,11 +394,11 @@ def _contract(rows, grads: np.ndarray, acc: np.ndarray, tmp: np.ndarray,
             np.multiply(x, y, out=tmp)
             acc += tmp
         if a == b:
-            total += grads[a, a] @ acc
+            total += dot(grads[a, a])
             if trace is not None:
                 trace += acc
         else:
-            total += grads[a, b] @ acc + grads[b, a] @ acc
+            total += dot(grads[a, b]) + dot(grads[b, a])
     return float(total)
 
 

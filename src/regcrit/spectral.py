@@ -25,14 +25,17 @@ Conventions, fixed once for the whole package:
   kept band only when ``3 max|k| < n``.  (With ``3 | n`` and ``max|k| = n/3``
   kept, mode ``2n/3`` would alias onto the kept mode ``-n/3``.)
 * the nonlinear term is the rotational product ``omega x u``
-  (:func:`convective_core_half`): one batched inverse transform of the 6
-  fields [u, omega] and one forward transform of the 3 product components,
-  9 three-dimensional FFTs per right-hand side
+  (:func:`convective_core_half`): an inverse transform of the 6 fields
+  [u, omega] and a forward transform of the 3 product components, 9
+  three-dimensional FFTs per right-hand side, each pruned to the modes the
+  2/3 rule keeps (:attr:`Grid.kept_blocks`) and bitwise equal to the full
+  transform
 
-All operations are pure functions.  Reductions are plain C-order numpy sums,
-so results are reproducible run to run at a fixed worker count.  The
-environment variable ``REGCRIT_THREADS`` caps the FFT worker pool
-(default: every CPU); the worker count does not change any result.
+All operations are pure functions.  Reductions are numpy's own C-order
+sums, never a BLAS call, so results are reproducible run to run and do not
+depend on the BLAS thread count.  The environment variable
+``REGCRIT_THREADS`` caps the FFT worker pool (default: every CPU); the
+worker count does not change any result.
 """
 
 from __future__ import annotations
@@ -154,6 +157,29 @@ class Grid:
         keep = 3 * np.abs(self.integer_modes) < self.n
         n, h = self.n, self.half
         return keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep[:h].reshape(1, 1, h)
+
+    @cached_property
+    def kept_slabs(self) -> tuple[slice, slice]:
+        """The storage index ranges ``[0, m]`` and ``[n - m, n - 1]``,
+        ``m = (n - 1) // 3``, of the modes the 2/3 rule keeps along x or y;
+        along kz the half spectrum holds only the first."""
+        m = (self.n - 1) // 3
+        return (slice(0, m + 1), slice(self.n - m, self.n))
+
+    @cached_property
+    def kept_blocks(self) -> tuple[tuple[slice, slice, slice], ...]:
+        """The True set of :attr:`dealias_mask_half` as 4 index blocks
+        (x-slab, y-slab, kz <= m)."""
+        lo, hi = self.kept_slabs
+        return tuple((sx, sy, lo) for sx in (lo, hi) for sy in (lo, hi))
+
+    def block_wavenumbers(
+        self, block: tuple[slice, slice, slice]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`wavenumbers_half` on one of the :attr:`kept_blocks`."""
+        kx, ky, kz = self.wavenumbers_half
+        sx, sy, sz = block
+        return kx[sx], ky[:, sy], kz[:, :, sz]
 
     @cached_property
     def k_squared_max_retained(self) -> float:
@@ -330,6 +356,17 @@ def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     return out
 
 
+def _complex_pass(lines: np.ndarray, axis: int, inverse: bool) -> None:
+    """One unscaled 1-D complex FFT pass along ``axis`` over the view
+    ``lines``, in place.  scipy writes into the view's memory when it can
+    and returns a new array object over it, so the result is copied back
+    only when it does not share that memory."""
+    transform, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
+    out = transform(lines, axis=axis, norm=norm, overwrite_x=True, workers=_workers())
+    if not np.may_share_memory(out, lines):
+        lines[...] = out
+
+
 def convective_core_half(
     grid: Grid, half: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -340,31 +377,60 @@ def convective_core_half(
     projection removes, so both give the same projected right-hand side.
     Both factors are dealiased before the pointwise product and the product
     is dealiased again, so retained modes of band-limited inputs are exact.
-    One batched inverse transform of the 6 fields [u, omega] and one forward
-    transform of the 3 product components: 9 FFTs.  The max feeds the
-    advective CFL check, and the samples (views of one (6, n, n, n) array,
-    of the dealiased u) feed the monitors and snapshots of the same state,
-    without another transform.
+    The max feeds the advective CFL check, and the samples (views of one
+    (6, n, n, n) array, of the dealiased u) feed the monitors and snapshots
+    of the same state, without another transform.
+
+    Only the modes the 2/3 rule keeps (:attr:`Grid.kept_blocks`, about 30 %
+    of the half spectrum) are read from ``half`` and non-zero in ``w_hat``,
+    so the 9 transforms (6 inverse, 3 forward) are pruned 1-D passes, in
+    pocketfft's own order and with its scaling point.  Inverse: x on the
+    kept (y, kz) lines, y on the kept kz planes, then a real pass along z.
+    Forward: a real pass along z, then x on the kept kz planes and y on the
+    kept x-slabs.  The skipped lines are those a full transform only reads
+    as zeros or writes to be masked, so every result equals that of full
+    transforms and the dealias mask bit for bit, but for the sign of a zero.
     """
-    mask = grid.dealias_mask_half
-    kx, ky, kz = grid.wavenumbers_half
-    hat = np.empty((6,) + grid.half_shape, dtype=np.complex128)
-    np.multiply(half, mask, out=hat[:3])
-    u, v, w = hat[:3]
-    hat[3] = ky * w - kz * v
-    hat[4] = kz * u - kx * w
-    hat[5] = kx * v - ky * u
-    hat[3:] *= 1j
-    phys = irfftn_real(hat, grid.n)
+    n = grid.n
+    lo, hi = grid.kept_slabs
+    hat = np.zeros((6,) + grid.half_shape, dtype=np.complex128)
+    for block in grid.kept_blocks:
+        sx, sy, sz = block
+        kx, ky, kz = grid.block_wavenumbers(block)
+        out = hat[:, sx, sy, sz]
+        out[:3] = half[:, sx, sy, sz]
+        u, v, w = out[:3]
+        out[3] = ky * w - kz * v
+        out[4] = kz * u - kx * w
+        out[5] = kx * v - ky * u
+        out[3:] *= 1j
+    for sy in (lo, hi):
+        _complex_pass(hat[:, :, sy, lo], axis=-3, inverse=True)
+    _complex_pass(hat[..., lo], axis=-2, inverse=True)
+    phys = _fft.irfft(hat, n=n, axis=-1, norm="forward", overwrite_x=True, workers=_workers())
+    del hat
     u_phys, omega = phys[:3], phys[3:]
     cross = np.empty((3,) + grid.shape)
+    tmp = np.empty(grid.shape)
     for c in range(3):
         a, b = (c + 1) % 3, (c + 2) % 3
         np.multiply(omega[a], u_phys[b], out=cross[c])
-        cross[c] -= omega[b] * u_phys[a]
-    w_hat = rfftn(cross)
-    w_hat *= mask
-    u_max = math.sqrt(float(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys).max(initial=0.0)))
+        np.multiply(omega[b], u_phys[a], out=tmp)
+        cross[c] -= tmp
+    # rfftn scales by 1/n^3 right after its z pass; so does this
+    w_hat = _fft.rfft(cross, axis=-1, overwrite_x=True, workers=_workers())
+    del cross
+    kept_planes = w_hat[..., lo].view(np.float64)
+    kept_planes *= 1.0 / (n * n * n)
+    _complex_pass(w_hat[..., lo], axis=-3, inverse=False)
+    for sx in (lo, hi):
+        _complex_pass(w_hat[:, sx, :, lo], axis=-2, inverse=False)
+    mid = slice(lo.stop, hi.start)
+    w_hat[..., lo.stop :] = 0.0
+    w_hat[:, mid, :, lo] = 0.0
+    w_hat[:, :, mid, lo] = 0.0
+    np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
+    u_max = math.sqrt(float(tmp.max(initial=0.0)))
     return w_hat, u_max, u_phys, omega
 
 

@@ -12,10 +12,12 @@ Conventions are the package's: mean-normalized forward transforms, FFT
 storage order, the Nyquist mode zeroed in derivative wavenumbers, and the
 2/3 rule ``3 * max|k| < n``.
 
-The Hessian routes at the end are the exception: they keep the package's
-earlier 27-entry derivative table, built with the package's own transform,
-so that the pair table and its in-place sums can be pinned bitwise to the
-route they replaced.
+The Hessian routes and the unpruned nonlinear term at the end are the
+exception: they keep routes the package replaced, built with the package's
+own transforms and tables, so that the replacements can be pinned bitwise
+to them.  The Hessian routes keep the earlier 27-entry derivative table;
+the unpruned kernel transforms and projects the whole half spectrum and
+masks it, where the package's pruned passes touch only the kept modes.
 """
 
 import math
@@ -206,17 +208,18 @@ def hessian_magnitude(U) -> np.ndarray:
 def _gram_contraction(rows: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
     """sum_{a,b} <grads[a, b], G[a, b]> and the pointwise trace of G, where
     G[a, b] = sum_k rows[a, k] * rows[b, k] pointwise, one einsum per upper
-    entry of the symmetric G."""
+    entry of the symmetric G.  Each inner product is numpy's sum of the
+    pointwise product, the reduction the package uses."""
     total = 0.0
     trace = np.zeros(rows.shape[-1])
     for a in range(3):
         for b in range(a, 3):
             gram = np.einsum("kN,kN->N", rows[a], rows[b])
             if a == b:
-                total += grads[a, a] @ gram
+                total += np.sum(grads[a, a] * gram)
                 trace += gram
             else:
-                total += grads[a, b] @ gram + grads[b, a] @ gram
+                total += np.sum(grads[a, b] * gram) + np.sum(grads[b, a] * gram)
     return float(total), trace
 
 
@@ -241,3 +244,38 @@ def identity_rhs_einsum(U) -> float:
     t1 = w * float(np.einsum("ijlabc,imabc,mjlabc->", d2, grads, d2, optimize=True))
     t2 = w * float(np.einsum("ijlabc,ijmabc,mlabc->", d2, d2, grads, optimize=True))
     return -2.0 * t1 - t2
+
+
+def convective_core_unpruned(grid: spec.Grid, half: np.ndarray):
+    """The rotational kernel on the whole half spectrum: mask the input,
+    one batched ``irfftn`` of [u, omega], one ``rfftn`` of omega x u times
+    the mask.  Returns what ``spectral.convective_core_half`` returns."""
+    mask = grid.dealias_mask_half
+    kx, ky, kz = grid.wavenumbers_half
+    hat = np.empty((6,) + grid.half_shape, dtype=np.complex128)
+    np.multiply(half, mask, out=hat[:3])
+    u, v, w = hat[:3]
+    hat[3] = ky * w - kz * v
+    hat[4] = kz * u - kx * w
+    hat[5] = kx * v - ky * u
+    hat[3:] *= 1j
+    phys = spec.irfftn_real(hat, grid.n)
+    u_phys, omega = phys[:3], phys[3:]
+    cross = np.empty((3,) + grid.shape)
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        np.multiply(omega[a], u_phys[b], out=cross[c])
+        cross[c] -= omega[b] * u_phys[a]
+    w_hat = spec.rfftn(cross)
+    w_hat *= mask
+    u_max = math.sqrt(float(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys).max(initial=0.0)))
+    return w_hat, u_max, u_phys, omega
+
+
+def nonlinear_half_unpruned(grid: spec.Grid, half: np.ndarray):
+    """-P(omega x u) from :func:`convective_core_unpruned`, projected by
+    ``leray_project`` on the whole half spectrum and then negated."""
+    w_hat, u_max, u_phys, omega = convective_core_unpruned(grid, half)
+    nl = spec.leray_project(spec.SpectralVelocityField(grid, w_hat)).half
+    np.negative(nl, out=nl)
+    return nl, u_max, u_phys, omega

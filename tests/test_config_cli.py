@@ -960,11 +960,17 @@ class TestManifest:
 
 class RealTransformsOnly:
     """Stands in for ``scipy.fft`` inside ``regcrit.spectral``, exposing only
-    the real-input transforms of the half spectrum."""
+    the transforms of the half spectrum: the real-input 3-D ones and the
+    1-D passes of the pruned nonlinear term.  The full-cube ``fftn`` and
+    ``ifftn`` stay hidden."""
 
     def __init__(self, module):
         self.rfftn = module.rfftn
         self.irfftn = module.irfftn
+        self.rfft = module.rfft
+        self.irfft = module.irfft
+        self.fft = module.fft
+        self.ifft = module.ifft
 
 
 class TestSingleRepresentation:

@@ -2,6 +2,9 @@
 closed-form fields, quadrature checks, and calibration algebra."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+import regcrit
 from regcrit import criteria as crit
 from regcrit import norms
 from regcrit import solver as solv
@@ -289,6 +293,30 @@ class TestHessianQuadrature:
             assert quad.rhs == rhs
             assert np.array_equal(quad.hessian, hessian)
             assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
+
+    def test_right_side_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot splits its sum across its threads, so its last bits
+        # depend on their number; numpy's own sum does not
+        script = (
+            "from regcrit.criteria import hessian_quadrature\n"
+            "from regcrit.solver import init_random_divfree\n"
+            "from regcrit.spectral import Grid\n"
+            "U = init_random_divfree(Grid(64), 1, -3.0, 5.0)\n"
+            "print(repr(hessian_quadrature(U).rhs))\n"
+        )
+        src = os.path.dirname(os.path.dirname(regcrit.__file__))
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONPATH=src, REGCRIT_THREADS="1",
+                OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            )
+            printed.append(done.stdout)
+        assert printed[0] == printed[1]
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_peak_memory_of_the_derivative_tables(self, n):

@@ -242,6 +242,85 @@ class TestNonlinearTerm:
         )
 
 
+def pinned_states(g):
+    """The fields the pruned kernel is pinned on: the three initializers, and
+    a band-limited random field plus non-zero entries outside the band,
+    which the kernel must ignore as the dealias mask did."""
+    rng = np.random.default_rng(g.n)
+    noise = rng.standard_normal((3,) + g.half_shape) + 1j * rng.standard_normal(
+        (3,) + g.half_shape
+    )
+    noisy = band_limited_random(g, g.n).half + np.where(g.dealias_mask_half, 0.0, noise)
+    return {
+        "random_divfree": solv.init_random_divfree(g, 3, -2.0, 1.0),
+        "taylor_green": solv.init_taylor_green(g, 1.0),
+        "beltrami": solv.init_beltrami(g, 0.7),
+        "out_of_band": SpectralVelocityField(g, noisy),
+    }
+
+
+class FreshPasses:
+    """Stands in for ``spectral._fft``; its complex 1-D passes leave their
+    input alone and return a new array, so every pass is copied back."""
+
+    def __init__(self, module):
+        self.module = module
+        self.fresh = 0
+
+    def __getattr__(self, name):
+        fn = getattr(self.module, name)
+        if name not in ("fft", "ifft"):
+            return fn
+
+        def call(x, *args, **kwargs):
+            out = fn(np.array(x), *args, **kwargs)
+            self.fresh += not np.may_share_memory(out, x)
+            return out
+
+        return call
+
+
+class TestPrunedKernel:
+    """The pruned passes and the block-wise projection give the bits of full
+    transforms, the dealias mask and ``leray_project``
+    (``reference.nonlinear_half_unpruned``)."""
+
+    @pytest.mark.parametrize("n", [4, 6, 16, 18, 32, 48])
+    def test_bitwise_equal_to_the_unpruned_kernel(self, n):
+        g = Grid(n)
+        for kind, U in pinned_states(g).items():
+            nl, u_max, u_phys, omega = solv._nonlinear_half(g, U.half)
+            ref = reference.nonlinear_half_unpruned(g, U.half)
+            assert np.array_equal(nl, ref[0]), kind
+            assert u_max == ref[1], kind
+            assert np.array_equal(u_phys, ref[2]), kind
+            assert np.array_equal(omega, ref[3]), kind
+            w_hat = spec.convective_core_half(g, U.half)[0]
+            assert np.array_equal(w_hat, reference.convective_core_unpruned(g, U.half)[0]), kind
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_pressure_field_bitwise_unchanged(self, monkeypatch, n):
+        states = pinned_states(Grid(n))
+        pruned = {kind: solv.pressure_field(U).values for kind, U in states.items()}
+        monkeypatch.setattr(solv, "convective_core_half", reference.convective_core_unpruned)
+        for kind, U in states.items():
+            assert np.array_equal(pruned[kind], solv.pressure_field(U).values), kind
+
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_copied_back_passes_give_the_same_bits(self, monkeypatch, n):
+        g = Grid(n)
+        states = pinned_states(g)
+        in_place = {kind: solv._nonlinear_half(g, U.half) for kind, U in states.items()}
+        fft = FreshPasses(spec._fft)
+        monkeypatch.setattr(spec, "_fft", fft)
+        for kind, U in states.items():
+            out = solv._nonlinear_half(g, U.half)
+            for got, want in zip(out, in_place[kind]):
+                assert np.array_equal(got, want), kind
+        # 3 inverse and 3 forward pass calls per right-hand side
+        assert fft.fresh == 6 * len(states)
+
+
 class TestPressure:
     """q solves Delta q = -div((u . grad) u) with mean zero."""
 
@@ -263,31 +342,63 @@ class TestPressure:
 
 
 class CountingFFT:
-    """Stands in for ``spectral._fft``; counts 3-D transforms by direction."""
+    """Stands in for ``spectral._fft``.  Counts 3-D transforms by direction:
+    an n-D call by its batch, a pruned one by the fields that go through its
+    real ``irfft``/``rfft`` pass.  Also sums, per complex 1-D pass
+    (``fft``/``ifft``) and axis, the lines that pass touches."""
+
+    #: the calls that count 3-D transforms, and their direction
+    DIRECTION = {"fftn": "forward", "rfftn": "forward", "rfft": "forward",
+                 "ifftn": "inverse", "irfftn": "inverse", "irfft": "inverse"}
 
     def __init__(self, module):
         self.module = module
         self.counts = {"forward": 0, "inverse": 0}
+        self.lines = {}
 
     def __getattr__(self, name):
         fn = getattr(self.module, name)
-        direction = "forward" if name in ("fftn", "rfftn") else "inverse"
 
         def call(x, *args, **kwargs):
-            self.counts[direction] += math.prod(np.shape(x)[:-3])
+            shape = np.shape(x)
+            if name in self.DIRECTION:
+                self.counts[self.DIRECTION[name]] += math.prod(shape[:-3])
+            else:
+                axis = kwargs["axis"] % len(shape)
+                key = (name, "xyz"[axis - len(shape) + 3])
+                self.lines[key] = self.lines.get(key, 0) + math.prod(shape) // shape[axis]
             return fn(x, *args, **kwargs)
 
         return call
 
 
+def pruned_lines(n):
+    """Lines each complex pass of one right-hand side touches: with
+    m = (n - 1) // 3, 2m + 1 kept modes along x and y and m + 1 kept kz
+    planes.  Inverse: x on the kept (y, kz) lines of 6 fields, y on every
+    line of the kept kz planes; forward: x on every line of the kept kz
+    planes of 3 fields, y on the kept x-slabs."""
+    m = (n - 1) // 3
+    kept, planes = 2 * m + 1, m + 1
+    return {
+        ("ifft", "x"): 6 * kept * planes,
+        ("ifft", "y"): 6 * n * planes,
+        ("fft", "x"): 3 * n * planes,
+        ("fft", "y"): 3 * kept * planes,
+    }
+
+
 class TestTransformCount:
     def test_nonlinear_term_is_six_inverse_and_three_forward(self, monkeypatch):
-        g = Grid(16)
-        U = solv.init_random_divfree(g, 4, -2.0, 1.0)
-        fft = CountingFFT(spec._fft)
-        monkeypatch.setattr(spec, "_fft", fft)
-        solv._nonlinear_half(g, U.half)
-        assert fft.counts == {"forward": 3, "inverse": 6}
+        for n in (16, 18):
+            g = Grid(n)
+            U = solv.init_random_divfree(g, 4, -2.0, 1.0)
+            fft = CountingFFT(spec._fft)
+            monkeypatch.setattr(spec, "_fft", fft)
+            solv._nonlinear_half(g, U.half)
+            monkeypatch.undo()
+            assert fft.counts == {"forward": 3, "inverse": 6}
+            assert fft.lines == pruned_lines(n)
 
     def test_monitored_run_reuses_the_stage_one_samples(self, monkeypatch):
         # samples and snapshots every step, identity off: every transform of
@@ -315,6 +426,7 @@ class TestTransformCount:
         series = solv.run(cfg, monitors, sink)
         calls = 4 * steps + 1
         assert fft.counts == {"forward": 3 * calls, "inverse": 6 * calls}
+        assert fft.lines == {key: calls * lines for key, lines in pruned_lines(16).items()}
         assert len(series) == len(sink.fields) == steps + 1
         monkeypatch.undo()
         # the snapshots are the samples of the states the series describes

@@ -117,6 +117,22 @@ class TestGrid:
         assert g.k_squared_max_retained == float((k2 * mask).max())
 
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 18, 24, 32, 48, 64, 96])
+    def test_kept_blocks_are_the_dealias_mask(self, n):
+        g = spec.Grid(n)
+        covered = np.zeros(g.half_shape, dtype=int)
+        for block in g.kept_blocks:
+            covered[block] += 1
+            ks = g.block_wavenumbers(block)
+            for axis, (k, full) in enumerate(zip(ks, g.wavenumbers_half)):
+                index = [slice(None)] * 3
+                index[axis] = block[axis]
+                assert np.array_equal(k, full[tuple(index)])
+        # disjoint, and their union is the mask's True set
+        assert covered.max() == 1
+        assert np.array_equal(covered == 1, g.dealias_mask_half)
+
+
 class TestConstructors:
     def test_full_cube_rejected(self):
         g = spec.Grid(8)
