@@ -116,7 +116,6 @@ class TestGrid:
         assert np.array_equal(g.dealias_mask_half, mask[..., :h])
         assert g.k_squared_max_retained == float((k2 * mask).max())
 
-
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 18, 24, 32, 48, 64, 96])
     def test_kept_blocks_are_the_dealias_mask(self, n):
         g = spec.Grid(n)
