@@ -34,8 +34,9 @@ one quadrature per state: :func:`hessian_quadrature` builds the state's
 derivative tables once and returns the right side and the pointwise
 |grad^2 u| that every L^q norm of the Hessian needs.
 
-Powers that leave the floating range become +inf sentinels: they poison the
-downstream running integrals but never abort a run.
+One floating-point policy holds throughout, numpy's: a power or product
+that leaves the floating range is +inf, and a NaN stays NaN, so it fails the
+check that reads it.  Neither aborts a run.
 """
 
 from __future__ import annotations
@@ -290,27 +291,15 @@ class MonitorSeries:
     def column(self, name: str) -> np.ndarray:
         return np.array(self.table[name])
 
-    def row(self, i: int) -> dict[str, float]:
-        return {c: values[i] for c, values in self.table.items()}
 
-
-def _pow_sentinel(base: float, exponent: float) -> float:
-    """base**exponent with overflow reported as +inf instead of raised."""
-    if base == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        out = float(np.float64(base) ** np.float64(exponent))
-    return math.inf if math.isinf(out) or math.isnan(out) else out
-
-
-def log_factor(x: float) -> float:
-    """The paper's log factor 1 + ln(e + x)."""
-    return 1.0 + math.log(E + x)
+def log_factor(x):
+    """The paper's log factor 1 + ln(e + x), of a float or a column."""
+    return 1.0 + np.log(E + x)
 
 
 def _chan_vasseur(mag: np.ndarray, cell_volume: float) -> float:
     """Pointwise-log integrand: dx^3 * sum |u|^5 / ln(e + |u|); overflow is
-    the +inf sentinel, as in :func:`_pow_sentinel`."""
+    +inf."""
     with np.errstate(over="ignore"):
         return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
 
@@ -486,22 +475,22 @@ def holder_check(
 
 
 def differential_inequality_check(
-    row: dict[str, float], pair: SerrinPair, c_cal: float, mu: float
+    series: MonitorSeries, pair: SerrinPair, c_cal: float, mu: float
 ) -> dict:
-    """Growth inequality for ||grad^2 u||^2 with the calibrated constant.
+    """Growth inequality for ||grad^2 u||^2 with the calibrated constant, on
+    every sample of the series.
 
-    lhs = d/dt ||grad^2 u||^2 + mu ||grad^3 u||^2, taken from the row's
-    spectrally evaluated time derivative; rhs is the calibrated product with
-    the log-improved integrand restored.
+    lhs = d/dt ||grad^2 u||^2 + mu ||grad^3 u||^2, taken from the spectrally
+    evaluated time derivative; rhs is the calibrated product with the
+    log-improved integrand restored.  Returns the columns 'lhs', 'rhs' and
+    'satisfied'.  A +inf rhs is a vacuous bound and holds; a NaN on either
+    side does not.
     """
-    lhs = row["ddt_sobolev2_sq"] + mu * np.float64(row["sobolev3"]) ** 2
-    x = row[f"lp_{pair.label}"]
-    s = SerrinPair.canonical_s(pair.p)
-    grow = _pow_sentinel(x, s)
-    h2 = np.float64(row["sobolev2"]) ** 2
-    rhs = 2.0 * c_cal * (grow / log_factor(row["linf"])) * log_factor(h2) * h2
-    satisfied = bool(lhs <= rhs * (1.0 + REL_SLACK)) or math.isinf(rhs)
-    return {"lhs": lhs, "rhs": rhs, "satisfied": satisfied}
+    lhs = series.column("ddt_sobolev2_sq") + mu * series.column("sobolev3") ** 2
+    grow = series.column(f"lp_{pair.label}") ** SerrinPair.canonical_s(pair.p)
+    h2 = series.column("sobolev2") ** 2
+    rhs = 2.0 * c_cal * (grow / log_factor(series.column("linf"))) * log_factor(h2) * h2
+    return {"lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs * (1.0 + REL_SLACK)}
 
 
 def gronwall_bound(
@@ -512,7 +501,7 @@ def gronwall_bound(
     bound(t) = [1 + ln(e + ||grad^2 u(0)||^2)]
                * exp(2 c_cal * running log-Serrin integral).
     Requires the canonical equality pair s = 2p/(p-3); monotone in the
-    integrand.  Overflowing exponentials saturate to +inf (sentinel policy).
+    integrand.  Overflowing exponentials saturate to +inf.
     """
     if not pair.is_canonical:
         raise ValueError(
@@ -555,7 +544,8 @@ def grid_columns(
     for pair in pairs:
         lab = pair.label
         lp = _norms.lp_norm(g, mag, pair.p)
-        powered = _pow_sentinel(lp, pair.s)
+        with np.errstate(over="ignore"):
+            powered = np.float64(lp) ** pair.s
         cols[f"lp_{lab}"] = lp
         cols[f"serrin_{lab}"] = powered
         cols[f"log_serrin_{lab}"] = powered / log_factor(linf)

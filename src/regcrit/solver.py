@@ -382,7 +382,8 @@ def run(
             u_half = state.u_hat.half
             # the stage-1 term doubles as the monitors' time derivative, and
             # its grid samples of u and omega serve the sample and the snapshot
-            nl, u_max, u_phys, omega = _nonlinear_half(g, u_half)
+            with np.errstate(over="ignore", invalid="ignore"):
+                nl, u_max, u_phys, omega = _nonlinear_half(g, u_half)
             if i == 0 and u_max > 0.0 and config.dt > g.spacing / u_max:
                 raise UnstableTimestep(
                     f"dt={config.dt} exceeds the stability bound "

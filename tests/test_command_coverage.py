@@ -3,7 +3,8 @@
 The commands run in-process on a 16^3 grid under ``sys.setprofile``:
 ``calibrate`` with two exponents, ``simulate`` once per ``init.kind`` (each
 with a calibration record), ``verify`` and ``report --pressure``.  Every
-function defined at module level in the regcrit modules must be called,
+function defined at module level in the regcrit modules, and every method,
+property and cached property of the classes they define, must be called,
 except the few listed in :data:`NOT_RUN`, each with its reason.  A second
 route to a quantity that no command takes fails here, so that the tests
 cannot check it in place of the route the commands run.
@@ -11,6 +12,7 @@ cannot check it in place of the route the commands run.
 
 import inspect
 import sys
+from functools import cached_property
 
 from regcrit import cli, config, criteria, norms, snapshot, solver, spectral
 
@@ -22,6 +24,9 @@ NOT_RUN = {
     "spectral.full_from_half": "the benchmark traces it by name; tests/reference.py calls it",
     "spectral._mirror_tail": "the helper of full_from_half",
     "solver.step": "the oracle tests step through it; it shares _advance with run",
+    "solver.RunSink.snapshot": "the interface's no-op base; DirectorySink overrides it",
+    "config.ConfigError.__init__": "only a config error raises it, and these configs are valid",
+    "solver.NumericalBlowup.__init__": "only a blowup raises it, and these runs do not blow up",
 }
 
 CALIBRATE = """
@@ -45,14 +50,36 @@ output.dir = run_{kind}
 """
 
 
+def function_of(obj):
+    """The function behind a class attribute: a method, static or class
+    method, property getter or cached property, unwrapped from any
+    decorator; None for anything else."""
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    elif isinstance(obj, property):
+        obj = obj.fget
+    elif isinstance(obj, cached_property):
+        obj = obj.func
+    return inspect.unwrap(obj) if inspect.isfunction(obj) else None
+
+
 def defined_functions():
-    """'module.name' -> code object of every function a regcrit module defines."""
+    """'module.name' and 'module.Class.name' -> code object of every function
+    a regcrit module defines, and of every method its classes define.
+    Dataclass-generated dunders are not the module's code and are left out."""
     out = {}
     for mod in MODULES:
         short = mod.__name__.rpartition(".")[2]
         for name, obj in vars(mod).items():
-            if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
-                out[f"{short}.{name}"] = obj.__code__
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out[f"{short}.{name}"] = inspect.unwrap(obj).__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = function_of(member)
+                    if fn is not None and fn.__code__.co_filename == mod.__file__:
+                        out[f"{short}.{name}.{attr}"] = fn.__code__
     return out
 
 

@@ -204,6 +204,13 @@ class TestSimulate:
         assert "random_divfree" in assert_config_error(capsys)
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_taylor_green_exits_one_without_a_warning(self, tmp_path, capsys):
+        # the stage-1 term of the initial field overflows: the CFL check
+        # rejects it, and no RuntimeWarning comes first
+        cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 1e200")
+        assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 1
+        assert_config_error(capsys)
+
     def test_zero_amplitude_is_a_valid_run(self, tmp_path):
         cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 0").replace("0.02", "0.002")
         assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 0
@@ -521,6 +528,16 @@ def damaged_copy(calibrated_run, tmp_path):
     return dst
 
 
+def damage_csv_value(csv, column, value):
+    """Set ``column`` of the monitor CSV's sample 9 to the text ``value``: a
+    sample after t = 0, where the Gronwall bound is not the measured value."""
+    lines = csv.read_text().splitlines()
+    row = lines[10].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[10] = ",".join(row)
+    csv.write_text("\n".join(lines) + "\n")
+
+
 def assert_one_stderr_line(capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
@@ -689,22 +706,39 @@ class TestVerifyDamaged:
             ("sobolev2", "1e160", "gronwall_dominance_p6_s4: FAIL (worst=-inf,"),
             ("sobolev3", "1e160", "growth_inequality_p6_s4: FAIL (worst=-inf,"),
             ("sobolev1", "1e200", "energy_law: FAIL (worst=inf,"),
+            ("lp_p6_s4", "nan", "growth_inequality_p6_s4: FAIL (worst=nan,"),
+            ("linf", "-5", "growth_inequality_p6_s4: FAIL (worst=nan,"),
+            ("identity_residual", "-5", "identity_series: FAIL (worst=5,"),
         ],
     )
-    def test_csv_value_whose_square_overflows_fails_its_check(
+    def test_damaged_csv_value_fails_its_check(
         self, calibrated_run, tmp_path, capsys, column, value, failed
     ):
-        # a sample after t = 0, where the Gronwall bound is not the measured value
         dst = damaged_copy(calibrated_run, tmp_path)
-        csv = dst / "monitors.csv"
-        lines = csv.read_text().splitlines()
-        row = lines[10].split(",")
-        row[lines[0].split(",").index(column)] = value
-        lines[10] = ",".join(row)
-        csv.write_text("\n".join(lines) + "\n")
+        damage_csv_value(dst / "monitors.csv", column, value)
         assert cli.main(["verify", str(dst)]) == 3
         assert_one_stderr_line(capsys)
         assert failed in (dst / "verify_report.txt").read_text()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "1e308"])
+    def test_every_damaged_csv_value_ends_in_an_exit_code(
+        self, calibrated_run, tmp_path, capsys, value
+    ):
+        # without snapshots, verify reads only the manifest and the CSV
+        dst = damaged_copy(calibrated_run, tmp_path)
+        manifest = json.loads((dst / "manifest.json").read_text())
+        (dst / "manifest.json").write_text(json.dumps(dict(manifest, snapshots=[])))
+        csv = dst / "monitors.csv"
+        intact = csv.read_text()
+        for column in intact.splitlines()[0].split(","):
+            csv.write_text(intact)
+            damage_csv_value(csv, column, value)
+            code = cli.main(["verify", str(dst)])
+            # a damaged time is a damaged run directory when the times stop
+            # increasing; every other value is a check's to pass or fail
+            assert code in ((1, 3) if column == "t" else (0, 3)), column
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) <= 1, (column, err)
 
 
 class TestReport:

@@ -216,9 +216,9 @@ class TestAccumulate:
         with pytest.raises(crit.NonMonotoneTime):
             crit.accumulate(series)
         with pytest.raises(crit.NonMonotoneTime):
-            series.append(dict(series.row(0), t=-1.0))
+            series.append(dict({c: v[0] for c, v in series.table.items()}, t=-1.0))
         # a row is rejected unless its keys are exactly the monitor columns
-        later = dict(series.row(0), t=5.0)
+        later = dict({c: v[0] for c, v in series.table.items()}, t=5.0)
         for wrong in (dict(later, extra=0.0), {k: v for k, v in later.items() if k != "bkm"}):
             with pytest.raises(ValueError, match="monitor columns"):
                 series.append(wrong)
@@ -370,9 +370,9 @@ class TestHolder:
 class TestDifferentialInequality:
     def test_zero_sample(self):
         pair = crit.SerrinPair(6.0, 4.0)
-        s = synthetic_series([0.0], [0.0]).row(0)
+        s = synthetic_series([0.0], [0.0])
         res = crit.differential_inequality_check(s, pair, c_cal=1.0, mu=0.1)
-        assert res["satisfied"] and res["lhs"] == 0.0 and res["rhs"] == 0.0
+        assert res["satisfied"][0] and res["lhs"][0] == 0.0 and res["rhs"][0] == 0.0
 
     def test_beltrami_closed_form_lhs(self):
         # |k| = 1 shell: d/dt ||grad^2 u||^2 = -2 mu Z, ||grad^3 u||^2 = Z
@@ -384,12 +384,11 @@ class TestDifferentialInequality:
         pair = crit.SerrinPair(6.0, 4.0)
         mon = crit.CriterionConfig(pairs=(pair,), mu=mu)
         series = solv.run(cfg, mon)
-        s = series.row(0)
         z = 3.0 * amp**2 * TWO_PI**3
-        assert s["ddt_sobolev2_sq"] == pytest.approx(-2.0 * mu * z, rel=1e-9)
-        res = crit.differential_inequality_check(s, pair, c_cal=1.0, mu=mu)
-        assert res["lhs"] == pytest.approx(-mu * z, rel=1e-9)
-        assert res["satisfied"]  # pure decay: lhs < 0 <= rhs
+        assert series.table["ddt_sobolev2_sq"][0] == pytest.approx(-2.0 * mu * z, rel=1e-9)
+        res = crit.differential_inequality_check(series, pair, c_cal=1.0, mu=mu)
+        assert res["lhs"][0] == pytest.approx(-mu * z, rel=1e-9)
+        assert res["satisfied"][0]  # pure decay: lhs < 0 <= rhs
 
 
 class TestGronwall:
@@ -518,6 +517,31 @@ class TestCalibration:
         back = crit.CalibrationRecord.from_text(rec.to_text())
         assert back.entries == rec.entries
         assert back.for_p(p) == entry
+
+
+class TestResolutionOracle:
+    """A field band-limited to max|k| <= 3 is resolved on both n = 32 and
+    n = 64, so every column that is a spectral sum, or the quadrature of a
+    trigonometric polynomial that both grids integrate exactly (|u|^p for
+    even p, of degree at most 18 here), reads the same on both grids.
+
+    Left out: ``linf`` and ``bkm`` read a grid maximum, and ``log_serrin_*``
+    and ``embed_ratio`` divide by a log factor of it; the integrand of
+    ``chan_vasseur`` is not a polynomial; ``identity_residual`` is at
+    roundoff on both grids."""
+
+    COLUMNS = ["energy", "sobolev1", "sobolev2", "sobolev3", "ddt_sobolev2_sq"]
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_resolved_field_reads_the_same_on_two_grids(self, seed):
+        pairs = parse_pairs("6:4,4:8")
+        U = solv.init_random_divfree(Grid(12), seed, -1.0, 2.0)
+        coarse, fine = (sample(reference.resample(U, n), pairs) for n in (32, 64))
+        names = self.COLUMNS + [
+            f"{c}_{pair.label}" for pair in pairs for c in ("lp", "serrin")
+        ]
+        for name in names:
+            assert fine[name] == pytest.approx(coarse[name], rel=1e-13, abs=0.0), name
 
 
 class TestEvaluateSample:
