@@ -68,7 +68,7 @@ from .criteria import (
     SerrinPair,
     monitor_columns,
 )
-from .spectral import Grid, NonFiniteSamples, fft_forward
+from .spectral import Grid, NonFiniteSamples, band_limit, fft_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,8 +208,9 @@ def cmd_calibrate(config_path: str) -> int:
     for seed in cfg.seeds:
         U = solv.init_random_divfree(cfg.grid, seed, cfg.spectrum_slope, cfg.amplitude)
         hessian = norms.hessian_magnitude(U)
+        sob2, sob3 = norms.sobolev_seminorm(U, 2), norms.sobolev_seminorm(U, 3)
         for p, values in ratios.items():
-            values.append(norms.gn_ratio(U, p, hessian))
+            values.append(norms.gn_ratio(cfg.grid, p, hessian, sob2, sob3))
         del U, hessian
     entries = {
         crit.calibration_key(p): crit.calibrate_constants(ratios[p], p, cfg.mu)
@@ -367,13 +368,15 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             continue
         except _READ_ERRORS as exc:
             raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-        u_hat = fft_forward(field_)
+        # a snapshot holds dealiased samples: the mask cuts only roundoff
+        u_hat = band_limit(fft_forward(field_))
         quad = crit.hessian_quadrature(u_hat)
         res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad)
         residuals.append(res["residual"])
         mag = field_.magnitude()
+        sob3 = norms.sobolev_seminorm(u_hat, 3)
         for p in p_values:
-            hc = crit.holder_check(u_hat, p, quad, mag)
+            hc = crit.holder_check(run.grid, p, quad, mag, sob3)
             holder_holds.append(hc["satisfied"])
             holder_margins.append(hc["bound"] - hc["actual"])
     if snap_paths:
@@ -487,7 +490,7 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
                 raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
             try:
                 with np.errstate(all="ignore"):  # an overflowing pressure is non-finite
-                    q = solv.pressure_field(fft_forward(field_))
+                    q = solv.pressure_field(band_limit(fft_forward(field_)))
             except NonFiniteSamples as exc:
                 raise DamagedArtifact(f"snapshot {path}: non-finite pressure ({exc})") from exc
             name = os.path.basename(path).replace("snap_", "pressure_")

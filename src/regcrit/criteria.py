@@ -50,6 +50,7 @@ from . import norms as _norms
 from .spectral import (
     HESSIAN_PAIRS,
     PAIR,
+    Grid,
     SpectralVelocityField,
     VelocityField,
     first_derivatives,
@@ -444,27 +445,28 @@ def h2_identity_residual(
 
 
 def holder_check(
-    u_hat: SpectralVelocityField,
+    grid: Grid,
     p: float,
     quad: HessianQuadrature,
     magnitude: np.ndarray,
+    sob3: float,
 ) -> dict:
     """Hoelder bound on the identity right side with the literal factor 5:
     |rhs| <= 5 ||u||_p ||grad^2 u||_{2p/(p-2)} ||grad^3 u||_2.
 
-    ``quad`` is the state's :func:`hessian_quadrature` and ``magnitude`` the
-    pointwise |u| of its grid samples; both serve every p checked on the
+    ``quad`` is the state's :func:`hessian_quadrature`, ``magnitude`` the
+    pointwise |u| of its grid samples and ``sob3`` its ||grad^3 u||_2
+    (``norms.sobolev_seminorm``); all three serve every p checked on the
     state."""
     p = float(p)
     if not p > 3.0:
         raise ValueError(f"Hoelder step needs 3 < p <= inf, got {p}")
-    g = u_hat.grid
     q = 2.0 if math.isinf(p) else 2.0 * p / (p - 2.0)
     bound = (
         HOLDER_FACTOR
-        * _norms.lp_norm(g, magnitude, p)
-        * _norms.hessian_lq_norm(g, quad.hessian, q)
-        * _norms.sobolev_seminorm(u_hat, 3)
+        * _norms.lp_norm(grid, magnitude, p)
+        * _norms.hessian_lq_norm(grid, quad.hessian, q)
+        * sob3
     )
     actual = abs(quad.rhs)
     return {

@@ -81,26 +81,25 @@ def hessian_lq_norm(grid: Grid, hessian: np.ndarray, q: float) -> float:
     return _scaled_lp(hessian, _check_exponent(q), grid.cell_volume)
 
 
-def gn_ratio(U: SpectralVelocityField, p: float, hessian: np.ndarray) -> float:
+def gn_ratio(grid: Grid, p: float, hessian: np.ndarray, sob2: float, sob3: float) -> float:
     """Multiplicative-inequality ratio
     ||grad^2 u||_{L^q} / (||grad^2 u||_2^{1-3/p} ||grad^3 u||_2^{3/p}),
     q = 2p/(p-2).
 
     For p = inf the exponents degenerate to q = 2 and (1, 0), so the ratio is
-    1 up to quadrature roundoff.  Scale invariant in u.  ``hessian`` is U's
-    pointwise |grad^2 u|, as in :func:`hessian_lq_norm`, so one build serves
-    every p.
+    1 up to quadrature roundoff.  Scale invariant in u.  ``hessian`` is the
+    state's pointwise |grad^2 u|, as in :func:`hessian_lq_norm`, and
+    ``sob2``, ``sob3`` its :func:`sobolev_seminorm` of orders 2 and 3, so one
+    build of each serves every p.
     """
     p = float(p)
     if not p > 3.0:
         raise ValueError(f"ratio needs 3 < p <= inf, got {p}")
-    b = sobolev_seminorm(U, 3)
-    if b == 0.0:
+    if sob3 == 0.0:
         raise DegenerateField("gn_ratio needs a nonzero grad^3 seminorm")
-    a = sobolev_seminorm(U, 2)
     if math.isinf(p):
         theta, q = 0.0, 2.0
     else:
         theta, q = 3.0 / p, 2.0 * p / (p - 2.0)
-    num = hessian_lq_norm(U.grid, hessian, q)
-    return num / (a ** (1.0 - theta) * b**theta)
+    num = hessian_lq_norm(grid, hessian, q)
+    return num / (sob2 ** (1.0 - theta) * sob3**theta)

@@ -19,7 +19,8 @@ the initial field before it writes anything, and every step re-checks it on
 the current field.  The grid samples of u and omega from a step's stage-1
 term also feed that step's monitor sample and snapshot.  States stay
 band-limited (modes with 3 * integer max-norm < n) because the initializers
-band-limit and every right-hand side is dealiased.
+band-limit and every right-hand side is dealiased; the viscous term is
+diagonal, so outside the band a state stays exactly zero.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from .spectral import (
     RealScalarField,
     SpectralVelocityField,
     VelocityField,
+    band_limit,
     convective_core_half,
     divergence,
     fft_forward,
-    irfftn_real,
+    inverse_kept,
     leray_project,
     parseval_sum,
+    project_kept,
     rfftn,
 )
 
@@ -58,8 +61,9 @@ class UnstableTimestep(ValueError):
 
 
 class InitialFieldOutOfRange(ValueError):
-    """The random initial field leaves the floating range: its drawn L^2
-    norm is not in (0, inf), or its rescaled energy is not finite."""
+    """The initial field leaves the floating range: the random draw's L^2
+    norm is not in (0, inf) or its rescaled energy is not finite, or the
+    grid max of |u| of any initial field is not finite."""
 
 
 class NumericalBlowup(RuntimeError):
@@ -134,7 +138,9 @@ class SolverState:
 
 def init_taylor_green(grid: Grid, amplitude: float) -> SpectralVelocityField:
     """z-independent Taylor-Green vortex, an exact solution decaying as
-    exp(-2 mu kappa^2 t) with kappa = 2 pi / L."""
+    exp(-2 mu kappa^2 t) with kappa = 2 pi / L.  Like every state it is
+    band-limited: the forward transform's roundoff outside the kept modes
+    is cut."""
     kap = 2.0 * np.pi / grid.length
     X, Y, _ = grid.meshes()
     u = np.stack(
@@ -144,12 +150,13 @@ def init_taylor_green(grid: Grid, amplitude: float) -> SpectralVelocityField:
             np.zeros(grid.shape),
         ]
     )
-    return fft_forward(VelocityField(grid, u))
+    return band_limit(fft_forward(VelocityField(grid, u)))
 
 
 def init_beltrami(grid: Grid, amplitude: float) -> SpectralVelocityField:
     """ABC flow with A = B = C = 1: curl u = kappa u, so the Navier-Stokes
-    evolution is the pure decay exp(-mu kappa^2 t) (kappa = 2 pi / L)."""
+    evolution is the pure decay exp(-mu kappa^2 t) (kappa = 2 pi / L);
+    band-limited like :func:`init_taylor_green`."""
     kap = 2.0 * np.pi / grid.length
     X, Y, Z = grid.meshes()
     u = amplitude * np.stack(
@@ -159,7 +166,7 @@ def init_beltrami(grid: Grid, amplitude: float) -> SpectralVelocityField:
             np.sin(kap * Y) + np.cos(kap * X),
         ]
     )
-    return fft_forward(VelocityField(grid, u))
+    return band_limit(fft_forward(VelocityField(grid, u)))
 
 
 def init_random_divfree(
@@ -202,21 +209,26 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
     """The Leray-projected draw of :func:`init_random_divfree`, before its
     rescaling.  The drawn coefficients are freed on return, before the
     rescaled field is allocated: kept to the end, they raised the n=96
-    calibrate peak RSS by 55 MB (measured with getrusage)."""
-    n = grid.n
+    calibrate peak RSS by 55 MB (measured with getrusage).
+
+    Every drawn mode has |k_i| <= n/3 on each axis, so the draw runs on the
+    compact cube of those storage indices, in storage order: its C order is
+    the full cube's, and so are the phases each mode gets."""
+    n, m = grid.n, grid.n // 3
     rng = np.random.default_rng(seed)
-    ints = grid.integer_modes
-    kx = ints.reshape(n, 1, 1)
-    ky = ints.reshape(1, n, 1)
-    kz = ints.reshape(1, 1, n)
+    index = np.r_[0 : m + 1, n - m : n]  # storage indices of |k_i| <= n // 3
+    ints = grid.integer_modes[index]
+    kx = ints.reshape(-1, 1, 1)
+    ky = ints.reshape(1, -1, 1)
+    kz = ints.reshape(1, 1, -1)
     k2 = (kx**2 + ky**2 + kz**2).astype(np.float64)
     drawn = (k2 > 0) & (9.0 * k2 <= n * n)
     band = drawn & (9.0 * k2 < n * n)
     moduli = np.where(band, np.sqrt(k2) ** spectrum_slope, 0.0)
     # canonical half-space: kx > 0, or kx = 0 and ky > 0, or kx = ky = 0, kz > 0
     half = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
-    sel = drawn & half
-    ix, iy, iz = np.nonzero(sel)
+    cx, cy, cz = np.nonzero(drawn & half)
+    ix, iy, iz = index[cx], index[cy], index[cz]
     mx, my, mz = (-ix) % n, (-iy) % n, (-iz) % n
     # of each drawn mode k and its partner -k, the half spectrum stores the
     # one with kz >= 0: k itself when kz >= 0, conj at -k when kz <= 0
@@ -225,7 +237,7 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
     coeffs = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     for c in range(3):
         phases = rng.uniform(0.0, 2.0 * np.pi, size=ix.shape)
-        vals = moduli[ix, iy, iz] * np.exp(1j * phases)
+        vals = moduli[cx, cy, cz] * np.exp(1j * phases)
         coeffs[c][ix[own], iy[own], iz[own]] = vals[own]
         coeffs[c][mx[mirror], my[mirror], mz[mirror]] = np.conj(vals[mirror])
     return leray_project(SpectralVelocityField(grid, coeffs))
@@ -248,17 +260,8 @@ def _nonlinear_half(
     """Half-spectrum coefficients of -P(omega x u), the grid max of |u|, and
     the grid samples of u and omega (see :func:`convective_core_half`)."""
     w_hat, u_max, u_phys, omega = convective_core_half(grid, half)
-    # w_hat is zero outside the kept blocks, and so is its projection; on
-    # each block, in place: s = (k . w_hat)/|k|^2, then k s - w_hat, which
-    # is -(w_hat - k s) of leray_project bit for bit
-    inv_k2 = grid.inv_k_squared_half
-    for block in grid.kept_blocks:
-        sx, sy, sz = block
-        ks = grid.block_wavenumbers(block)
-        u, v, w = comps = w_hat[:, sx, sy, sz]
-        s = (ks[0] * u + ks[1] * v + ks[2] * w) * inv_k2[sx, sy, sz]
-        for k, c in zip(ks, comps):
-            np.subtract(k * s, c, out=c)
+    # w_hat is zero outside the kept blocks, and so is its projection
+    project_kept(grid, w_hat, negate=True)
     return w_hat, u_max, u_phys, omega
 
 
@@ -341,7 +344,8 @@ def pressure_field(u_hat: SpectralVelocityField):
 
     With (u . grad) u = omega x u + grad |u|^2/2, q = -Delta^-1 div(omega x u)
     - |u|^2/2.  |u|^2 is formed from the same dealiased samples as omega x u
-    and dealiased like it.
+    and dealiased like it, so q_hat is band-limited and one
+    :func:`inverse_kept` gives its samples.
     """
     g = u_hat.grid
     w_hat, _, u_phys, _ = convective_core_half(g, u_hat.half)
@@ -349,7 +353,7 @@ def pressure_field(u_hat: SpectralVelocityField):
     q_hat = divergence(SpectralVelocityField(g, w_hat)).half * g.inv_k_squared_half
     q_hat -= ke_hat * g.dealias_mask_half
     q_hat[0, 0, 0] = 0.0
-    return RealScalarField(g, irfftn_real(q_hat, g.n))
+    return RealScalarField(g, inverse_kept(g, q_hat))
 
 
 class RunSink:
@@ -369,7 +373,8 @@ def run(
     the final step).  Returns the accumulated monitor series; on blowup the
     partial series is attached to the raised NumericalBlowup.  Raises
     UnstableTimestep, before any sample or snapshot, when dt breaks the
-    advective CFL bound on the initial field.
+    advective CFL bound on the initial field, and InitialFieldOutOfRange
+    when that field's grid max of |u| is not finite.
     """
     state = SolverState(t=0.0, u_hat=make_initial(config))
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
@@ -384,6 +389,12 @@ def run(
             # its grid samples of u and omega serve the sample and the snapshot
             with np.errstate(over="ignore", invalid="ignore"):
                 nl, u_max, u_phys, omega = _nonlinear_half(g, u_half)
+            if i == 0 and not math.isfinite(u_max):
+                raise InitialFieldOutOfRange(
+                    f"{config.init.kind}: the initial field's grid max |u| is {u_max!r} "
+                    f"at init.amplitude = {config.init.amplitude!r}; it leaves the "
+                    "floating range"
+                )
             if i == 0 and u_max > 0.0 and config.dt > g.spacing / u_max:
                 raise UnstableTimestep(
                     f"dt={config.dt} exceeds the stability bound "

@@ -24,14 +24,25 @@ Conventions, fixed once for the whole package:
   ``2 max|k|``, which aliases to ``2 max|k| - n``; that stays outside the
   kept band only when ``3 max|k| < n``.  (With ``3 | n`` and ``max|k| = n/3``
   kept, mode ``2n/3`` would alias onto the kept mode ``-n/3``.)
+* every state is band-limited: its coefficients vanish outside the modes
+  the 2/3 rule keeps (:attr:`Grid.kept_blocks`).  The initializers build
+  states so, the dealiased right-hand side keeps them so, and a state read
+  back from grid samples is cut to the band (:func:`band_limit`), which
+  removes only the roundoff a forward transform leaves there
+* operators read only :attr:`Grid.kept_blocks`: the inverse transforms of
+  states and of their derivatives (:func:`inverse_kept`) and the Leray
+  projection (:func:`leray_project`) skip every other mode, and on a
+  band-limited input each equals its full counterpart bit for bit, but for
+  the sign of a zero
 * the nonlinear term is the rotational product ``omega x u``
   (:func:`convective_core_half`): an inverse transform of the 6 fields
   [u, omega] and a forward transform of the 3 product components, 9
-  three-dimensional FFTs per right-hand side, each pruned to the modes the
-  2/3 rule keeps (:attr:`Grid.kept_blocks`) and bitwise equal to the full
-  transform
+  three-dimensional FFTs per right-hand side, each pruned to the kept
+  modes and bitwise equal to the full transform
 
-All operations are pure functions.  Reductions are numpy's own C-order
+All operations are pure functions, but for the two kernels that work in
+place on an array their caller owns, :func:`project_kept` and
+:func:`inverse_kept`.  Reductions are numpy's own C-order
 sums, never a BLAS call, so results are reproducible run to run and do not
 depend on the BLAS thread count.  The environment variable
 ``REGCRIT_THREADS`` caps the FFT worker pool (default: every CPU); the
@@ -67,13 +78,6 @@ def _workers() -> int:
 def rfftn(values: np.ndarray) -> np.ndarray:
     """Real-input forward transform (half spectrum, kz >= 0), mean-normalized."""
     return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_workers())
-
-
-def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`rfftn` onto the (n, n, n) grid."""
-    return _fft.irfftn(
-        half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=_workers()
-    )
 
 
 @dataclass(frozen=True)
@@ -304,29 +308,76 @@ def divergence(U: SpectralVelocityField) -> SpectralScalarField:
     return SpectralScalarField(U.grid, 1j * (kx * u + ky * v + kz * w))
 
 
+def band_limit(U: SpectralVelocityField) -> SpectralVelocityField:
+    """U with every mode outside :attr:`Grid.kept_blocks` set to zero."""
+    return type(U)(U.grid, U.half * U.grid.dealias_mask_half)
+
+
+def project_kept(grid: Grid, half: np.ndarray, negate: bool = False) -> None:
+    """In place on the kept blocks of the 3-component half spectrum
+    ``half``: u <- (I - k k^T/|k|^2) u, or its negative when ``negate``.
+    Per block s = (k . u)/|k|^2, then u - k s (k s - u when negated); the
+    other entries of ``half`` are left as they are."""
+    inv_k2 = grid.inv_k_squared_half
+    for block in grid.kept_blocks:
+        sx, sy, sz = block
+        ks = grid.block_wavenumbers(block)
+        u, v, w = comps = half[:, sx, sy, sz]
+        s = (ks[0] * u + ks[1] * v + ks[2] * w) * inv_k2[sx, sy, sz]
+        for k, c in zip(ks, comps):
+            if negate:
+                np.subtract(k * s, c, out=c)
+            else:
+                np.subtract(c, k * s, out=c)
+
+
 def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
     """Project onto divergence-free fields: u <- (I - k k^T/|k|^2) u.
 
     The k = 0 mode (mean flow) passes through unchanged; idempotent and
-    self-adjoint for the spectral inner product.
+    self-adjoint for the spectral inner product.  Only the kept modes are
+    read; the result is zero outside them (:func:`project_kept`).
     """
     g = U.grid
-    kx, ky, kz = g.wavenumbers_half
-    u, v, w = U.half
-    s = (kx * u + ky * v + kz * w) * g.inv_k_squared_half
-    return SpectralVelocityField(
-        U.grid, np.stack([u - kx * s, v - ky * s, w - kz * s])
+    out = np.zeros_like(U.half)
+    for sx, sy, sz in g.kept_blocks:
+        out[:, sx, sy, sz] = U.half[:, sx, sy, sz]
+    project_kept(g, out)
+    return SpectralVelocityField(g, out)
+
+
+def inverse_kept(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    """Grid samples of the fields whose half spectra ``hat``, shape
+    ``(..., n, n, n/2 + 1)``, vanish outside :attr:`Grid.kept_blocks`.
+
+    Pruned 1-D passes in pocketfft's own order and with its scaling point:
+    x on the kept (y, kz) lines, y on the kept kz planes, then a real pass
+    along z.  The lines skipped are those a full ``irfftn`` reads only as
+    zeros, so the samples equal its samples bit for bit, but for the sign
+    of a zero.  ``hat`` is overwritten and left undefined.
+    """
+    lo, hi = grid.kept_slabs
+    for sy in (lo, hi):
+        _complex_pass(hat[..., :, sy, lo], axis=-3, inverse=True)
+    _complex_pass(hat[..., lo], axis=-2, inverse=True)
+    return _fft.irfft(
+        hat, n=grid.n, axis=-1, norm="forward", overwrite_x=True, workers=_workers()
     )
 
 
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
-    """Physical-space derivative table d[a, c] = d u_c / d x_a, shape (3,3,n,n,n)."""
+    """Physical-space derivative table d[a, c] = d u_c / d x_a, shape
+    (3, 3, n, n, n): the 9 fields i k_a u_c, formed on the kept blocks, in
+    one :func:`inverse_kept`."""
     g = U.grid
-    ks = g.wavenumbers_half
-    hat = np.empty((3, 3) + g.half_shape, dtype=np.complex128)
-    for a in range(3):
-        np.multiply(1j * ks[a], U.half, out=hat[a])
-    return irfftn_real(hat.reshape((9,) + g.half_shape), g.n).reshape((3, 3) + g.shape)
+    hat = np.zeros((3, 3) + g.half_shape, dtype=np.complex128)
+    for block in g.kept_blocks:
+        sx, sy, sz = block
+        ks = g.block_wavenumbers(block)
+        u = U.half[:, sx, sy, sz]
+        for a in range(3):
+            np.multiply(1j * ks[a], u, out=hat[a, :, sx, sy, sz])
+    return inverse_kept(g, hat)
 
 
 #: the 6 index pairs (i, j), i <= j, of the symmetric Hessian, in table order
@@ -343,16 +394,21 @@ def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     shape (6, 3, n, n, n), one row per pair i <= j of :data:`HESSIAN_PAIRS`.
 
     The Hessian is symmetric in (i, j), so the 6 pairs hold all 27 entries.
-    They are transformed one pair at a time, 3 fields per inverse transform,
-    so besides the table only one pair's spectrum and samples are live.
+    They are transformed one pair at a time, 3 fields per
+    :func:`inverse_kept`, each pair's spectrum formed on the kept blocks of
+    a zeroed one, so besides the table only one pair's spectrum and samples
+    are live.
     """
     g = U.grid
-    ks = g.wavenumbers_half
     out = np.empty((len(HESSIAN_PAIRS), 3) + g.shape)
-    hat = np.empty((3,) + g.half_shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(HESSIAN_PAIRS):
-        np.multiply(-ks[i] * ks[j], U.half, out=hat)
-        out[idx] = irfftn_real(hat, g.n)
+        hat = np.zeros((3,) + g.half_shape, dtype=np.complex128)
+        for block in g.kept_blocks:
+            sx, sy, sz = block
+            ks = g.block_wavenumbers(block)
+            np.multiply(-ks[i] * ks[j], U.half[:, sx, sy, sz], out=hat[:, sx, sy, sz])
+        out[idx] = inverse_kept(g, hat)
+        del hat
     return out
 
 
@@ -384,12 +440,12 @@ def convective_core_half(
     Only the modes the 2/3 rule keeps (:attr:`Grid.kept_blocks`, about 30 %
     of the half spectrum) are read from ``half`` and non-zero in ``w_hat``,
     so the 9 transforms (6 inverse, 3 forward) are pruned 1-D passes, in
-    pocketfft's own order and with its scaling point.  Inverse: x on the
-    kept (y, kz) lines, y on the kept kz planes, then a real pass along z.
-    Forward: a real pass along z, then x on the kept kz planes and y on the
-    kept x-slabs.  The skipped lines are those a full transform only reads
-    as zeros or writes to be masked, so every result equals that of full
-    transforms and the dealias mask bit for bit, but for the sign of a zero.
+    pocketfft's own order and with its scaling point.  Inverse:
+    :func:`inverse_kept`.  Forward: a real pass along z, then x on the kept
+    kz planes and y on the kept x-slabs.  The skipped lines are those a full
+    transform only reads as zeros or writes to be masked, so every result
+    equals that of full transforms and the dealias mask bit for bit, but for
+    the sign of a zero.
     """
     n = grid.n
     lo, hi = grid.kept_slabs
@@ -404,10 +460,7 @@ def convective_core_half(
         out[4] = kz * u - kx * w
         out[5] = kx * v - ky * u
         out[3:] *= 1j
-    for sy in (lo, hi):
-        _complex_pass(hat[:, :, sy, lo], axis=-3, inverse=True)
-    _complex_pass(hat[..., lo], axis=-2, inverse=True)
-    phys = _fft.irfft(hat, n=n, axis=-1, norm="forward", overwrite_x=True, workers=_workers())
+    phys = inverse_kept(grid, hat)
     del hat
     u_phys, omega = phys[:3], phys[3:]
     cross = np.empty((3,) + grid.shape)
@@ -435,7 +488,11 @@ def convective_core_half(
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
-    """The grid samples of a spectral velocity field.  No command calls it:
-    the commands take their samples from :func:`convective_core_half`.  It
-    is kept because the benchmark traces it by name."""
-    return VelocityField(U.grid, irfftn_real(U.half, U.grid.n))
+    """The grid samples of a spectral velocity field, by a full ``irfftn``.
+    No command calls it: the commands take their samples from
+    :func:`convective_core_half` and :func:`inverse_kept`.  It is kept
+    because the benchmark traces it by name."""
+    n = U.grid.n
+    samples = _fft.irfftn(U.half, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
+                          workers=_workers())
+    return VelocityField(U.grid, samples)

@@ -12,12 +12,13 @@ Conventions are the package's: mean-normalized forward transforms, FFT
 storage order, the Nyquist mode zeroed in derivative wavenumbers, and the
 2/3 rule ``3 * max|k| < n``.
 
-The Hessian routes and the unpruned nonlinear term at the end are the
-exception: they keep routes the package replaced, built with the package's
-own transforms and tables, so that the replacements can be pinned bitwise
-to them.  The Hessian routes keep the earlier 27-entry derivative table;
-the unpruned kernel transforms and projects the whole half spectrum and
-masks it, where the package's pruned passes touch only the kept modes.
+The routes at the end are the exception: they keep routes the package
+replaced, built with the package's own tables and the full ``irfftn``/
+``rfftn``, so that the replacements can be pinned bitwise to them.  The
+Hessian routes keep the earlier 27-entry derivative table; the unpruned
+derivative tables, kernel and pressure transform the whole half spectrum,
+the full projection and the full-cube draw work on every mode, where the
+package touches only the kept ones.
 """
 
 import math
@@ -48,6 +49,12 @@ def ifftn(coefficients: np.ndarray) -> np.ndarray:
 def ifftn_real(coefficients: np.ndarray) -> np.ndarray:
     """Inverse transform discarding the (roundoff) imaginary residue."""
     return ifftn(coefficients).real
+
+
+def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``spectral.rfftn`` onto the (n, n, n) grid: the full
+    ``irfftn`` of a half spectrum, every mode read."""
+    return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward", workers=spec._workers())
 
 
 def wavenumbers(grid: spec.Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,7 +176,7 @@ def random_divfree_full(grid: spec.Grid, seed: int, spectrum_slope: float, ampli
         vals = moduli[ix, iy, iz] * np.exp(1j * phases)
         coeffs[c][ix, iy, iz] = vals
         coeffs[c][mx, my, mz] = np.conj(vals)
-    U = spec.leray_project(
+    U = leray_project_full(
         spec.SpectralVelocityField(grid, np.ascontiguousarray(coeffs[..., : grid.half]))
     )
     if amplitude == 0.0:
@@ -188,7 +195,7 @@ def hessian_table(U) -> np.ndarray:
     hat = np.empty((len(pairs), 3) + g.half_shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(pairs):
         np.multiply(-ks[i] * ks[j], U.half, out=hat[idx])
-    phys = spec.irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
+    phys = irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
         (len(pairs), 3) + g.shape
     )
     out = np.empty((3, 3, 3) + g.shape)
@@ -229,7 +236,7 @@ def gram_quadrature(U) -> tuple[float, np.ndarray]:
     g = U.grid
     points = g.n**3
     d2 = hessian_table(U).reshape(3, 3, 3, points)
-    grads = spec.first_derivatives(U).reshape(3, 3, points)
+    grads = first_derivatives_unpruned(U).reshape(3, 3, points)
     t1, hessian_sq = _gram_contraction(d2.reshape(3, 9, points), grads)
     t2, _ = _gram_contraction(d2.reshape(9, 3, points).transpose(1, 0, 2), grads)
     w = g.cell_volume
@@ -238,7 +245,7 @@ def gram_quadrature(U) -> tuple[float, np.ndarray]:
 
 def identity_rhs_einsum(U) -> float:
     """The H^2 identity's right side as the literal 27-entry contractions."""
-    grads = spec.first_derivatives(U)
+    grads = first_derivatives_unpruned(U)
     d2 = hessian_table(U)
     w = U.grid.cell_volume
     t1 = w * float(np.einsum("ijlabc,imabc,mjlabc->", d2, grads, d2, optimize=True))
@@ -259,7 +266,7 @@ def convective_core_unpruned(grid: spec.Grid, half: np.ndarray):
     hat[4] = kz * u - kx * w
     hat[5] = kx * v - ky * u
     hat[3:] *= 1j
-    phys = spec.irfftn_real(hat, grid.n)
+    phys = irfftn_real(hat, grid.n)
     u_phys, omega = phys[:3], phys[3:]
     cross = np.empty((3,) + grid.shape)
     for c in range(3):
@@ -274,8 +281,78 @@ def convective_core_unpruned(grid: spec.Grid, half: np.ndarray):
 
 def nonlinear_half_unpruned(grid: spec.Grid, half: np.ndarray):
     """-P(omega x u) from :func:`convective_core_unpruned`, projected by
-    ``leray_project`` on the whole half spectrum and then negated."""
+    :func:`leray_project_full` on the whole half spectrum and then negated."""
     w_hat, u_max, u_phys, omega = convective_core_unpruned(grid, half)
-    nl = spec.leray_project(spec.SpectralVelocityField(grid, w_hat)).half
+    nl = leray_project_full(spec.SpectralVelocityField(grid, w_hat)).half
     np.negative(nl, out=nl)
     return nl, u_max, u_phys, omega
+
+
+def leray_project_full(U):
+    """u <- (I - k k^T/|k|^2) u on every mode of the half spectrum."""
+    g = U.grid
+    kx, ky, kz = g.wavenumbers_half
+    u, v, w = U.half
+    s = (kx * u + ky * v + kz * w) * g.inv_k_squared_half
+    return spec.SpectralVelocityField(g, np.stack([u - kx * s, v - ky * s, w - kz * s]))
+
+
+def first_derivatives_unpruned(U) -> np.ndarray:
+    """``spectral.first_derivatives`` by one full ``irfftn`` of the 9 fields
+    i k_a u_c, formed on the whole half spectrum."""
+    g = U.grid
+    ks = g.wavenumbers_half
+    hat = np.empty((3, 3) + g.half_shape, dtype=np.complex128)
+    for a in range(3):
+        np.multiply(1j * ks[a], U.half, out=hat[a])
+    return irfftn_real(hat.reshape((9,) + g.half_shape), g.n).reshape((3, 3) + g.shape)
+
+
+def second_derivatives_unpruned(U) -> np.ndarray:
+    """``spectral.second_derivatives`` by a full ``irfftn`` per pair."""
+    g = U.grid
+    ks = g.wavenumbers_half
+    out = np.empty((len(spec.HESSIAN_PAIRS), 3) + g.shape)
+    for idx, (i, j) in enumerate(spec.HESSIAN_PAIRS):
+        out[idx] = irfftn_real(-ks[i] * ks[j] * U.half, g.n)
+    return out
+
+
+def pressure_field_unpruned(U) -> np.ndarray:
+    """The samples of ``solver.pressure_field`` from
+    :func:`convective_core_unpruned` and a full ``irfftn``."""
+    g = U.grid
+    w_hat, _, u_phys, _ = convective_core_unpruned(g, U.half)
+    ke_hat = spec.rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
+    q_hat = spec.divergence(spec.SpectralVelocityField(g, w_hat)).half * g.inv_k_squared_half
+    q_hat -= ke_hat * g.dealias_mask_half
+    q_hat[0, 0, 0] = 0.0
+    return irfftn_real(q_hat, g.n)
+
+
+def drawn_field_full(grid: spec.Grid, seed: int, spectrum_slope: float):
+    """``solver._drawn_field`` drawn on the whole index cube and projected
+    by :func:`leray_project_full`."""
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    ints = grid.integer_modes
+    kx = ints.reshape(n, 1, 1)
+    ky = ints.reshape(1, n, 1)
+    kz = ints.reshape(1, 1, n)
+    k2 = (kx**2 + ky**2 + kz**2).astype(np.float64)
+    drawn = (k2 > 0) & (9.0 * k2 <= n * n)
+    band = drawn & (9.0 * k2 < n * n)
+    with np.errstate(divide="ignore"):
+        moduli = np.where(band, np.sqrt(k2) ** spectrum_slope, 0.0)
+    half_space = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
+    ix, iy, iz = np.nonzero(drawn & half_space)
+    mx, my, mz = (-ix) % n, (-iy) % n, (-iz) % n
+    own = iz < grid.half
+    mirror = mz < grid.half
+    coeffs = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+    for c in range(3):
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=ix.shape)
+        vals = moduli[ix, iy, iz] * np.exp(1j * phases)
+        coeffs[c][ix[own], iy[own], iz[own]] = vals[own]
+        coeffs[c][mx[mirror], my[mirror], mz[mirror]] = np.conj(vals[mirror])
+    return leray_project_full(spec.SpectralVelocityField(grid, coeffs))

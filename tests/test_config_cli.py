@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from regcrit import cli, config, criteria, norms, spectral
 from regcrit import snapshot as snap
 from regcrit import solver as solv
@@ -205,11 +206,26 @@ class TestSimulate:
         assert not (tmp_path / "run").exists()
 
     def test_overflowing_taylor_green_exits_one_without_a_warning(self, tmp_path, capsys):
-        # the stage-1 term of the initial field overflows: the CFL check
-        # rejects it, and no RuntimeWarning comes first
+        # the stage-1 term of the initial field overflows: run() rejects it,
+        # and no RuntimeWarning comes first
         cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 1e200")
         assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 1
         assert_config_error(capsys)
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "beltrami"])
+    def test_overflowing_initial_field_is_named(self, tmp_path, capsys, kind):
+        # |u|^2 overflows, so the grid max of |u| is inf: that is the field's
+        # range, not a timestep that breaks the CFL bound
+        cfg = BASE.replace("taylor_green", kind).replace(
+            "init.amplitude = 1.0", "init.amplitude = 1e200"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 1
+        err = assert_config_error(capsys)
+        assert kind in err and "init.amplitude = 1e+200" in err, err
+        assert "stability" not in err, err
+        assert not (tmp_path / "run").exists()
 
     def test_zero_amplitude_is_a_valid_run(self, tmp_path):
         cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 0").replace("0.02", "0.002")
@@ -491,6 +507,37 @@ class TestVerify:
 
     def test_missing_artifacts_exit_one(self, tmp_path):
         assert cli.main(["verify", str(tmp_path)]) == 1
+
+    def test_taylor_green_run_matches_the_unmasked_snapshots(self, tmp_path):
+        # verify cuts each snapshot's spectrum to the kept modes; on a
+        # Taylor-Green run that moves the identity residual and the Hoelder
+        # bound by no more than 1e-12 against the uncut spectrum, whose right
+        # side comes from the full-irfftn tables
+        cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 3.0")
+        assert cli.main(["simulate", write_config(tmp_path / "tg.cfg", cfg)]) == 0
+        rundir = tmp_path / "run"
+        assert cli.main(["verify", str(rundir)]) == 0
+        report = (rundir / "verify_report.txt").read_text()
+        assert "identity_snapshots: PASS" in report and "holder_snapshots: PASS" in report
+        manifest = cli.RunManifest.from_json((rundir / "manifest.json").read_text())
+        g = spectral.Grid(manifest.grid_n)
+        assert len(manifest.snapshots) == 3
+        for name in manifest.snapshots:
+            field_, _ = snap.read_snapshot(str(rundir / name), g)
+            cut = spectral.band_limit(spectral.fft_forward(field_))
+            whole = spectral.fft_forward(field_)
+            assert np.abs(whole.half[:, ~g.dealias_mask_half]).max() > 0.0
+            quad = criteria.hessian_quadrature(cut)
+            res = criteria.h2_identity_residual(cut, 0.1, solv.nonlinear_rhs(cut), quad)
+            rhs, hessian = reference.gram_quadrature(whole)
+            lhs = criteria._identity_lhs(whole, 0.1, solv.nonlinear_rhs(whole))
+            assert abs(res["residual"] - abs(lhs - rhs) / (1.0 + abs(lhs))) <= 1e-12
+            mag = field_.magnitude()
+            bounds = [
+                criteria.holder_check(g, 6.0, q, mag, norms.sobolev_seminorm(u, 3))["bound"]
+                for q, u in ((quad, cut), (criteria.HessianQuadrature(rhs, hessian), whole))
+            ]
+            assert bounds[0] == pytest.approx(bounds[1], rel=1e-12, abs=0.0)
 
     def test_corrupted_snapshot_fails_identity(self, calibrated_run, tmp_path):
         import shutil
@@ -961,6 +1008,24 @@ class TestSharedQuadrature:
         cli.run_checks(str(tmp_path / "run"))
         assert len(calls) == len(manifest.snapshots) == 2
 
+    def test_each_state_reads_its_seminorms_once(self, tmp_path, monkeypatch):
+        # calibrate takes ||grad^2 u|| and ||grad^3 u|| once per field and
+        # verify ||grad^3 u|| once per snapshot, whatever the exponents
+        fields = 3
+        cal = write_config(
+            tmp_path / "cal.cfg",
+            f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..{fields - 1}\n"
+            "calibration.p = 4,5,6,inf\noutput.dir = out\n",
+        )
+        sim = write_config(tmp_path / "sim.cfg", BASE.replace("0.02", "0.01"))
+        assert cli.main(["simulate", sim]) == 0
+        calls = count_calls(monkeypatch, "sobolev_seminorm", norms)
+        assert cli.main(["calibrate", cal]) == 0
+        assert len(calls) == 2 * fields
+        calls.clear()
+        cli.run_checks(str(tmp_path / "run"))
+        assert len(calls) == 2  # two snapshots, four exponents
+
     def test_calibrate_builds_one_hessian_per_field(self, tmp_path, monkeypatch):
         k = 3
         cfg = write_config(
@@ -994,13 +1059,13 @@ class TestManifest:
 
 class RealTransformsOnly:
     """Stands in for ``scipy.fft`` inside ``regcrit.spectral``, exposing only
-    the transforms of the half spectrum: the real-input 3-D ones and the
-    1-D passes of the pruned nonlinear term.  The full-cube ``fftn`` and
-    ``ifftn`` stay hidden."""
+    the transforms the commands run on the half spectrum: the real-input
+    forward ``rfftn`` and the pruned 1-D passes.  The full-cube ``fftn`` and
+    ``ifftn`` stay hidden, and so does the full inverse ``irfftn``: every
+    inverse a command runs is pruned to the kept modes."""
 
     def __init__(self, module):
         self.rfftn = module.rfftn
-        self.irfftn = module.irfftn
         self.rfft = module.rfft
         self.irfft = module.irfft
         self.fft = module.fft

@@ -65,13 +65,20 @@ def identity(U, mu):
 
 def holder(U, p):
     return crit.holder_check(
-        U, p, crit.hessian_quadrature(U), kernel_samples(U)[0].magnitude()
+        U.grid, p, crit.hessian_quadrature(U), kernel_samples(U)[0].magnitude(),
+        norms.sobolev_seminorm(U, 3),
+    )
+
+
+def gn(U, p):
+    return norms.gn_ratio(
+        U.grid, p, norms.hessian_magnitude(U),
+        norms.sobolev_seminorm(U, 2), norms.sobolev_seminorm(U, 3),
     )
 
 
 def calibrate(corpus, p, mu):
-    ratios = [norms.gn_ratio(U, p, norms.hessian_magnitude(U)) for U in corpus]
-    return crit.calibrate_constants(ratios, p, mu)
+    return crit.calibrate_constants([gn(U, p) for U in corpus], p, mu)
 
 
 FIVE = crit.SerrinPair(5.0, 5.0)

@@ -34,7 +34,10 @@ def lp(U, p):
 
 
 def gn(U, p):
-    return norms.gn_ratio(U, p, norms.hessian_magnitude(U))
+    return norms.gn_ratio(
+        U.grid, p, norms.hessian_magnitude(U),
+        norms.sobolev_seminorm(U, 2), norms.sobolev_seminorm(U, 3),
+    )
 
 
 class TestLpNorm:

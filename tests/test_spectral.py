@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from regcrit import criteria as crit
+from regcrit import norms
+from regcrit import solver as solv
 from regcrit import spectral as spec
 from regcrit.solver import init_beltrami, init_random_divfree
 
@@ -175,13 +178,13 @@ class TestFFT:
         c = np.zeros(g.shape, dtype=complex)
         c[1, 0, 0] = -0.5j
         c[-1, 0, 0] = 0.5j
-        f = spec.irfftn_real(reference.half(g, c), g.n)
+        f = reference.irfftn_real(reference.half(g, c), g.n)
         expected = np.sin(g.meshes()[0])
         np.testing.assert_allclose(f, expected, atol=1e-14)
 
     def test_zero_inverts_to_zero(self):
         g = spec.Grid(8)
-        f = spec.irfftn_real(np.zeros(g.half_shape, complex), g.n)
+        f = reference.irfftn_real(np.zeros(g.half_shape, complex), g.n)
         assert np.all(f == 0.0)
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -189,7 +192,7 @@ class TestFFT:
     def test_round_trip(self, seed):
         g = spec.Grid(8)
         f = random_scalar(g, seed)
-        back = spec.irfftn_real(spec.fft_forward(f).half, g.n)
+        back = reference.irfftn_real(spec.fft_forward(f).half, g.n)
         scale = np.abs(f.values).max()
         assert np.abs(back - f.values).max() <= 1e-13 * scale
 
@@ -266,6 +269,62 @@ class TestDerivatives:
         k4 = reference.k_squared(g) ** 2
         plancherel = g.volume * np.sum(k4 * np.abs(reference.full(U)) ** 2)
         assert quad == pytest.approx(plancherel, rel=1e-11)
+
+
+class TestPrunedTables:
+    """Every inverse transform the commands run reads only the kept modes
+    (``inverse_kept``), and the random draw runs on the compact cube; on
+    band-limited states each equals the full-transform route of
+    ``reference`` bit for bit.  n = 48 has the boundary shell 3 max|k| = n
+    that the 2/3 rule drops."""
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    def test_bitwise_equal_to_the_full_transforms(self, n):
+        g = spec.Grid(n)
+        U = init_random_divfree(g, 1, -3.0, 5.0)
+        assert np.array_equal(spec.first_derivatives(U), reference.first_derivatives_unpruned(U))
+        assert np.array_equal(
+            spec.second_derivatives(U), reference.second_derivatives_unpruned(U)
+        )
+        assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
+        quad = crit.hessian_quadrature(U)
+        rhs, hessian = reference.gram_quadrature(U)
+        assert quad.rhs == rhs
+        assert np.array_equal(quad.hessian, hessian)
+        assert np.array_equal(solv.pressure_field(U).values, reference.pressure_field_unpruned(U))
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_compact_draw_bitwise_equal_to_the_full_cube(self, n, seed):
+        g = spec.Grid(n)
+        with np.errstate(divide="ignore"):  # 0 ** -3 at k = 0, as in the initializer
+            drawn = solv._drawn_field(g, seed, -3.0)
+        assert np.array_equal(drawn.half, reference.drawn_field_full(g, seed, -3.0).half)
+        assert np.array_equal(
+            init_random_divfree(g, seed, -3.0, 5.0).half,
+            reference.random_divfree_full(g, seed, -3.0, 5.0).half,
+        )
+
+    def test_bitwise_equal_across_worker_counts(self, monkeypatch):
+        U = init_random_divfree(spec.Grid(32), 1, -3.0, 5.0)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REGCRIT_THREADS", threads)
+            quad = crit.hessian_quadrature(U)
+            outputs.append(
+                (spec.first_derivatives(U), spec.second_derivatives(U), quad.rhs, quad.hessian)
+            )
+        for one, two in zip(*outputs):
+            assert np.array_equal(one, two)
+
+    def test_out_of_band_modes_are_not_read(self):
+        g = spec.Grid(16)
+        U = init_random_divfree(g, 2, -2.0, 1.0)
+        noisy = spec.SpectralVelocityField(g, U.half + ~g.dealias_mask_half)
+        assert np.array_equal(spec.band_limit(noisy).half, U.half)
+        for table in (spec.first_derivatives, spec.second_derivatives):
+            assert np.array_equal(table(noisy), table(U))
+        assert np.array_equal(spec.leray_project(noisy).half, spec.leray_project(U).half)
 
 
 class TestCurlDivergence:
