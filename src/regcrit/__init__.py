@@ -26,7 +26,6 @@ from .solver import (
     init_taylor_green,
     nonlinear_rhs,
     run,
-    step,
 )
 from .criteria import (
     CalibrationRecord,

@@ -24,7 +24,11 @@ prints as its ``worst``, and floating-point overflow, on a snapshot or in a
 CSV value whose square leaves the floating range, ends so, not in a warning
 or a traceback.  A CSV value that a check reads and that is NaN or outside
 its domain (a negative ``linf`` or ``identity_residual``, say) fails that
-check, exit 3.  ``gronwall_dominance_<pair>`` checks every sample, but its
+check, exit 3.  The ``monitor_domain`` check reads every norm column
+(``energy``, ``lp_*``, ``linf``, ``sobolev1..3``, ``bkm``, ``chan_vasseur``):
+a NaN or negative value fails it, its ``worst`` is the smallest value and
+its note names that value's column; +inf is overflow and passes.
+``gronwall_dominance_<pair>`` checks every sample, but its
 margin is the smallest from sample 1 on (inf for a one-sample run): at t = 0
 the bound equals the measured value by construction.
 
@@ -68,7 +72,7 @@ from .criteria import (
     SerrinPair,
     monitor_columns,
 )
-from .spectral import Grid, NonFiniteSamples, band_limit, fft_forward
+from .spectral import Grid, NonFiniteSamples, fft_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,10 +212,12 @@ def cmd_calibrate(config_path: str) -> int:
     for seed in cfg.seeds:
         U = solv.init_random_divfree(cfg.grid, seed, cfg.spectrum_slope, cfg.amplitude)
         hessian = norms.hessian_magnitude(U)
-        sob2, sob3 = norms.sobolev_seminorm(U, 2), norms.sobolev_seminorm(U, 3)
+        power = np.abs(U.kept) ** 2
+        sob2 = norms.sobolev_seminorm(cfg.grid, power, 2)
+        sob3 = norms.sobolev_seminorm(cfg.grid, power, 3)
         for p, values in ratios.items():
             values.append(norms.gn_ratio(cfg.grid, p, hessian, sob2, sob3))
-        del U, hessian
+        del U, hessian, power
     entries = {
         crit.calibration_key(p): crit.calibrate_constants(ratios[p], p, cfg.mu)
         for p in cfg.exponents
@@ -338,6 +344,19 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     pairs = series.pairs
     results: list[CheckResult] = []
 
+    # the primary norm columns: a NaN or a negative value is no norm, while
+    # +inf is overflow and legal; worst is the smallest value, of the column
+    # the note names (a NaN column first)
+    lows = {
+        name: float(np.min(series.column(name)))
+        for name in ("energy", *(f"lp_{pr.label}" for pr in pairs), "linf",
+                     "sobolev1", "sobolev2", "sobolev3", "bkm", "chan_vasseur")
+    }
+    low = next((name for name, v in lows.items() if math.isnan(v)), min(lows, key=lows.get))
+    results.append(
+        _smallest_margin("monitor_domain", [v >= 0.0 for v in lows.values()], [lows[low]], low)
+    )
+
     # energy budget: dE + 2 mu int ||grad u||^2 dt == 0, per gap and overall
     t = series.column("t")
     energy = series.column("energy")
@@ -368,13 +387,14 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
             continue
         except _READ_ERRORS as exc:
             raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-        # a snapshot holds dealiased samples: the mask cuts only roundoff
-        u_hat = band_limit(fft_forward(field_))
+        # a snapshot holds dealiased samples: the forward transform's cut to
+        # the kept modes removes only roundoff
+        u_hat = fft_forward(field_)
         quad = crit.hessian_quadrature(u_hat)
-        res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad)
+        sob3 = norms.sobolev_seminorm(run.grid, np.abs(u_hat.kept) ** 2, 3)
+        res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad, sob3)
         residuals.append(res["residual"])
         mag = field_.magnitude()
-        sob3 = norms.sobolev_seminorm(u_hat, 3)
         for p in p_values:
             hc = crit.holder_check(run.grid, p, quad, mag, sob3)
             holder_holds.append(hc["satisfied"])
@@ -490,7 +510,7 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
                 raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
             try:
                 with np.errstate(all="ignore"):  # an overflowing pressure is non-finite
-                    q = solv.pressure_field(band_limit(fft_forward(field_)))
+                    q = solv.pressure_field(fft_forward(field_))
             except NonFiniteSamples as exc:
                 raise DamagedArtifact(f"snapshot {path}: non-finite pressure ({exc})") from exc
             name = os.path.basename(path).replace("snap_", "pressure_")

@@ -338,19 +338,18 @@ def _h2_rate(
     """<grad^2 u, grad^2 du/dt>, half of d/dt ||grad^2 u||^2, with du/dt the
     instantaneous spectral right-hand side (projected convection plus exact
     viscous term); no time differencing."""
-    k2 = u_hat.grid.k_squared_half
-    u = u_hat.half
-    dudt = rhs_hat.half - mu * k2 * u
-    return parseval_sum(u_hat.grid, k2 * k2 * np.real(np.conj(u) * dudt))
+    g = u_hat.grid
+    u = u_hat.kept
+    dudt = rhs_hat.kept - mu * g.k_squared * u
+    return parseval_sum(g, g.sobolev_weights[2] * np.real(np.conj(u) * dudt))
 
 
 def _identity_lhs(
-    u_hat: SpectralVelocityField, mu: float, rhs_hat: SpectralVelocityField
+    u_hat: SpectralVelocityField, mu: float, rhs_hat: SpectralVelocityField, sob3: float
 ) -> float:
-    """Spectral side of the H^2 identity: <grad^2 u, grad^2 du/dt> + mu ||grad^3 u||^2."""
-    k2 = u_hat.grid.k_squared_half
-    sob3_sq = parseval_sum(u_hat.grid, k2 * k2 * k2 * (np.abs(u_hat.half) ** 2))
-    return _h2_rate(u_hat, mu, rhs_hat) + mu * sob3_sq
+    """Spectral side of the H^2 identity: <grad^2 u, grad^2 du/dt> + mu ||grad^3 u||^2,
+    with ``sob3`` the state's ||grad^3 u||_2 (``norms.sobolev_seminorm``)."""
+    return _h2_rate(u_hat, mu, rhs_hat) + mu * sob3**2
 
 
 @dataclass(frozen=True)
@@ -428,15 +427,16 @@ def h2_identity_residual(
     mu: float,
     rhs_hat: SpectralVelocityField,
     quad: HessianQuadrature,
+    sob3: float,
 ) -> dict:
     """Residual of the H^2 energy identity on one state.
 
     ``rhs_hat`` is the state's projected convective term -P(omega x u)
-    (``solver.nonlinear_rhs``) and ``quad`` its :func:`hessian_quadrature`.
-    Returns {'lhs', 'rhs', 'residual'}, the residual being
-    |lhs - rhs| / (1 + |lhs|).
+    (``solver.nonlinear_rhs``), ``quad`` its :func:`hessian_quadrature` and
+    ``sob3`` its ||grad^3 u||_2.  Returns {'lhs', 'rhs', 'residual'}, the
+    residual being |lhs - rhs| / (1 + |lhs|).
     """
-    lhs = _identity_lhs(u_hat, mu, rhs_hat)
+    lhs = _identity_lhs(u_hat, mu, rhs_hat, sob3)
     return {
         "lhs": lhs,
         "rhs": quad.rhs,
@@ -579,11 +579,12 @@ def evaluate_sample(
     row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
     row.update(columns)
 
-    energy = parseval_sum(g, np.abs(u_hat.half) ** 2)
-    sob = {m: _norms.sobolev_seminorm(u_hat, m) for m in (1, 2, 3)}
+    power = np.abs(u_hat.kept) ** 2
+    energy = parseval_sum(g, power)
+    sob = {m: _norms.sobolev_seminorm(g, power, m) for m in (1, 2, 3)}
     if with_identity:
         residual = h2_identity_residual(
-            u_hat, cfg.mu, rhs_hat, hessian_quadrature(u_hat)
+            u_hat, cfg.mu, rhs_hat, hessian_quadrature(u_hat), sob[3]
         )["residual"]
     else:
         residual = math.nan

@@ -45,17 +45,17 @@ def lp_norm(grid: Grid, magnitude: np.ndarray, p: float) -> float:
     return _scaled_lp(magnitude, _check_exponent(p), grid.cell_volume)
 
 
-def sobolev_seminorm(U: SpectralVelocityField, m: int) -> float:
-    """||grad^m u||_{L^2} via Parseval: (sum |k|^{2m} |u_hat|^2 L^3)^(1/2).
+def sobolev_seminorm(grid: Grid, power: np.ndarray, m: int) -> float:
+    """||grad^m u||_{L^2} via Parseval: (sum |k|^{2m} |u_hat|^2 L^3)^(1/2),
+    from ``power``, the field's |u_hat|^2 on the compact cube, so one power
+    serves every order.
 
     Uses the multinomial identity sum_{|a|=m} (m!/a!) k^{2a} = |k|^{2m}, so the
     value matches the Frobenius norm of the full m-th derivative tensor.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError(f"derivative order must be in 0..3, got {m}")
-    g = U.grid
-    w = g.k_squared_half**m
-    return math.sqrt(parseval_sum(g, w * (np.abs(U.half) ** 2)))
+    return math.sqrt(parseval_sum(grid, grid.sobolev_weights[m] * power))
 
 
 def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:

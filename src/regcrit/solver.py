@@ -6,21 +6,19 @@ Leray projected.  It differs from (u . grad) u by grad |u|^2/2, which the
 projection removes, so the pressure gradient never appears and the
 right-hand side is ``du/dt = -P(omega x u) - mu |k|^2 u``.  One evaluation
 costs 9 three-dimensional FFTs: 6 inverse (u and omega) and 3 forward (the
-product), each pruned to the modes the 2/3 rule keeps; the projection too
-runs on those modes alone.  Time stepping is classical four-stage
-Runge-Kutta on that full spectral right-hand side, in place in three stage
-buffers per step.
+product), each pruned to the modes the 2/3 rule keeps.  A state holds only
+those modes, as the compact cube of :mod:`regcrit.spectral`, and time
+stepping is classical four-stage Runge-Kutta on that cube, in place in three
+stage buffers per step.
 Treating the viscous term inside the stage derivatives (instead of an exact
 exponential factor) leaves a clean fourth-order error signature on the
 exact-decay oracles; the price is a viscous stability bound.
 :class:`SolverConfig` checks it and the timestep ceiling at construction,
 since neither needs a field; :func:`run` checks the advective CFL bound on
 the initial field before it writes anything, and every step re-checks it on
-the current field.  The grid samples of u and omega from a step's stage-1
-term also feed that step's monitor sample and snapshot.  States stay
-band-limited (modes with 3 * integer max-norm < n) because the initializers
-band-limit and every right-hand side is dealiased; the viscous term is
-diagonal, so outside the band a state stays exactly zero.
+the current field.  Only the stage-1 term of a step takes grid samples: its
+max of |u| feeds that check, and its samples of u and omega feed that
+step's monitor sample and snapshot; stages 2-4 take none.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .spectral import (
     RealScalarField,
     SpectralVelocityField,
     VelocityField,
-    band_limit,
     convective_core_half,
     divergence,
     fft_forward,
@@ -44,7 +41,6 @@ from .spectral import (
     leray_project,
     parseval_sum,
     project_kept,
-    rfftn,
 )
 
 #: explicit RK4 is stable for mu*|k|^2*dt below ~2.785 on the real axis
@@ -138,9 +134,8 @@ class SolverState:
 
 def init_taylor_green(grid: Grid, amplitude: float) -> SpectralVelocityField:
     """z-independent Taylor-Green vortex, an exact solution decaying as
-    exp(-2 mu kappa^2 t) with kappa = 2 pi / L.  Like every state it is
-    band-limited: the forward transform's roundoff outside the kept modes
-    is cut."""
+    exp(-2 mu kappa^2 t) with kappa = 2 pi / L; the forward transform keeps
+    only the modes the 2/3 rule keeps, like every state."""
     kap = 2.0 * np.pi / grid.length
     X, Y, _ = grid.meshes()
     u = np.stack(
@@ -150,13 +145,12 @@ def init_taylor_green(grid: Grid, amplitude: float) -> SpectralVelocityField:
             np.zeros(grid.shape),
         ]
     )
-    return band_limit(fft_forward(VelocityField(grid, u)))
+    return fft_forward(VelocityField(grid, u))
 
 
 def init_beltrami(grid: Grid, amplitude: float) -> SpectralVelocityField:
     """ABC flow with A = B = C = 1: curl u = kappa u, so the Navier-Stokes
-    evolution is the pure decay exp(-mu kappa^2 t) (kappa = 2 pi / L);
-    band-limited like :func:`init_taylor_green`."""
+    evolution is the pure decay exp(-mu kappa^2 t) (kappa = 2 pi / L)."""
     kap = 2.0 * np.pi / grid.length
     X, Y, Z = grid.meshes()
     u = amplitude * np.stack(
@@ -166,7 +160,7 @@ def init_beltrami(grid: Grid, amplitude: float) -> SpectralVelocityField:
             np.sin(kap * Y) + np.cos(kap * X),
         ]
     )
-    return band_limit(fft_forward(VelocityField(grid, u)))
+    return fft_forward(VelocityField(grid, u))
 
 
 def init_random_divfree(
@@ -188,14 +182,14 @@ def init_random_divfree(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         U = _drawn_field(grid, seed, spectrum_slope)
         if amplitude == 0.0:
-            return SpectralVelocityField(grid, np.zeros_like(U.half))
-        current = math.sqrt(parseval_sum(grid, np.abs(U.half) ** 2))
+            return SpectralVelocityField(grid, np.zeros_like(U.kept))
+        current = math.sqrt(parseval_sum(grid, np.abs(U.kept) ** 2))
         if not 0.0 < current < math.inf:
             raise InitialFieldOutOfRange(
                 f"random_divfree: the drawn field's L2 norm is {current!r} "
                 f"at init.spectrum_slope = {spectrum_slope!r} (n = {grid.n})"
             )
-        scaled = U.half * (amplitude / current)
+        scaled = U.kept * (amplitude / current)
         energy = parseval_sum(grid, np.abs(scaled) ** 2)
     if not math.isfinite(energy):
         raise InitialFieldOutOfRange(
@@ -212,8 +206,11 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
     calibrate peak RSS by 55 MB (measured with getrusage).
 
     Every drawn mode has |k_i| <= n/3 on each axis, so the draw runs on the
-    compact cube of those storage indices, in storage order: its C order is
-    the full cube's, and so are the phases each mode gets."""
+    index cube of those modes, in FFT storage order: its C order is the full
+    cube's, and so are the phases each mode gets.  Of each drawn mode k and
+    its partner -k, the compact cube stores the one with kz >= 0: k itself
+    when kz >= 0, conj at -k when kz <= 0.  Only the shell 3|k| = n (present
+    when 3 divides n) lies outside the kept modes, and its moduli vanish."""
     n, m = grid.n, grid.n // 3
     rng = np.random.default_rng(seed)
     index = np.r_[0 : m + 1, n - m : n]  # storage indices of |k_i| <= n // 3
@@ -228,18 +225,23 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
     # canonical half-space: kx > 0, or kx = 0 and ky > 0, or kx = ky = 0, kz > 0
     half = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
     cx, cy, cz = np.nonzero(drawn & half)
+    # compact-cube index of each storage index along x or y; -1 if not kept
+    pos = np.full(n, -1)
+    pos[grid.kept_index] = np.arange(grid.kept_index.size)
+
+    def stored(ix, iy, iz):
+        keep = (iz <= grid.kept_max) & (pos[ix] >= 0) & (pos[iy] >= 0)
+        return keep, (pos[ix[keep]], pos[iy[keep]], iz[keep])
+
     ix, iy, iz = index[cx], index[cy], index[cz]
-    mx, my, mz = (-ix) % n, (-iy) % n, (-iz) % n
-    # of each drawn mode k and its partner -k, the half spectrum stores the
-    # one with kz >= 0: k itself when kz >= 0, conj at -k when kz <= 0
-    own = iz < grid.half
-    mirror = mz < grid.half
-    coeffs = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+    own, at_own = stored(ix, iy, iz)
+    mirror, at_mirror = stored((-ix) % n, (-iy) % n, (-iz) % n)
+    coeffs = np.zeros((3,) + grid.kept_shape, dtype=np.complex128)
     for c in range(3):
         phases = rng.uniform(0.0, 2.0 * np.pi, size=ix.shape)
         vals = moduli[cx, cy, cz] * np.exp(1j * phases)
-        coeffs[c][ix[own], iy[own], iz[own]] = vals[own]
-        coeffs[c][mx[mirror], my[mirror], mz[mirror]] = np.conj(vals[mirror])
+        coeffs[c][at_own] = vals[own]
+        coeffs[c][at_mirror] = np.conj(vals[mirror])
     return leray_project(SpectralVelocityField(grid, coeffs))
 
 
@@ -255,12 +257,11 @@ def make_initial(config: SolverConfig) -> SpectralVelocityField:
 
 
 def _nonlinear_half(
-    grid: Grid, half: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Half-spectrum coefficients of -P(omega x u), the grid max of |u|, and
+    grid: Grid, kept: np.ndarray, samples: bool = True
+) -> tuple[np.ndarray, float, np.ndarray | None, np.ndarray | None]:
+    """Compact-cube coefficients of -P(omega x u), the grid max of |u|, and
     the grid samples of u and omega (see :func:`convective_core_half`)."""
-    w_hat, u_max, u_phys, omega = convective_core_half(grid, half)
-    # w_hat is zero outside the kept blocks, and so is its projection
+    w_hat, u_max, u_phys, omega = convective_core_half(grid, kept, samples)
     project_kept(grid, w_hat, negate=True)
     return w_hat, u_max, u_phys, omega
 
@@ -270,17 +271,19 @@ def nonlinear_rhs(u_hat: SpectralVelocityField) -> SpectralVelocityField:
     state, the right side ``verify`` hands to the identity check; the viscous
     term is handled separately by the time stepper."""
     g = u_hat.grid
-    return SpectralVelocityField(g, _nonlinear_half(g, u_hat.half)[0])
+    return SpectralVelocityField(g, _nonlinear_half(g, u_hat.kept, samples=False)[0])
 
 
 def _advance(
     state: SolverState,
     config: SolverConfig,
-    u_half: np.ndarray,
+    u_kept: np.ndarray,
     nl1: np.ndarray,
     u_max: float,
 ) -> SolverState:
-    """RK4 update in the half spectrum, given the stage-1 nonlinear term.
+    """RK4 update on the compact cube, given the stage-1 nonlinear term and
+    the stage-1 grid max of |u|, the one the CFL check reads; stages 2-4
+    take no grid samples.
 
     Three stage buffers are allocated once per step and every combination
     runs in place, in the operation order of
@@ -294,10 +297,10 @@ def _advance(
             f"dx/u_max={g.spacing / u_max:.6g}"
         )
     dt, mu = config.dt, config.mu
-    k2_visc = mu * g.k_squared_half
-    k = np.empty_like(u_half)  # the current stage derivative
-    acc = np.empty_like(u_half)  # the weighted sum of the stage derivatives
-    tmp = np.empty_like(u_half)  # the stage input, then the weighted derivative
+    k2_visc = mu * g.k_squared
+    k = np.empty_like(u_kept)  # the current stage derivative
+    acc = np.empty_like(u_kept)  # the weighted sum of the stage derivatives
+    tmp = np.empty_like(u_kept)  # the stage input, then the weighted derivative
 
     def rhs(coeffs: np.ndarray, nl: np.ndarray) -> None:
         np.multiply(k2_visc, coeffs, out=k)
@@ -305,19 +308,19 @@ def _advance(
 
     # overflow policy: let non-finite values flow to the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs(u_half, nl1)
+        rhs(u_kept, nl1)
         acc[...] = k
         for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
             np.multiply(k, c, out=tmp)
-            np.add(u_half, tmp, out=tmp)
-            rhs(tmp, _nonlinear_half(g, tmp)[0])
+            np.add(u_kept, tmp, out=tmp)
+            rhs(tmp, _nonlinear_half(g, tmp, samples=False)[0])
             if weight == 1.0:
                 acc += k
             else:
                 np.multiply(k, weight, out=tmp)
                 acc += tmp
         acc *= dt / 6.0
-        new = np.add(u_half, acc, out=acc)
+        new = np.add(u_kept, acc, out=acc)
     if not np.isfinite(new).all():
         raise NumericalBlowup(f"non-finite coefficients after step to t={state.t + dt:.6g}")
     return SolverState(
@@ -327,31 +330,19 @@ def _advance(
     )
 
 
-def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """Advance one timestep with classical RK4 on the full right-hand side.
-
-    Re-checks the advective CFL bound against the current field and raises
-    NumericalBlowup on violation or on non-finite output.
-    """
-    u_half = state.u_hat.half
-    with np.errstate(over="ignore", invalid="ignore"):
-        nl1, u_max = _nonlinear_half(config.grid, u_half)[:2]
-    return _advance(state, config, u_half, nl1, u_max)
-
-
 def pressure_field(u_hat: SpectralVelocityField):
     """Diagnostic pressure q, mean zero, from Delta q = -div((u . grad) u).
 
     With (u . grad) u = omega x u + grad |u|^2/2, q = -Delta^-1 div(omega x u)
     - |u|^2/2.  |u|^2 is formed from the same dealiased samples as omega x u
-    and dealiased like it, so q_hat is band-limited and one
+    and dealiased like it, so q_hat lies on the kept modes and one
     :func:`inverse_kept` gives its samples.
     """
     g = u_hat.grid
-    w_hat, _, u_phys, _ = convective_core_half(g, u_hat.half)
-    ke_hat = rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
-    q_hat = divergence(SpectralVelocityField(g, w_hat)).half * g.inv_k_squared_half
-    q_hat -= ke_hat * g.dealias_mask_half
+    w_hat, _, u_phys, _ = convective_core_half(g, u_hat.kept)
+    ke = RealScalarField(g, 0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
+    q_hat = divergence(SpectralVelocityField(g, w_hat)).kept * g.inv_k_squared
+    q_hat -= fft_forward(ke).kept
     q_hat[0, 0, 0] = 0.0
     return RealScalarField(g, inverse_kept(g, q_hat))
 
@@ -384,11 +375,11 @@ def run(
     try:
         for i in range(n_steps + 1):
             final = i == n_steps
-            u_half = state.u_hat.half
+            u_kept = state.u_hat.kept
             # the stage-1 term doubles as the monitors' time derivative, and
             # its grid samples of u and omega serve the sample and the snapshot
             with np.errstate(over="ignore", invalid="ignore"):
-                nl, u_max, u_phys, omega = _nonlinear_half(g, u_half)
+                nl, u_max, u_phys, omega = _nonlinear_half(g, u_kept)
             if i == 0 and not math.isfinite(u_max):
                 raise InitialFieldOutOfRange(
                     f"{config.init.kind}: the initial field's grid max |u| is {u_max!r} "
@@ -426,7 +417,7 @@ def run(
                 )
             if final:
                 break
-            state = _advance(state, config, u_half, nl, u_max)
+            state = _advance(state, config, u_kept, nl, u_max)
     except NumericalBlowup as exc:
         exc.series = series
         raise

@@ -9,42 +9,43 @@ Conventions, fixed once for the whole package:
   equals the field mean and Parseval reads
   ``sum(samples**2) * dx**3 == sum(|coeffs|**2) * length**3``, the sum
   running over every wavevector of the cube
-* spectral fields store the rfft half spectrum, kz indices ``0 .. n/2``
-  (shape ``(..., n, n, n/2 + 1)``), and their constructors accept no other
-  shape; the kz < 0 coefficients are the conjugate mirror of the kept ones.
-  A sum over every wavevector of a quantity even in k is a half-spectrum sum
-  with Parseval weights: 1 on the kz = 0 and kz = n/2 planes, 2 on every
-  other plane (:func:`parseval_sum`)
 * integer wavevectors run over ``{-n/2, ..., n/2 - 1}`` per axis, scaled by
-  ``2*pi/length``; the unpaired Nyquist mode ``-n/2`` is zeroed in every
-  derivative operator
+  ``2*pi/length``
 * quadratic products are dealiased by the 2/3 rule: a mode is kept when
   ``3 * max(|kx|, |ky|, |kz|) < n`` (integer wavevector max-norm) and zeroed
   otherwise.  The bound is strict: a product of kept modes reaches at most
   ``2 max|k|``, which aliases to ``2 max|k| - n``; that stays outside the
   kept band only when ``3 max|k| < n``.  (With ``3 | n`` and ``max|k| = n/3``
   kept, mode ``2n/3`` would alias onto the kept mode ``-n/3``.)
-* every state is band-limited: its coefficients vanish outside the modes
-  the 2/3 rule keeps (:attr:`Grid.kept_blocks`).  The initializers build
-  states so, the dealiased right-hand side keeps them so, and a state read
-  back from grid samples is cut to the band (:func:`band_limit`), which
-  removes only the roundoff a forward transform leaves there
-* operators read only :attr:`Grid.kept_blocks`: the inverse transforms of
-  states and of their derivatives (:func:`inverse_kept`) and the Leray
-  projection (:func:`leray_project`) skip every other mode, and on a
-  band-limited input each equals its full counterpart bit for bit, but for
-  the sign of a zero
+* spectral fields store only the modes the 2/3 rule keeps, as the compact
+  cube of shape ``(..., 2m+1, 2m+1, m+1)``, ``m = (n - 1) // 3``
+  (:attr:`Grid.kept_shape`), and their constructors accept no other shape.
+  Along x and y its index ``i`` holds the integer mode ``i`` for
+  ``i <= m`` and ``i - (2m + 1)`` above, FFT storage order with the
+  dropped middle cut out (:attr:`Grid.kept_index`); along z it holds the
+  modes ``0 .. m``, whose kz < 0 partners are their conjugate mirror.
+  Since ``m < n/2``, no kept mode is a Nyquist mode.  A sum over every
+  wavevector of a quantity even in k is a compact-cube sum with Parseval
+  weights: 1 on the kz = 0 plane, 2 on every other plane, each standing for
+  itself and its mirror (:func:`parseval_sum`)
+* the forward transform (:func:`fft_forward`) is ``rfftn`` followed by a
+  gather of the compact cube; the nonlinear term's forward transform ends
+  in the same gather, which is its dealiasing
+* the transforms keep a half-spectrum workspace, ``(..., n, n, n/2 + 1)``,
+  inside: :func:`inverse_kept` scatters the compact cube into a zeroed one
+  and runs pruned 1-D passes that skip every line holding only zeros, and
+  on such an input equals a full ``irfftn`` bit for bit, but for the sign
+  of a zero
 * the nonlinear term is the rotational product ``omega x u``
   (:func:`convective_core_half`): an inverse transform of the 6 fields
   [u, omega] and a forward transform of the 3 product components, 9
   three-dimensional FFTs per right-hand side, each pruned to the kept
   modes and bitwise equal to the full transform
 
-All operations are pure functions, but for the two kernels that work in
-place on an array their caller owns, :func:`project_kept` and
-:func:`inverse_kept`.  Reductions are numpy's own C-order
-sums, never a BLAS call, so results are reproducible run to run and do not
-depend on the BLAS thread count.  The environment variable
+All operations are pure functions, but for :func:`project_kept`, which
+works in place on an array its caller owns.  Reductions are numpy's own
+C-order sums, never a BLAS call, so results are reproducible run to run and
+do not depend on the BLAS thread count.  The environment variable
 ``REGCRIT_THREADS`` caps the FFT worker pool (default: every CPU); the
 worker count does not change any result.
 """
@@ -119,76 +120,79 @@ class Grid:
         """Signed integer wavevector along one axis, FFT storage order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
-    @cached_property
-    def deriv_modes(self) -> np.ndarray:
-        """Integer modes with the unpaired Nyquist mode zeroed."""
-        m = self.integer_modes.copy()
-        m[self.n // 2] = 0
-        return m
-
     @property
     def half(self) -> int:
-        """Number of kept kz planes, kz = 0 .. n/2."""
+        """Number of kz planes of the transforms' workspace, kz = 0 .. n/2."""
         return self.n // 2 + 1
 
     @property
     def half_shape(self) -> tuple[int, int, int]:
-        """Shape of a half spectrum, the storage layout of spectral fields."""
+        """Shape of a real-input half spectrum, the transforms' workspace."""
         return (self.n, self.n, self.half)
 
-    @cached_property
-    def wavenumbers_half(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Physical derivative wavenumbers, broadcastable to the half shape."""
-        k = self.deriv_modes.astype(np.float64) * (TWO_PI / self.length)
-        n, h = self.n, self.half
-        return (k.reshape(n, 1, 1), k.reshape(1, n, 1), k[:h].reshape(1, 1, h))
+    @property
+    def kept_max(self) -> int:
+        """m = (n - 1) // 3, the largest |k_i| the 2/3 rule keeps."""
+        return (self.n - 1) // 3
+
+    @property
+    def kept_shape(self) -> tuple[int, int, int]:
+        """Shape of the compact cube, the storage layout of spectral fields."""
+        m = self.kept_max
+        return (2 * m + 1, 2 * m + 1, m + 1)
 
     @cached_property
-    def k_squared_half(self) -> np.ndarray:
-        kx, ky, kz = self.wavenumbers_half
+    def kept_slabs(self) -> tuple[slice, slice]:
+        """The storage index ranges ``[0, m]`` and ``[n - m, n - 1]`` of the
+        modes the 2/3 rule keeps along x or y; along kz the half spectrum
+        holds only the first."""
+        m = self.kept_max
+        return (slice(0, m + 1), slice(self.n - m, self.n))
+
+    @cached_property
+    def kept_index(self) -> np.ndarray:
+        """The FFT storage index of each compact-cube index along x or y."""
+        m = self.kept_max
+        return np.r_[0 : m + 1, self.n - m : self.n]
+
+    @cached_property
+    def wavevector(self) -> np.ndarray:
+        """Physical wavevector (kx, ky, kz) on the compact cube, shape
+        ``(3,) + kept_shape``."""
+        k = self.integer_modes[self.kept_index].astype(np.float64) * (TWO_PI / self.length)
+        m = self.kept_max
+        return np.stack(np.broadcast_arrays(k[:, None, None], k[None, :, None], k[: m + 1]))
+
+    @cached_property
+    def k_squared(self) -> np.ndarray:
+        kx, ky, kz = self.wavevector
         return kx**2 + ky**2 + kz**2
 
     @cached_property
-    def inv_k_squared_half(self) -> np.ndarray:
-        """1/|k|^2 with the k = 0 (and Nyquist-only) entries set to zero."""
-        k2 = self.k_squared_half
+    def inv_k_squared(self) -> np.ndarray:
+        """1/|k|^2 with the k = 0 entry set to zero."""
+        k2 = self.k_squared
         out = np.zeros_like(k2)
         np.divide(1.0, k2, out=out, where=k2 > 0)
         return out
 
     @cached_property
-    def dealias_mask_half(self) -> np.ndarray:
-        keep = 3 * np.abs(self.integer_modes) < self.n
-        n, h = self.n, self.half
-        return keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep[:h].reshape(1, 1, h)
+    def sobolev_weights(self) -> tuple[np.ndarray, ...]:
+        """|k|^(2m) on the compact cube for m = 0 .. 3."""
+        k2 = self.k_squared
+        return tuple(k2**m for m in range(4))
 
     @cached_property
-    def kept_slabs(self) -> tuple[slice, slice]:
-        """The storage index ranges ``[0, m]`` and ``[n - m, n - 1]``,
-        ``m = (n - 1) // 3``, of the modes the 2/3 rule keeps along x or y;
-        along kz the half spectrum holds only the first."""
-        m = (self.n - 1) // 3
-        return (slice(0, m + 1), slice(self.n - m, self.n))
-
-    @cached_property
-    def kept_blocks(self) -> tuple[tuple[slice, slice, slice], ...]:
-        """The True set of :attr:`dealias_mask_half` as 4 index blocks
-        (x-slab, y-slab, kz <= m)."""
-        lo, hi = self.kept_slabs
-        return tuple((sx, sy, lo) for sx in (lo, hi) for sy in (lo, hi))
-
-    def block_wavenumbers(
-        self, block: tuple[slice, slice, slice]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`wavenumbers_half` on one of the :attr:`kept_blocks`."""
-        kx, ky, kz = self.wavenumbers_half
-        sx, sy, sz = block
-        return kx[sx], ky[:, sy], kz[:, :, sz]
+    def parseval_weights(self) -> np.ndarray:
+        """Per kz plane of the compact cube: 1 on kz = 0, 2 on the others."""
+        weights = np.full(self.kept_max + 1, 2.0)
+        weights[0] = 1.0
+        return weights
 
     @cached_property
     def k_squared_max_retained(self) -> float:
-        """Largest |k|^2 surviving the dealias mask; sets the viscous CFL."""
-        return float((self.k_squared_half * self.dealias_mask_half).max())
+        """Largest |k|^2 the 2/3 rule keeps; sets the viscous CFL."""
+        return float(self.k_squared.max())
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = self.coordinates
@@ -218,27 +222,27 @@ class RealScalarField:
 
 @dataclass
 class _SpectralField:
-    """Fourier coefficients held as the half spectrum ``half``, taken as is;
+    """Fourier coefficients held as the compact cube ``kept``, contiguous;
     any other shape is a ValueError."""
 
     grid: Grid
-    half: np.ndarray
+    kept: np.ndarray
 
     _components = 1
 
     def __post_init__(self):
-        want = ((self._components,) if self._components > 1 else ()) + self.grid.half_shape
-        self.half = np.asarray(self.half, dtype=np.complex128)
-        if self.half.shape != want:
+        want = ((self._components,) if self._components > 1 else ()) + self.grid.kept_shape
+        self.kept = np.ascontiguousarray(self.kept, dtype=np.complex128)
+        if self.kept.shape != want:
             raise ValueError(
-                f"{type(self).__name__}: expected a half spectrum of shape {want}, "
-                f"got {self.half.shape}"
+                f"{type(self).__name__}: expected the kept modes, shape {want}, "
+                f"got {self.kept.shape}"
             )
 
 
 @dataclass
 class SpectralScalarField(_SpectralField):
-    """Fourier coefficients of a real scalar field, shape (n, n, n/2 + 1)."""
+    """Fourier coefficients of a real scalar field, shape (2m+1, 2m+1, m+1)."""
 
 
 @dataclass
@@ -260,8 +264,8 @@ class VelocityField:
 
 @dataclass
 class SpectralVelocityField(_SpectralField):
-    """Fourier coefficients of a real 3-vector field, shape (3, n, n, n/2 + 1);
-    also used for the convective term."""
+    """Fourier coefficients of a real 3-vector field, shape
+    (3, 2m+1, 2m+1, m+1); also used for the convective term."""
 
     _components = 3
 
@@ -283,79 +287,95 @@ def _mirror_tail(grid: Grid, half: np.ndarray) -> np.ndarray:
     return np.conj(interior[..., m, :, :][..., :, m, :][..., ::-1])
 
 
+def _blocks(grid: Grid):
+    """The 4 blocks of kept modes: (half-spectrum index, compact index) per
+    pair of x and y slabs, kz 0 .. m in both."""
+    m = grid.kept_max
+    lo, hi = grid.kept_slabs
+    pairs = ((lo, slice(0, m + 1)), (hi, slice(m + 1, 2 * m + 1)))
+    for sx, cx in pairs:
+        for sy, cy in pairs:
+            yield (..., sx, sy, lo), (..., cx, cy, slice(None))
+
+
+def _gather(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The compact cube of the kept modes of a half spectrum."""
+    out = np.empty(half.shape[:-3] + grid.kept_shape, dtype=np.complex128)
+    for h, c in _blocks(grid):
+        out[c] = half[h]
+    return out
+
+
+def _scatter(grid: Grid, kept: np.ndarray) -> np.ndarray:
+    """A zeroed half-spectrum workspace holding the compact cube ``kept`` on
+    its kept modes."""
+    hat = np.zeros(kept.shape[:-3] + grid.half_shape, dtype=np.complex128)
+    for h, c in _blocks(grid):
+        hat[h] = kept[c]
+    return hat
+
+
 def parseval_sum(grid: Grid, density: np.ndarray) -> float:
     """Box volume times the full-cube sum of a density even in k, given on
-    the half spectrum; e.g. ``|u_hat|^2`` gives ``||u||_2^2``.  Each interior
-    kz plane stands for itself and its mirror plane, so it counts twice;
-    kz = 0 and kz = n/2 are their own mirror and count once."""
-    weights = np.full(grid.half, 2.0)
-    weights[[0, -1]] = 1.0
-    return float(grid.volume * np.sum(weights * density))
+    the compact cube; e.g. ``|u_hat|^2`` gives ``||u||_2^2``.  Each kz > 0
+    plane stands for itself and its mirror plane, so it counts twice; kz = 0
+    is its own mirror and counts once.  The kz = n/2 plane, also its own
+    mirror, is never kept."""
+    return float(grid.volume * np.sum(grid.parseval_weights * density))
 
 
 def fft_forward(f):
-    """Transform a real field to spectral space (k = 0 coefficient = mean)."""
+    """Transform a real field to spectral space (k = 0 coefficient = mean),
+    keeping the modes the 2/3 rule keeps."""
     if isinstance(f, RealScalarField):
-        return SpectralScalarField(f.grid, rfftn(f.values))
+        return SpectralScalarField(f.grid, _gather(f.grid, rfftn(f.values)))
     if isinstance(f, VelocityField):
-        return SpectralVelocityField(f.grid, rfftn(f.values))
+        return SpectralVelocityField(f.grid, _gather(f.grid, rfftn(f.values)))
     raise TypeError(f"cannot transform {type(f).__name__}")
 
 
 def divergence(U: SpectralVelocityField) -> SpectralScalarField:
-    kx, ky, kz = U.grid.wavenumbers_half
-    u, v, w = U.half
+    kx, ky, kz = U.grid.wavevector
+    u, v, w = U.kept
     return SpectralScalarField(U.grid, 1j * (kx * u + ky * v + kz * w))
 
 
-def band_limit(U: SpectralVelocityField) -> SpectralVelocityField:
-    """U with every mode outside :attr:`Grid.kept_blocks` set to zero."""
-    return type(U)(U.grid, U.half * U.grid.dealias_mask_half)
-
-
-def project_kept(grid: Grid, half: np.ndarray, negate: bool = False) -> None:
-    """In place on the kept blocks of the 3-component half spectrum
-    ``half``: u <- (I - k k^T/|k|^2) u, or its negative when ``negate``.
-    Per block s = (k . u)/|k|^2, then u - k s (k s - u when negated); the
-    other entries of ``half`` are left as they are."""
-    inv_k2 = grid.inv_k_squared_half
-    for block in grid.kept_blocks:
-        sx, sy, sz = block
-        ks = grid.block_wavenumbers(block)
-        u, v, w = comps = half[:, sx, sy, sz]
-        s = (ks[0] * u + ks[1] * v + ks[2] * w) * inv_k2[sx, sy, sz]
-        for k, c in zip(ks, comps):
-            if negate:
-                np.subtract(k * s, c, out=c)
-            else:
-                np.subtract(c, k * s, out=c)
+def project_kept(grid: Grid, kept: np.ndarray, negate: bool = False) -> None:
+    """In place on the 3-component compact cube ``kept``:
+    u <- (I - k k^T/|k|^2) u, or its negative when ``negate``.  With
+    s = (k . u)/|k|^2, that is u - k s (k s - u when negated)."""
+    k = grid.wavevector
+    u, v, w = kept
+    s = (k[0] * u + k[1] * v + k[2] * w) * grid.inv_k_squared
+    if negate:
+        np.subtract(k * s, kept, out=kept)
+    else:
+        np.subtract(kept, k * s, out=kept)
 
 
 def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
     """Project onto divergence-free fields: u <- (I - k k^T/|k|^2) u.
 
     The k = 0 mode (mean flow) passes through unchanged; idempotent and
-    self-adjoint for the spectral inner product.  Only the kept modes are
-    read; the result is zero outside them (:func:`project_kept`).
+    self-adjoint for the spectral inner product (:func:`project_kept`).
     """
-    g = U.grid
-    out = np.zeros_like(U.half)
-    for sx, sy, sz in g.kept_blocks:
-        out[:, sx, sy, sz] = U.half[:, sx, sy, sz]
-    project_kept(g, out)
-    return SpectralVelocityField(g, out)
+    out = U.kept.copy()
+    project_kept(U.grid, out)
+    return SpectralVelocityField(U.grid, out)
 
 
-def inverse_kept(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Grid samples of the fields whose half spectra ``hat``, shape
-    ``(..., n, n, n/2 + 1)``, vanish outside :attr:`Grid.kept_blocks`.
+def inverse_kept(grid: Grid, kept: np.ndarray) -> np.ndarray:
+    """Grid samples of the fields whose compact cubes are ``kept``, shape
+    ``(..., 2m+1, 2m+1, m+1)``.
 
-    Pruned 1-D passes in pocketfft's own order and with its scaling point:
-    x on the kept (y, kz) lines, y on the kept kz planes, then a real pass
-    along z.  The lines skipped are those a full ``irfftn`` reads only as
-    zeros, so the samples equal its samples bit for bit, but for the sign
-    of a zero.  ``hat`` is overwritten and left undefined.
+    They are scattered into a zeroed half-spectrum workspace, allocated per
+    call, and transformed by pruned 1-D passes in pocketfft's own order and
+    with its scaling point: x on the kept (y, kz) lines, y on the kept kz
+    planes, then a real pass along z.  The lines skipped are those a full
+    ``irfftn`` reads only as zeros, so the samples equal its samples bit for
+    bit, but for the sign of a zero.  ``kept`` is not modified.
     """
+    hat = _scatter(grid, kept)
     lo, hi = grid.kept_slabs
     for sy in (lo, hi):
         _complex_pass(hat[..., :, sy, lo], axis=-3, inverse=True)
@@ -367,17 +387,9 @@ def inverse_kept(grid: Grid, hat: np.ndarray) -> np.ndarray:
 
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
     """Physical-space derivative table d[a, c] = d u_c / d x_a, shape
-    (3, 3, n, n, n): the 9 fields i k_a u_c, formed on the kept blocks, in
-    one :func:`inverse_kept`."""
-    g = U.grid
-    hat = np.zeros((3, 3) + g.half_shape, dtype=np.complex128)
-    for block in g.kept_blocks:
-        sx, sy, sz = block
-        ks = g.block_wavenumbers(block)
-        u = U.half[:, sx, sy, sz]
-        for a in range(3):
-            np.multiply(1j * ks[a], u, out=hat[a, :, sx, sy, sz])
-    return inverse_kept(g, hat)
+    (3, 3, n, n, n): the 9 fields i k_a u_c in one :func:`inverse_kept`."""
+    ik = 1j * U.grid.wavevector
+    return inverse_kept(U.grid, ik[:, None] * U.kept)
 
 
 #: the 6 index pairs (i, j), i <= j, of the symmetric Hessian, in table order
@@ -395,20 +407,14 @@ def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
 
     The Hessian is symmetric in (i, j), so the 6 pairs hold all 27 entries.
     They are transformed one pair at a time, 3 fields per
-    :func:`inverse_kept`, each pair's spectrum formed on the kept blocks of
-    a zeroed one, so besides the table only one pair's spectrum and samples
-    are live.
+    :func:`inverse_kept`, so besides the table only one pair's spectrum,
+    workspace and samples are live.
     """
     g = U.grid
+    k = g.wavevector
     out = np.empty((len(HESSIAN_PAIRS), 3) + g.shape)
     for idx, (i, j) in enumerate(HESSIAN_PAIRS):
-        hat = np.zeros((3,) + g.half_shape, dtype=np.complex128)
-        for block in g.kept_blocks:
-            sx, sy, sz = block
-            ks = g.block_wavenumbers(block)
-            np.multiply(-ks[i] * ks[j], U.half[:, sx, sy, sz], out=hat[:, sx, sy, sz])
-        out[idx] = inverse_kept(g, hat)
-        del hat
+        out[idx] = inverse_kept(g, (-k[i] * k[j]) * U.kept)
     return out
 
 
@@ -424,9 +430,9 @@ def _complex_pass(lines: np.ndarray, axis: int, inverse: bool) -> None:
 
 
 def convective_core_half(
-    grid: Grid, half: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Dealiased rotational nonlinear term omega x u on the half spectrum,
+    grid: Grid, kept: np.ndarray, samples: bool = True
+) -> tuple[np.ndarray, float, np.ndarray | None, np.ndarray | None]:
+    """Dealiased rotational nonlinear term omega x u on the compact cube,
     the grid max of |u|, and the grid samples of u and omega = curl u.
 
     omega x u differs from (u . grad) u by grad |u|^2/2, which the Leray
@@ -435,33 +441,25 @@ def convective_core_half(
     is dealiased again, so retained modes of band-limited inputs are exact.
     The max feeds the advective CFL check, and the samples (views of one
     (6, n, n, n) array, of the dealiased u) feed the monitors and snapshots
-    of the same state, without another transform.
+    of the same state, without another transform.  With ``samples=False``
+    the max is NaN, the samples are None and are freed before the forward
+    transform.
 
-    Only the modes the 2/3 rule keeps (:attr:`Grid.kept_blocks`, about 30 %
-    of the half spectrum) are read from ``half`` and non-zero in ``w_hat``,
-    so the 9 transforms (6 inverse, 3 forward) are pruned 1-D passes, in
-    pocketfft's own order and with its scaling point.  Inverse:
-    :func:`inverse_kept`.  Forward: a real pass along z, then x on the kept
-    kz planes and y on the kept x-slabs.  The skipped lines are those a full
-    transform only reads as zeros or writes to be masked, so every result
-    equals that of full transforms and the dealias mask bit for bit, but for
-    the sign of a zero.
+    The inverse is :func:`inverse_kept` of [u, omega].  The forward runs
+    pruned 1-D passes on a half-spectrum workspace, in pocketfft's own order
+    and with its scaling point: a real pass along z, then x on the kept kz
+    planes and y on the kept x-slabs; the kept modes are then gathered into
+    the compact cube.  The skipped lines are those a full transform only
+    writes to be cut, so the result equals that of a full ``rfftn`` cut to
+    the kept modes bit for bit, but for the sign of a zero.
     """
     n = grid.n
     lo, hi = grid.kept_slabs
-    hat = np.zeros((6,) + grid.half_shape, dtype=np.complex128)
-    for block in grid.kept_blocks:
-        sx, sy, sz = block
-        kx, ky, kz = grid.block_wavenumbers(block)
-        out = hat[:, sx, sy, sz]
-        out[:3] = half[:, sx, sy, sz]
-        u, v, w = out[:3]
-        out[3] = ky * w - kz * v
-        out[4] = kz * u - kx * w
-        out[5] = kx * v - ky * u
-        out[3:] *= 1j
-    phys = inverse_kept(grid, hat)
-    del hat
+    kx, ky, kz = grid.wavevector
+    u, v, w = kept
+    omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
+    phys = inverse_kept(grid, np.concatenate((kept, omega_hat)))
+    del omega_hat
     u_phys, omega = phys[:3], phys[3:]
     cross = np.empty((3,) + grid.shape)
     tmp = np.empty(grid.shape)
@@ -470,6 +468,12 @@ def convective_core_half(
         np.multiply(omega[a], u_phys[b], out=cross[c])
         np.multiply(omega[b], u_phys[a], out=tmp)
         cross[c] -= tmp
+    if samples:
+        np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
+        u_max = math.sqrt(float(tmp.max(initial=0.0)))
+    else:
+        u_max, u_phys, omega = math.nan, None, None
+    del phys, tmp
     # rfftn scales by 1/n^3 right after its z pass; so does this
     w_hat = _fft.rfft(cross, axis=-1, overwrite_x=True, workers=_workers())
     del cross
@@ -478,13 +482,7 @@ def convective_core_half(
     _complex_pass(w_hat[..., lo], axis=-3, inverse=False)
     for sx in (lo, hi):
         _complex_pass(w_hat[:, sx, :, lo], axis=-2, inverse=False)
-    mid = slice(lo.stop, hi.start)
-    w_hat[..., lo.stop :] = 0.0
-    w_hat[:, mid, :, lo] = 0.0
-    w_hat[:, :, mid, lo] = 0.0
-    np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
-    u_max = math.sqrt(float(tmp.max(initial=0.0)))
-    return w_hat, u_max, u_phys, omega
+    return _gather(grid, w_hat), u_max, u_phys, omega
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
@@ -493,6 +491,6 @@ def to_physical(U: SpectralVelocityField) -> VelocityField:
     :func:`convective_core_half` and :func:`inverse_kept`.  It is kept
     because the benchmark traces it by name."""
     n = U.grid.n
-    samples = _fft.irfftn(U.half, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
-                          workers=_workers())
+    samples = _fft.irfftn(_scatter(U.grid, U.kept), s=(n, n, n), axes=(-3, -2, -1),
+                          norm="forward", workers=_workers())
     return VelocityField(U.grid, samples)

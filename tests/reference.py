@@ -1,24 +1,25 @@
 """The independent full-cube route that the tests compare the package against.
 
-The package stores every spectral field as the rfft half spectrum and uses
-real-input FFTs only.  This module keeps the other representation: the full
-``(..., n, n, n)`` cube of complex coefficients, with complex FFTs taken
-straight from ``scipy.fft`` and the cube's own wavenumber, |k|^2 and
-dealias-mask tables.  Oracles built here share no transform and no
-wavenumber table with the code under test.  The package imports nothing
-from this module.
+The package stores every spectral field as the compact cube of the modes
+the 2/3 rule keeps and uses real-input FFTs only.  This module keeps the
+other representations: the full ``(..., n, n, n)`` cube of complex
+coefficients, with complex FFTs taken straight from ``scipy.fft`` and the
+cube's own wavenumber, |k|^2 and dealias-mask tables, and the rfft half
+spectrum ``(..., n, n, n/2 + 1)`` with its own tables.  Oracles built here
+share no transform and no wavenumber table with the code under test.  The
+package imports nothing from this module.
 
 Conventions are the package's: mean-normalized forward transforms, FFT
 storage order, the Nyquist mode zeroed in derivative wavenumbers, and the
 2/3 rule ``3 * max|k| < n``.
 
-The routes at the end are the exception: they keep routes the package
-replaced, built with the package's own tables and the full ``irfftn``/
-``rfftn``, so that the replacements can be pinned bitwise to them.  The
-Hessian routes keep the earlier 27-entry derivative table; the unpruned
-derivative tables, kernel and pressure transform the whole half spectrum,
-the full projection and the full-cube draw work on every mode, where the
-package touches only the kept ones.
+The routes at the end keep routes the package replaced, on the half
+spectrum and with the full ``irfftn``/``rfftn``, so that the replacements
+can be pinned bitwise to them.  The Hessian routes keep the earlier
+27-entry derivative table; the unpruned derivative tables, kernel and
+pressure transform the whole half spectrum, the full projection and the
+full-cube draw work on every mode, and :func:`step_half` is the RK4 step on
+the half spectrum, where the package touches only the kept modes.
 """
 
 import math
@@ -57,11 +58,73 @@ def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward", workers=spec._workers())
 
 
+def deriv_modes(grid: spec.Grid) -> np.ndarray:
+    """Integer modes along one axis with the unpaired Nyquist mode zeroed."""
+    m = grid.integer_modes.copy()
+    m[grid.n // 2] = 0
+    return m
+
+
 def wavenumbers(grid: spec.Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Physical derivative wavenumbers, broadcastable to (n, n, n)."""
     n = grid.n
-    k = grid.deriv_modes.astype(np.float64) * (spec.TWO_PI / grid.length)
+    k = deriv_modes(grid).astype(np.float64) * (spec.TWO_PI / grid.length)
     return (k.reshape(n, 1, 1), k.reshape(1, n, 1), k.reshape(1, 1, n))
+
+
+def wavenumbers_half(grid: spec.Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical derivative wavenumbers, broadcastable to the half shape."""
+    kx, ky, kz = wavenumbers(grid)
+    return kx, ky, kz[..., : grid.half]
+
+
+def k_squared_half(grid: spec.Grid) -> np.ndarray:
+    kx, ky, kz = wavenumbers_half(grid)
+    return kx**2 + ky**2 + kz**2
+
+
+def inv_k_squared_half(grid: spec.Grid) -> np.ndarray:
+    """1/|k|^2 on the half spectrum, zero where |k| = 0."""
+    k2 = k_squared_half(grid)
+    out = np.zeros_like(k2)
+    np.divide(1.0, k2, out=out, where=k2 > 0)
+    return out
+
+
+def dealias_mask_half(grid: spec.Grid) -> np.ndarray:
+    return dealias_mask(grid)[..., : grid.half]
+
+
+def _kept_axes(grid: spec.Grid):
+    """Index arrays selecting the compact cube from a half spectrum: along
+    x and y the storage indices of |k| <= (n - 1) // 3, along z kz = 0 .. that."""
+    m = (grid.n - 1) // 3
+    xy = np.nonzero(np.abs(grid.integer_modes) <= m)[0]
+    return np.ix_(xy, xy, np.arange(m + 1))
+
+
+class HalfSpectrum:
+    """A field held as a whole half spectrum, every mode read: the routes
+    here take it where they take a package field."""
+
+    def __init__(self, grid: spec.Grid, half_spectrum: np.ndarray):
+        self.grid = grid
+        self.half = half_spectrum
+
+
+def to_half(U) -> np.ndarray:
+    """The half spectrum of a spectral field: its compact cube scattered
+    into zeros (a :class:`HalfSpectrum` as it is)."""
+    if isinstance(U, HalfSpectrum):
+        return U.half
+    out = np.zeros(U.kept.shape[:-3] + U.grid.half_shape, dtype=np.complex128)
+    out[(...,) + _kept_axes(U.grid)] = U.kept
+    return out
+
+
+def to_kept(grid: spec.Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """The compact cube of a half spectrum: its kept modes, the rest dropped."""
+    return np.ascontiguousarray(half_spectrum[(...,) + _kept_axes(grid)])
 
 
 def ik_axes(grid: spec.Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,7 +155,7 @@ def _relative(deviation: float, coefficients: np.ndarray) -> float:
 
 def full(U) -> np.ndarray:
     """The full cube of a spectral field, rebuilt from its half spectrum."""
-    return spec.full_from_half(U.grid, U.half)
+    return spec.full_from_half(U.grid, to_half(U))
 
 
 def half(grid: spec.Grid, coefficients: np.ndarray) -> np.ndarray:
@@ -115,6 +178,30 @@ def half(grid: spec.Grid, coefficients: np.ndarray) -> np.ndarray:
     return kept
 
 
+def parseval_half(grid: spec.Grid, density: np.ndarray) -> float:
+    """Box volume times the full-cube sum of a density even in k, given on
+    the half spectrum: 1 on the kz = 0 and kz = n/2 planes, 2 on the others."""
+    weights = np.full(grid.half, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(grid.volume * np.sum(weights * density))
+
+
+def identity_lhs_half(grid: spec.Grid, half_spectrum: np.ndarray, mu: float) -> float:
+    """The spectral side of the H^2 identity, <grad^2 u, grad^2 du/dt> +
+    mu ||grad^3 u||^2, of a half spectrum read on every mode, with du/dt from
+    :func:`nonlinear_half_unpruned`."""
+    k2 = k_squared_half(grid)
+    dudt = nonlinear_half_unpruned(grid, half_spectrum)[0] - mu * k2 * half_spectrum
+    rate = parseval_half(grid, k2 * k2 * np.real(np.conj(half_spectrum) * dudt))
+    return rate + mu * parseval_half(grid, k2**3 * np.abs(half_spectrum) ** 2)
+
+
+def compact(grid: spec.Grid, coefficients: np.ndarray) -> np.ndarray:
+    """The compact cube of a full cube, for the spectral field constructors:
+    :func:`half`, then its kept modes; the other modes are dropped."""
+    return to_kept(grid, half(grid, coefficients))
+
+
 def hermitian_violation(coefficients: np.ndarray) -> float:
     """Relative deviation of a full cube from F(-k) == conj(F(k)), 0 for real fields."""
     m = _mirror(coefficients.shape[-1])
@@ -124,7 +211,7 @@ def hermitian_violation(coefficients: np.ndarray) -> float:
 
 def spectral_inner(U, V) -> float:
     """L^2 inner product evaluated in spectral space (Parseval)."""
-    return spec.parseval_sum(U.grid, np.real(np.conj(U.half) * V.half))
+    return spec.parseval_sum(U.grid, np.real(np.conj(U.kept) * V.kept))
 
 
 def resample(F, n_new: int):
@@ -145,17 +232,21 @@ def resample(F, n_new: int):
 
     dst_xy, src_xy = axis(new_grid.integer_modes)
     dst_z, src_z = axis(np.arange(new_grid.half))
-    out = np.zeros(F.half.shape[:-3] + new_grid.half_shape, dtype=np.complex128)
-    out[(...,) + np.ix_(dst_xy, dst_xy, dst_z)] = F.half[
+    out = np.zeros(F.kept.shape[:-3] + new_grid.half_shape, dtype=np.complex128)
+    out[(...,) + np.ix_(dst_xy, dst_xy, dst_z)] = to_half(F)[
         (...,) + np.ix_(src_xy, src_xy, src_z)
     ]
-    return type(F)(new_grid, out)
+    return type(F)(new_grid, to_kept(new_grid, out))
 
 
 def random_divfree_full(grid: spec.Grid, seed: int, spectrum_slope: float, amplitude: float):
     """The full-cube construction of ``solver.init_random_divfree``: every
     drawn mode and its conjugate partner are written into a full
-    ``(3, n, n, n)`` cube, whose kz >= 0 planes are kept."""
+    ``(3, n, n, n)`` cube, whose kz >= 0 planes are projected by
+    :func:`leray_project_full` and rescaled.  The rescale reads
+    ``spectral.parseval_sum`` of the kept modes, as the package does: a sum
+    over the half spectrum adds the same terms in another order and differs
+    from it in the last bit (``TestParseval`` bounds that)."""
     n = grid.n
     rng = np.random.default_rng(seed)
     ints = grid.integer_modes
@@ -176,13 +267,11 @@ def random_divfree_full(grid: spec.Grid, seed: int, spectrum_slope: float, ampli
         vals = moduli[ix, iy, iz] * np.exp(1j * phases)
         coeffs[c][ix, iy, iz] = vals
         coeffs[c][mx, my, mz] = np.conj(vals)
-    U = leray_project_full(
-        spec.SpectralVelocityField(grid, np.ascontiguousarray(coeffs[..., : grid.half]))
-    )
+    projected = leray_project_full(grid, np.ascontiguousarray(coeffs[..., : grid.half]))
     if amplitude == 0.0:
-        return spec.SpectralVelocityField(grid, np.zeros_like(U.half))
-    current = math.sqrt(spec.parseval_sum(grid, np.abs(U.half) ** 2))
-    return spec.SpectralVelocityField(grid, U.half * (amplitude / current))
+        return np.zeros_like(projected)
+    current = math.sqrt(spec.parseval_sum(grid, np.abs(to_kept(grid, projected)) ** 2))
+    return projected * (amplitude / current)
 
 
 def hessian_table(U) -> np.ndarray:
@@ -190,11 +279,12 @@ def hessian_table(U) -> np.ndarray:
     the 18 distinct fields in one batched transform, the mixed partials
     copied into both (i, j) and (j, i)."""
     g = U.grid
-    ks = g.wavenumbers_half
+    ks = wavenumbers_half(g)
+    u = to_half(U)
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
     hat = np.empty((len(pairs), 3) + g.half_shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(pairs):
-        np.multiply(-ks[i] * ks[j], U.half, out=hat[idx])
+        np.multiply(-ks[i] * ks[j], u, out=hat[idx])
     phys = irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
         (len(pairs), 3) + g.shape
     )
@@ -253,14 +343,15 @@ def identity_rhs_einsum(U) -> float:
     return -2.0 * t1 - t2
 
 
-def convective_core_unpruned(grid: spec.Grid, half: np.ndarray):
+def convective_core_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
     """The rotational kernel on the whole half spectrum: mask the input,
     one batched ``irfftn`` of [u, omega], one ``rfftn`` of omega x u times
-    the mask.  Returns what ``spectral.convective_core_half`` returns."""
-    mask = grid.dealias_mask_half
-    kx, ky, kz = grid.wavenumbers_half
+    the mask.  Returns what ``spectral.convective_core_half`` returns, with
+    the term as a half spectrum."""
+    mask = dealias_mask_half(grid)
+    kx, ky, kz = wavenumbers_half(grid)
     hat = np.empty((6,) + grid.half_shape, dtype=np.complex128)
-    np.multiply(half, mask, out=hat[:3])
+    np.multiply(half_spectrum, mask, out=hat[:3])
     u, v, w = hat[:3]
     hat[3] = ky * w - kz * v
     hat[4] = kz * u - kx * w
@@ -279,42 +370,72 @@ def convective_core_unpruned(grid: spec.Grid, half: np.ndarray):
     return w_hat, u_max, u_phys, omega
 
 
-def nonlinear_half_unpruned(grid: spec.Grid, half: np.ndarray):
+def nonlinear_half_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
     """-P(omega x u) from :func:`convective_core_unpruned`, projected by
     :func:`leray_project_full` on the whole half spectrum and then negated."""
-    w_hat, u_max, u_phys, omega = convective_core_unpruned(grid, half)
-    nl = leray_project_full(spec.SpectralVelocityField(grid, w_hat)).half
+    w_hat, u_max, u_phys, omega = convective_core_unpruned(grid, half_spectrum)
+    nl = leray_project_full(grid, w_hat)
     np.negative(nl, out=nl)
     return nl, u_max, u_phys, omega
 
 
-def leray_project_full(U):
-    """u <- (I - k k^T/|k|^2) u on every mode of the half spectrum."""
-    g = U.grid
-    kx, ky, kz = g.wavenumbers_half
-    u, v, w = U.half
-    s = (kx * u + ky * v + kz * w) * g.inv_k_squared_half
-    return spec.SpectralVelocityField(g, np.stack([u - kx * s, v - ky * s, w - kz * s]))
+def leray_project_full(grid: spec.Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """u <- (I - k k^T/|k|^2) u on every mode of a half spectrum."""
+    kx, ky, kz = wavenumbers_half(grid)
+    u, v, w = half_spectrum
+    s = (kx * u + ky * v + kz * w) * inv_k_squared_half(grid)
+    return np.stack([u - kx * s, v - ky * s, w - kz * s])
+
+
+def step_half(config, half_spectrum: np.ndarray) -> np.ndarray:
+    """One RK4 step of ``solver._advance`` on the half spectrum, each
+    nonlinear term by :func:`nonlinear_half_unpruned`: the same combination,
+    in place in three stage buffers, in the same operation order."""
+    g, dt, mu = config.grid, config.dt, config.mu
+    k2_visc = mu * k_squared_half(g)
+    k = np.empty_like(half_spectrum)
+    acc = np.empty_like(half_spectrum)
+    tmp = np.empty_like(half_spectrum)
+
+    def rhs(coeffs, nl):
+        np.multiply(k2_visc, coeffs, out=k)
+        np.subtract(nl, k, out=k)
+
+    rhs(half_spectrum, nonlinear_half_unpruned(g, half_spectrum)[0])
+    acc[...] = k
+    for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        np.multiply(k, c, out=tmp)
+        np.add(half_spectrum, tmp, out=tmp)
+        rhs(tmp, nonlinear_half_unpruned(g, tmp)[0])
+        if weight == 1.0:
+            acc += k
+        else:
+            np.multiply(k, weight, out=tmp)
+            acc += tmp
+    acc *= dt / 6.0
+    return np.add(half_spectrum, acc, out=acc)
 
 
 def first_derivatives_unpruned(U) -> np.ndarray:
     """``spectral.first_derivatives`` by one full ``irfftn`` of the 9 fields
     i k_a u_c, formed on the whole half spectrum."""
     g = U.grid
-    ks = g.wavenumbers_half
+    ks = wavenumbers_half(g)
+    u = to_half(U)
     hat = np.empty((3, 3) + g.half_shape, dtype=np.complex128)
     for a in range(3):
-        np.multiply(1j * ks[a], U.half, out=hat[a])
+        np.multiply(1j * ks[a], u, out=hat[a])
     return irfftn_real(hat.reshape((9,) + g.half_shape), g.n).reshape((3, 3) + g.shape)
 
 
 def second_derivatives_unpruned(U) -> np.ndarray:
     """``spectral.second_derivatives`` by a full ``irfftn`` per pair."""
     g = U.grid
-    ks = g.wavenumbers_half
+    ks = wavenumbers_half(g)
+    u = to_half(U)
     out = np.empty((len(spec.HESSIAN_PAIRS), 3) + g.shape)
     for idx, (i, j) in enumerate(spec.HESSIAN_PAIRS):
-        out[idx] = irfftn_real(-ks[i] * ks[j] * U.half, g.n)
+        out[idx] = irfftn_real(-ks[i] * ks[j] * u, g.n)
     return out
 
 
@@ -322,17 +443,19 @@ def pressure_field_unpruned(U) -> np.ndarray:
     """The samples of ``solver.pressure_field`` from
     :func:`convective_core_unpruned` and a full ``irfftn``."""
     g = U.grid
-    w_hat, _, u_phys, _ = convective_core_unpruned(g, U.half)
+    w_hat, _, u_phys, _ = convective_core_unpruned(g, to_half(U))
     ke_hat = spec.rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
-    q_hat = spec.divergence(spec.SpectralVelocityField(g, w_hat)).half * g.inv_k_squared_half
-    q_hat -= ke_hat * g.dealias_mask_half
+    kx, ky, kz = wavenumbers_half(g)
+    div = 1j * (kx * w_hat[0] + ky * w_hat[1] + kz * w_hat[2])
+    q_hat = div * inv_k_squared_half(g)
+    q_hat -= ke_hat * dealias_mask_half(g)
     q_hat[0, 0, 0] = 0.0
     return irfftn_real(q_hat, g.n)
 
 
-def drawn_field_full(grid: spec.Grid, seed: int, spectrum_slope: float):
-    """``solver._drawn_field`` drawn on the whole index cube and projected
-    by :func:`leray_project_full`."""
+def drawn_field_full(grid: spec.Grid, seed: int, spectrum_slope: float) -> np.ndarray:
+    """The half spectrum of ``solver._drawn_field``, drawn on the whole
+    index cube and projected by :func:`leray_project_full`."""
     n = grid.n
     rng = np.random.default_rng(seed)
     ints = grid.integer_modes
@@ -355,4 +478,4 @@ def drawn_field_full(grid: spec.Grid, seed: int, spectrum_slope: float):
         vals = moduli[ix, iy, iz] * np.exp(1j * phases)
         coeffs[c][ix[own], iy[own], iz[own]] = vals[own]
         coeffs[c][mx[mirror], my[mirror], mz[mirror]] = np.conj(vals[mirror])
-    return leray_project_full(spec.SpectralVelocityField(grid, coeffs))
+    return leray_project_full(grid, coeffs)

@@ -239,10 +239,10 @@ class TestSimulate:
         p = write_config(tmp_path / "a.cfg", BASE)
         real_advance = solv._advance
 
-        def sabotage(state, config, u_half, nl1, u_max):
+        def sabotage(state, config, u_kept, nl1, u_max):
             if state.step_index >= 5:
                 raise solv.NumericalBlowup("synthetic blowup")
-            return real_advance(state, config, u_half, nl1, u_max)
+            return real_advance(state, config, u_kept, nl1, u_max)
 
         monkeypatch.setattr(solv, "_advance", sabotage)
         assert cli.main(["simulate", p]) == 2
@@ -474,7 +474,7 @@ output.dir = out{i}
     def test_memory_does_not_grow_with_the_corpus(self, tmp_path):
         """The 8-field corpus peaks less than one corpus field above the
         2-field one, so no field outlives its ratios."""
-        field_bytes = 3 * 16 * 16 * 9 * 16  # one n = 16 half spectrum, complex128
+        field_bytes = 3 * 11 * 11 * 6 * 16  # one n = 16 corpus field: its kept modes, complex128
 
         def peak(seeds):
             cfg = write_config(
@@ -524,18 +524,21 @@ class TestVerify:
         assert len(manifest.snapshots) == 3
         for name in manifest.snapshots:
             field_, _ = snap.read_snapshot(str(rundir / name), g)
-            cut = spectral.band_limit(spectral.fft_forward(field_))
-            whole = spectral.fft_forward(field_)
-            assert np.abs(whole.half[:, ~g.dealias_mask_half]).max() > 0.0
+            cut = spectral.fft_forward(field_)
+            whole = reference.HalfSpectrum(g, spectral.rfftn(field_.values))
+            assert np.abs(whole.half[:, ~reference.dealias_mask_half(g)]).max() > 0.0
             quad = criteria.hessian_quadrature(cut)
-            res = criteria.h2_identity_residual(cut, 0.1, solv.nonlinear_rhs(cut), quad)
+            sob3 = norms.sobolev_seminorm(g, np.abs(cut.kept) ** 2, 3)
+            res = criteria.h2_identity_residual(cut, 0.1, solv.nonlinear_rhs(cut), quad, sob3)
             rhs, hessian = reference.gram_quadrature(whole)
-            lhs = criteria._identity_lhs(whole, 0.1, solv.nonlinear_rhs(whole))
+            lhs = reference.identity_lhs_half(g, whole.half, 0.1)
             assert abs(res["residual"] - abs(lhs - rhs) / (1.0 + abs(lhs))) <= 1e-12
             mag = field_.magnitude()
+            k6 = reference.k_squared_half(g) ** 3
+            whole_sob3 = math.sqrt(reference.parseval_half(g, k6 * np.abs(whole.half) ** 2))
             bounds = [
-                criteria.holder_check(g, 6.0, q, mag, norms.sobolev_seminorm(u, 3))["bound"]
-                for q, u in ((quad, cut), (criteria.HessianQuadrature(rhs, hessian), whole))
+                criteria.holder_check(g, 6.0, q, mag, s3)["bound"]
+                for q, s3 in ((quad, sob3), (criteria.HessianQuadrature(rhs, hessian), whole_sob3))
             ]
             assert bounds[0] == pytest.approx(bounds[1], rel=1e-12, abs=0.0)
 
@@ -786,6 +789,13 @@ class TestVerifyDamaged:
             assert code in ((1, 3) if column == "t" else (0, 3)), column
             err = capsys.readouterr().err
             assert len(err.splitlines()) <= 1, (column, err)
+            # a norm column must not be NaN or negative; +inf is overflow
+            if column in NORM_COLUMNS or column.startswith("lp_"):
+                if value in ("nan", "-inf", "-5"):
+                    assert code == 3, column
+                    report = (dst / "verify_report.txt").read_text()
+                    assert f"monitor_domain: FAIL (worst={value}," in report, column
+                    assert f"[margin = min({column})]" in report, column
 
 
 class TestReport:
@@ -1055,6 +1065,10 @@ class TestManifest:
         assert pairs[-1].p == math.inf
         rec = criteria.CalibrationRecord.from_text(m.calibration)
         assert rec is not None and rec.for_p(6.0).c_cal > 0
+
+
+#: the monitor columns that hold a norm, besides the lp_* columns
+NORM_COLUMNS = ("energy", "linf", "sobolev1", "sobolev2", "sobolev3", "bkm", "chan_vasseur")
 
 
 class RealTransformsOnly:

@@ -24,8 +24,22 @@ def l2(U):
 
 def kernel_samples(U):
     """[u, curl u] on the grid, as solver.run takes them from the kernel."""
-    _, _, u_phys, omega = spec.convective_core_half(U.grid, U.half)
+    _, _, u_phys, omega = spec.convective_core_half(U.grid, U.kept)
     return [spec.VelocityField(U.grid, u_phys), spec.VelocityField(U.grid, omega)]
+
+
+def step(state, config):
+    """One RK4 step as solver.run takes it: the stage-1 nonlinear term, then
+    ``solver._advance``."""
+    u = state.u_hat.kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        nl1, u_max = solv._nonlinear_half(config.grid, u)[:2]
+    return solv._advance(state, config, u, nl1, u_max)
+
+
+def half_of(g, kept):
+    """The half spectrum of a compact cube, through the reference scatter."""
+    return reference.to_half(SpectralVelocityField(g, kept))
 
 
 def basic_monitors(mu=0.1):
@@ -35,8 +49,7 @@ def basic_monitors(mu=0.1):
 def band_limited_random(g, seed):
     """Random real 3-vector filling every mode the dealias mask keeps."""
     rng = np.random.default_rng(seed)
-    half = spec.rfftn(rng.standard_normal((3,) + g.shape)) * g.dealias_mask_half
-    return SpectralVelocityField(g, half)
+    return spec.fft_forward(spec.VelocityField(g, rng.standard_normal((3,) + g.shape)))
 
 
 def full_cube_convective(U):
@@ -48,7 +61,7 @@ def full_cube_convective(U):
     conv = np.zeros_like(up)
     for a, ik in enumerate(reference.ik_axes(g)):
         conv += up[a] * reference.ifftn_real(ik * ud)
-    return SpectralVelocityField(g, reference.half(g, reference.fftn(conv) * mask))
+    return SpectralVelocityField(g, reference.compact(g, reference.fftn(conv) * mask))
 
 
 def padded_projected_rhs(U):
@@ -62,15 +75,15 @@ def padded_projected_rhs(U):
     g = U.grid
     m = 3 * g.n // 2
     fine = reference.resample(U, m)
-    ks = fine.grid.wavenumbers_half
-    u = reference.irfftn_real(fine.half, m)
+    ks = reference.wavenumbers_half(fine.grid)
+    fine_half = reference.to_half(fine)
+    u = reference.irfftn_real(fine_half, m)
     w = np.zeros_like(u)
     for c in range(3):
         for a in range(3):
-            w[c] += u[a] * reference.irfftn_real(1j * ks[a] * fine.half[c], m)
-    W = SpectralVelocityField(fine.grid, spec.rfftn(w))
-    kept = reference.resample(W, g.n).half * g.dealias_mask_half
-    return -spec.leray_project(SpectralVelocityField(g, kept)).half
+            w[c] += u[a] * reference.irfftn_real(1j * ks[a] * fine_half[c], m)
+    W = SpectralVelocityField(fine.grid, reference.to_kept(fine.grid, spec.rfftn(w)))
+    return -spec.leray_project(reference.resample(W, g.n)).kept
 
 
 class TestInitializers:
@@ -98,11 +111,14 @@ class TestInitializers:
     @pytest.mark.parametrize("n", [8, 16, 18, 32])
     def test_exact_solutions_are_band_limited(self, n):
         # a forward transform of grid samples leaves roundoff on every mode;
-        # the initializers cut it outside the kept modes
+        # the initializers keep only the kept modes of it, bit for bit
         g = Grid(n)
         for U in (solv.init_taylor_green(g, 1.3), solv.init_beltrami(g, 0.8)):
-            assert np.all(U.half[:, ~g.dealias_mask_half] == 0.0)
-            assert np.abs(U.half[:, g.dealias_mask_half]).max() > 0.0
+            samples = to_physical(U).values
+            full_half = spec.rfftn(samples)
+            assert np.abs(full_half[..., ~reference.dealias_mask_half(g)]).max() > 0.0
+            assert np.all(reference.to_half(U)[..., ~reference.dealias_mask_half(g)] == 0.0)
+            assert np.abs(U.kept).max() > 0.0
 
     def test_random_divfree_contract(self):
         g = Grid(16)
@@ -124,7 +140,7 @@ class TestInitializers:
         g = Grid(n)
         a = solv.init_random_divfree(g, seed, -2.0, 1.0)
         b = reference.random_divfree_full(g, seed, -2.0, 1.0)
-        assert np.array_equal(a.half, b.half)
+        assert np.array_equal(reference.to_half(a), b)
 
     def test_random_divfree_band_limited(self):
         g = Grid(16)
@@ -140,7 +156,7 @@ class TestInitializers:
         # at n = 24 the shell |k| = 8 = n/3 would sit on the mask's edge
         g = Grid(24)
         a = solv.init_random_divfree(g, 1, -2.0, 1.0)
-        assert np.abs(a.half[:, ~g.dealias_mask_half]).max() == 0.0
+        assert np.abs(reference.to_half(a)[:, ~reference.dealias_mask_half(g)]).max() == 0.0
         ints = g.integer_modes
         k2 = (
             ints.reshape(-1, 1, 1) ** 2
@@ -212,13 +228,13 @@ class TestNonlinearTerm:
         # with 3 | n, a mask keeping max|k| = n/3 lets mode 2n/3 alias onto -n/3
         U = band_limited_random(Grid(n), n)
         ref = padded_projected_rhs(U)
-        out = solv.nonlinear_rhs(U).half
+        out = solv.nonlinear_rhs(U).kept
         rel = float(np.abs(out - ref).max() / np.abs(ref).max())
         assert rel <= 1e-13
 
     def test_zero_field(self):
         g = Grid(8)
-        zero = SpectralVelocityField(g, np.zeros((3,) + g.half_shape, complex))
+        zero = SpectralVelocityField(g, np.zeros((3,) + g.kept_shape, complex))
         out = solv.nonlinear_rhs(zero)
         assert np.all(reference.full(out) == 0.0)
 
@@ -253,18 +269,12 @@ class TestNonlinearTerm:
 
 def pinned_states(g):
     """The fields the pruned kernel is pinned on: the three initializers, and
-    a band-limited random field plus non-zero entries outside the band,
-    which the kernel must ignore as the dealias mask did."""
-    rng = np.random.default_rng(g.n)
-    noise = rng.standard_normal((3,) + g.half_shape) + 1j * rng.standard_normal(
-        (3,) + g.half_shape
-    )
-    noisy = band_limited_random(g, g.n).half + np.where(g.dealias_mask_half, 0.0, noise)
+    a random field filling every kept mode."""
     return {
         "random_divfree": solv.init_random_divfree(g, 3, -2.0, 1.0),
         "taylor_green": solv.init_taylor_green(g, 1.0),
         "beltrami": solv.init_beltrami(g, 0.7),
-        "out_of_band": SpectralVelocityField(g, noisy),
+        "band_limited": band_limited_random(g, g.n),
     }
 
 
@@ -298,20 +308,29 @@ class TestPrunedKernel:
     def test_bitwise_equal_to_the_unpruned_kernel(self, n):
         g = Grid(n)
         for kind, U in pinned_states(g).items():
-            nl, u_max, u_phys, omega = solv._nonlinear_half(g, U.half)
-            ref = reference.nonlinear_half_unpruned(g, U.half)
-            assert np.array_equal(nl, ref[0]), kind
+            nl, u_max, u_phys, omega = solv._nonlinear_half(g, U.kept)
+            ref = reference.nonlinear_half_unpruned(g, reference.to_half(U))
+            assert np.array_equal(half_of(g, nl), ref[0]), kind
             assert u_max == ref[1], kind
             assert np.array_equal(u_phys, ref[2]), kind
             assert np.array_equal(omega, ref[3]), kind
-            w_hat = spec.convective_core_half(g, U.half)[0]
-            assert np.array_equal(w_hat, reference.convective_core_unpruned(g, U.half)[0]), kind
+            w_hat = spec.convective_core_half(g, U.kept)[0]
+            unpruned = reference.convective_core_unpruned(g, reference.to_half(U))[0]
+            assert np.array_equal(half_of(g, w_hat), unpruned), kind
+            # without samples, the same term
+            bare = solv._nonlinear_half(g, U.kept, samples=False)
+            assert np.array_equal(bare[0], nl) and bare[2] is None and bare[3] is None, kind
 
     @pytest.mark.parametrize("n", [16, 18])
     def test_pressure_field_bitwise_unchanged(self, monkeypatch, n):
         states = pinned_states(Grid(n))
         pruned = {kind: solv.pressure_field(U).values for kind, U in states.items()}
-        monkeypatch.setattr(solv, "convective_core_half", reference.convective_core_unpruned)
+
+        def unpruned(grid, kept):
+            out = reference.convective_core_unpruned(grid, half_of(grid, kept))
+            return (reference.to_kept(grid, out[0]),) + out[1:]
+
+        monkeypatch.setattr(solv, "convective_core_half", unpruned)
         for kind, U in states.items():
             assert np.array_equal(pruned[kind], solv.pressure_field(U).values), kind
 
@@ -319,11 +338,11 @@ class TestPrunedKernel:
     def test_copied_back_passes_give_the_same_bits(self, monkeypatch, n):
         g = Grid(n)
         states = pinned_states(g)
-        in_place = {kind: solv._nonlinear_half(g, U.half) for kind, U in states.items()}
+        in_place = {kind: solv._nonlinear_half(g, U.kept) for kind, U in states.items()}
         fft = FreshPasses(spec._fft)
         monkeypatch.setattr(spec, "_fft", fft)
         for kind, U in states.items():
-            out = solv._nonlinear_half(g, U.half)
+            out = solv._nonlinear_half(g, U.kept)
             for got, want in zip(out, in_place[kind]):
                 assert np.array_equal(got, want), kind
         # 3 inverse and 3 forward pass calls per right-hand side
@@ -404,7 +423,7 @@ class TestTransformCount:
             U = solv.init_random_divfree(g, 4, -2.0, 1.0)
             fft = CountingFFT(spec._fft)
             monkeypatch.setattr(spec, "_fft", fft)
-            solv._nonlinear_half(g, U.half)
+            solv._nonlinear_half(g, U.kept)
             monkeypatch.undo()
             assert fft.counts == {"forward": 3, "inverse": 6}
             assert fft.lines == pruned_lines(n)
@@ -445,8 +464,26 @@ class TestTransformCount:
             assert np.abs(sink.fields[i] - expected).max() <= 1e-14 * np.abs(expected).max()
             linf = float(np.sqrt(np.sum(expected**2, axis=0)).max())
             assert series.table["linf"][i] == pytest.approx(linf, rel=1e-13)
-            state = solv.step(state, cfg)
+            state = step(state, cfg)
 
+    def test_only_stage_one_takes_samples(self, monkeypatch):
+        # each step's stage 1 takes samples for the CFL check and the
+        # monitors; stages 2-4 take none, and the final sample takes one
+        cfg = solv.SolverConfig(
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=2e-2,
+            init=solv.InitSpec("random_divfree", seed=2),
+        )
+        kernel, flags = solv.convective_core_half, []
+
+        def recording_kernel(grid, kept, samples=True):
+            out = kernel(grid, kept, samples)
+            flags.append((samples, out[2] is not None, math.isnan(out[1])))
+            return out
+
+        monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
+        solv.run(cfg, basic_monitors(), solv.RunSink())
+        stage_one, later = (True, True, False), (False, False, True)
+        assert flags == [stage_one, later, later, later] * 2 + [stage_one]
 
     def test_stage_one_samples_freed_before_identity(self, monkeypatch):
         cfg = solv.SolverConfig(
@@ -456,9 +493,10 @@ class TestTransformCount:
         kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
         samples, alive = [], []
 
-        def recording_kernel(grid, half):
-            out = kernel(grid, half)
-            samples.append(weakref.ref(out[2].base))
+        def recording_kernel(grid, kept, with_samples=True):
+            out = kernel(grid, kept, with_samples)
+            if with_samples:
+                samples.append(weakref.ref(out[2].base))
             return out
 
         def checking_quadrature(u_hat):
@@ -481,9 +519,10 @@ class TestTransformCount:
         kernel, advance = solv.convective_core_half, solv._advance
         samples, alive = [], []
 
-        def recording_kernel(grid, half):
-            out = kernel(grid, half)
-            samples.append(weakref.ref(out[2].base))
+        def recording_kernel(grid, kept, with_samples=True):
+            out = kernel(grid, kept, with_samples)
+            if with_samples:
+                samples.append(weakref.ref(out[2].base))
             return out
 
         def checking_advance(*args):
@@ -496,6 +535,31 @@ class TestTransformCount:
         assert alive == [False, False, False, False]
 
 
+class TestCompactStep:
+    """One RK4 step on the compact cube, scattered back, equals the step of
+    ``reference.step_half`` on the half spectrum bit for bit, at either
+    worker count; n = 48 has the shell 3 max|k| = n that the 2/3 rule
+    drops."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    def test_bitwise_equal_to_the_half_spectrum_step(self, monkeypatch, n, threads):
+        monkeypatch.setenv("REGCRIT_THREADS", threads)
+        g = Grid(n)
+        cfg = solv.SolverConfig(
+            grid=g, mu=0.05, dt=1e-3, t_end=1e-3, init=solv.InitSpec("beltrami")
+        )
+        states = {
+            "random_divfree": solv.init_random_divfree(g, 1, -3.0, 5.0),
+            "taylor_green": solv.init_taylor_green(g, 1.0),
+            "beltrami": solv.init_beltrami(g, 0.7),
+        }
+        for kind, U in states.items():
+            new = step(solv.SolverState(0.0, U), cfg).u_hat
+            want = reference.step_half(cfg, reference.to_half(U))
+            assert np.array_equal(reference.to_half(new), want), kind
+
+
 class TestStep:
     def test_zero_state_stays_zero(self):
         g = Grid(8)
@@ -503,9 +567,9 @@ class TestStep:
             grid=g, mu=0.1, dt=1e-2, t_end=0.0, init=solv.InitSpec("taylor_green")
         )
         zero = solv.SolverState(
-            0.0, SpectralVelocityField(g, np.zeros((3,) + g.half_shape, complex))
+            0.0, SpectralVelocityField(g, np.zeros((3,) + g.kept_shape, complex))
         )
-        out = solv.step(zero, cfg)
+        out = step(zero, cfg)
         assert np.all(reference.full(out.u_hat) == 0.0)
         assert out.t == pytest.approx(1e-2)
         assert out.step_index == 1
@@ -516,7 +580,7 @@ class TestStep:
             grid=Grid(16), mu=mu, dt=dt, t_end=dt, init=solv.InitSpec("beltrami")
         )
         s0 = solv.SolverState(0.0, solv.make_initial(cfg))
-        s1 = solv.step(s0, cfg)
+        s1 = step(s0, cfg)
         expected = math.exp(-mu * dt) * reference.full(s0.u_hat)
         rel = np.abs(reference.full(s1.u_hat) - expected).max() / np.abs(
             reference.full(s0.u_hat)
@@ -531,9 +595,9 @@ class TestStep:
         u = solv.make_initial(cfg)
         coeffs = reference.full(u).copy()
         coeffs[:, 0, 0, 0] = [0.05, -0.02, 0.01]
-        state = solv.SolverState(0.0, SpectralVelocityField(g, reference.half(g, coeffs)))
+        state = solv.SolverState(0.0, SpectralVelocityField(g, reference.compact(g, coeffs)))
         for _ in range(3):
-            state = solv.step(state, cfg)
+            state = step(state, cfg)
         assert np.array_equal(reference.full(state.u_hat)[:, 0, 0, 0], coeffs[:, 0, 0, 0])
 
     def test_cfl_recheck_raises(self):
@@ -541,11 +605,9 @@ class TestStep:
         cfg = solv.SolverConfig(
             grid=g, mu=0.1, dt=1e-1, t_end=1e-1, init=solv.InitSpec("beltrami", amplitude=0.1)
         )
-        huge = SpectralVelocityField(
-            g, reference.half(g, reference.full(solv.init_beltrami(g, 100.0)))
-        )
+        huge = solv.init_beltrami(g, 100.0)
         with pytest.raises(solv.NumericalBlowup, match="CFL"):
-            solv.step(solv.SolverState(0.0, huge), cfg)
+            step(solv.SolverState(0.0, huge), cfg)
 
     def test_non_finite_state_raises(self):
         g = Grid(8)
@@ -556,9 +618,9 @@ class TestStep:
         bad[0, 1, 0, 0] = 1e160  # overflows within the quadratic term
         bad[0, -1, 0, 0] = 1e160
         with pytest.raises(solv.NumericalBlowup):
-            state = solv.SolverState(0.0, SpectralVelocityField(g, reference.half(g, bad)))
+            state = solv.SolverState(0.0, SpectralVelocityField(g, reference.compact(g, bad)))
             for _ in range(50):
-                state = solv.step(state, cfg)
+                state = step(state, cfg)
 
 
 class TestRun:
@@ -622,7 +684,7 @@ class TestRun:
             grid=Grid(16), mu=0.1, dt=5e-2, t_end=0.5, init=solv.InitSpec("beltrami", amplitude=0.2)
         )
 
-        def blowup(state, config, u_half, nl1, u_max):
+        def blowup(state, config, u_kept, nl1, u_max):
             raise solv.NumericalBlowup("synthetic blowup")
 
         # the first step blows up, after the step-0 sample
@@ -645,7 +707,7 @@ class TestConvergenceOrder:
             state = solv.SolverState(0.0, solv.make_initial(cfg))
             u0 = reference.full(state.u_hat).copy()
             for _ in range(int(round(t_end / dt))):
-                state = solv.step(state, cfg)
+                state = step(state, cfg)
             exact = math.exp(-mu * t_end) * u0
             errs.append(np.abs(reference.full(state.u_hat) - exact).max())
         assert 13.0 <= errs[0] / errs[1] <= 19.0
@@ -666,7 +728,7 @@ class TestWorkerCount:
             monkeypatch.setenv("REGCRIT_THREADS", threads)
             state = solv.SolverState(0.0, solv.make_initial(cfg))
             for _ in range(3):
-                state = solv.step(state, cfg)
+                state = step(state, cfg)
             monitors = basic_monitors()
             sample = crit.evaluate_sample(
                 state.u_hat, state.t, monitors,
@@ -675,9 +737,9 @@ class TestWorkerCount:
                 with_identity=True,
             )
             assert not math.isnan(sample["identity_residual"])
-            outputs.append((state.u_hat.half, sample))
-        (half1, sample1), (half2, sample2) = outputs
-        assert np.array_equal(half1, half2)
+            outputs.append((state.u_hat.kept, sample))
+        (kept1, sample1), (kept2, sample2) = outputs
+        assert np.array_equal(kept1, kept2)
         # repr prints every float with round-trip precision (and NaN as nan)
         assert repr(sample1) == repr(sample2)
 

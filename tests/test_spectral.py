@@ -47,13 +47,13 @@ def gradient_field(F):
     g = F.grid
     full = reference.full(F)
     return spec.SpectralVelocityField(
-        g, reference.half(g, np.stack([ik * full for ik in reference.ik_axes(g)]))
+        g, reference.compact(g, np.stack([ik * full for ik in reference.ik_axes(g)]))
     )
 
 
 def vorticity(U):
     """Grid samples of curl u, as the commands take them from the kernel."""
-    return spec.convective_core_half(U.grid, U.half)[3]
+    return spec.convective_core_half(U.grid, U.kept)[3]
 
 
 def direct_dft_mode(values, kvec):
@@ -90,12 +90,15 @@ class TestGrid:
         kept = reference.dealias_mask(g)[:, 0, 0]
         assert not kept[n // 3] and not kept[-(n // 3)]
         assert kept[n // 3 - 1] and kept[-(n // 3 - 1)]
-        assert g.dealias_mask_half[0, 0, n // 3 - 1] and not g.dealias_mask_half[0, 0, n // 3]
+        assert g.kept_max == n // 3 - 1
 
     def test_deriv_modes_drop_nyquist(self):
+        # the derivative tables zero the Nyquist mode; the compact cube never
+        # holds it, since m < n/2
         g = spec.Grid(8)
         assert g.integer_modes[4] == -4
-        assert g.deriv_modes[4] == 0
+        assert reference.deriv_modes(g)[4] == 0
+        assert 4 not in g.kept_index
 
     @pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan])
     def test_non_finite_length_rejected(self, length):
@@ -105,52 +108,56 @@ class TestGrid:
     @pytest.mark.parametrize("length", [TWO_PI, 2.0])
     @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 64, 96])
     def test_half_arrays_are_the_full_cube_tables_sliced(self, n, length):
-        # built directly on the half spectrum, bit for bit the kz >= 0 planes
-        # of the full-cube tables
+        # the compact-cube tables are, bit for bit, the full-cube tables at
+        # the kept modes
         g = spec.Grid(n, length)
-        h = g.half
-        kx, ky, kz = reference.wavenumbers(g)
-        for half_axis, full_axis in zip(g.wavenumbers_half, (kx, ky, kz[..., :h])):
-            assert half_axis.shape == full_axis.shape
-            assert np.array_equal(half_axis, full_axis)
+        k = np.stack(np.broadcast_arrays(*reference.wavenumbers(g)))
+        for compact, full in zip(g.wavevector, k):
+            assert compact.shape == g.kept_shape
+            assert np.array_equal(compact, reference.to_kept(g, full[..., : g.half]))
         k2 = reference.k_squared(g)
         mask = reference.dealias_mask(g)
-        assert np.array_equal(g.k_squared_half, k2[..., :h])
-        assert np.array_equal(g.dealias_mask_half, mask[..., :h])
+        assert np.array_equal(g.k_squared, reference.to_kept(g, k2[..., : g.half]))
         assert g.k_squared_max_retained == float((k2 * mask).max())
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 18, 24, 32, 48, 64, 96])
     def test_kept_blocks_are_the_dealias_mask(self, n):
+        # the compact cube holds exactly the modes the dealias mask keeps,
+        # in FFT storage order, with m = (n - 1) // 3 < n/2
         g = spec.Grid(n)
-        covered = np.zeros(g.half_shape, dtype=int)
-        for block in g.kept_blocks:
-            covered[block] += 1
-            ks = g.block_wavenumbers(block)
-            for axis, (k, full) in enumerate(zip(ks, g.wavenumbers_half)):
-                index = [slice(None)] * 3
-                index[axis] = block[axis]
-                assert np.array_equal(k, full[tuple(index)])
-        # disjoint, and their union is the mask's True set
-        assert covered.max() == 1
-        assert np.array_equal(covered == 1, g.dealias_mask_half)
+        m = g.kept_max
+        assert g.kept_shape == (2 * m + 1, 2 * m + 1, m + 1) and 2 * m < n
+        assert list(g.integer_modes[g.kept_index]) == [*range(m + 1), *range(-m, 0)]
+        ones = spec.SpectralScalarField(g, np.ones(g.kept_shape, complex))
+        assert np.array_equal(reference.to_half(ones) == 1, reference.dealias_mask_half(g))
 
 
 class TestConstructors:
     def test_full_cube_rejected(self):
         g = spec.Grid(8)
-        with pytest.raises(ValueError, match="half spectrum"):
+        with pytest.raises(ValueError, match="kept modes"):
             spec.SpectralScalarField(g, np.zeros(g.shape, complex))
-        with pytest.raises(ValueError, match="half spectrum"):
+        with pytest.raises(ValueError, match="kept modes"):
             spec.SpectralVelocityField(g, np.zeros((3,) + g.shape, complex))
 
-    def test_half_spectrum_taken_as_is(self):
+    @pytest.mark.parametrize("n", [8, 16, 48])
+    def test_half_spectrum_rejected_in_one_line(self, n):
+        g = spec.Grid(n)
+        for cls, lead in ((spec.SpectralVelocityField, (3,)), (spec.SpectralScalarField, ())):
+            with pytest.raises(ValueError) as info:
+                cls(g, np.zeros(lead + g.half_shape, complex))
+            message = str(info.value)
+            assert "\n" not in message
+            assert str(lead + g.kept_shape) in message and str(lead + g.half_shape) in message
+
+    def test_kept_modes_taken_as_is(self):
         g = spec.Grid(8)
-        half = np.ones((3,) + g.half_shape, complex)
-        assert spec.SpectralVelocityField(g, half).half is half
-        with pytest.raises(ValueError, match="half spectrum"):
-            spec.SpectralVelocityField(g, half[0])
-        with pytest.raises(ValueError, match="half spectrum"):
-            spec.SpectralScalarField(g, half)
+        kept = np.ones((3,) + g.kept_shape, complex)
+        assert spec.SpectralVelocityField(g, kept).kept is kept
+        with pytest.raises(ValueError, match="kept modes"):
+            spec.SpectralVelocityField(g, kept[0])
+        with pytest.raises(ValueError, match="kept modes"):
+            spec.SpectralScalarField(g, kept)
 
 
 class TestFFT:
@@ -190,11 +197,16 @@ class TestFFT:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_round_trip(self, seed):
+        # the forward transform keeps the kept modes, so a field on them
+        # comes back
         g = spec.Grid(8)
-        f = random_scalar(g, seed)
-        back = reference.irfftn_real(spec.fft_forward(f).half, g.n)
-        scale = np.abs(f.values).max()
-        assert np.abs(back - f.values).max() <= 1e-13 * scale
+        F = spec.fft_forward(random_scalar(g, seed))
+        f = reference.irfftn_real(reference.to_half(F), g.n)
+        again = spec.fft_forward(spec.RealScalarField(g, f))
+        back = reference.irfftn_real(reference.to_half(again), g.n)
+        scale = np.abs(f).max()
+        assert np.abs(back - f).max() <= 1e-13 * scale
+        assert np.abs(again.kept - F.kept).max() <= 1e-13 * np.abs(F.kept).max()
 
     def test_non_mirrored_planes_rejected(self):
         g = spec.Grid(8)
@@ -206,15 +218,16 @@ class TestFFT:
         with pytest.raises(reference.NonHermitianInput):
             reference.half(g, c)
         c[-1, -2, -1] = 1.0
-        assert reference.full(spec.SpectralScalarField(g, reference.half(g, c)))[-1, -2, -1] == 1.0
+        assert reference.full(spec.SpectralScalarField(g, reference.compact(g, c)))[-1, -2, -1] == 1.0
 
     def test_plancherel_fixed_normalization(self):
         g = spec.Grid(16, length=2.0)
-        f = random_scalar(g, 7)
-        F = spec.fft_forward(f)
-        phys = np.sum(f.values**2) * g.cell_volume
+        F = spec.fft_forward(random_scalar(g, 7))
+        f = reference.irfftn_real(reference.to_half(F), g.n)
+        phys = np.sum(f**2) * g.cell_volume
         spectral_side = np.sum(np.abs(reference.full(F)) ** 2) * g.volume
         assert spectral_side == pytest.approx(phys, rel=1e-12)
+        assert spec.parseval_sum(g, np.abs(F.kept) ** 2) == pytest.approx(phys, rel=1e-12)
 
 
 class TestDerivatives:
@@ -294,16 +307,31 @@ class TestPrunedTables:
         assert np.array_equal(solv.pressure_field(U).values, reference.pressure_field_unpruned(U))
 
     @pytest.mark.parametrize("n", [16, 32, 48, 64])
-    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_compact_draw_bitwise_equal_to_the_full_cube(self, n, seed):
         g = spec.Grid(n)
         with np.errstate(divide="ignore"):  # 0 ** -3 at k = 0, as in the initializer
             drawn = solv._drawn_field(g, seed, -3.0)
-        assert np.array_equal(drawn.half, reference.drawn_field_full(g, seed, -3.0).half)
+        assert np.array_equal(reference.to_half(drawn), reference.drawn_field_full(g, seed, -3.0))
         assert np.array_equal(
-            init_random_divfree(g, seed, -3.0, 5.0).half,
-            reference.random_divfree_full(g, seed, -3.0, 5.0).half,
+            reference.to_half(init_random_divfree(g, seed, -3.0, 5.0)),
+            reference.random_divfree_full(g, seed, -3.0, 5.0),
         )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bitwise_equal_at_either_worker_count(self, monkeypatch, threads):
+        monkeypatch.setenv("REGCRIT_THREADS", threads)
+        g = spec.Grid(48)
+        U = init_random_divfree(g, 7, -3.0, 5.0)
+        assert np.array_equal(
+            reference.to_half(U), reference.random_divfree_full(g, 7, -3.0, 5.0)
+        )
+        assert np.array_equal(spec.first_derivatives(U), reference.first_derivatives_unpruned(U))
+        assert np.array_equal(
+            spec.second_derivatives(U), reference.second_derivatives_unpruned(U)
+        )
+        assert np.array_equal(crit.hessian_quadrature(U).hessian, reference.gram_quadrature(U)[1])
+        assert np.array_equal(solv.pressure_field(U).values, reference.pressure_field_unpruned(U))
 
     def test_bitwise_equal_across_worker_counts(self, monkeypatch):
         U = init_random_divfree(spec.Grid(32), 1, -3.0, 5.0)
@@ -318,13 +346,41 @@ class TestPrunedTables:
             assert np.array_equal(one, two)
 
     def test_out_of_band_modes_are_not_read(self):
+        # samples with content outside the band: the forward transform keeps
+        # the kept modes of the full rfftn, bit for bit, and drops the rest
         g = spec.Grid(16)
-        U = init_random_divfree(g, 2, -2.0, 1.0)
-        noisy = spec.SpectralVelocityField(g, U.half + ~g.dealias_mask_half)
-        assert np.array_equal(spec.band_limit(noisy).half, U.half)
-        for table in (spec.first_derivatives, spec.second_derivatives):
-            assert np.array_equal(table(noisy), table(U))
-        assert np.array_equal(spec.leray_project(noisy).half, spec.leray_project(U).half)
+        f = random_vector(g, 2)
+        U = spec.fft_forward(f)
+        full_half = spec.rfftn(f.values)
+        assert np.array_equal(U.kept, reference.to_kept(g, full_half))
+        assert np.array_equal(
+            reference.to_half(U), full_half * reference.dealias_mask_half(g)
+        )
+        for table, unpruned in (
+            (spec.first_derivatives, reference.first_derivatives_unpruned),
+            (spec.second_derivatives, reference.second_derivatives_unpruned),
+        ):
+            assert np.array_equal(table(U), unpruned(U))
+
+
+class TestParseval:
+    """The compact cube's Parseval weights stand for the whole half spectrum."""
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64, 96])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_compact_sum_matches_the_half_spectrum_sum(self, n, seed):
+        # the same terms in another summation order: equal to roundoff
+        g = spec.Grid(n)
+        U = init_random_divfree(g, seed, -3.0, 5.0)
+        compact = spec.parseval_sum(g, np.abs(U.kept) ** 2)
+        half = reference.parseval_half(g, np.abs(reference.to_half(U)) ** 2)
+        assert abs(compact - half) <= 1e-15 * half
+        assert compact == pytest.approx(25.0, rel=1e-14)
+
+    def test_kept_modes_never_reach_the_nyquist_plane(self):
+        # kz = n/2 is the one plane besides kz = 0 that counts once
+        for n in range(4, 257, 2):
+            assert 2 * spec.Grid(n).kept_max < n, n
 
 
 class TestCurlDivergence:
@@ -364,7 +420,7 @@ class TestCurlDivergence:
     def test_curl_of_beltrami_is_identity(self):
         g = spec.Grid(16)
         U = init_beltrami(g, 1.3)
-        _, _, u, w = spec.convective_core_half(g, U.half)
+        _, _, u, w = spec.convective_core_half(g, U.kept)
         assert np.abs(w - u).max() < 1e-13
 
 
@@ -413,30 +469,27 @@ class TestLeray:
         g = spec.Grid(8)
         c = np.zeros((3,) + g.shape, dtype=complex)
         c[:, 0, 0, 0] = [1.0, 2.0, -3.0]
-        out = spec.leray_project(spec.SpectralVelocityField(g, reference.half(g, c)))
+        out = spec.leray_project(spec.SpectralVelocityField(g, reference.compact(g, c)))
         assert np.array_equal(reference.full(out)[:, 0, 0, 0], c[:, 0, 0, 0])
 
 
 class TestDealias:
     def test_low_mode_unchanged_high_mode_zeroed(self):
+        # the forward transform keeps mode 1 and drops mode 7 > 16/3
         g = spec.Grid(16)
-        c = np.zeros(g.shape, dtype=complex)
-        c[1, 0, 0] = 1.0 - 2.0j
-        out = reference.half(g, c) * g.dealias_mask_half
-        assert out[1, 0, 0] == c[1, 0, 0]
-        c2 = np.zeros(g.shape, dtype=complex)
-        c2[7, 0, 0] = 1.0
-        out2 = reference.half(g, c2) * g.dealias_mask_half
-        assert out2[7, 0, 0] == 0.0
+        f = scalar_field(g, lambda x, y, z: np.cos(x) + np.cos(7 * x))
+        out = reference.full(spec.fft_forward(f))
+        assert out[1, 0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert out[7, 0, 0] == 0.0 and out[-7, 0, 0] == 0.0
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_contraction(self, seed):
         g = spec.Grid(8)
-        F = spec.fft_forward(random_scalar(g, seed))
-        out = spec.SpectralScalarField(g, F.half * g.dealias_mask_half)
+        f = random_scalar(g, seed)
+        out = spec.fft_forward(f)
         assert np.sum(np.abs(reference.full(out)) ** 2) <= np.sum(
-            np.abs(reference.full(F)) ** 2
+            np.abs(reference.fftn(f.values)) ** 2
         )
 
 
@@ -444,8 +497,8 @@ class TestHalfSpectrum:
     def test_full_from_half_round_trip(self):
         g = spec.Grid(16)
         full = reference.full(init_random_divfree(g, 21, -2.0, 1.0))
-        U = spec.SpectralVelocityField(g, reference.half(g, full))
-        assert U.half.shape == (3,) + g.half_shape
+        U = spec.SpectralVelocityField(g, reference.compact(g, full))
+        assert U.kept.shape == (3,) + g.kept_shape
         assert np.array_equal(reference.full(U), full)
 
     def test_convective_matches_full_cube_route(self):
@@ -454,7 +507,7 @@ class TestHalfSpectrum:
         for n in (16, 32, 96):
             g = spec.Grid(n)
             U = init_random_divfree(g, 22, -2.0, 1.0)
-            w = spec.convective_core_half(g, U.half)[0]
+            w = spec.convective_core_half(g, U.kept)[0]
             mask = reference.dealias_mask(g)
             ud = reference.full(U) * mask
             up = reference.ifftn_real(ud)
@@ -462,9 +515,9 @@ class TestHalfSpectrum:
             for a, ik in enumerate(reference.ik_axes(g)):
                 conv += up[a] * reference.ifftn_real(ik * ud)
             ref = spec.leray_project(
-                spec.SpectralVelocityField(g, reference.half(g, reference.fftn(conv) * mask))
-            ).half
-            out = spec.leray_project(spec.SpectralVelocityField(g, w)).half
+                spec.SpectralVelocityField(g, reference.compact(g, reference.fftn(conv) * mask))
+            ).kept
+            out = spec.leray_project(spec.SpectralVelocityField(g, w)).kept
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
