@@ -30,9 +30,9 @@ Monitored quantities per sample:
       <= [1 + ln(e + ||grad^2 u(0)||^2)] * exp(2 C int_0^t log-Serrin integrand)
 
 The identity's right side, the Hoelder step and the interpolation ratio read
-one quadrature per state: :func:`hessian_quadrature` builds the state's
-derivative tables once and returns the right side and the pointwise
-|grad^2 u| that every L^q norm of the Hessian needs.
+one quadrature per state: :func:`hessian_quadrature` streams the state's
+derivative fields once, one x-slab at a time, and returns the right side and
+the pointwise |grad^2 u| that every L^q norm of the Hessian needs.
 
 One floating-point policy holds throughout, numpy's: a power or product
 that leaves the floating range is +inf, and a NaN stays NaN, so it fails the
@@ -53,9 +53,9 @@ from .spectral import (
     Grid,
     SpectralVelocityField,
     VelocityField,
-    first_derivatives,
+    derivative_spectra,
+    inverse_slabs,
     parseval_sum,
-    second_derivatives,
 )
 
 E = math.e
@@ -392,7 +392,7 @@ def _contract(rows, grads: np.ndarray, acc: np.ndarray, tmp: np.ndarray,
 
 
 def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
-    """Build the state's derivative tables once and contract them.
+    """Stream the state's 27 derivative fields once and contract them.
 
     With S[i, m] = sum_{j,l} d_i d_j u_l d_m d_j u_l and
     T[l, m] = sum_{i,j} d_i d_j u_l d_i d_j u_m, pointwise, the identity's
@@ -401,24 +401,36 @@ def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
     place, (j, l) and (i, j) in row-major order, and contracted before the
     next is formed.
 
-    The gradients come first: their 9-field transform is done and its
-    spectrum freed before the 18-field Hessian pair table is built one pair
-    at a time, so at most about 33 grid fields are live at once.  Only the
-    right side and |grad^2 u| outlive the call.
+    The 9 gradient and 18 Hessian pair fields come from one
+    :func:`spectral.inverse_slabs` stream and are contracted one x-slab at a
+    time, while the slab is in cache; each inner product is the sum of its
+    per-slab sums in x order, and |grad^2 u| is written slab by slab.  The
+    whole tables never exist: besides the x-passed spectra (27 fields of
+    ``n (2m+1) (m+1)`` complex lines, about 12 grid fields, since
+    ``(2m+1) (m+1)`` is about ``2 n^2 / 9``) only one slab and |grad^2 u|
+    are live.  Only the right side and |grad^2 u| outlive the call.
     """
     g = u_hat.grid
-    points = g.n**3
-    grads = first_derivatives(u_hat).reshape(3, 3, points)
-    d2 = second_derivatives(u_hat).reshape(len(HESSIAN_PAIRS), 3, points)
-    s_rows = [[d2[PAIR[i][j], l] for j in range(3) for l in range(3)] for i in range(3)]
-    t_rows = [[d2[PAIR[i][j], l] for i in range(3) for j in range(3)] for l in range(3)]
-    acc, tmp, hessian_sq = np.empty(points), np.empty(points), np.zeros(points)
-    t1 = _contract(s_rows, grads, acc, tmp, hessian_sq)
-    t2 = _contract(t_rows, grads, acc, tmp, None)
+    pairs = len(HESSIAN_PAIRS)
+    hessian_sq = np.zeros(g.shape)
+    acc = tmp = None
+    t1 = t2 = 0.0
+    for x0, x1, fields in inverse_slabs(g, derivative_spectra(u_hat), 9 + 3 * pairs):
+        points = fields[0].size
+        if acc is None:
+            acc, tmp = np.empty(points), np.empty(points)
+        rows = fields.reshape(len(fields), points)
+        grads = rows[:9].reshape(3, 3, points)
+        d2 = rows[9:].reshape(pairs, 3, points)
+        s_rows = [[d2[PAIR[i][j], l] for j in range(3) for l in range(3)] for i in range(3)]
+        t_rows = [[d2[PAIR[i][j], l] for i in range(3) for j in range(3)] for l in range(3)]
+        trace = hessian_sq[x0:x1].reshape(points)
+        t1 += _contract(s_rows, grads, acc[:points], tmp[:points], trace)
+        t2 += _contract(t_rows, grads, acc[:points], tmp[:points], None)
     w = g.cell_volume
     return HessianQuadrature(
         rhs=-2.0 * (w * t1) - w * t2,
-        hessian=np.sqrt(hessian_sq).reshape(g.shape),
+        hessian=np.sqrt(hessian_sq, out=hessian_sq),
     )
 
 
@@ -516,6 +528,32 @@ def gronwall_bound(
         z0 = log_factor(np.float64(series.table["sobolev2"][0]) ** 2)
         bounds = z0 * np.exp(2.0 * c_cal * integral)
     return bounds
+
+
+def gronwall_log_check(
+    series: MonitorSeries, pair: SerrinPair, c_cal: float
+) -> dict:
+    """The Gronwall consequence in log space, on every sample:
+    ln z(t) <= ln z(0) + 2 c_cal * running log-Serrin integral, with
+    z = 1 + ln(e + ||grad^2 u||^2).
+
+    It is the logarithm of :func:`gronwall_bound` >= z, so it holds exactly
+    when that does, but its right side overflows only when the integral
+    does.  Returns the columns 'lhs' (ln z), 'rhs', 'satisfied' and 'used',
+    the fraction (ln z(t) - ln z(0)) / (2 c_cal * integral) of the exponent
+    budget that the run used (NaN at t = 0).  Requires the canonical pair.
+    """
+    if not pair.is_canonical:
+        raise ValueError(
+            f"Gronwall bound needs the canonical pair s = 2p/(p-3), got {pair}"
+        )
+    budget = 2.0 * c_cal * series.column(f"log_serrin_int_{pair.label}")
+    ln_z = np.log(log_factor(series.column("sobolev2") ** 2))
+    ln_z0 = ln_z[:1]
+    rhs = ln_z0 + budget
+    with np.errstate(invalid="ignore", divide="ignore"):
+        used = (ln_z - ln_z0) / budget
+    return {"lhs": ln_z, "rhs": rhs, "satisfied": ln_z <= rhs, "used": used}
 
 
 def attach_gronwall(series: MonitorSeries, cfg: CriterionConfig) -> None:

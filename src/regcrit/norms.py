@@ -13,7 +13,15 @@ import math
 
 import numpy as np
 
-from .spectral import PAIR, Grid, SpectralVelocityField, parseval_sum, second_derivatives
+from .spectral import (
+    HESSIAN_PAIRS,
+    PAIR,
+    Grid,
+    SpectralVelocityField,
+    derivative_spectra,
+    inverse_slabs,
+    parseval_sum,
+)
 
 
 class DegenerateField(ValueError):
@@ -61,17 +69,28 @@ def sobolev_seminorm(grid: Grid, power: np.ndarray, m: int) -> float:
 def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:
     """Pointwise Frobenius magnitude of the second-derivative tensor: the 27
     squares of d_i d_j u_c summed in (i, j, c) order, each off-diagonal
-    (i, j) read from the one row of the pair table that holds both orders."""
-    d2 = second_derivatives(U)
-    acc = np.zeros(U.grid.shape)
-    tmp = np.empty(U.grid.shape)
-    for i in range(3):
-        for j in range(3):
-            for c in range(3):
-                x = d2[PAIR[i][j], c]
-                np.multiply(x, x, out=tmp)
-                acc += tmp
-    return np.sqrt(acc, out=acc)
+    (i, j) read from the one pair field that holds both orders.
+
+    The 18 pair fields come from one :func:`spectral.inverse_slabs` stream
+    and are squared and summed one x-slab at a time, into the output; the
+    whole pair table never exists."""
+    g = U.grid
+    pairs = len(HESSIAN_PAIRS)
+    out = np.zeros(g.shape)
+    tmp = None
+    for x0, x1, fields in inverse_slabs(g, derivative_spectra(U, gradients=False), 3 * pairs):
+        points = fields[0].size
+        if tmp is None:
+            tmp = np.empty(points)
+        d2 = fields.reshape(pairs, 3, points)
+        acc, sq = out[x0:x1].reshape(points), tmp[:points]
+        for i in range(3):
+            for j in range(3):
+                for c in range(3):
+                    x = d2[PAIR[i][j], c]
+                    np.multiply(x, x, out=sq)
+                    acc += sq
+    return np.sqrt(out, out=out)
 
 
 def hessian_lq_norm(grid: Grid, hessian: np.ndarray, q: float) -> float:

@@ -31,11 +31,21 @@ Conventions, fixed once for the whole package:
 * the forward transform (:func:`fft_forward`) is ``rfftn`` followed by a
   gather of the compact cube; the nonlinear term's forward transform ends
   in the same gather, which is its dealiasing
-* the transforms keep a half-spectrum workspace, ``(..., n, n, n/2 + 1)``,
-  inside: :func:`inverse_kept` scatters the compact cube into a zeroed one
-  and runs pruned 1-D passes that skip every line holding only zeros, and
-  on such an input equals a full ``irfftn`` bit for bit, but for the sign
-  of a zero
+* the inverse transform is one stream, :func:`inverse_slabs`: an x pass
+  over the compact lines ``(..., n, 2m+1, m+1)``, every dropped kx row
+  zero, then, one x-slab of ``b`` planes at a time, the y pass on the kept
+  kz planes and the real z pass, in one ``(..., b, n, n/2 + 1)`` workspace
+  allocated per call.  The lines it skips hold only zeros, so its samples
+  equal those of a full ``irfftn`` bit for bit, but for the sign of a zero.
+  :func:`inverse_kept` drains the stream into a whole table; the Hessian
+  quadrature and ``|grad^2 u|`` contract each slab while it is in cache and
+  never hold the whole derivative tables.  A slab is
+  ``b = max(1, 2048 // n**2)`` planes (at most n): about 2048 grid points,
+  or one plane once ``n**2`` is larger.  The 27 fields of a quadrature's
+  slab then fit in L2 at small n, and the stream's buffers have one size
+  per grid, which glibc's malloc reuses instead of handing pages back to
+  the kernel to be faulted in again; slabs of 8192 points more than doubled
+  the minor page faults of an n = 32 calibrate over whole tables
 * the nonlinear term is the rotational product ``omega x u``
   (:func:`convective_core_half`): an inverse transform of the 6 fields
   [u, omega] and a forward transform of the 3 product components, 9
@@ -66,14 +76,26 @@ class NonFiniteSamples(ValueError):
     """Field samples hold NaN or infinity."""
 
 
+#: the CPU count, read once; ``REGCRIT_THREADS`` is read per transform call
+_CPUS = os.cpu_count() or 1
+
+#: grid points per x-slab of :func:`inverse_slabs` (module docstring)
+_SLAB_POINTS = 2048
+
+
 def _workers() -> int:
-    cpus = os.cpu_count() or 1
     raw = os.environ.get("REGCRIT_THREADS", "")
     try:
-        cap = int(raw) if raw else cpus
+        cap = int(raw) if raw else _CPUS
     except ValueError:
-        cap = cpus
-    return max(1, min(cpus, cap))
+        cap = _CPUS
+    return max(1, min(_CPUS, cap))
+
+
+def _slab_planes(n: int) -> int:
+    """x-planes per slab of :func:`inverse_slabs`: about ``_SLAB_POINTS``
+    grid points, at least one plane and at most n."""
+    return min(n, max(1, _SLAB_POINTS // (n * n)))
 
 
 def rfftn(values: np.ndarray) -> np.ndarray:
@@ -122,13 +144,8 @@ class Grid:
 
     @property
     def half(self) -> int:
-        """Number of kz planes of the transforms' workspace, kz = 0 .. n/2."""
+        """Number of kz planes of a real-input half spectrum, kz = 0 .. n/2."""
         return self.n // 2 + 1
-
-    @property
-    def half_shape(self) -> tuple[int, int, int]:
-        """Shape of a real-input half spectrum, the transforms' workspace."""
-        return (self.n, self.n, self.half)
 
     @property
     def kept_max(self) -> int:
@@ -306,15 +323,6 @@ def _gather(grid: Grid, half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(grid: Grid, kept: np.ndarray) -> np.ndarray:
-    """A zeroed half-spectrum workspace holding the compact cube ``kept`` on
-    its kept modes."""
-    hat = np.zeros(kept.shape[:-3] + grid.half_shape, dtype=np.complex128)
-    for h, c in _blocks(grid):
-        hat[h] = kept[c]
-    return hat
-
-
 def parseval_sum(grid: Grid, density: np.ndarray) -> float:
     """Box volume times the full-cube sum of a density even in k, given on
     the compact cube; e.g. ``|u_hat|^2`` gives ``||u||_2^2``.  Each kz > 0
@@ -364,32 +372,94 @@ def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
     return SpectralVelocityField(U.grid, out)
 
 
+def _complex_pass(lines: np.ndarray, axis: int, inverse: bool, workers: int) -> None:
+    """One unscaled 1-D complex FFT pass along ``axis`` over the view
+    ``lines``, in place.  scipy writes into the view's memory when it can
+    and returns a new array object over it, so the result is copied back
+    only when it does not share that memory."""
+    transform, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
+    out = transform(lines, axis=axis, norm=norm, overwrite_x=True, workers=workers)
+    if not np.may_share_memory(out, lines):
+        lines[...] = out
+
+
+def _x_pass(grid: Grid, parts, fields: int, workers: int) -> np.ndarray:
+    """The x pass of the inverse transform: the compact cubes that ``parts``
+    yields, each ``(k, 2m+1, 2m+1, m+1)`` and ``fields`` in all, written one
+    after another onto the kept kx rows of one ``(fields, n, 2m+1, m+1)``
+    array whose other rows are zero, and transformed along x in place."""
+    n, m = grid.n, grid.kept_max
+    lines = np.empty((fields, n, 2 * m + 1, m + 1), dtype=np.complex128)
+    lines[:, m + 1 : n - m] = 0.0
+    f = 0
+    for part in parts:
+        k = len(part)
+        lines[f : f + k, : m + 1] = part[:, : m + 1]
+        lines[f : f + k, n - m :] = part[:, m + 1 :]
+        f += k
+        del part  # freed before the next part is formed
+    if f != fields:
+        raise ValueError(f"inverse transform of {fields} fields was given {f}")
+    _complex_pass(lines, axis=-3, inverse=True, workers=workers)
+    return lines
+
+
+def _slabs(grid: Grid, lines: np.ndarray, workers: int):
+    """Yield ``(x0, x1, samples)``: the grid samples of the x-passed
+    ``lines`` on the planes ``x0 <= x < x1``, shape ``(fields, x1 - x0, n,
+    n)``, one slab at a time in x order.  Each slab is scattered onto the
+    kept kz planes of one workspace, whose other planes stay zero (the real
+    pass does not write its input), and run through the y pass there and
+    the real z pass."""
+    n, m = grid.n, grid.kept_max
+    b = _slab_planes(n)
+    work = np.zeros((len(lines), b, n, grid.half), dtype=np.complex128)
+    for x0 in range(0, n, b):
+        x1 = min(x0 + b, n)
+        slab = work[:, : x1 - x0]
+        planes = slab[..., : m + 1]
+        planes[:, :, : m + 1] = lines[:, x0:x1, : m + 1]
+        planes[:, :, m + 1 : n - m] = 0.0
+        planes[:, :, n - m :] = lines[:, x0:x1, m + 1 :]
+        _complex_pass(planes, axis=-2, inverse=True, workers=workers)
+        yield x0, x1, _fft.irfft(slab, n=n, axis=-1, norm="forward", workers=workers)
+
+
+def inverse_slabs(grid: Grid, parts, fields: int):
+    """The grid samples of ``fields`` fields, one x-slab at a time: an
+    iterator of ``(x0, x1, samples)`` in x order, ``samples`` of shape
+    ``(fields, x1 - x0, n, n)`` and new per slab.
+
+    ``parts`` yields the fields' compact cubes, each ``(k, 2m+1, 2m+1,
+    m+1)``, so a caller can form them one at a time; the x pass over all of
+    them runs in this call.  The passes run in pocketfft's own order and with
+    its scaling point: x on the kept (ky, kz) lines, y on the kept kz planes
+    of each slab, then a real pass along z.  The lines skipped are those a
+    full ``irfftn`` reads only as zeros, so the samples equal its samples bit
+    for bit, but for the sign of a zero.  The worker count is read once.
+    """
+    workers = _workers()
+    return _slabs(grid, _x_pass(grid, parts, fields, workers), workers)
+
+
+def _drain(grid: Grid, lines: np.ndarray, workers: int) -> np.ndarray:
+    """The whole ``(fields, n, n, n)`` table of the slab stream of the
+    x-passed ``lines``."""
+    out = np.empty((len(lines),) + grid.shape)
+    for x0, x1, samples in _slabs(grid, lines, workers):
+        out[:, x0:x1] = samples
+    return out
+
+
 def inverse_kept(grid: Grid, kept: np.ndarray) -> np.ndarray:
     """Grid samples of the fields whose compact cubes are ``kept``, shape
-    ``(..., 2m+1, 2m+1, m+1)``.
-
-    They are scattered into a zeroed half-spectrum workspace, allocated per
-    call, and transformed by pruned 1-D passes in pocketfft's own order and
-    with its scaling point: x on the kept (y, kz) lines, y on the kept kz
-    planes, then a real pass along z.  The lines skipped are those a full
-    ``irfftn`` reads only as zeros, so the samples equal its samples bit for
-    bit, but for the sign of a zero.  ``kept`` is not modified.
-    """
-    hat = _scatter(grid, kept)
-    lo, hi = grid.kept_slabs
-    for sy in (lo, hi):
-        _complex_pass(hat[..., :, sy, lo], axis=-3, inverse=True)
-    _complex_pass(hat[..., lo], axis=-2, inverse=True)
-    return _fft.irfft(
-        hat, n=grid.n, axis=-1, norm="forward", overwrite_x=True, workers=_workers()
-    )
-
-
-def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
-    """Physical-space derivative table d[a, c] = d u_c / d x_a, shape
-    (3, 3, n, n, n): the 9 fields i k_a u_c in one :func:`inverse_kept`."""
-    ik = 1j * U.grid.wavevector
-    return inverse_kept(U.grid, ik[:, None] * U.kept)
+    ``(..., 2m+1, 2m+1, m+1)``: the slab stream of :func:`inverse_slabs`
+    drained into one table.  ``kept`` is not modified."""
+    lead = kept.shape[:-3]
+    flat = kept.reshape((-1,) + grid.kept_shape)
+    workers = _workers()
+    out = _drain(grid, _x_pass(grid, (flat,), len(flat), workers), workers)
+    return out.reshape(lead + grid.shape)
 
 
 #: the 6 index pairs (i, j), i <= j, of the symmetric Hessian, in table order
@@ -401,32 +471,34 @@ PAIR = tuple(
 )
 
 
+def derivative_spectra(U: SpectralVelocityField, gradients: bool = True):
+    """The compact spectra of the state's derivative fields, 3 components at
+    a time, for :func:`inverse_slabs`: when ``gradients``, first the 9
+    fields i k_a u_c of d u_c / d x_a, a = 0, 1, 2; then the 18 fields
+    -k_i k_j u_c of d^2 u_c / dx_i dx_j, one pair of :data:`HESSIAN_PAIRS`
+    at a time.  The Hessian is symmetric in (i, j), so the 6 pairs hold all
+    27 entries; :data:`PAIR` maps either order to its pair."""
+    k = U.grid.wavevector
+    if gradients:
+        for a in range(3):
+            yield (1j * k[a]) * U.kept
+    for i, j in HESSIAN_PAIRS:
+        yield (-k[i] * k[j]) * U.kept
+
+
+# no command calls these two: the quadratures stream the fields instead; they
+# are kept because the benchmark traces them by name
+def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
+    """The whole table d[a, c] = d u_c / dx_a, shape (3, 3, n, n, n)."""
+    ik = 1j * U.grid.wavevector
+    return inverse_kept(U.grid, ik[:, None] * U.kept)
+
+
 def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
-    """Physical-space pair table d2[PAIR[i][j], c] = d^2 u_c / dx_i dx_j,
-    shape (6, 3, n, n, n), one row per pair i <= j of :data:`HESSIAN_PAIRS`.
-
-    The Hessian is symmetric in (i, j), so the 6 pairs hold all 27 entries.
-    They are transformed one pair at a time, 3 fields per
-    :func:`inverse_kept`, so besides the table only one pair's spectrum,
-    workspace and samples are live.
-    """
-    g = U.grid
-    k = g.wavevector
-    out = np.empty((len(HESSIAN_PAIRS), 3) + g.shape)
-    for idx, (i, j) in enumerate(HESSIAN_PAIRS):
-        out[idx] = inverse_kept(g, (-k[i] * k[j]) * U.kept)
-    return out
-
-
-def _complex_pass(lines: np.ndarray, axis: int, inverse: bool) -> None:
-    """One unscaled 1-D complex FFT pass along ``axis`` over the view
-    ``lines``, in place.  scipy writes into the view's memory when it can
-    and returns a new array object over it, so the result is copied back
-    only when it does not share that memory."""
-    transform, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
-    out = transform(lines, axis=axis, norm=norm, overwrite_x=True, workers=_workers())
-    if not np.may_share_memory(out, lines):
-        lines[...] = out
+    """The whole pair table d2[PAIR[i][j], c] = d^2 u_c / dx_i dx_j, shape
+    (6, 3, n, n, n)."""
+    spectra = np.stack(list(derivative_spectra(U, gradients=False)))
+    return inverse_kept(U.grid, spectra)
 
 
 def convective_core_half(
@@ -445,21 +517,26 @@ def convective_core_half(
     the max is NaN, the samples are None and are freed before the forward
     transform.
 
-    The inverse is :func:`inverse_kept` of [u, omega].  The forward runs
+    The inverse is the drained slab stream of [u, omega]
+    (:func:`inverse_slabs`), with no concatenated spectrum.  The forward runs
     pruned 1-D passes on a half-spectrum workspace, in pocketfft's own order
     and with its scaling point: a real pass along z, then x on the kept kz
     planes and y on the kept x-slabs; the kept modes are then gathered into
     the compact cube.  The skipped lines are those a full transform only
     writes to be cut, so the result equals that of a full ``rfftn`` cut to
-    the kept modes bit for bit, but for the sign of a zero.
+    the kept modes bit for bit, but for the sign of a zero.  The worker count
+    is read once.
     """
     n = grid.n
+    workers = _workers()
     lo, hi = grid.kept_slabs
     kx, ky, kz = grid.wavevector
     u, v, w = kept
     omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
-    phys = inverse_kept(grid, np.concatenate((kept, omega_hat)))
+    lines = _x_pass(grid, (kept, omega_hat), 6, workers)
     del omega_hat
+    phys = _drain(grid, lines, workers)
+    del lines
     u_phys, omega = phys[:3], phys[3:]
     cross = np.empty((3,) + grid.shape)
     tmp = np.empty(grid.shape)
@@ -475,13 +552,13 @@ def convective_core_half(
         u_max, u_phys, omega = math.nan, None, None
     del phys, tmp
     # rfftn scales by 1/n^3 right after its z pass; so does this
-    w_hat = _fft.rfft(cross, axis=-1, overwrite_x=True, workers=_workers())
+    w_hat = _fft.rfft(cross, axis=-1, overwrite_x=True, workers=workers)
     del cross
     kept_planes = w_hat[..., lo].view(np.float64)
     kept_planes *= 1.0 / (n * n * n)
-    _complex_pass(w_hat[..., lo], axis=-3, inverse=False)
+    _complex_pass(w_hat[..., lo], axis=-3, inverse=False, workers=workers)
     for sx in (lo, hi):
-        _complex_pass(w_hat[:, sx, :, lo], axis=-2, inverse=False)
+        _complex_pass(w_hat[:, sx, :, lo], axis=-2, inverse=False, workers=workers)
     return _gather(grid, w_hat), u_max, u_phys, omega
 
 
@@ -490,7 +567,9 @@ def to_physical(U: SpectralVelocityField) -> VelocityField:
     No command calls it: the commands take their samples from
     :func:`convective_core_half` and :func:`inverse_kept`.  It is kept
     because the benchmark traces it by name."""
-    n = U.grid.n
-    samples = _fft.irfftn(_scatter(U.grid, U.kept), s=(n, n, n), axes=(-3, -2, -1),
-                          norm="forward", workers=_workers())
-    return VelocityField(U.grid, samples)
+    g = U.grid
+    hat = np.zeros((3, g.n, g.n, g.half), dtype=np.complex128)
+    for h, c in _blocks(g):
+        hat[h] = U.kept[c]
+    samples = _fft.irfftn(hat, s=g.shape, axes=(-3, -2, -1), norm="forward", workers=_workers())
+    return VelocityField(g, samples)

@@ -19,7 +19,11 @@ can be pinned bitwise to them.  The Hessian routes keep the earlier
 27-entry derivative table; the unpruned derivative tables, kernel and
 pressure transform the whole half spectrum, the full projection and the
 full-cube draw work on every mode, and :func:`step_half` is the RK4 step on
-the half spectrum, where the package touches only the kept modes.
+the half spectrum, where the package touches only the kept modes.  The
+whole-table pruned inverse (:func:`inverse_kept_whole`, with its derivative
+tables) is the route the package's slab stream replaced, and
+:func:`slab_quadrature` sums the unpruned tables slab by slab as the
+package's quadrature does.
 """
 
 import math
@@ -56,6 +60,11 @@ def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
     """Inverse of ``spectral.rfftn`` onto the (n, n, n) grid: the full
     ``irfftn`` of a half spectrum, every mode read."""
     return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward", workers=spec._workers())
+
+
+def half_shape(grid: spec.Grid) -> tuple[int, int, int]:
+    """Shape of a real-input half spectrum, kz = 0 .. n/2."""
+    return (grid.n, grid.n, grid.half)
 
 
 def deriv_modes(grid: spec.Grid) -> np.ndarray:
@@ -112,14 +121,20 @@ class HalfSpectrum:
         self.half = half_spectrum
 
 
+def scatter(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
+    """The half spectrum holding the compact cubes ``kept`` on its kept
+    modes and zeros elsewhere."""
+    out = np.zeros(kept.shape[:-3] + half_shape(grid), dtype=np.complex128)
+    out[(...,) + _kept_axes(grid)] = kept
+    return out
+
+
 def to_half(U) -> np.ndarray:
     """The half spectrum of a spectral field: its compact cube scattered
     into zeros (a :class:`HalfSpectrum` as it is)."""
     if isinstance(U, HalfSpectrum):
         return U.half
-    out = np.zeros(U.kept.shape[:-3] + U.grid.half_shape, dtype=np.complex128)
-    out[(...,) + _kept_axes(U.grid)] = U.kept
-    return out
+    return scatter(U.grid, U.kept)
 
 
 def to_kept(grid: spec.Grid, half_spectrum: np.ndarray) -> np.ndarray:
@@ -232,7 +247,7 @@ def resample(F, n_new: int):
 
     dst_xy, src_xy = axis(new_grid.integer_modes)
     dst_z, src_z = axis(np.arange(new_grid.half))
-    out = np.zeros(F.kept.shape[:-3] + new_grid.half_shape, dtype=np.complex128)
+    out = np.zeros(F.kept.shape[:-3] + half_shape(new_grid), dtype=np.complex128)
     out[(...,) + np.ix_(dst_xy, dst_xy, dst_z)] = to_half(F)[
         (...,) + np.ix_(src_xy, src_xy, src_z)
     ]
@@ -282,10 +297,10 @@ def hessian_table(U) -> np.ndarray:
     ks = wavenumbers_half(g)
     u = to_half(U)
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    hat = np.empty((len(pairs), 3) + g.half_shape, dtype=np.complex128)
+    hat = np.empty((len(pairs), 3) + half_shape(g), dtype=np.complex128)
     for idx, (i, j) in enumerate(pairs):
         np.multiply(-ks[i] * ks[j], u, out=hat[idx])
-    phys = irfftn_real(hat.reshape((-1,) + g.half_shape), g.n).reshape(
+    phys = irfftn_real(hat.reshape((-1,) + half_shape(g)), g.n).reshape(
         (len(pairs), 3) + g.shape
     )
     out = np.empty((3, 3, 3) + g.shape)
@@ -350,7 +365,7 @@ def convective_core_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
     the term as a half spectrum."""
     mask = dealias_mask_half(grid)
     kx, ky, kz = wavenumbers_half(grid)
-    hat = np.empty((6,) + grid.half_shape, dtype=np.complex128)
+    hat = np.empty((6,) + half_shape(grid), dtype=np.complex128)
     np.multiply(half_spectrum, mask, out=hat[:3])
     u, v, w = hat[:3]
     hat[3] = ky * w - kz * v
@@ -422,10 +437,10 @@ def first_derivatives_unpruned(U) -> np.ndarray:
     g = U.grid
     ks = wavenumbers_half(g)
     u = to_half(U)
-    hat = np.empty((3, 3) + g.half_shape, dtype=np.complex128)
+    hat = np.empty((3, 3) + half_shape(g), dtype=np.complex128)
     for a in range(3):
         np.multiply(1j * ks[a], u, out=hat[a])
-    return irfftn_real(hat.reshape((9,) + g.half_shape), g.n).reshape((3, 3) + g.shape)
+    return irfftn_real(hat.reshape((9,) + half_shape(g)), g.n).reshape((3, 3) + g.shape)
 
 
 def second_derivatives_unpruned(U) -> np.ndarray:
@@ -437,6 +452,96 @@ def second_derivatives_unpruned(U) -> np.ndarray:
     for idx, (i, j) in enumerate(spec.HESSIAN_PAIRS):
         out[idx] = irfftn_real(-ks[i] * ks[j] * u, g.n)
     return out
+
+
+def _complex_pass(lines: np.ndarray, axis: int) -> None:
+    """An unscaled inverse 1-D FFT pass along ``axis`` over the view ``lines``."""
+    out = _fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True, workers=spec._workers())
+    if not np.may_share_memory(out, lines):
+        lines[...] = out
+
+
+def inverse_kept_whole(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
+    """The pruned inverse that the slab stream replaced, on whole tables:
+    the compact cubes scattered into a zeroed half spectrum, x on the kept
+    (ky, kz) lines, y on the kept kz planes, then one real pass along z."""
+    hat = scatter(grid, kept)
+    lo, hi = grid.kept_slabs
+    for sy in (lo, hi):
+        _complex_pass(hat[..., :, sy, lo], axis=-3)
+    _complex_pass(hat[..., lo], axis=-2)
+    return _fft.irfft(hat, n=grid.n, axis=-1, norm="forward", workers=spec._workers())
+
+
+def first_derivatives(U) -> np.ndarray:
+    """The whole table d[a, c] = d u_c / d x_a, shape (3, 3, n, n, n): the 9
+    fields i k_a u_c in one :func:`inverse_kept_whole`."""
+    ik = 1j * U.grid.wavevector
+    return inverse_kept_whole(U.grid, ik[:, None] * U.kept)
+
+
+def second_derivatives(U) -> np.ndarray:
+    """The whole pair table d2[PAIR[i][j], c] = d^2 u_c / dx_i dx_j, shape
+    (6, 3, n, n, n), one :func:`inverse_kept_whole` per pair of
+    ``spectral.HESSIAN_PAIRS``."""
+    g = U.grid
+    k = g.wavevector
+    out = np.empty((len(spec.HESSIAN_PAIRS), 3) + g.shape)
+    for idx, (i, j) in enumerate(spec.HESSIAN_PAIRS):
+        out[idx] = inverse_kept_whole(g, (-k[i] * k[j]) * U.kept)
+    return out
+
+
+def _sequential_gram(rows, grads: np.ndarray) -> float:
+    """sum_{a,b} <grads[a, b], G[a, b]> over the upper entries of the
+    symmetric G[a, b] = sum_k rows[a][k] * rows[b][k], each G entry summed
+    in k order and each inner product numpy's sum of the pointwise product."""
+    total = 0.0
+    for a in range(3):
+        for b in range(a, 3):
+            gram = np.zeros(grads.shape[-1])
+            for x, y in zip(rows[a], rows[b]):
+                gram += x * y
+            if a == b:
+                total += np.sum(grads[a, a] * gram)
+            else:
+                total += np.sum(grads[a, b] * gram) + np.sum(grads[b, a] * gram)
+    return float(total)
+
+
+def slab_quadrature(U) -> float:
+    """The H^2 identity's right side from the unpruned tables, summed slab
+    by slab: per x-slab of ``spectral._slab_planes(n)`` planes the S and T
+    contractions of :func:`gram_quadrature`, with the Gram entries summed in
+    k order; the slab sums are added in x order."""
+    g = U.grid
+    n = g.n
+    grads = first_derivatives_unpruned(U)
+    d2 = hessian_table(U)
+    b = spec._slab_planes(n)
+    t1 = t2 = 0.0
+    for x0 in range(0, n, b):
+        x = slice(x0, min(x0 + b, n))
+        gr = np.ascontiguousarray(grads[:, :, x]).reshape(3, 3, -1)
+        h = np.ascontiguousarray(d2[:, :, :, x]).reshape(3, 3, 3, -1)
+        t1 += _sequential_gram([[h[i, j, l] for j in range(3) for l in range(3)]
+                                for i in range(3)], gr)
+        t2 += _sequential_gram([[h[i, j, l] for i in range(3) for j in range(3)]
+                                for l in range(3)], gr)
+    w = g.cell_volume
+    return -2.0 * (w * t1) - w * t2
+
+
+def identity_rhs_abs(U) -> float:
+    """The sum of the absolute values of the pointwise terms of the H^2
+    identity's right side, dx^3 (2 sum |d_i u_m S[i, m]| + sum |d_l u_m
+    T[l, m]|): the scale its roundoff is measured against."""
+    grads = first_derivatives_unpruned(U)
+    d2 = hessian_table(U)
+    s = np.einsum("ijlxyz,mjlxyz->imxyz", d2, d2)
+    t = np.einsum("ijlxyz,ijmxyz->lmxyz", d2, d2)
+    w = U.grid.cell_volume
+    return float(w * (2.0 * np.sum(np.abs(grads * s)) + np.sum(np.abs(grads * t))))
 
 
 def pressure_field_unpruned(U) -> np.ndarray:
@@ -472,7 +577,7 @@ def drawn_field_full(grid: spec.Grid, seed: int, spectrum_slope: float) -> np.nd
     mx, my, mz = (-ix) % n, (-iy) % n, (-iz) % n
     own = iz < grid.half
     mirror = mz < grid.half
-    coeffs = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + half_shape(grid), dtype=np.complex128)
     for c in range(3):
         phases = rng.uniform(0.0, 2.0 * np.pi, size=ix.shape)
         vals = moduli[ix, iy, iz] * np.exp(1j * phases)

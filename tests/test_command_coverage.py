@@ -23,6 +23,8 @@ NOT_RUN = {
     "spectral.to_physical": "the benchmark traces it by name",
     "spectral.full_from_half": "the benchmark traces it by name; tests/reference.py calls it",
     "spectral._mirror_tail": "the helper of full_from_half",
+    "spectral.first_derivatives": "the benchmark traces it by name",
+    "spectral.second_derivatives": "the benchmark traces it by name",
     "solver.RunSink.snapshot": "the interface's no-op base; DirectorySink overrides it",
     "config.ConfigError.__init__": "only a config error raises it, and these configs are valid",
     "solver.NumericalBlowup.__init__": "only a blowup raises it, and these runs do not blow up",

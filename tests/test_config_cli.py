@@ -993,7 +993,7 @@ class TestSharedQuadrature:
         manifest = cli.RunManifest.from_json((tmp_path / "run" / "manifest.json").read_text())
         assert len(manifest.snapshots) == 2
         quads = count_calls(monkeypatch, "hessian_quadrature", criteria)
-        builds = count_calls(monkeypatch, "second_derivatives", criteria, norms)
+        builds = count_calls(monkeypatch, "inverse_slabs", criteria, norms)
         assert cli.main(["verify", str(tmp_path / "run")]) == 0
         assert len(quads) == 2
         assert len(builds) == 2
@@ -1043,7 +1043,7 @@ class TestSharedQuadrature:
             f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..{k - 1}\n"
             "calibration.p = 5,6\noutput.dir = out\n",
         )
-        builds = count_calls(monkeypatch, "second_derivatives", criteria, norms)
+        builds = count_calls(monkeypatch, "inverse_slabs", criteria, norms)
         assert cli.main(["calibrate", cfg]) == 0
         assert len(builds) == k
 

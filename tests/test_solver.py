@@ -3,6 +3,7 @@ stability validation, and the convergence window."""
 
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,8 +346,10 @@ class TestPrunedKernel:
             out = solv._nonlinear_half(g, U.kept)
             for got, want in zip(out, in_place[kind]):
                 assert np.array_equal(got, want), kind
-        # 3 inverse and 3 forward pass calls per right-hand side
-        assert fft.fresh == 6 * len(states)
+        # per right-hand side: the inverse's x pass and one y pass per slab
+        # (1 slab of 6 planes at n = 6, 2 of 8 at n = 16), 3 forward passes
+        slabs = {6: 1, 16: 2}[n]
+        assert fft.fresh == (1 + slabs + 3) * len(states)
 
 
 class TestPressure:
@@ -371,13 +374,15 @@ class TestPressure:
 
 class CountingFFT:
     """Stands in for ``spectral._fft``.  Counts 3-D transforms by direction:
-    an n-D call by its batch, a pruned one by the fields that go through its
-    real ``irfft``/``rfft`` pass.  Also sums, per complex 1-D pass
-    (``fft``/``ifft``) and axis, the lines that pass touches."""
+    an n-D call by its batch, a real 1-D pass (``irfft``/``rfft``) by its
+    lines over n^2, so the slabs of one transform add up to one.  Also sums,
+    per complex 1-D pass (``fft``/``ifft``) and axis, the lines that pass
+    touches."""
 
-    #: the calls that count 3-D transforms, and their direction
-    DIRECTION = {"fftn": "forward", "rfftn": "forward", "rfft": "forward",
-                 "ifftn": "inverse", "irfftn": "inverse", "irfft": "inverse"}
+    #: the n-D calls, counted by their batch, and their direction
+    BATCHED = {"fftn": "forward", "rfftn": "forward", "ifftn": "inverse", "irfftn": "inverse"}
+    #: the real 1-D passes, counted by their lines, and their direction
+    REAL = {"rfft": "forward", "irfft": "inverse"}
 
     def __init__(self, module):
         self.module = module
@@ -389,12 +394,17 @@ class CountingFFT:
 
         def call(x, *args, **kwargs):
             shape = np.shape(x)
-            if name in self.DIRECTION:
-                self.counts[self.DIRECTION[name]] += math.prod(shape[:-3])
+            if name in self.BATCHED:
+                self.counts[self.BATCHED[name]] += math.prod(shape[:-3])
+                return fn(x, *args, **kwargs)
+            axis = kwargs["axis"] % len(shape)
+            lines = math.prod(shape) // shape[axis]
+            if name in self.REAL:
+                n = kwargs.get("n", shape[axis])
+                self.counts[self.REAL[name]] += Fraction(lines, n * n)
             else:
-                axis = kwargs["axis"] % len(shape)
                 key = (name, "xyz"[axis - len(shape) + 3])
-                self.lines[key] = self.lines.get(key, 0) + math.prod(shape) // shape[axis]
+                self.lines[key] = self.lines.get(key, 0) + lines
             return fn(x, *args, **kwargs)
 
         return call

@@ -51,6 +51,25 @@ def gradient_field(F):
     )
 
 
+def streamed_tables(U):
+    """The gradient table d[a, c] = d u_c / dx_a, shape (3, 3, n, n, n), and
+    the pair table d2[PAIR[i][j], c], shape (6, 3, n, n, n), as the slab
+    stream gives them, slab by slab into whole tables."""
+    g = U.grid
+    out = np.empty((27,) + g.shape)
+    for x0, x1, samples in spec.inverse_slabs(g, spec.derivative_spectra(U), 27):
+        out[:, x0:x1] = samples
+    return out[:9].reshape((3, 3) + g.shape), out[9:].reshape((6, 3) + g.shape)
+
+
+def gradients(U):
+    return streamed_tables(U)[0]
+
+
+def pair_table(U):
+    return streamed_tables(U)[1]
+
+
 def vorticity(U):
     """Grid samples of curl u, as the commands take them from the kernel."""
     return spec.convective_core_half(U.grid, U.kept)[3]
@@ -144,11 +163,12 @@ class TestConstructors:
     def test_half_spectrum_rejected_in_one_line(self, n):
         g = spec.Grid(n)
         for cls, lead in ((spec.SpectralVelocityField, (3,)), (spec.SpectralScalarField, ())):
+            half = lead + reference.half_shape(g)
             with pytest.raises(ValueError) as info:
-                cls(g, np.zeros(lead + g.half_shape, complex))
+                cls(g, np.zeros(half, complex))
             message = str(info.value)
             assert "\n" not in message
-            assert str(lead + g.kept_shape) in message and str(lead + g.half_shape) in message
+            assert str(lead + g.kept_shape) in message and str(half) in message
 
     def test_kept_modes_taken_as_is(self):
         g = spec.Grid(8)
@@ -191,7 +211,7 @@ class TestFFT:
 
     def test_zero_inverts_to_zero(self):
         g = spec.Grid(8)
-        f = reference.irfftn_real(np.zeros(g.half_shape, complex), g.n)
+        f = reference.irfftn_real(np.zeros(reference.half_shape(g), complex), g.n)
         assert np.all(f == 0.0)
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -233,7 +253,7 @@ class TestFFT:
 class TestDerivatives:
     def test_gradient_of_sine(self):
         g = spec.Grid(16)
-        d = spec.first_derivatives(x_component(g, lambda x, y, z: np.sin(x)))
+        d = gradients(x_component(g, lambda x, y, z: np.sin(x)))
         X = g.meshes()[0]
         np.testing.assert_allclose(d[0, 0], np.cos(X), atol=1e-13)
         assert np.abs(d[1:]).max() < 1e-14
@@ -241,20 +261,20 @@ class TestDerivatives:
 
     def test_gradient_of_constant_is_zero(self):
         g = spec.Grid(8)
-        d = spec.first_derivatives(x_component(g, lambda x, y, z: np.full(x.shape, 2.5)))
+        d = gradients(x_component(g, lambda x, y, z: np.full(x.shape, 2.5)))
         assert np.abs(d).max() < 1e-14
 
     def test_second_derivative_of_sine(self):
         g = spec.Grid(16)
-        d2 = spec.second_derivatives(x_component(g, lambda x, y, z: np.sin(x)))
+        d2 = pair_table(x_component(g, lambda x, y, z: np.sin(x)))
         X = g.meshes()[0]
         np.testing.assert_allclose(d2[spec.PAIR[0][0], 0], -np.sin(X), atol=1e-12)
 
     def test_mixed_partials_commute(self):
         g = spec.Grid(8)
-        d = spec.first_derivatives(spec.fft_forward(random_vector(g, 3)))
-        dxy = spec.first_derivatives(spec.fft_forward(spec.VelocityField(g, d[0])))[1]
-        dyx = spec.first_derivatives(spec.fft_forward(spec.VelocityField(g, d[1])))[0]
+        d = gradients(spec.fft_forward(random_vector(g, 3)))
+        dxy = gradients(spec.fft_forward(spec.VelocityField(g, d[0])))[1]
+        dyx = gradients(spec.fft_forward(spec.VelocityField(g, d[1])))[0]
         assert np.abs(dxy - dyx).max() <= 1e-15 * max(np.abs(dxy).max(), 1.0)
 
     def test_second_derivative_table_is_symmetric(self):
@@ -262,7 +282,7 @@ class TestDerivatives:
         # entries of the 27-entry table
         g = spec.Grid(8)
         U = init_random_divfree(g, 5, -2.0, 1.0)
-        d2 = spec.second_derivatives(U)
+        d2 = pair_table(U)
         assert d2.shape == (6, 3) + g.shape
         assert spec.HESSIAN_PAIRS == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
         full = reference.hessian_table(U)
@@ -276,7 +296,7 @@ class TestDerivatives:
         # whose off-diagonal pairs each stand for two entries
         g = spec.Grid(16)
         U = init_random_divfree(g, 11, -2.0, 1.0)
-        d2 = spec.second_derivatives(U)
+        d2 = pair_table(U)
         weights = np.array([1.0 if i == j else 2.0 for i, j in spec.HESSIAN_PAIRS])
         quad = np.sum(weights[:, None, None, None, None] * d2**2) * g.cell_volume
         k4 = reference.k_squared(g) ** 2
@@ -286,25 +306,44 @@ class TestDerivatives:
 
 class TestPrunedTables:
     """Every inverse transform the commands run reads only the kept modes
-    (``inverse_kept``), and the random draw runs on the compact cube; on
-    band-limited states each equals the full-transform route of
-    ``reference`` bit for bit.  n = 48 has the boundary shell 3 max|k| = n
-    that the 2/3 rule drops."""
+    (the slab stream, ``inverse_slabs``), and the random draw runs on the
+    compact cube; on band-limited states each equals the full-transform
+    route of ``reference`` bit for bit, and the slab stream equals the
+    whole-table pruned route it replaced.  n = 48 has the boundary shell
+    3 max|k| = n that the 2/3 rule drops; at n = 22 the last slab is
+    partial (4-plane slabs)."""
 
-    @pytest.mark.parametrize("n", [16, 32, 48, 64])
-    def test_bitwise_equal_to_the_full_transforms(self, n):
+    @pytest.mark.parametrize("n", [16, 22, 32, 48, 64])
+    def test_bitwise_equal_to_the_full_transforms(self, monkeypatch, n):
         g = spec.Grid(n)
         U = init_random_divfree(g, 1, -3.0, 5.0)
-        assert np.array_equal(spec.first_derivatives(U), reference.first_derivatives_unpruned(U))
-        assert np.array_equal(
-            spec.second_derivatives(U), reference.second_derivatives_unpruned(U)
-        )
-        assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
-        quad = crit.hessian_quadrature(U)
-        rhs, hessian = reference.gram_quadrature(U)
-        assert quad.rhs == rhs
-        assert np.array_equal(quad.hessian, hessian)
-        assert np.array_equal(solv.pressure_field(U).values, reference.pressure_field_unpruned(U))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REGCRIT_THREADS", threads)
+            d1, d2 = streamed_tables(U)
+            assert np.array_equal(d1, reference.first_derivatives_unpruned(U)), threads
+            assert np.array_equal(d2, reference.second_derivatives_unpruned(U)), threads
+            assert np.array_equal(d1, reference.first_derivatives(U)), threads
+            assert np.array_equal(d2, reference.second_derivatives(U)), threads
+            assert np.array_equal(spec.first_derivatives(U), d1), threads
+            assert np.array_equal(spec.second_derivatives(U), d2), threads
+            assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
+            quad = crit.hessian_quadrature(U)
+            rhs, hessian = reference.gram_quadrature(U)
+            assert quad.rhs == reference.slab_quadrature(U), threads
+            assert abs(quad.rhs - rhs) <= 1e-14 * reference.identity_rhs_abs(U), threads
+            assert np.array_equal(quad.hessian, hessian), threads
+            pressure = solv.pressure_field(U).values
+            assert np.array_equal(pressure, reference.pressure_field_unpruned(U)), threads
+
+    @pytest.mark.parametrize("n", [4, 6, 16, 22, 32, 46, 48, 64])
+    def test_slab_width(self, n):
+        # about 2048 grid points per slab, at least one plane, at most n
+        b = {4: 4, 6: 6, 16: 8, 22: 4, 32: 2, 46: 1, 48: 1, 64: 1}[n]
+        assert spec._slab_planes(n) == b
+        g = spec.Grid(n)
+        U = init_random_divfree(g, 1, -3.0, 5.0)
+        spans = [(x0, x1) for x0, x1, _ in spec.inverse_slabs(g, (U.kept,), 3)]
+        assert spans == [(x0, min(x0 + b, n)) for x0 in range(0, n, b)]
 
     @pytest.mark.parametrize("n", [16, 32, 48, 64])
     @pytest.mark.parametrize("seed", [1, 2, 7])
@@ -326,10 +365,9 @@ class TestPrunedTables:
         assert np.array_equal(
             reference.to_half(U), reference.random_divfree_full(g, 7, -3.0, 5.0)
         )
-        assert np.array_equal(spec.first_derivatives(U), reference.first_derivatives_unpruned(U))
-        assert np.array_equal(
-            spec.second_derivatives(U), reference.second_derivatives_unpruned(U)
-        )
+        d1, d2 = streamed_tables(U)
+        assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
+        assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
         assert np.array_equal(crit.hessian_quadrature(U).hessian, reference.gram_quadrature(U)[1])
         assert np.array_equal(solv.pressure_field(U).values, reference.pressure_field_unpruned(U))
 
@@ -339,9 +377,7 @@ class TestPrunedTables:
         for threads in ("1", "2"):
             monkeypatch.setenv("REGCRIT_THREADS", threads)
             quad = crit.hessian_quadrature(U)
-            outputs.append(
-                (spec.first_derivatives(U), spec.second_derivatives(U), quad.rhs, quad.hessian)
-            )
+            outputs.append(streamed_tables(U) + (quad.rhs, quad.hessian, norms.hessian_magnitude(U)))
         for one, two in zip(*outputs):
             assert np.array_equal(one, two)
 
@@ -356,11 +392,9 @@ class TestPrunedTables:
         assert np.array_equal(
             reference.to_half(U), full_half * reference.dealias_mask_half(g)
         )
-        for table, unpruned in (
-            (spec.first_derivatives, reference.first_derivatives_unpruned),
-            (spec.second_derivatives, reference.second_derivatives_unpruned),
-        ):
-            assert np.array_equal(table(U), unpruned(U))
+        d1, d2 = streamed_tables(U)
+        assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
+        assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
 
 
 class TestParseval:
