@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -205,7 +206,9 @@ class CriterionConfig:
     pairs: tuple[SerrinPair, ...]
     mu: float
     calibration: CalibrationRecord | None = None
-    identity: bool = True
+    #: not a setting: every run checks the identity; only the benchmark's
+    #: tracer reads this
+    identity: ClassVar[bool] = True
     identity_stride: int = 1  # steps between the (expensive) identity quadratures
 
     def __post_init__(self):
@@ -556,12 +559,13 @@ def gronwall_log_check(
     return {"lhs": ln_z, "rhs": rhs, "satisfied": ln_z <= rhs, "used": used}
 
 
-def attach_gronwall(series: MonitorSeries, cfg: CriterionConfig) -> None:
-    """Fill the gronwall_bound column for the first canonical calibrated pair."""
-    if not (cfg.calibration and len(series)):
+def attach_gronwall(series: MonitorSeries, calibration: CalibrationRecord | None) -> None:
+    """Fill the gronwall_bound column for the first canonical pair that
+    ``calibration`` has an entry for."""
+    if not (calibration and len(series)):
         return
     for pair in series.pairs:
-        entry = cfg.calibration.for_p(pair.p)
+        entry = calibration.for_p(pair.p)
         if pair.is_canonical and entry is not None:
             bounds = gronwall_bound(series, pair, entry.c_cal)
             series.table["gronwall_bound"] = bounds.tolist()

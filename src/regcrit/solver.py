@@ -402,9 +402,7 @@ def run(
             # before the RK stages
             del u_phys, omega
             if sample_due:
-                with_identity = monitors.identity and (
-                    state.step_index % monitors.identity_stride == 0 or final
-                )
+                with_identity = state.step_index % monitors.identity_stride == 0 or final
                 series.append(
                     _criteria.evaluate_sample(
                         state.u_hat,
@@ -423,5 +421,5 @@ def run(
         raise
     finally:
         _criteria.accumulate(series)
-        _criteria.attach_gronwall(series, monitors)
+        _criteria.attach_gronwall(series, monitors.calibration)
     return series

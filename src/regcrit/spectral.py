@@ -28,24 +28,29 @@ Conventions, fixed once for the whole package:
   wavevector of a quantity even in k is a compact-cube sum with Parseval
   weights: 1 on the kz = 0 plane, 2 on every other plane, each standing for
   itself and its mirror (:func:`parseval_sum`)
-* the forward transform (:func:`fft_forward`) is ``rfftn`` followed by a
-  gather of the compact cube; the nonlinear term's forward transform ends
-  in the same gather, which is its dealiasing
-* the inverse transform is one stream, :func:`inverse_slabs`: an x pass
-  over the compact lines ``(..., n, 2m+1, m+1)``, every dropped kx row
-  zero, then, one x-slab of ``b`` planes at a time, the y pass on the kept
-  kz planes and the real z pass, in one ``(..., b, n, n/2 + 1)`` workspace
-  allocated per call.  The lines it skips hold only zeros, so its samples
-  equal those of a full ``irfftn`` bit for bit, but for the sign of a zero.
-  :func:`inverse_kept` drains the stream into a whole table; the Hessian
-  quadrature and ``|grad^2 u|`` contract each slab while it is in cache and
-  never hold the whole derivative tables.  A slab is
-  ``b = max(1, 2048 // n**2)`` planes (at most n): about 2048 grid points,
-  or one plane once ``n**2`` is larger.  The 27 fields of a quadrature's
-  slab then fit in L2 at small n, and the stream's buffers have one size
-  per grid, which glibc's malloc reuses instead of handing pages back to
-  the kernel to be faulted in again; slabs of 8192 points more than doubled
-  the minor page faults of an n = 32 calibrate over whole tables
+* the transforms are two pruned routes that mirror each other, each in
+  pocketfft's own pass order and with its scaling point, each skipping
+  only lines a full ``rfftn``/``irfftn`` reads as zeros or writes only to
+  be cut, so each equals the full transform bit for bit (the inverse but
+  for the sign of a zero).  The half spectrum ``(..., n, n, n/2 + 1)``
+  exists only in their workspaces.  The forward (:func:`fft_forward`, the
+  nonlinear term and the pressure alike) is an unscaled real pass along z,
+  the ``1/n**3`` scale on the kept kz planes, x on those planes, y on the
+  two kept x-slabs, then a gather of the compact cube, which for a product
+  is its dealiasing.  The inverse is one stream, :func:`inverse_slabs`: an
+  x pass over the compact lines ``(..., n, 2m+1, m+1)``, every dropped kx
+  row zero, then, one x-slab of ``b`` planes at a time, the y pass on the
+  kept kz planes and the real z pass, in one ``(..., b, n, n/2 + 1)``
+  workspace allocated per call.  :func:`inverse_kept` drains the stream
+  into a whole table; the Hessian quadrature and ``|grad^2 u|`` contract
+  each slab while it is in cache and never hold the whole derivative
+  tables.  A slab is ``b = max(1, 2048 // n**2)`` planes (at most n): about
+  2048 grid points, or one plane once ``n**2`` is larger.  The 27 fields of
+  a quadrature's slab then fit in L2 at small n, and the stream's buffers
+  have one size per grid, which glibc's malloc reuses instead of handing
+  pages back to the kernel to be faulted in again; slabs of 8192 points
+  more than doubled the minor page faults of an n = 32 calibrate over
+  whole tables
 * the nonlinear term is the rotational product ``omega x u``
   (:func:`convective_core_half`): an inverse transform of the 6 fields
   [u, omega] and a forward transform of the 3 product components, 9
@@ -63,6 +68,7 @@ worker count does not change any result.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,11 +104,6 @@ def _slab_planes(n: int) -> int:
     return min(n, max(1, _SLAB_POINTS // (n * n)))
 
 
-def rfftn(values: np.ndarray) -> np.ndarray:
-    """Real-input forward transform (half spectrum, kz >= 0), mean-normalized."""
-    return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_workers())
-
-
 @dataclass(frozen=True)
 class Grid:
     """Cubic periodic grid: ``n`` points per axis on a box of side ``length``."""
@@ -111,6 +112,8 @@ class Grid:
     length: float = TWO_PI
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValueError(f"grid size n is not an integer: {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid needs n >= 4 and even, got n={self.n}")
         if not (math.isfinite(self.length) and self.length > 0.0):
@@ -304,25 +307,6 @@ def _mirror_tail(grid: Grid, half: np.ndarray) -> np.ndarray:
     return np.conj(interior[..., m, :, :][..., :, m, :][..., ::-1])
 
 
-def _blocks(grid: Grid):
-    """The 4 blocks of kept modes: (half-spectrum index, compact index) per
-    pair of x and y slabs, kz 0 .. m in both."""
-    m = grid.kept_max
-    lo, hi = grid.kept_slabs
-    pairs = ((lo, slice(0, m + 1)), (hi, slice(m + 1, 2 * m + 1)))
-    for sx, cx in pairs:
-        for sy, cy in pairs:
-            yield (..., sx, sy, lo), (..., cx, cy, slice(None))
-
-
-def _gather(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """The compact cube of the kept modes of a half spectrum."""
-    out = np.empty(half.shape[:-3] + grid.kept_shape, dtype=np.complex128)
-    for h, c in _blocks(grid):
-        out[c] = half[h]
-    return out
-
-
 def parseval_sum(grid: Grid, density: np.ndarray) -> float:
     """Box volume times the full-cube sum of a density even in k, given on
     the compact cube; e.g. ``|u_hat|^2`` gives ``||u||_2^2``.  Each kz > 0
@@ -334,12 +318,17 @@ def parseval_sum(grid: Grid, density: np.ndarray) -> float:
 
 def fft_forward(f):
     """Transform a real field to spectral space (k = 0 coefficient = mean),
-    keeping the modes the 2/3 rule keeps."""
+    keeping the modes the 2/3 rule keeps: the real pass along z, then
+    :func:`_forward_kept`.  ``f`` is not modified."""
     if isinstance(f, RealScalarField):
-        return SpectralScalarField(f.grid, _gather(f.grid, rfftn(f.values)))
-    if isinstance(f, VelocityField):
-        return SpectralVelocityField(f.grid, _gather(f.grid, rfftn(f.values)))
-    raise TypeError(f"cannot transform {type(f).__name__}")
+        kind = SpectralScalarField
+    elif isinstance(f, VelocityField):
+        kind = SpectralVelocityField
+    else:
+        raise TypeError(f"cannot transform {type(f).__name__}")
+    workers = _workers()
+    half = _fft.rfft(f.values, axis=-1, workers=workers)
+    return kind(f.grid, _forward_kept(f.grid, half, workers))
 
 
 def divergence(U: SpectralVelocityField) -> SpectralScalarField:
@@ -381,6 +370,32 @@ def _complex_pass(lines: np.ndarray, axis: int, inverse: bool, workers: int) -> 
     out = transform(lines, axis=axis, norm=norm, overwrite_x=True, workers=workers)
     if not np.may_share_memory(out, lines):
         lines[...] = out
+
+
+def _forward_kept(grid: Grid, half: np.ndarray, workers: int) -> np.ndarray:
+    """The compact cube of the grid samples whose unscaled real pass along
+    z, ``rfft(samples, axis=-1)`` of shape ``(..., n, n, n/2 + 1)``, is
+    ``half``: the forward transform cut to the kept modes, by pruned 1-D
+    passes in place on the workspace ``half``, in pocketfft's own order and
+    with its scaling point.  The ``1/n**3`` scale on the kept kz planes
+    (``rfftn`` scales right after its z pass), x on those planes and y on
+    the two kept x-slabs, then a gather of the 4 blocks of kept modes, one
+    per pair of kept x and y slabs; the lines skipped are those a full
+    ``rfftn`` writes only to be cut, so the result equals its kept modes bit
+    for bit, signs of zeros included."""
+    n, m = grid.n, grid.kept_max
+    lo, hi = grid.kept_slabs
+    kept_planes = half[..., lo].view(np.float64)
+    kept_planes *= 1.0 / (n * n * n)
+    _complex_pass(half[..., lo], axis=-3, inverse=False, workers=workers)
+    for sx in (lo, hi):
+        _complex_pass(half[..., sx, :, lo], axis=-2, inverse=False, workers=workers)
+    out = np.empty(half.shape[:-3] + grid.kept_shape, dtype=np.complex128)
+    pairs = ((lo, slice(0, m + 1)), (hi, slice(m + 1, 2 * m + 1)))
+    for sx, cx in pairs:
+        for sy, cy in pairs:
+            out[..., cx, cy, :] = half[..., sx, sy, lo]
+    return out
 
 
 def _x_pass(grid: Grid, parts, fields: int, workers: int) -> np.ndarray:
@@ -517,19 +532,14 @@ def convective_core_half(
     the max is NaN, the samples are None and are freed before the forward
     transform.
 
-    The inverse is the drained slab stream of [u, omega]
-    (:func:`inverse_slabs`), with no concatenated spectrum.  The forward runs
-    pruned 1-D passes on a half-spectrum workspace, in pocketfft's own order
-    and with its scaling point: a real pass along z, then x on the kept kz
-    planes and y on the kept x-slabs; the kept modes are then gathered into
-    the compact cube.  The skipped lines are those a full transform only
-    writes to be cut, so the result equals that of a full ``rfftn`` cut to
-    the kept modes bit for bit, but for the sign of a zero.  The worker count
-    is read once.
+    The transforms are the package's two routes: the drained slab stream of
+    [u, omega] (:func:`inverse_slabs`), with no concatenated spectrum, and
+    the forward of omega x u, the real pass along z and
+    :func:`_forward_kept`, as in :func:`fft_forward`.  The worker count is
+    read once.  The name is kept from when the kernel worked on the half
+    spectrum, because the benchmark traces the nonlinear term by it.
     """
-    n = grid.n
     workers = _workers()
-    lo, hi = grid.kept_slabs
     kx, ky, kz = grid.wavevector
     u, v, w = kept
     omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
@@ -551,25 +561,16 @@ def convective_core_half(
     else:
         u_max, u_phys, omega = math.nan, None, None
     del phys, tmp
-    # rfftn scales by 1/n^3 right after its z pass; so does this
-    w_hat = _fft.rfft(cross, axis=-1, overwrite_x=True, workers=workers)
+    # the product is freed before the passes: held through them, it took
+    # the minor page faults of an n = 96 call from about 1k to 3-4k
+    half = _fft.rfft(cross, axis=-1, workers=workers)
     del cross
-    kept_planes = w_hat[..., lo].view(np.float64)
-    kept_planes *= 1.0 / (n * n * n)
-    _complex_pass(w_hat[..., lo], axis=-3, inverse=False, workers=workers)
-    for sx in (lo, hi):
-        _complex_pass(w_hat[:, sx, :, lo], axis=-2, inverse=False, workers=workers)
-    return _gather(grid, w_hat), u_max, u_phys, omega
+    return _forward_kept(grid, half, workers), u_max, u_phys, omega
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
-    """The grid samples of a spectral velocity field, by a full ``irfftn``.
-    No command calls it: the commands take their samples from
-    :func:`convective_core_half` and :func:`inverse_kept`.  It is kept
-    because the benchmark traces it by name."""
-    g = U.grid
-    hat = np.zeros((3, g.n, g.n, g.half), dtype=np.complex128)
-    for h, c in _blocks(g):
-        hat[h] = U.kept[c]
-    samples = _fft.irfftn(hat, s=g.shape, axes=(-3, -2, -1), norm="forward", workers=_workers())
-    return VelocityField(g, samples)
+    """The grid samples of a spectral velocity field: :func:`inverse_kept`
+    of its compact cube.  No command calls it: the commands take their
+    samples from :func:`convective_core_half` and :func:`inverse_slabs`.
+    It stays because the benchmark traces it by name."""
+    return VelocityField(U.grid, inverse_kept(U.grid, U.kept))

@@ -47,6 +47,12 @@ def fftn(values: np.ndarray) -> np.ndarray:
     return _fft.fftn(values, axes=AXES, norm="forward", workers=spec._workers())
 
 
+def rfftn(values: np.ndarray) -> np.ndarray:
+    """Real-input forward transform (half spectrum, kz >= 0), mean-normalized:
+    the full ``rfftn`` that the package's pruned forward is pinned to."""
+    return _fft.rfftn(values, axes=AXES, norm="forward", workers=spec._workers())
+
+
 def ifftn(coefficients: np.ndarray) -> np.ndarray:
     return _fft.ifftn(coefficients, axes=AXES, norm="forward", workers=spec._workers())
 
@@ -57,7 +63,7 @@ def ifftn_real(coefficients: np.ndarray) -> np.ndarray:
 
 
 def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``spectral.rfftn`` onto the (n, n, n) grid: the full
+    """Inverse of :func:`rfftn` onto the (n, n, n) grid: the full
     ``irfftn`` of a half spectrum, every mode read."""
     return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward", workers=spec._workers())
 
@@ -379,7 +385,7 @@ def convective_core_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
         a, b = (c + 1) % 3, (c + 2) % 3
         np.multiply(omega[a], u_phys[b], out=cross[c])
         cross[c] -= omega[b] * u_phys[a]
-    w_hat = spec.rfftn(cross)
+    w_hat = rfftn(cross)
     w_hat *= mask
     u_max = math.sqrt(float(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys).max(initial=0.0)))
     return w_hat, u_max, u_phys, omega
@@ -549,7 +555,7 @@ def pressure_field_unpruned(U) -> np.ndarray:
     :func:`convective_core_unpruned` and a full ``irfftn``."""
     g = U.grid
     w_hat, _, u_phys, _ = convective_core_unpruned(g, to_half(U))
-    ke_hat = spec.rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
+    ke_hat = rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
     kx, ky, kz = wavenumbers_half(g)
     div = 1j * (kx * w_hat[0] + ky * w_hat[1] + kz * w_hat[2])
     q_hat = div * inv_k_squared_half(g)

@@ -499,6 +499,7 @@ class TestVerify:
         assert cli.main(["verify", rundir]) == 0
         report = (calibrated_run / "run" / "verify_report.txt").read_text()
         assert "energy_law: PASS" in report
+        assert "derived_columns: PASS (worst=0," in report
         assert "gronwall_dominance" in report
         # at t = 0 the bound equals the measured value, so the margin is
         # taken from sample 1 on
@@ -525,7 +526,7 @@ class TestVerify:
         for name in manifest.snapshots:
             field_, _ = snap.read_snapshot(str(rundir / name), g)
             cut = spectral.fft_forward(field_)
-            whole = reference.HalfSpectrum(g, spectral.rfftn(field_.values))
+            whole = reference.HalfSpectrum(g, reference.rfftn(field_.values))
             assert np.abs(whole.half[:, ~reference.dealias_mask_half(g)]).max() > 0.0
             quad = criteria.hessian_quadrature(cut)
             sob3 = norms.sobolev_seminorm(g, np.abs(cut.kept) ** 2, 3)
@@ -759,6 +760,9 @@ class TestVerifyDamaged:
             ("lp_p6_s4", "nan", "growth_inequality_p6_s4: FAIL (worst=nan,"),
             ("linf", "-5", "growth_inequality_p6_s4: FAIL (worst=nan,"),
             ("identity_residual", "-5", "identity_series: FAIL (worst=5,"),
+            ("gronwall_bound", "nan", "derived_columns: FAIL (worst=nan,"),
+            ("serrin_int_p6_s4", "inf", "derived_columns: FAIL (worst=inf,"),
+            ("bkm_int", "0", "derived_columns: FAIL (worst=1,"),
         ],
     )
     def test_damaged_csv_value_fails_its_check(
@@ -789,6 +793,12 @@ class TestVerifyDamaged:
             assert code in ((1, 3) if column == "t" else (0, 3)), column
             err = capsys.readouterr().err
             assert len(err.splitlines()) <= 1, (column, err)
+            # a running integral or the Gronwall bound, or an integrand of
+            # either, no longer matches the columns verify re-derives
+            if column in DERIVED_COLUMNS or column.startswith(("serrin_", "log_serrin_")):
+                assert code == 3, column
+                report = (dst / "verify_report.txt").read_text()
+                assert "derived_columns: FAIL" in report, column
             # a norm column must not be NaN or negative; +inf is overflow
             if column in NORM_COLUMNS or column.startswith("lp_"):
                 if value in ("nan", "-inf", "-5"):
@@ -858,6 +868,14 @@ def set_manifest_mu(rundir, mu):
 
 
 class TestRunRecordChecks:
+    @pytest.mark.parametrize("command", [["verify"], ["report", "--pressure"]])
+    def test_float_grid_size_exits_one(self, calibrated_run, tmp_path, capsys, command):
+        dst = damaged_copy(calibrated_run, tmp_path)
+        manifest = json.loads((dst / "manifest.json").read_text())
+        (dst / "manifest.json").write_text(json.dumps(dict(manifest, grid_n=16.0)))
+        assert cli.main([command[0], str(dst), *command[1:]]) == 1
+        assert "not an integer" in assert_damaged_run(capsys)
+
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_record_at_another_mu_exits_one(self, calibrated_run, tmp_path, capsys, command):
         dst = damaged_copy(calibrated_run, tmp_path)
@@ -1070,16 +1088,19 @@ class TestManifest:
 #: the monitor columns that hold a norm, besides the lp_* columns
 NORM_COLUMNS = ("energy", "linf", "sobolev1", "sobolev2", "sobolev3", "bkm", "chan_vasseur")
 
+#: the columns verify re-derives or reads to re-derive them, besides the
+#: serrin_* and log_serrin_* columns (integrands and integrals)
+DERIVED_COLUMNS = ("bkm", "bkm_int", "chan_vasseur", "chan_vasseur_int", "gronwall_bound")
+
 
 class RealTransformsOnly:
     """Stands in for ``scipy.fft`` inside ``regcrit.spectral``, exposing only
-    the transforms the commands run on the half spectrum: the real-input
-    forward ``rfftn`` and the pruned 1-D passes.  The full-cube ``fftn`` and
-    ``ifftn`` stay hidden, and so does the full inverse ``irfftn``: every
-    inverse a command runs is pruned to the kept modes."""
+    the pruned 1-D passes of the two transform routes.  The n-D calls stay
+    hidden: the full-cube ``fftn`` and ``ifftn``, and the full real
+    ``rfftn`` and ``irfftn``, so every transform a command runs is pruned to
+    the kept modes."""
 
     def __init__(self, module):
-        self.rfftn = module.rfftn
         self.rfft = module.rfft
         self.irfft = module.irfft
         self.fft = module.fft

@@ -83,7 +83,7 @@ def padded_projected_rhs(U):
     for c in range(3):
         for a in range(3):
             w[c] += u[a] * reference.irfftn_real(1j * ks[a] * fine_half[c], m)
-    W = SpectralVelocityField(fine.grid, reference.to_kept(fine.grid, spec.rfftn(w)))
+    W = SpectralVelocityField(fine.grid, reference.to_kept(fine.grid, reference.rfftn(w)))
     return -spec.leray_project(reference.resample(W, g.n)).kept
 
 
@@ -116,7 +116,7 @@ class TestInitializers:
         g = Grid(n)
         for U in (solv.init_taylor_green(g, 1.3), solv.init_beltrami(g, 0.8)):
             samples = to_physical(U).values
-            full_half = spec.rfftn(samples)
+            full_half = reference.rfftn(samples)
             assert np.abs(full_half[..., ~reference.dealias_mask_half(g)]).max() > 0.0
             assert np.all(reference.to_half(U)[..., ~reference.dealias_mask_half(g)] == 0.0)
             assert np.abs(U.kept).max() > 0.0
@@ -438,18 +438,31 @@ class TestTransformCount:
             assert fft.counts == {"forward": 3, "inverse": 6}
             assert fft.lines == pruned_lines(n)
 
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_forward_transform_is_the_kernels_forward(self, monkeypatch, n):
+        # one vector fft_forward runs the passes of the kernel's forward: 3
+        # transforms over its lines, and nothing else
+        g = Grid(n)
+        f = to_physical(solv.init_random_divfree(g, 4, -2.0, 1.0))
+        fft = CountingFFT(spec._fft)
+        monkeypatch.setattr(spec, "_fft", fft)
+        spec.fft_forward(f)
+        monkeypatch.undo()
+        assert fft.counts == {"forward": 3, "inverse": 0}
+        assert fft.lines == {k: v for k, v in pruned_lines(n).items() if k[0] == "fft"}
+
     def test_monitored_run_reuses_the_stage_one_samples(self, monkeypatch):
-        # samples and snapshots every step, identity off: every transform of
-        # the run is one of the 4 nonlinear terms of a step, or the stage-1
-        # term of the final sample
+        # samples and snapshots every step: every transform of the run is one
+        # of the 4 nonlinear terms of a step, the stage-1 term of the final
+        # sample, or the 27-field stream of a sample's identity quadrature
         steps = 3
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=0.1, dt=1e-2, t_end=steps * 1e-2,
             init=solv.InitSpec("random_divfree", seed=2), snapshot_stride=1,
         )
-        monitors = crit.CriterionConfig(
-            pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1, identity=False
-        )
+        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1)
+        with pytest.raises(TypeError):  # the identity is not a setting
+            crit.CriterionConfig(pairs=monitors.pairs, mu=0.1, identity=False)
 
         class Sink(solv.RunSink):
             def __init__(self):
@@ -462,9 +475,16 @@ class TestTransformCount:
         monkeypatch.setattr(spec, "_fft", fft)
         sink = Sink()
         series = solv.run(cfg, monitors, sink)
-        calls = 4 * steps + 1
-        assert fft.counts == {"forward": 3 * calls, "inverse": 6 * calls}
-        assert fft.lines == {key: calls * lines for key, lines in pruned_lines(16).items()}
+        calls, samples = 4 * steps + 1, steps + 1
+        assert fft.counts == {"forward": 3 * calls, "inverse": 6 * calls + 27 * samples}
+        # the quadrature's stream: x on the kept (y, kz) lines of 27 fields,
+        # y on every line of their kept kz planes
+        m = (16 - 1) // 3
+        stream = {("ifft", "x"): 27 * (2 * m + 1) * (m + 1), ("ifft", "y"): 27 * 16 * (m + 1)}
+        assert fft.lines == {
+            key: calls * lines + samples * stream.get(key, 0)
+            for key, lines in pruned_lines(16).items()
+        }
         assert len(series) == len(sink.fields) == steps + 1
         monkeypatch.undo()
         # the snapshots are the samples of the states the series describes
