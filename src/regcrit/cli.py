@@ -15,8 +15,9 @@ directory.  A calibration record with no entry for a monitored canonical pair
 is a config error in ``simulate`` and a failed ``growth_inequality_<pair>``
 check in ``verify``.  An output that cannot be written, such as an
 ``output.dir`` or a run's ``report`` entry that names an existing file, is an
-``output error:`` naming the path, exit 1.  Errors are reported in one line
-on stderr.
+``output error:`` naming the path, exit 1.  A grid too large for memory
+(``grid.n = 4096`` asks for hundreds of GiB) ends in ``out of memory:`` with
+numpy's message, exit 1.  Errors are reported in one line on stderr.
 
 ``verify`` reduces each check's per-item values with a NaN-propagating max
 or min: a NaN or infinite residual, and a NaN margin, fails its check and
@@ -215,7 +216,7 @@ def cmd_calibrate(config_path: str) -> int:
     ratios: dict[float, list[float]] = {p: [] for p in cfg.exponents}
     for seed in cfg.seeds:
         U = solv.init_random_divfree(cfg.grid, seed, cfg.spectrum_slope, cfg.amplitude)
-        hessian = norms.hessian_magnitude(U)
+        hessian = crit.hessian_magnitude(U)
         power = np.abs(U.kept) ** 2
         sob2 = norms.sobolev_seminorm(cfg.grid, power, 2)
         sob3 = norms.sobolev_seminorm(cfg.grid, power, 3)
@@ -361,15 +362,23 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
         _smallest_margin("monitor_domain", [v >= 0.0 for v in lows.values()], [lows[low]], low)
     )
 
-    # the running integrals and the Gronwall bound, re-derived from their
-    # integrands by the functions simulate ran; the CSV's 17 digits
+    # the Serrin integrands and embed_ratio, re-derived row by row from the
+    # norm columns, then the running integrals and the Gronwall bound from
+    # the integrands, by the functions simulate ran; the CSV's 17 digits
     # round-trip, so they must match bit for bit (NaN matching NaN)
     derived = MonitorSeries.from_columns(pairs, {c: series.column(c) for c in series.table})
-    derived.table["gronwall_bound"] = [math.nan] * len(derived)
+    table = derived.table
+    table["gronwall_bound"] = [math.nan] * len(derived)
+    for r, (linf, sob2) in enumerate(zip(table["linf"], table["sobolev2"])):
+        for pr in pairs:
+            for name, value in crit.pair_columns(pr, table[f"lp_{pr.label}"][r], linf).items():
+                table[name][r] = value
+        table["embed_ratio"][r] = crit.embed_ratio(sob2, linf)
     crit.accumulate(derived)
     crit.attach_gronwall(derived, record)
-    names = ["bkm_int", "chan_vasseur_int", "gronwall_bound"]
-    names += [f"{c}_{pr.label}" for pr in pairs for c in ("serrin_int", "log_serrin_int")]
+    names = ["bkm_int", "chan_vasseur_int", "gronwall_bound", "embed_ratio"]
+    names += [f"{c}_{pr.label}" for pr in pairs
+              for c in ("serrin", "serrin_int", "log_serrin", "log_serrin_int")]
     stored = np.array([series.column(c) for c in names])
     fresh = np.array([derived.column(c) for c in names])
     same = (stored == fresh) | (np.isnan(stored) & np.isnan(fresh))
@@ -581,6 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # reads map to the errors above, so what is left is a failed write
         print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -249,7 +249,6 @@ def build_criterion_config(raw: RawConfig) -> CriterionConfig:
     with raw.checking():
         return CriterionConfig(
             pairs=pairs,
-            mu=mu,
             calibration=record,
             identity_stride=raw.get_int("monitors.identity_stride", 1),
         )

@@ -31,8 +31,13 @@ Monitored quantities per sample:
 
 The identity's right side, the Hoelder step and the interpolation ratio read
 one quadrature per state: :func:`hessian_quadrature` streams the state's
-derivative fields once, one x-slab at a time, and returns the right side and
-the pointwise |grad^2 u| that every L^q norm of the Hessian needs.
+derivatives once, one x-slab at a time (``spectral.derivative_slabs``), and
+returns the right side and the pointwise |grad^2 u| that every L^q norm of
+the Hessian needs.  There is one |grad^2 u|: ``calibrate``, which needs it
+alone, takes :func:`hessian_magnitude`, which sums the same diagonal Gram
+entries S[i, i] with the same helper in the same order, so the interpolation
+ratio that ``calibrate`` pins and the one a run's quadrature gives are one
+formula, bit for bit.
 
 One floating-point policy holds throughout, numpy's: a power or product
 that leaves the floating range is +inf, and a NaN stays NaN, so it fails the
@@ -49,13 +54,10 @@ import numpy as np
 
 from . import norms as _norms
 from .spectral import (
-    HESSIAN_PAIRS,
-    PAIR,
     Grid,
     SpectralVelocityField,
     VelocityField,
-    derivative_spectra,
-    inverse_slabs,
+    derivative_slabs,
     parseval_sum,
 )
 
@@ -201,10 +203,11 @@ class CalibrationRecord:
 
 @dataclass
 class CriterionConfig:
-    """Which Serrin pairs to monitor, with which calibrated constants."""
+    """Which Serrin pairs to monitor, with which calibrated constants.  The
+    viscosity is the solver's alone (``SolverConfig.mu``), which
+    :func:`evaluate_sample` takes as an argument."""
 
     pairs: tuple[SerrinPair, ...]
-    mu: float
     calibration: CalibrationRecord | None = None
     #: not a setting: every run checks the identity; only the benchmark's
     #: tracer reads this
@@ -215,23 +218,21 @@ class CriterionConfig:
         self.pairs = tuple(self.pairs)
         if not self.pairs:
             raise ValueError("serrin monitors need at least one (p, s) pair")
-        if not self.mu > 0.0:
-            raise ValueError("viscosity must be positive")
         if self.identity_stride < 1:
             raise ValueError("identity_stride must be >= 1")
 
 
 #: per-pair column stems, suffixed with the pair label in the table
-PAIR_COLUMNS = ("lp", "serrin", "serrin_int", "log_serrin", "log_serrin_int")
+SERRIN_COLUMNS = ("lp", "serrin", "serrin_int", "log_serrin", "log_serrin_int")
 
 
 def monitor_columns(pairs: tuple[SerrinPair, ...]) -> list[str]:
     """The monitor table's schema, in monitor-CSV column order: t and energy,
-    one block of PAIR_COLUMNS per pair, then the pair-free functionals."""
+    one block of SERRIN_COLUMNS per pair, then the pair-free functionals."""
     return [
         "t",
         "energy",
-        *(f"{c}_{pair.label}" for pair in pairs for c in PAIR_COLUMNS),
+        *(f"{c}_{pair.label}" for pair in pairs for c in SERRIN_COLUMNS),
         "linf",
         "sobolev1",
         "sobolev2",
@@ -364,12 +365,24 @@ class HessianQuadrature:
     hessian: np.ndarray  # pointwise Frobenius magnitude |grad^2 u|, shape (n, n, n)
 
 
+def _gram(x_rows, y_rows, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """acc <- sum_k x_rows[k] * y_rows[k] pointwise, summed in k order: the
+    first product is written into ``acc``, each further one is formed in
+    ``tmp`` and added.  That is the sum started from zero, bit for bit but
+    for the sign of a zero, and bit for bit when ``x_rows is y_rows``, since
+    a square is never -0.0."""
+    np.multiply(x_rows[0], y_rows[0], out=acc)
+    for x, y in zip(x_rows[1:], y_rows[1:]):
+        np.multiply(x, y, out=tmp)
+        acc += tmp
+
+
 def _contract(rows, grads: np.ndarray, acc: np.ndarray, tmp: np.ndarray,
               trace: np.ndarray | None) -> float:
     """sum_{a,b} <grads[a, b], G[a, b]>, where G[a, b] = sum_k rows[a][k] *
-    rows[b][k] pointwise, accumulated into ``acc`` in k order.  G is
-    symmetric, so only its 6 upper entries are formed; ``trace``, unless
-    None, gains the 3 diagonal ones.
+    rows[b][k] pointwise, formed in ``acc`` by :func:`_gram`.  G is
+    symmetric, so only its 6 upper entries are formed, in row-major order;
+    ``trace``, unless None, gains the 3 diagonal ones.
 
     Each inner product is numpy's own sum of a product formed in ``tmp``,
     not ``@``: that is a BLAS dot, which splits its sum across the BLAS
@@ -380,61 +393,85 @@ def _contract(rows, grads: np.ndarray, acc: np.ndarray, tmp: np.ndarray,
         return tmp.sum()
 
     total = 0.0
-    for a, b in HESSIAN_PAIRS:
-        acc.fill(0.0)
-        for x, y in zip(rows[a], rows[b]):
-            np.multiply(x, y, out=tmp)
-            acc += tmp
-        if a == b:
-            total += dot(grads[a, a])
-            if trace is not None:
-                trace += acc
-        else:
-            total += dot(grads[a, b]) + dot(grads[b, a])
+    for a in range(3):
+        for b in range(a, 3):
+            _gram(rows[a], rows[b], acc, tmp)
+            if a == b:
+                total += dot(grads[a, a])
+                if trace is not None:
+                    trace += acc
+            else:
+                total += dot(grads[a, b]) + dot(grads[b, a])
     return float(total)
 
 
+def _s_rows(hess) -> list[list[np.ndarray]]:
+    """Per i, the 9 rows d_i d_j u_l of one slab of
+    :func:`spectral.derivative_slabs`, (j, l) in row-major order: the rows
+    whose Gram entries are S[i, m] = sum_{j,l} d_i d_j u_l d_m d_j u_l."""
+    return [[hess[i][j][l] for j in range(3) for l in range(3)] for i in range(3)]
+
+
 def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
-    """Stream the state's 27 derivative fields once and contract them.
+    """Stream the state's first and second derivatives once and contract
+    them.
 
     With S[i, m] = sum_{j,l} d_i d_j u_l d_m d_j u_l and
     T[l, m] = sum_{i,j} d_i d_j u_l d_i d_j u_m, pointwise, the identity's
     right side is -dx^3 (2 sum <d_i u_m, S[i, m]> + sum <d_m u_l, T[l, m]>),
-    and |grad^2 u|^2 is the trace of S.  Each entry of S and T is summed in
-    place, (j, l) and (i, j) in row-major order, and contracted before the
-    next is formed.
+    and |grad^2 u|^2 is the trace of S, summed from zero in i order, as
+    :func:`hessian_magnitude` sums it.  Each entry of S and T is summed in
+    place, (j, l) and (i, j) in row-major order (:func:`_gram`), and
+    contracted before the next is formed.
 
-    The 9 gradient and 18 Hessian pair fields come from one
-    :func:`spectral.inverse_slabs` stream and are contracted one x-slab at a
-    time, while the slab is in cache; each inner product is the sum of its
-    per-slab sums in x order, and |grad^2 u| is written slab by slab.  The
-    whole tables never exist: besides the x-passed spectra (27 fields of
-    ``n (2m+1) (m+1)`` complex lines, about 12 grid fields, since
-    ``(2m+1) (m+1)`` is about ``2 n^2 / 9``) only one slab and |grad^2 u|
-    are live.  Only the right side and |grad^2 u| outlive the call.
+    The derivatives come from one :func:`spectral.derivative_slabs` stream
+    and are contracted one x-slab at a time, while the slab is in cache;
+    each inner product is the sum of its per-slab sums in x order, and
+    |grad^2 u| is written slab by slab.  The whole tables never exist:
+    besides the x-passed spectra (27 fields of ``n (2m+1) (m+1)`` complex
+    lines, about 12 grid fields, since ``(2m+1) (m+1)`` is about
+    ``2 n^2 / 9``) only one slab and |grad^2 u| are live.  Only the right
+    side and |grad^2 u| outlive the call.
     """
     g = u_hat.grid
-    pairs = len(HESSIAN_PAIRS)
     hessian_sq = np.zeros(g.shape)
     acc = tmp = None
     t1 = t2 = 0.0
-    for x0, x1, fields in inverse_slabs(g, derivative_spectra(u_hat), 9 + 3 * pairs):
-        points = fields[0].size
+    for x0, x1, grads, hess in derivative_slabs(u_hat):
+        trace = hessian_sq[x0:x1].reshape(-1)
+        points = trace.size
         if acc is None:
             acc, tmp = np.empty(points), np.empty(points)
-        rows = fields.reshape(len(fields), points)
-        grads = rows[:9].reshape(3, 3, points)
-        d2 = rows[9:].reshape(pairs, 3, points)
-        s_rows = [[d2[PAIR[i][j], l] for j in range(3) for l in range(3)] for i in range(3)]
-        t_rows = [[d2[PAIR[i][j], l] for i in range(3) for j in range(3)] for l in range(3)]
-        trace = hessian_sq[x0:x1].reshape(points)
-        t1 += _contract(s_rows, grads, acc[:points], tmp[:points], trace)
+        t_rows = [[hess[i][j][l] for i in range(3) for j in range(3)] for l in range(3)]
+        t1 += _contract(_s_rows(hess), grads, acc[:points], tmp[:points], trace)
         t2 += _contract(t_rows, grads, acc[:points], tmp[:points], None)
     w = g.cell_volume
     return HessianQuadrature(
         rhs=-2.0 * (w * t1) - w * t2,
         hessian=np.sqrt(hessian_sq, out=hessian_sq),
     )
+
+
+def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:
+    """Pointwise Frobenius magnitude |grad^2 u| of the second-derivative
+    tensor, alone: the trace of S summed as :func:`hessian_quadrature` sums
+    it, from zero in i order, each S[i, i] by :func:`_gram` in (j, l)
+    order, so the two are equal bit for bit.
+
+    The second derivatives come from one :func:`spectral.derivative_slabs`
+    stream without the gradients and are contracted one x-slab at a time,
+    into the output; the whole table never exists."""
+    out = np.zeros(U.grid.shape)
+    acc = tmp = None
+    for x0, x1, _, hess in derivative_slabs(U, gradients=False):
+        trace = out[x0:x1].reshape(-1)
+        points = trace.size
+        if acc is None:
+            acc, tmp = np.empty(points), np.empty(points)
+        for rows in _s_rows(hess):
+            _gram(rows, rows, acc[:points], tmp[:points])
+            trace += acc[:points]
+    return np.sqrt(out, out=out)
 
 
 def h2_identity_residual(
@@ -586,20 +623,38 @@ def grid_columns(
         "chan_vasseur": _chan_vasseur(mag, g.cell_volume),
     }
     for pair in pairs:
-        lab = pair.label
-        lp = _norms.lp_norm(g, mag, pair.p)
-        with np.errstate(over="ignore"):
-            powered = np.float64(lp) ** pair.s
-        cols[f"lp_{lab}"] = lp
-        cols[f"serrin_{lab}"] = powered
-        cols[f"log_serrin_{lab}"] = powered / log_factor(linf)
+        cols.update(pair_columns(pair, _norms.lp_norm(g, mag, pair.p), linf))
     return cols
+
+
+def pair_columns(pair: SerrinPair, lp: float, linf: float) -> dict[str, float]:
+    """The columns of one pair in one row, from the row's ||u||_p and
+    ||u||_inf as floats: lp, the Serrin integrand lp**s (+inf on overflow)
+    and its log-improved quotient.  ``verify`` re-derives a CSV row's
+    integrands with it, so both take the same scalar operations."""
+    lab = pair.label
+    with np.errstate(over="ignore"):
+        powered = np.float64(lp) ** pair.s
+    return {
+        f"lp_{lab}": lp,
+        f"serrin_{lab}": powered,
+        f"log_serrin_{lab}": powered / log_factor(linf),
+    }
+
+
+def embed_ratio(sob2: float, linf: float) -> float:
+    """The log trade of one row, (1 + ln(e + ||grad^2 u||^2)) /
+    (1 + ln(e + ||u||_inf)), from the row's floats; ``verify`` re-derives a
+    CSV row's with it.  The square is numpy's, +inf on overflow."""
+    with np.errstate(over="ignore"):
+        return log_factor(np.float64(sob2) ** 2) / log_factor(linf)
 
 
 def evaluate_sample(
     u_hat: SpectralVelocityField,
     t: float,
     cfg: CriterionConfig,
+    mu: float,
     rhs_hat: SpectralVelocityField,
     columns: dict[str, float],
     with_identity: bool,
@@ -609,13 +664,13 @@ def evaluate_sample(
 
     ``columns`` is :func:`grid_columns` of the state, which the caller takes
     from the grid samples of u and curl u and may free before this call;
-    everything else is read from the spectrum.  ``rhs_hat`` is the projected
-    convective term of the same state, from the stepper's stage-1
-    evaluation; it feeds the spectral time derivative of the H^2 seminorm
-    and the identity check.  ``with_identity=False`` skips the identity
-    quadrature, and its residual is NaN.  The running integrals and
-    ``gronwall_bound`` are NaN until :func:`accumulate` and
-    :func:`attach_gronwall` fill them.
+    everything else is read from the spectrum, with ``mu`` the run's
+    viscosity.  ``rhs_hat`` is the projected convective term of the same
+    state, from the stepper's stage-1 evaluation; it feeds the spectral time
+    derivative of the H^2 seminorm and the identity check.
+    ``with_identity=False`` skips the identity quadrature, and its residual
+    is NaN.  The running integrals and ``gronwall_bound`` are NaN until
+    :func:`accumulate` and :func:`attach_gronwall` fill them.
     """
     g = u_hat.grid
     row = dict.fromkeys(monitor_columns(cfg.pairs), math.nan)
@@ -626,7 +681,7 @@ def evaluate_sample(
     sob = {m: _norms.sobolev_seminorm(g, power, m) for m in (1, 2, 3)}
     if with_identity:
         residual = h2_identity_residual(
-            u_hat, cfg.mu, rhs_hat, hessian_quadrature(u_hat), sob[3]
+            u_hat, mu, rhs_hat, hessian_quadrature(u_hat), sob[3]
         )["residual"]
     else:
         residual = math.nan
@@ -638,8 +693,8 @@ def evaluate_sample(
         sobolev2=sob[2],
         sobolev3=sob[3],
         identity_residual=residual,
-        ddt_sobolev2_sq=2.0 * _h2_rate(u_hat, cfg.mu, rhs_hat),
-        embed_ratio=log_factor(sob[2] ** 2) / log_factor(row["linf"]),
+        ddt_sobolev2_sq=2.0 * _h2_rate(u_hat, mu, rhs_hat),
+        embed_ratio=embed_ratio(sob[2], row["linf"]),
     )
     return row
 

@@ -5,6 +5,10 @@ Exponents are plain floats; ``math.inf`` selects the sup norm.  Pointwise
 magnitudes are Euclidean for vectors and Frobenius for derivative tensors,
 the unique rotation-invariant choice.  L^p integrals are Riemann sums with
 weight dx^3, spectrally accurate for smooth periodic integrands.
+
+The pointwise |grad^2 u| that :func:`hessian_lq_norm` and :func:`gn_ratio`
+read is formed in :mod:`regcrit.criteria` (``hessian_magnitude``,
+``hessian_quadrature``); this module reads no derivative field.
 """
 
 from __future__ import annotations
@@ -13,15 +17,7 @@ import math
 
 import numpy as np
 
-from .spectral import (
-    HESSIAN_PAIRS,
-    PAIR,
-    Grid,
-    SpectralVelocityField,
-    derivative_spectra,
-    inverse_slabs,
-    parseval_sum,
-)
+from .spectral import Grid, parseval_sum
 
 
 class DegenerateField(ValueError):
@@ -66,36 +62,9 @@ def sobolev_seminorm(grid: Grid, power: np.ndarray, m: int) -> float:
     return math.sqrt(parseval_sum(grid, grid.sobolev_weights[m] * power))
 
 
-def hessian_magnitude(U: SpectralVelocityField) -> np.ndarray:
-    """Pointwise Frobenius magnitude of the second-derivative tensor: the 27
-    squares of d_i d_j u_c summed in (i, j, c) order, each off-diagonal
-    (i, j) read from the one pair field that holds both orders.
-
-    The 18 pair fields come from one :func:`spectral.inverse_slabs` stream
-    and are squared and summed one x-slab at a time, into the output; the
-    whole pair table never exists."""
-    g = U.grid
-    pairs = len(HESSIAN_PAIRS)
-    out = np.zeros(g.shape)
-    tmp = None
-    for x0, x1, fields in inverse_slabs(g, derivative_spectra(U, gradients=False), 3 * pairs):
-        points = fields[0].size
-        if tmp is None:
-            tmp = np.empty(points)
-        d2 = fields.reshape(pairs, 3, points)
-        acc, sq = out[x0:x1].reshape(points), tmp[:points]
-        for i in range(3):
-            for j in range(3):
-                for c in range(3):
-                    x = d2[PAIR[i][j], c]
-                    np.multiply(x, x, out=sq)
-                    acc += sq
-    return np.sqrt(out, out=out)
-
-
 def hessian_lq_norm(grid: Grid, hessian: np.ndarray, q: float) -> float:
     """||grad^2 u||_{L^q} on ``grid`` by quadrature of the pointwise tensor
-    magnitude |grad^2 u| (``hessian_magnitude``,
+    magnitude |grad^2 u| (``criteria.hessian_magnitude``,
     ``criteria.hessian_quadrature``)."""
     return _scaled_lp(hessian, _check_exponent(q), grid.cell_volume)
 

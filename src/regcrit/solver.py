@@ -408,6 +408,7 @@ def run(
                         state.u_hat,
                         state.t,
                         monitors,
+                        mu=config.mu,
                         rhs_hat=SpectralVelocityField(g, nl),
                         columns=columns,
                         with_identity=with_identity,

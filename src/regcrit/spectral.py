@@ -42,15 +42,19 @@ Conventions, fixed once for the whole package:
   row zero, then, one x-slab of ``b`` planes at a time, the y pass on the
   kept kz planes and the real z pass, in one ``(..., b, n, n/2 + 1)``
   workspace allocated per call.  :func:`inverse_kept` drains the stream
-  into a whole table; the Hessian quadrature and ``|grad^2 u|`` contract
-  each slab while it is in cache and never hold the whole derivative
-  tables.  A slab is ``b = max(1, 2048 // n**2)`` planes (at most n): about
-  2048 grid points, or one plane once ``n**2`` is larger.  The 27 fields of
-  a quadrature's slab then fit in L2 at small n, and the stream's buffers
-  have one size per grid, which glibc's malloc reuses instead of handing
-  pages back to the kernel to be faulted in again; slabs of 8192 points
-  more than doubled the minor page faults of an n = 32 calibrate over
-  whole tables
+  into a whole table.  A state's derivatives stream through
+  :func:`derivative_slabs`, the only code that knows their layout (9
+  gradient fields, then 18 Hessian fields, one per pair of
+  :data:`HESSIAN_PAIRS` and component); it hands out per-slab views indexed
+  ``grads[a][c]`` and ``hess[i][j][c]``, so the Hessian quadrature and
+  ``|grad^2 u|`` contract each slab while it is in cache and never hold
+  the whole derivative tables.  A slab is ``b = max(1, 2048 // n**2)``
+  planes (at most n): about 2048 grid points, or one plane once ``n**2``
+  is larger.  The 27 fields of a quadrature's slab then fit in L2 at small
+  n, and the stream's buffers have one size per grid, which glibc's malloc
+  reuses instead of handing pages back to the kernel to be faulted in
+  again; slabs of 8192 points more than doubled the minor page faults of
+  an n = 32 calibrate over whole tables
 * the nonlinear term is the rotational product ``omega x u``
   (:func:`convective_core_half`): an inverse transform of the 6 fields
   [u, omega] and a forward transform of the 3 product components, 9
@@ -486,7 +490,7 @@ PAIR = tuple(
 )
 
 
-def derivative_spectra(U: SpectralVelocityField, gradients: bool = True):
+def _derivative_spectra(U: SpectralVelocityField, gradients: bool = True):
     """The compact spectra of the state's derivative fields, 3 components at
     a time, for :func:`inverse_slabs`: when ``gradients``, first the 9
     fields i k_a u_c of d u_c / d x_a, a = 0, 1, 2; then the 18 fields
@@ -501,6 +505,29 @@ def derivative_spectra(U: SpectralVelocityField, gradients: bool = True):
         yield (-k[i] * k[j]) * U.kept
 
 
+def derivative_slabs(U: SpectralVelocityField, gradients: bool = True):
+    """The state's first and second derivatives on the grid, one x-slab at a
+    time: an iterator of ``(x0, x1, grads, hess)`` in x order, on the
+    ``points = (x1 - x0) n**2`` grid points of the planes ``x0 <= x < x1``.
+
+    ``grads[a][c]`` holds the samples of d u_c / dx_a there, a ``(3, 3,
+    points)`` array, or is None when ``gradients`` is false;
+    ``hess[i][j]`` is the ``(3, points)`` array of d^2 u_c / dx_i dx_j,
+    c = 0, 1, 2, and ``hess[i][j] is hess[j][i]``.  Both are views of one
+    slab of :func:`inverse_slabs`, new per slab; the stream holds 9 + 18
+    fields (18 without the gradients), one per Hessian pair and component,
+    and only this function knows that layout."""
+    g = U.grid
+    pairs = len(HESSIAN_PAIRS)
+    fields = (9 if gradients else 0) + 3 * pairs
+    for x0, x1, samples in inverse_slabs(g, _derivative_spectra(U, gradients), fields):
+        rows = samples.reshape(fields, -1)
+        grads = rows[:9].reshape(3, 3, -1) if gradients else None
+        d2 = tuple(rows[fields - 3 * pairs :].reshape(pairs, 3, -1))
+        hess = tuple(tuple(d2[PAIR[i][j]] for j in range(3)) for i in range(3))
+        yield x0, x1, grads, hess
+
+
 # no command calls these two: the quadratures stream the fields instead; they
 # are kept because the benchmark traces them by name
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
@@ -512,7 +539,7 @@ def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
 def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     """The whole pair table d2[PAIR[i][j], c] = d^2 u_c / dx_i dx_j, shape
     (6, 3, n, n, n)."""
-    spectra = np.stack(list(derivative_spectra(U, gradients=False)))
+    spectra = np.stack(list(_derivative_spectra(U, gradients=False)))
     return inverse_kept(U.grid, spectra)
 
 

@@ -61,7 +61,7 @@ def test_annotators_bind_their_arguments(tmp_path, monkeypatch):
         grid=g, mu=0.1, dt=1e-2, t_end=2e-2, init=solv.InitSpec("taylor_green")
     )
     cfg = criteria.CriterionConfig(
-        pairs=(criteria.SerrinPair(6.0, 4.0),), mu=0.1, identity_stride=2
+        pairs=(criteria.SerrinPair(6.0, 4.0),), identity_stride=2
     )
     evaluations = recorded_calls(monkeypatch, criteria, "evaluate_sample")
     writes = recorded_calls(monkeypatch, snapshot, "write_snapshot")

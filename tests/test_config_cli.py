@@ -167,6 +167,31 @@ class TestSimulate:
         p = write_config(tmp_path / "a.cfg", cfg)
         assert cli.main(["simulate", p]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        # at grid.n = 4096 simulate's first grid table and calibrate's random
+        # draw ask numpy for hundreds of GiB; the raise is simulated, on a
+        # small grid, so that nothing large is allocated
+        message = "Unable to allocate 228. GiB for an array with shape (2731,)"
+
+        def refuse(*_args):
+            raise MemoryError(message.replace(" shape", "\nshape"))
+
+        if command == "simulate":
+            monkeypatch.setattr(spectral.Grid, "k_squared_max_retained", property(refuse))
+            p = write_config(tmp_path / "a.cfg", BASE)
+        else:
+            monkeypatch.setattr(solv, "_drawn_field", refuse)
+            p = write_config(
+                tmp_path / "a.cfg",
+                "grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..1\n"
+                "calibration.p = 5\noutput.dir = cal\n",
+            )
+        assert cli.main([command, p]) == 1
+        err = capsys.readouterr().err
+        assert err == f"out of memory: {message}\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "cal").exists()
+
     @pytest.mark.parametrize("length", ["inf", "nan"])
     def test_non_finite_length_exits_one(self, tmp_path, capsys, length):
         p = write_config(tmp_path / "a.cfg", BASE + f"grid.length = {length}\n")
@@ -763,6 +788,8 @@ class TestVerifyDamaged:
             ("gronwall_bound", "nan", "derived_columns: FAIL (worst=nan,"),
             ("serrin_int_p6_s4", "inf", "derived_columns: FAIL (worst=inf,"),
             ("bkm_int", "0", "derived_columns: FAIL (worst=1,"),
+            ("embed_ratio", "nan", "derived_columns: FAIL (worst=nan,"),
+            ("log_serrin_p6_s4", "0", "derived_columns: FAIL (worst=1,"),
         ],
     )
     def test_damaged_csv_value_fails_its_check(
@@ -1011,7 +1038,7 @@ class TestSharedQuadrature:
         manifest = cli.RunManifest.from_json((tmp_path / "run" / "manifest.json").read_text())
         assert len(manifest.snapshots) == 2
         quads = count_calls(monkeypatch, "hessian_quadrature", criteria)
-        builds = count_calls(monkeypatch, "inverse_slabs", criteria, norms)
+        builds = count_calls(monkeypatch, "derivative_slabs", criteria)
         assert cli.main(["verify", str(tmp_path / "run")]) == 0
         assert len(quads) == 2
         assert len(builds) == 2
@@ -1061,7 +1088,7 @@ class TestSharedQuadrature:
             f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..{k - 1}\n"
             "calibration.p = 5,6\noutput.dir = out\n",
         )
-        builds = count_calls(monkeypatch, "inverse_slabs", criteria, norms)
+        builds = count_calls(monkeypatch, "derivative_slabs", criteria)
         assert cli.main(["calibrate", cfg]) == 0
         assert len(builds) == k
 
@@ -1090,7 +1117,9 @@ NORM_COLUMNS = ("energy", "linf", "sobolev1", "sobolev2", "sobolev3", "bkm", "ch
 
 #: the columns verify re-derives or reads to re-derive them, besides the
 #: serrin_* and log_serrin_* columns (integrands and integrals)
-DERIVED_COLUMNS = ("bkm", "bkm_int", "chan_vasseur", "chan_vasseur_int", "gronwall_bound")
+DERIVED_COLUMNS = (
+    "bkm", "bkm_int", "chan_vasseur", "chan_vasseur_int", "gronwall_bound", "embed_ratio"
+)
 
 
 class RealTransformsOnly:

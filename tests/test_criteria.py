@@ -49,10 +49,10 @@ def kernel_samples(U):
 
 def sample(U, pairs, with_identity=False):
     """One monitor row of the state U, by the route solver.run takes."""
-    mon = crit.CriterionConfig(pairs=tuple(pairs), mu=0.1)
+    mon = crit.CriterionConfig(pairs=tuple(pairs))
     columns = crit.grid_columns(mon.pairs, *kernel_samples(U))
     return crit.evaluate_sample(
-        U, 0.0, mon, solv.nonlinear_rhs(U), columns, with_identity
+        U, 0.0, mon, 0.1, solv.nonlinear_rhs(U), columns, with_identity
     )
 
 
@@ -76,7 +76,7 @@ def holder(U, p):
 
 def gn(U, p):
     return norms.gn_ratio(
-        U.grid, p, norms.hessian_magnitude(U),
+        U.grid, p, crit.hessian_magnitude(U),
         sob(U, 2), sob(U, 3),
     )
 
@@ -305,7 +305,16 @@ class TestHessianQuadrature:
             assert quad.rhs == reference.slab_quadrature(U)
             assert abs(quad.rhs - rhs) <= 1e-14 * reference.identity_rhs_abs(U)
             assert np.array_equal(quad.hessian, hessian)
-            assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
+            assert np.array_equal(crit.hessian_magnitude(U), hessian)
+
+    @pytest.mark.parametrize("n", [16, 22, 32, 48, 64])
+    def test_magnitude_is_the_quadratures_bit_for_bit(self, monkeypatch, n):
+        # calibrate's |grad^2 u| and verify's are one sum, in one order
+        U = solv.init_random_divfree(Grid(n), 1, -3.0, 5.0)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REGCRIT_THREADS", threads)
+            hessian = crit.hessian_quadrature(U).hessian
+            assert np.array_equal(crit.hessian_magnitude(U), hessian), threads
 
     def test_right_side_does_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot splits its sum across its threads, so its last bits
@@ -342,7 +351,7 @@ class TestHessianQuadrature:
         U = solv.init_random_divfree(Grid(n), 1, -2.0, 1.0)
         bound = {16: (62, 41), 32: (20, 13.5), 64: (16, 11)}[n]
         assert traced_peak_fields(crit.hessian_quadrature, U) <= bound[0]
-        assert traced_peak_fields(norms.hessian_magnitude, U) <= bound[1]
+        assert traced_peak_fields(crit.hessian_magnitude, U) <= bound[1]
 
     def test_taylor_green_rhs_vanishes(self):
         U = solv.init_taylor_green(Grid(16), 1.0)
@@ -400,7 +409,7 @@ class TestDifferentialInequality:
             grid=g, mu=mu, dt=1e-3, t_end=0.0, init=solv.InitSpec("beltrami", amplitude=amp)
         )
         pair = crit.SerrinPair(6.0, 4.0)
-        mon = crit.CriterionConfig(pairs=(pair,), mu=mu)
+        mon = crit.CriterionConfig(pairs=(pair,))
         series = solv.run(cfg, mon)
         z = 3.0 * amp**2 * TWO_PI**3
         assert series.table["ddt_sobolev2_sq"][0] == pytest.approx(-2.0 * mu * z, rel=1e-9)
@@ -449,7 +458,7 @@ class TestGronwall:
             grid=Grid(16), mu=mu, dt=1e-3, t_end=0.05, init=solv.InitSpec("taylor_green")
         )
         pair = crit.SerrinPair(6.0, 4.0)
-        mon = crit.CriterionConfig(pairs=(pair,), mu=mu)
+        mon = crit.CriterionConfig(pairs=(pair,))
         series = solv.run(cfg, mon)
         bounds = crit.gronwall_bound(series, pair, c_cal=10.0)
         measured = [1.0 + math.log(E + v**2) for v in series.table["sobolev2"]]
@@ -625,7 +634,7 @@ class TestEvaluateSample:
     def test_one_magnitude_per_field_whatever_the_pairs(self, monkeypatch, pairs):
         g = Grid(16)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
-        mon = crit.CriterionConfig(pairs=parse_pairs(pairs), mu=0.1)
+        mon = crit.CriterionConfig(pairs=parse_pairs(pairs))
         u = kernel_samples(U)[0]
         expected = {pair.p: norms.lp_norm(g, u.magnitude(), pair.p) for pair in mon.pairs}
         calls = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from regcrit import norms
+from regcrit import criteria, norms
 from regcrit.spectral import Grid, VelocityField, fft_forward, to_physical
 from regcrit.solver import init_beltrami, init_random_divfree, init_taylor_green
 
@@ -39,7 +39,7 @@ def sob(U, m):
 
 
 def gn(U, p):
-    return norms.gn_ratio(U.grid, p, norms.hessian_magnitude(U), sob(U, 2), sob(U, 3))
+    return norms.gn_ratio(U.grid, p, criteria.hessian_magnitude(U), sob(U, 2), sob(U, 3))
 
 
 class TestLpNorm:

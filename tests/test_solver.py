@@ -43,8 +43,8 @@ def half_of(g, kept):
     return reference.to_half(SpectralVelocityField(g, kept))
 
 
-def basic_monitors(mu=0.1):
-    return crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=mu)
+def basic_monitors():
+    return crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),))
 
 
 def band_limited_random(g, seed):
@@ -460,9 +460,9 @@ class TestTransformCount:
             grid=Grid(16), mu=0.1, dt=1e-2, t_end=steps * 1e-2,
             init=solv.InitSpec("random_divfree", seed=2), snapshot_stride=1,
         )
-        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), mu=0.1)
+        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),))
         with pytest.raises(TypeError):  # the identity is not a setting
-            crit.CriterionConfig(pairs=monitors.pairs, mu=0.1, identity=False)
+            crit.CriterionConfig(pairs=monitors.pairs, identity=False)
 
         class Sink(solv.RunSink):
             def __init__(self):
@@ -668,7 +668,7 @@ class TestRun:
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=mu, dt=1e-3, t_end=0.05, init=solv.InitSpec("taylor_green")
         )
-        series = solv.run(cfg, basic_monitors(mu))
+        series = solv.run(cfg, basic_monitors())
         t = series.column("t")
         e = series.column("energy")
         np.testing.assert_allclose(e / e[0], np.exp(-4 * mu * t), rtol=1e-10)
@@ -678,7 +678,7 @@ class TestRun:
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=mu, dt=1e-3, t_end=0.05, init=solv.InitSpec("beltrami")
         )
-        series = solv.run(cfg, basic_monitors(mu))
+        series = solv.run(cfg, basic_monitors())
         t = series.column("t")
         l2 = np.sqrt(series.column("energy"))
         np.testing.assert_allclose(l2 / l2[0], np.exp(-mu * t), rtol=1e-10)
@@ -761,7 +761,7 @@ class TestWorkerCount:
                 state = step(state, cfg)
             monitors = basic_monitors()
             sample = crit.evaluate_sample(
-                state.u_hat, state.t, monitors,
+                state.u_hat, state.t, monitors, mu=cfg.mu,
                 rhs_hat=solv.nonlinear_rhs(state.u_hat),
                 columns=crit.grid_columns(monitors.pairs, *kernel_samples(state.u_hat)),
                 with_identity=True,

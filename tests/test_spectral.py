@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from regcrit import criteria as crit
-from regcrit import norms
 from regcrit import solver as solv
 from regcrit import spectral as spec
 from regcrit.solver import init_beltrami, init_random_divfree
@@ -53,13 +52,16 @@ def gradient_field(F):
 
 def streamed_tables(U):
     """The gradient table d[a, c] = d u_c / dx_a, shape (3, 3, n, n, n), and
-    the pair table d2[PAIR[i][j], c], shape (6, 3, n, n, n), as the slab
-    stream gives them, slab by slab into whole tables."""
+    the pair table d2[PAIR[i][j], c], shape (6, 3, n, n, n), as
+    ``derivative_slabs`` gives them, slab by slab into whole tables."""
     g = U.grid
-    out = np.empty((27,) + g.shape)
-    for x0, x1, samples in spec.inverse_slabs(g, spec.derivative_spectra(U), 27):
-        out[:, x0:x1] = samples
-    return out[:9].reshape((3, 3) + g.shape), out[9:].reshape((6, 3) + g.shape)
+    d1 = np.empty((3, 3) + g.shape)
+    d2 = np.empty((6, 3) + g.shape)
+    for x0, x1, grads, hess in spec.derivative_slabs(U):
+        d1[:, :, x0:x1] = grads.reshape((3, 3, x1 - x0) + g.shape[1:])
+        for idx, (i, j) in enumerate(spec.HESSIAN_PAIRS):
+            d2[idx, :, x0:x1] = hess[i][j].reshape((3, x1 - x0) + g.shape[1:])
+    return d1, d2
 
 
 def gradients(U):
@@ -315,6 +317,23 @@ class TestDerivatives:
                 assert spec.PAIR[i][j] == spec.PAIR[j][i]
                 assert np.array_equal(d2[spec.PAIR[i][j]], full[i, j])
 
+    def test_derivative_slabs_layout(self):
+        # one view per Hessian pair serves both orders, and the stream
+        # without the gradients gives the same Hessian bit for bit
+        g = spec.Grid(16)
+        U = init_random_divfree(g, 3, -2.0, 1.0)
+        with_grads = list(spec.derivative_slabs(U))
+        alone = list(spec.derivative_slabs(U, gradients=False))
+        assert [s[:2] for s in with_grads] == [s[:2] for s in alone]
+        for (x0, x1, grads, hess), (_, _, none, hess2) in zip(with_grads, alone):
+            points = (x1 - x0) * g.n**2
+            assert grads.shape == (3, 3, points) and none is None
+            for i in range(3):
+                for j in range(3):
+                    assert hess[i][j] is hess[j][i]
+                    assert hess[i][j].shape == (3, points)
+                    assert np.array_equal(hess[i][j], hess2[i][j])
+
     def test_sobolev_identity_against_tensor(self):
         # sum_k |k|^4 |u|^2 equals the Frobenius norm of the full tensor,
         # whose off-diagonal pairs each stand for two entries
@@ -350,9 +369,9 @@ class TestPrunedTables:
             assert np.array_equal(d2, reference.second_derivatives(U)), threads
             assert np.array_equal(spec.first_derivatives(U), d1), threads
             assert np.array_equal(spec.second_derivatives(U), d2), threads
-            assert np.array_equal(norms.hessian_magnitude(U), reference.hessian_magnitude(U))
             quad = crit.hessian_quadrature(U)
             rhs, hessian = reference.gram_quadrature(U)
+            assert np.array_equal(crit.hessian_magnitude(U), hessian), threads
             assert quad.rhs == reference.slab_quadrature(U), threads
             assert abs(quad.rhs - rhs) <= 1e-14 * reference.identity_rhs_abs(U), threads
             assert np.array_equal(quad.hessian, hessian), threads
@@ -401,7 +420,7 @@ class TestPrunedTables:
         for threads in ("1", "2"):
             monkeypatch.setenv("REGCRIT_THREADS", threads)
             quad = crit.hessian_quadrature(U)
-            outputs.append(streamed_tables(U) + (quad.rhs, quad.hessian, norms.hessian_magnitude(U)))
+            outputs.append(streamed_tables(U) + (quad.rhs, quad.hessian, crit.hessian_magnitude(U)))
         for one, two in zip(*outputs):
             assert np.array_equal(one, two)
 
