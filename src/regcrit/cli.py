@@ -332,6 +332,40 @@ def _smallest_margin(name: str, holds, margins, margin: str) -> CheckResult:
     return CheckResult(name, passed, worst, 0.0, note=f"margin = min({margin})")
 
 
+def _snapshot_checks(path: str, grid: Grid, mu: float, p_values):
+    """The H^2 identity residual of the snapshot at ``path``, and per p of
+    ``p_values`` whether its Hoelder bound holds and by what margin; None
+    when its samples are not finite.
+
+    The samples live only until the state and |u| are taken from them, and
+    nothing of the snapshot outlives the call, so beside the quadrature
+    only |u|, the state and its right-hand side are live at its peak.
+    Raises DamagedArtifact when the snapshot cannot be read or is not on
+    ``grid``.
+    """
+    try:
+        field_, _ = snap.read_snapshot(path, grid)
+    except NonFiniteSamples:
+        return None
+    except _READ_ERRORS as exc:
+        raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
+    # a snapshot holds dealiased samples: the forward transform's cut to
+    # the kept modes removes only roundoff
+    u_hat = fft_forward(field_)
+    mag = field_.magnitude()
+    del field_
+    rhs_hat = solv.nonlinear_rhs(u_hat)
+    quad = crit.hessian_quadrature(u_hat)
+    sob3 = norms.sobolev_seminorm(grid, np.abs(u_hat.kept) ** 2, 3)
+    residual = crit.h2_identity_residual(u_hat, mu, rhs_hat, quad, sob3)["residual"]
+    holds, margins = [], []
+    for p in p_values:
+        hc = crit.holder_check(grid, p, quad, mag, sob3)
+        holds.append(hc["satisfied"])
+        margins.append(hc["bound"] - hc["actual"])
+    return residual, holds, margins
+
+
 @np.errstate(all="ignore")
 def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     """Every check of ``verify`` on one run directory.
@@ -407,26 +441,15 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
     p_values = sorted({pair.p for pair in pairs})
     nonfinite = []
     for path in snap_paths:
-        try:
-            field_, _ = snap.read_snapshot(path, run.grid)
-        except NonFiniteSamples:
+        checked = _snapshot_checks(path, run.grid, mu, p_values)
+        if checked is None:
             nonfinite.append(os.path.basename(path))
             residuals.append(math.inf)
             continue
-        except _READ_ERRORS as exc:
-            raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-        # a snapshot holds dealiased samples: the forward transform's cut to
-        # the kept modes removes only roundoff
-        u_hat = fft_forward(field_)
-        quad = crit.hessian_quadrature(u_hat)
-        sob3 = norms.sobolev_seminorm(run.grid, np.abs(u_hat.kept) ** 2, 3)
-        res = crit.h2_identity_residual(u_hat, mu, solv.nonlinear_rhs(u_hat), quad, sob3)
-        residuals.append(res["residual"])
-        mag = field_.magnitude()
-        for p in p_values:
-            hc = crit.holder_check(run.grid, p, quad, mag, sob3)
-            holder_holds.append(hc["satisfied"])
-            holder_margins.append(hc["bound"] - hc["actual"])
+        residual, holds, margins = checked
+        residuals.append(residual)
+        holder_holds += holds
+        holder_margins += margins
     if snap_paths:
         note = f"non-finite samples in {', '.join(nonfinite)}" if nonfinite else ""
         results.append(_largest_residual("identity_snapshots", residuals, IDENTITY_TOL, note))

@@ -31,9 +31,10 @@ def _header(grid: Grid, time: float, components: str) -> bytes:
     return (json.dumps(obj) + "\n").encode("utf-8")
 
 
-def _flat(values: np.ndarray) -> bytes:
-    # order='F' varies the first (x) index fastest
-    return np.ascontiguousarray(values, dtype=np.float64).astype("<f8").ravel(order="F").tobytes()
+def _flat(values: np.ndarray) -> np.ndarray:
+    """The samples in file order, x index fastest, as little-endian doubles:
+    one copy, which ``write`` takes as a buffer."""
+    return np.ascontiguousarray(values.T, dtype="<f8")
 
 
 def write_snapshot(path, field: VelocityField, time: float) -> None:
@@ -71,18 +72,21 @@ def read_snapshot(path, expected: Grid | None = None) -> tuple[VelocityField, fl
 
     A header whose ``n`` is not an integer is a ValueError (:class:`Grid`
     rejects it), and so is a header grid other than ``expected``, when one
-    is given.
+    is given.  Otherwise the field is on ``expected`` itself, so the
+    snapshots of one run share its wavevector tables.
     """
     with open(path, "rb") as fh:
         head = _read_header(fh)
         if head.get("components") != VELOCITY_COMPONENTS:
             raise ValueError(f"not a velocity snapshot: {head.get('components')!r}")
         grid = Grid(head["n"], float(head["length"]))
-        if expected is not None and grid != expected:
-            raise ValueError(
-                f"snapshot grid (n={grid.n}, length={grid.length!r}) is not the "
-                f"run's (n={expected.n}, length={expected.length!r})"
-            )
+        if expected is not None:
+            if grid != expected:
+                raise ValueError(
+                    f"snapshot grid (n={grid.n}, length={grid.length!r}) is not the "
+                    f"run's (n={expected.n}, length={expected.length!r})"
+                )
+            grid = expected
         n3 = grid.n**3
         want = 3 * n3 * 8
         have = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -18,7 +18,8 @@ since neither needs a field; :func:`run` checks the advective CFL bound on
 the initial field before it writes anything, and every step re-checks it on
 the current field.  Only the stage-1 term of a step takes grid samples: its
 max of |u| feeds that check, and its samples of u and omega feed that
-step's monitor sample and snapshot; stages 2-4 take none.
+step's monitor sample and snapshot; stages 2-4 take none, and so hold no
+whole grid table.
 """
 
 from __future__ import annotations

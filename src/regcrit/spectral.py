@@ -48,18 +48,33 @@ Conventions, fixed once for the whole package:
   :data:`HESSIAN_PAIRS` and component); it hands out per-slab views indexed
   ``grads[a][c]`` and ``hess[i][j][c]``, so the Hessian quadrature and
   ``|grad^2 u|`` contract each slab while it is in cache and never hold
-  the whole derivative tables.  A slab is ``b = max(1, 2048 // n**2)``
-  planes (at most n): about 2048 grid points, or one plane once ``n**2``
-  is larger.  The 27 fields of a quadrature's slab then fit in L2 at small
-  n, and the stream's buffers have one size per grid, which glibc's malloc
-  reuses instead of handing pages back to the kernel to be faulted in
-  again; slabs of 8192 points more than doubled the minor page faults of
-  an n = 32 calibrate over whole tables
+  the whole derivative tables.  A slab is ``b = max(1, P // n**2)``
+  planes (at most n): about P grid points, or one plane once ``n**2`` is
+  larger (:func:`_slab_planes`).  There are two rules for P:
+
+  - the derivative streams take P = 2048.  The 27 fields of a
+    quadrature's slab then fit in L2 at small n, and the stream's buffers
+    have one size per grid, which glibc's malloc reuses instead of handing
+    pages back to the kernel to be faulted in again; slabs of 8192 points
+    more than doubled the minor page faults of an n = 32 calibrate over
+    whole tables
+  - the nonlinear term takes P = 16384: 16 planes at n = 32, 4 at n = 64,
+    1 at n = 96.  Its slab holds 6 fields, not 27, and each slab pays a
+    fixed cost in Python calls for its product and its two passes, which
+    narrow slabs pay often where the grid is small: with 2048-point slabs
+    an n = 32 kernel call was no faster than whole tables.  With 16384
+    points a monitored n = 32 step ran about 7 % faster than with whole
+    tables and an n = 64 step 7 to 11 % faster
+    (``BENCH_2026-10-19-kernel-stream.json``)
 * the nonlinear term is the rotational product ``omega x u``
   (:func:`convective_core_half`): an inverse transform of the 6 fields
   [u, omega] and a forward transform of the 3 product components, 9
   three-dimensional FFTs per right-hand side, each pruned to the kept
-  modes and bitwise equal to the full transform
+  modes and bitwise equal to the full transform.  It is one slab loop:
+  each x-slab of [u, omega] is multiplied out and taken through the real
+  z pass while it is in cache, so only the x-passed lines and the kept kz
+  planes of the product are whole-grid arrays, unless the caller asks for
+  the grid samples
 
 All operations are pure functions, but for :func:`project_kept`, which
 works in place on an array its caller owns.  Reductions are numpy's own
@@ -92,6 +107,9 @@ _CPUS = os.cpu_count() or 1
 #: grid points per x-slab of :func:`inverse_slabs` (module docstring)
 _SLAB_POINTS = 2048
 
+#: grid points per x-slab of :func:`convective_core_half` (module docstring)
+_KERNEL_POINTS = 16384
+
 
 def _workers() -> int:
     raw = os.environ.get("REGCRIT_THREADS", "")
@@ -102,10 +120,10 @@ def _workers() -> int:
     return max(1, min(_CPUS, cap))
 
 
-def _slab_planes(n: int) -> int:
-    """x-planes per slab of :func:`inverse_slabs`: about ``_SLAB_POINTS``
-    grid points, at least one plane and at most n."""
-    return min(n, max(1, _SLAB_POINTS // (n * n)))
+def _slab_planes(n: int, points: int = _SLAB_POINTS) -> int:
+    """x-planes per slab of a slab stream: about ``points`` grid points, at
+    least one plane and at most n."""
+    return min(n, max(1, points // (n * n)))
 
 
 @dataclass(frozen=True)
@@ -423,15 +441,14 @@ def _x_pass(grid: Grid, parts, fields: int, workers: int) -> np.ndarray:
     return lines
 
 
-def _slabs(grid: Grid, lines: np.ndarray, workers: int):
+def _slabs(grid: Grid, lines: np.ndarray, b: int, workers: int):
     """Yield ``(x0, x1, samples)``: the grid samples of the x-passed
     ``lines`` on the planes ``x0 <= x < x1``, shape ``(fields, x1 - x0, n,
-    n)``, one slab at a time in x order.  Each slab is scattered onto the
-    kept kz planes of one workspace, whose other planes stay zero (the real
-    pass does not write its input), and run through the y pass there and
-    the real z pass."""
+    n)``, one slab of at most ``b`` planes at a time in x order.  Each slab
+    is scattered onto the kept kz planes of one workspace, whose other
+    planes stay zero (the real pass does not write its input), and run
+    through the y pass there and the real z pass."""
     n, m = grid.n, grid.kept_max
-    b = _slab_planes(n)
     work = np.zeros((len(lines), b, n, grid.half), dtype=np.complex128)
     for x0 in range(0, n, b):
         x1 = min(x0 + b, n)
@@ -458,16 +475,8 @@ def inverse_slabs(grid: Grid, parts, fields: int):
     for bit, but for the sign of a zero.  The worker count is read once.
     """
     workers = _workers()
-    return _slabs(grid, _x_pass(grid, parts, fields, workers), workers)
-
-
-def _drain(grid: Grid, lines: np.ndarray, workers: int) -> np.ndarray:
-    """The whole ``(fields, n, n, n)`` table of the slab stream of the
-    x-passed ``lines``."""
-    out = np.empty((len(lines),) + grid.shape)
-    for x0, x1, samples in _slabs(grid, lines, workers):
-        out[:, x0:x1] = samples
-    return out
+    lines = _x_pass(grid, parts, fields, workers)
+    return _slabs(grid, lines, _slab_planes(grid.n), workers)
 
 
 def inverse_kept(grid: Grid, kept: np.ndarray) -> np.ndarray:
@@ -476,8 +485,9 @@ def inverse_kept(grid: Grid, kept: np.ndarray) -> np.ndarray:
     drained into one table.  ``kept`` is not modified."""
     lead = kept.shape[:-3]
     flat = kept.reshape((-1,) + grid.kept_shape)
-    workers = _workers()
-    out = _drain(grid, _x_pass(grid, (flat,), len(flat), workers), workers)
+    out = np.empty((len(flat),) + grid.shape)
+    for x0, x1, samples in inverse_slabs(grid, (flat,), len(flat)):
+        out[:, x0:x1] = samples
     return out.reshape(lead + grid.shape)
 
 
@@ -554,45 +564,56 @@ def convective_core_half(
     Both factors are dealiased before the pointwise product and the product
     is dealiased again, so retained modes of band-limited inputs are exact.
     The max feeds the advective CFL check, and the samples (views of one
-    (6, n, n, n) array, of the dealiased u) feed the monitors and snapshots
+    (6, n, n, n) table, of the dealiased u) feed the monitors and snapshots
     of the same state, without another transform.  With ``samples=False``
-    the max is NaN, the samples are None and are freed before the forward
-    transform.
+    the max is NaN, the samples are None and no grid table is formed.
 
-    The transforms are the package's two routes: the drained slab stream of
-    [u, omega] (:func:`inverse_slabs`), with no concatenated spectrum, and
-    the forward of omega x u, the real pass along z and
-    :func:`_forward_kept`, as in :func:`fft_forward`.  The worker count is
-    read once.  The name is kept from when the kernel worked on the half
-    spectrum, because the benchmark traces the nonlinear term by it.
+    One slab loop serves both: per x-slab of the stream of [u, omega]
+    (:func:`inverse_slabs`'s passes, with no concatenated spectrum, in
+    slabs of ``_slab_planes(n, _KERNEL_POINTS)`` planes), the product is
+    formed in slab buffers and taken through the real pass along z, whose
+    kept kz planes go into one ``(3, n, n, m + 1)`` workspace for
+    :func:`_forward_kept`, the route of :func:`fft_forward`.  With
+    ``samples``, the slab is also copied into the returned table, and the
+    max of |u|^2 is the largest of the per-slab maxima, which is exact in
+    any order.  Every pass sees the lines of the whole-table route, in the
+    same order, so the result is that route's bit for bit.  The worker
+    count is read once.  The name is kept from when the kernel worked on
+    the half spectrum, because the benchmark traces the nonlinear term by
+    it.
     """
     workers = _workers()
+    n, m = grid.n, grid.kept_max
     kx, ky, kz = grid.wavevector
     u, v, w = kept
     omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
     lines = _x_pass(grid, (kept, omega_hat), 6, workers)
     del omega_hat
-    phys = _drain(grid, lines, workers)
-    del lines
-    u_phys, omega = phys[:3], phys[3:]
-    cross = np.empty((3,) + grid.shape)
-    tmp = np.empty(grid.shape)
-    for c in range(3):
-        a, b = (c + 1) % 3, (c + 2) % 3
-        np.multiply(omega[a], u_phys[b], out=cross[c])
-        np.multiply(omega[b], u_phys[a], out=tmp)
-        cross[c] -= tmp
-    if samples:
-        np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
-        u_max = math.sqrt(float(tmp.max(initial=0.0)))
-    else:
-        u_max, u_phys, omega = math.nan, None, None
-    del phys, tmp
-    # the product is freed before the passes: held through them, it took
-    # the minor page faults of an n = 96 call from about 1k to 3-4k
-    half = _fft.rfft(cross, axis=-1, workers=workers)
-    del cross
-    return _forward_kept(grid, half, workers), u_max, u_phys, omega
+    b = _slab_planes(n, _KERNEL_POINTS)
+    cross = np.empty((3, b, n, n))
+    tmp = np.empty((b, n, n))
+    half = np.empty((3, n, n, m + 1), dtype=np.complex128)
+    table = np.empty((6,) + grid.shape) if samples else None
+    u_sq_max = 0.0
+    for x0, x1, slab in _slabs(grid, lines, b, workers):
+        u_phys, omega = slab[:3], slab[3:]
+        product, scratch = cross[:, : x1 - x0], tmp[: x1 - x0]
+        for c in range(3):
+            a, d = (c + 1) % 3, (c + 2) % 3
+            np.multiply(omega[a], u_phys[d], out=product[c])
+            np.multiply(omega[d], u_phys[a], out=scratch)
+            product[c] -= scratch
+        if samples:
+            table[:, x0:x1] = slab
+            np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=scratch)
+            # np.maximum, unlike max(), keeps a NaN
+            u_sq_max = np.maximum(u_sq_max, scratch.max(initial=0.0))
+        half[:, x0:x1] = _fft.rfft(product, axis=-1, workers=workers)[..., : m + 1]
+    del lines, slab, u_phys, omega
+    w_hat = _forward_kept(grid, half, workers)
+    if not samples:
+        return w_hat, math.nan, None, None
+    return w_hat, math.sqrt(float(u_sq_max)), table[:3], table[3:]
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:

@@ -21,9 +21,10 @@ pressure transform the whole half spectrum, the full projection and the
 full-cube draw work on every mode, and :func:`step_half` is the RK4 step on
 the half spectrum, where the package touches only the kept modes.  The
 whole-table pruned inverse (:func:`inverse_kept_whole`, with its derivative
-tables) is the route the package's slab stream replaced, and
-:func:`slab_quadrature` sums the unpruned tables slab by slab as the
-package's quadrature does.
+tables and the kernel :func:`convective_core_tables`) is the route the
+package's slab streams replaced, and :func:`slab_quadrature` sums the
+unpruned tables slab by slab as the package's quadrature does.
+:func:`snapshot_payload` is the snapshot writer's earlier encoding.
 """
 
 import math
@@ -477,6 +478,37 @@ def inverse_kept_whole(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
         _complex_pass(hat[..., :, sy, lo], axis=-3)
     _complex_pass(hat[..., lo], axis=-2)
     return _fft.irfft(hat, n=grid.n, axis=-1, norm="forward", workers=spec._workers())
+
+
+def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
+    """The kernel that the slab loop replaced, on whole tables: the samples
+    of [u, omega] from one :func:`inverse_kept_whole`, the (3, n, n, n)
+    product omega x u, the grid max of |u| from the whole |u|^2 table, one
+    real pass along z over the product, then ``spectral._forward_kept``.
+    Returns what ``spectral.convective_core_half`` returns."""
+    workers = spec._workers()
+    kx, ky, kz = grid.wavevector
+    u, v, w = kept
+    omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
+    phys = inverse_kept_whole(grid, np.concatenate((kept, omega_hat)))
+    u_phys, omega = phys[:3], phys[3:]
+    cross = np.empty((3,) + grid.shape)
+    tmp = np.empty(grid.shape)
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        np.multiply(omega[a], u_phys[b], out=cross[c])
+        np.multiply(omega[b], u_phys[a], out=tmp)
+        cross[c] -= tmp
+    np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
+    u_max = math.sqrt(float(tmp.max(initial=0.0)))
+    half = _fft.rfft(cross, axis=-1, workers=workers)
+    return spec._forward_kept(grid, half, workers), u_max, u_phys, omega
+
+
+def snapshot_payload(values: np.ndarray) -> bytes:
+    """The payload encoding that ``snapshot`` replaced, in three copies: a
+    cast, a ravel with the x index fastest, then ``tobytes``."""
+    return np.ascontiguousarray(values, dtype=np.float64).astype("<f8").ravel(order="F").tobytes()
 
 
 def first_derivatives(U) -> np.ndarray:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import reference
 from regcrit import snapshot as snap
-from regcrit.spectral import Grid, VelocityField
+from regcrit.spectral import Grid, RealScalarField, VelocityField
 from regcrit.solver import init_random_divfree
 from regcrit.spectral import to_physical
 
@@ -20,6 +21,15 @@ def test_round_trip_bit_exact(tmp_path):
     assert t == 0.625
     assert back.grid == g
     assert np.array_equal(back.values, field.values)
+
+
+def test_field_is_on_the_expected_grid(tmp_path):
+    # verify reads every snapshot on the run's grid, so they share its tables
+    g = Grid(8)
+    path = tmp_path / "snap.bin"
+    snap.write_snapshot(path, VelocityField(g, np.ones((3,) + g.shape)), time=0.0)
+    assert snap.read_snapshot(path, Grid(8))[0].grid == g
+    assert snap.read_snapshot(path, g)[0].grid is g
 
 
 def test_header_is_single_json_line(tmp_path):
@@ -55,6 +65,24 @@ def test_component_major_x_fastest(tmp_path):
     # component-major: u2 block follows all of u1
     assert payload[64] == -1.0
     assert payload[128] == -2.0
+
+
+@pytest.mark.parametrize("n", [16, 22])
+def test_payload_is_the_three_copy_encoding(tmp_path, n):
+    # one copy per component gives the bytes of a cast, an F-order ravel and
+    # tobytes, signs of zeros included
+    g = Grid(n)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((3,) + g.shape)
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    vals[rng.random(vals.shape) < 0.1] = 0.0
+    path = tmp_path / "snap.bin"
+    snap.write_snapshot(path, VelocityField(g, vals), time=0.25)
+    payload = b"".join(reference.snapshot_payload(c) for c in vals)
+    assert path.read_bytes() == snap._header(g, 0.25, "u1,u2,u3") + payload
+    scalar = tmp_path / "q.bin"
+    snap.write_scalar_snapshot(scalar, RealScalarField(g, vals[1]), time=0.25)
+    assert scalar.read_bytes() == snap._header(g, 0.25, "q") + reference.snapshot_payload(vals[1])
 
 
 def test_truncated_payload_rejected(tmp_path):

@@ -347,8 +347,11 @@ class TestPrunedKernel:
             for got, want in zip(out, in_place[kind]):
                 assert np.array_equal(got, want), kind
         # per right-hand side: the inverse's x pass and one y pass per slab
-        # (1 slab of 6 planes at n = 6, 2 of 8 at n = 16), 3 forward passes
-        slabs = {6: 1, 16: 2}[n]
+        # of the kernel's rule (1 slab of n planes at n = 6 and 16), 3
+        # forward passes
+        b = spec._slab_planes(n, spec._KERNEL_POINTS)
+        slabs = -(-n // b)
+        assert (b, slabs) == {6: (6, 1), 16: (16, 1)}[n]
         assert fft.fresh == (1 + slabs + 3) * len(states)
 
 

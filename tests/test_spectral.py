@@ -5,6 +5,7 @@ summation, analytic derivatives sampled on the grid) before being asserted.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,118 @@ class TestPrunedTables:
         d1, d2 = streamed_tables(U)
         assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
         assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
+
+
+def assert_kernel_bits(g, got, tables, unpruned):
+    """``got``, the kernel's (w_hat, u_max, u, omega), is the whole-table
+    route's bit for bit, signs of zeros included, and the full transforms'
+    (the samples but for the sign of a zero)."""
+    w_hat, u_max, u, omega = got
+    for one, two in zip((w_hat, u, omega), (tables[0], tables[2], tables[3])):
+        assert one.tobytes() == two.tobytes()
+    assert u_max == tables[1] == unpruned[1]
+    assert np.array_equal(reference.to_half(spec.SpectralVelocityField(g, w_hat)), unpruned[0])
+    assert np.array_equal(u, unpruned[2]) and np.array_equal(omega, unpruned[3])
+
+
+class CountingPasses:
+    """Stands in for ``spectral._fft``; counts its calls by name."""
+
+    def __init__(self, module):
+        self.module = module
+        self.calls = {}
+
+    def __getattr__(self, name):
+        fn = getattr(self.module, name)
+
+        def call(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return call
+
+
+class TestKernelStream:
+    """The nonlinear term is one slab loop, sampled or not: it gives the
+    bits of the whole-table route (``reference.convective_core_tables``)
+    and of the full transforms, and without samples it holds no whole grid
+    table."""
+
+    @pytest.mark.parametrize("n", [16, 22, 32, 48, 64, 96])
+    def test_bitwise_equal_to_the_whole_tables(self, monkeypatch, n):
+        g = spec.Grid(n)
+        U = init_random_divfree(g, 1, -3.0, 5.0)
+        unpruned = reference.convective_core_unpruned(g, reference.to_half(U))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REGCRIT_THREADS", threads)
+            tables = reference.convective_core_tables(g, U.kept)
+            assert_kernel_bits(g, spec.convective_core_half(g, U.kept), tables, unpruned)
+            w_hat, u_max, u, omega = spec.convective_core_half(g, U.kept, samples=False)
+            assert w_hat.tobytes() == tables[0].tobytes(), threads
+            assert math.isnan(u_max) and u is None and omega is None, threads
+
+    @pytest.mark.parametrize("n, planes", [(48, 7), (22, 5), (32, 3)])
+    def test_partial_last_slab(self, monkeypatch, n, planes):
+        # 48 = 6 * 7 + 6 under the kernel's own rule; the others by a
+        # narrower rule
+        monkeypatch.setattr(spec, "_KERNEL_POINTS", planes * n * n)
+        assert spec._slab_planes(n, spec._KERNEL_POINTS) == planes and n % planes
+        g = spec.Grid(n)
+        for U in (init_random_divfree(g, 7, -3.0, 5.0), init_beltrami(g, 1.3)):
+            unpruned = reference.convective_core_unpruned(g, reference.to_half(U))
+            tables = reference.convective_core_tables(g, U.kept)
+            assert_kernel_bits(g, spec.convective_core_half(g, U.kept), tables, unpruned)
+            bare = spec.convective_core_half(g, U.kept, samples=False)[0]
+            assert bare.tobytes() == tables[0].tobytes()
+
+    @pytest.mark.parametrize("n", [4, 16, 32, 48, 64, 96, 128])
+    def test_kernel_slab_width(self, monkeypatch, n):
+        # about 16384 grid points per slab, at least one plane, at most n;
+        # one real pass each way per slab
+        b = {4: 4, 16: 16, 32: 16, 48: 7, 64: 4, 96: 1, 128: 1}[n]
+        assert spec._slab_planes(n, spec._KERNEL_POINTS) == b
+        if n > 64:
+            return
+        fft = CountingPasses(spec._fft)
+        monkeypatch.setattr(spec, "_fft", fft)
+        g = spec.Grid(n)
+        spec.convective_core_half(g, init_random_divfree(g, 1, -3.0, 5.0).kept)
+        assert fft.calls["irfft"] == fft.calls["rfft"] == -(-n // b)
+
+    def test_nan_reaches_the_max(self):
+        # a slab-wise max keeps a NaN, as the whole-table max does
+        g = spec.Grid(32)
+        kept = init_random_divfree(g, 1, -3.0, 5.0).kept.copy()
+        kept[0, 1, 2, 3] = math.nan
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(spec.convective_core_half(g, kept)[1])
+            assert math.isnan(reference.convective_core_tables(g, kept)[1])
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_peak_memory_without_samples(self, n):
+        # the x-passed lines of [u, omega], the kept kz planes of the
+        # product, the buffers of one slab (workspace, samples, product and
+        # scratch, z-pass output) and the samples of the slab before it.
+        # Measured 7.8 fields at n = 48 and 6.2 at n = 64, against this
+        # bound's 8.3 and 6.4; the whole-table route peaked at 10.0 (its
+        # samples, product and scratch, 6 + 3 + 1 fields)
+        g = spec.Grid(n)
+        m, h = g.kept_max, g.half
+        b = spec._slab_planes(n, spec._KERNEL_POINTS)
+        samples = 6 * b * n * n * 8
+        slab = 6 * b * n * h * 16 + samples + 4 * b * n * n * 8 + 3 * b * n * h * 16
+        bound = 6 * n * (2 * m + 1) * (m + 1) * 16 + 3 * n * n * (m + 1) * 16 + slab + samples
+        assert bound < 10 * 8 * n**3
+        kept = init_random_divfree(g, 1, -3.0, 5.0).kept
+        spec.convective_core_half(g, kept, samples=False)  # grid tables, FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spec.convective_core_half(g, kept, samples=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestParseval:
