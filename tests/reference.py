@@ -45,17 +45,17 @@ class NonHermitianInput(ValueError):
 
 def fftn(values: np.ndarray) -> np.ndarray:
     """Full-cube forward transform over the trailing three axes, mean-normalized."""
-    return _fft.fftn(values, axes=AXES, norm="forward", workers=spec._workers())
+    return _fft.fftn(values, axes=AXES, norm="forward")
 
 
 def rfftn(values: np.ndarray) -> np.ndarray:
     """Real-input forward transform (half spectrum, kz >= 0), mean-normalized:
     the full ``rfftn`` that the package's pruned forward is pinned to."""
-    return _fft.rfftn(values, axes=AXES, norm="forward", workers=spec._workers())
+    return _fft.rfftn(values, axes=AXES, norm="forward")
 
 
 def ifftn(coefficients: np.ndarray) -> np.ndarray:
-    return _fft.ifftn(coefficients, axes=AXES, norm="forward", workers=spec._workers())
+    return _fft.ifftn(coefficients, axes=AXES, norm="forward")
 
 
 def ifftn_real(coefficients: np.ndarray) -> np.ndarray:
@@ -66,7 +66,7 @@ def ifftn_real(coefficients: np.ndarray) -> np.ndarray:
 def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`rfftn` onto the (n, n, n) grid: the full
     ``irfftn`` of a half spectrum, every mode read."""
-    return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward", workers=spec._workers())
+    return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward")
 
 
 def half_shape(grid: spec.Grid) -> tuple[int, int, int]:
@@ -463,7 +463,7 @@ def second_derivatives_unpruned(U) -> np.ndarray:
 
 def _complex_pass(lines: np.ndarray, axis: int) -> None:
     """An unscaled inverse 1-D FFT pass along ``axis`` over the view ``lines``."""
-    out = _fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True, workers=spec._workers())
+    out = _fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True)
     if not np.may_share_memory(out, lines):
         lines[...] = out
 
@@ -477,7 +477,7 @@ def inverse_kept_whole(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
     for sy in (lo, hi):
         _complex_pass(hat[..., :, sy, lo], axis=-3)
     _complex_pass(hat[..., lo], axis=-2)
-    return _fft.irfft(hat, n=grid.n, axis=-1, norm="forward", workers=spec._workers())
+    return _fft.irfft(hat, n=grid.n, axis=-1, norm="forward")
 
 
 def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
@@ -486,7 +486,6 @@ def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
     product omega x u, the grid max of |u| from the whole |u|^2 table, one
     real pass along z over the product, then ``spectral._forward_kept``.
     Returns what ``spectral.convective_core_half`` returns."""
-    workers = spec._workers()
     kx, ky, kz = grid.wavevector
     u, v, w = kept
     omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
@@ -501,8 +500,8 @@ def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
         cross[c] -= tmp
     np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
     u_max = math.sqrt(float(tmp.max(initial=0.0)))
-    half = _fft.rfft(cross, axis=-1, workers=workers)
-    return spec._forward_kept(grid, half, workers), u_max, u_phys, omega
+    half = _fft.rfft(cross, axis=-1)
+    return spec._forward_kept(grid, half), u_max, u_phys, omega
 
 
 def snapshot_payload(values: np.ndarray) -> bytes:

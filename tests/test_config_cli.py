@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -1160,7 +1162,7 @@ DERIVED_COLUMNS = (
 
 
 class RealTransformsOnly:
-    """Stands in for ``scipy.fft`` inside ``regcrit.spectral``, exposing only
+    """Stands in for ``numpy.fft`` inside ``regcrit.spectral``, exposing only
     the pruned 1-D passes of the two transform routes.  The n-D calls stay
     hidden: the full-cube ``fftn`` and ``ifftn``, and the full real
     ``rfftn`` and ``irfftn``, so every transform a command runs is pruned to
@@ -1194,3 +1196,64 @@ class TestSingleRepresentation:
         assert cli.main(["report", rundir, "--pressure"]) == 0
         report = os.listdir(tmp_path / "run" / "report")
         assert any(name.startswith("pressure_") for name in report)
+
+
+def run_python(script, *args):
+    """Standard output of ``script`` run by a fresh interpreter on this
+    checkout's ``regcrit``, as each command runs."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+#: what a command may import that ``import regcrit.cli`` has not: argparse's
+#: gettext imports ``locale`` (and its C part) on the first message it looks up
+COMMAND_IMPORTS = {"locale", "_locale"}
+
+
+class TestImports:
+    """Every command is a fresh process, so what it imports is set-up time:
+    the package imports no scipy, and everything a command needs is
+    imported with ``regcrit.cli``, not inside the command."""
+
+    def test_cli_imports_no_scipy(self):
+        out = run_python(
+            "import sys\nimport regcrit.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+    def test_commands_import_nothing_new(self, tmp_path):
+        cal = write_config(
+            tmp_path / "cal.cfg",
+            "grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..1\n"
+            "calibration.p = 6\noutput.dir = cal\n",
+        )
+        sim = write_config(
+            tmp_path / "sim.cfg",
+            BASE.replace("taylor_green", "random_divfree")
+            .replace("monitors.pairs = 4:8,5:5,6:4,inf:2", "monitors.pairs = 6:4")
+            .replace("time.t_end = 0.02", "time.t_end = 0.003")
+            .replace("snapshots.stride = 10", "snapshots.stride = 1")
+            + "monitors.calibration = cal/calibration.txt\n",
+        )
+        script = (
+            "import json, os, sys\n"
+            "from regcrit import cli\n"
+            "os.chdir(sys.argv[1])\n"
+            "seen = set(sys.modules)\n"
+            "for argv in (['calibrate', sys.argv[2]], ['simulate', sys.argv[3]],\n"
+            "             ['verify', 'run']):\n"
+            "    code = cli.main(argv)\n"
+            "    new = sorted(set(sys.modules) - seen)\n"
+            "    seen.update(new)\n"
+            "    print(json.dumps([argv[0], code, new]))\n"
+        )
+        lines = run_python(script, str(tmp_path), cal, sim).splitlines()
+        reports = [json.loads(line) for line in lines if line.startswith('["')]
+        assert [r[:2] for r in reports] == [["calibrate", 0], ["simulate", 0], ["verify", 0]]
+        for command, _, new in reports:
+            assert set(new) <= COMMAND_IMPORTS, command

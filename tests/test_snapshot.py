@@ -1,6 +1,7 @@
 """Snapshot format: bit-exact round trip, header layout, storage order."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ def test_payload_is_the_three_copy_encoding(tmp_path, n):
     scalar = tmp_path / "q.bin"
     snap.write_scalar_snapshot(scalar, RealScalarField(g, vals[1]), time=0.25)
     assert scalar.read_bytes() == snap._header(g, 0.25, "q") + reference.snapshot_payload(vals[1])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_read_holds_the_payload_once(tmp_path, n):
+    # the payload is read into the array the field holds, whose samples are
+    # a view in file order with the x index fastest, equal to the written
+    # ones bit for bit; beside it the read holds only the finiteness check's
+    # booleans, an eighth of the payload
+    g = Grid(n)
+    field = to_physical(init_random_divfree(g, 3, -2.0, 1.0))
+    path = tmp_path / "snap.bin"
+    snap.write_snapshot(path, field, time=0.5)
+    payload = 3 * n**3 * 8
+    tracemalloc.start()
+    try:
+        back, _ = snap.read_snapshot(path, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * payload + 65536
+    assert back.values.tobytes() == field.values.tobytes()
+    assert back.values.base is not None and back.values.base.nbytes == payload
+    assert back.values.strides == (n**3 * 8, 8, n * 8, n * n * 8)
 
 
 def test_truncated_payload_rejected(tmp_path):

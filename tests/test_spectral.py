@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as scipy_fft
 
 import reference
 from regcrit import criteria as crit
@@ -249,23 +250,34 @@ class TestFFT:
         assert reference.full(spec.SpectralScalarField(g, reference.compact(g, c)))[-1, -2, -1] == 1.0
 
     @pytest.mark.parametrize("n", [4, 6, 16, 18, 22, 32, 48, 64, 96])
-    def test_bitwise_equal_to_the_full_rfftn(self, n, monkeypatch):
+    def test_bitwise_equal_to_the_full_rfftn(self, n):
         # the pruned forward gives the kept modes of the full rfftn bit for
-        # bit, the sign of a zero included, at either worker count, on
-        # vector and scalar samples, and does not write its input
+        # bit, the sign of a zero included, on vector and scalar samples,
+        # and does not write its input
         g = spec.Grid(n)
         states = (solv.init_taylor_green(g, 1.3), init_beltrami(g, 0.8),
                   init_random_divfree(g, 3, -2.0, 1.0))
         fields = [spec.to_physical(U) for U in states] + [random_vector(g, n)]
-        for threads in ("1", "2"):
-            monkeypatch.setenv("REGCRIT_THREADS", threads)
-            for f in fields:
-                for field_ in (f, spec.RealScalarField(g, f.values[0])):
-                    before = field_.values.copy()
-                    kept = spec.fft_forward(field_).kept
-                    full = reference.to_kept(g, reference.rfftn(field_.values))
-                    assert kept.tobytes() == full.tobytes()
-                    assert field_.values.tobytes() == before.tobytes()
+        for f in fields:
+            for field_ in (f, spec.RealScalarField(g, f.values[0])):
+                before = field_.values.copy()
+                kept = spec.fft_forward(field_).kept
+                full = reference.to_kept(g, reference.rfftn(field_.values))
+                assert kept.tobytes() == full.tobytes()
+                assert field_.values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 16, 22, 96])
+    def test_x_fastest_samples(self, n):
+        # a snapshot's samples are a view with the x index fastest; their
+        # transform is that of the same samples in C order, bit for bit
+        g = spec.Grid(n)
+        values = random_vector(g, n).values
+        x_fastest = np.ascontiguousarray(values.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1)
+        assert not x_fastest.flags.c_contiguous and np.array_equal(x_fastest, values)
+        for c_order, x_order in ((values, x_fastest), (values[1], x_fastest[1])):
+            kind = spec.VelocityField if c_order.ndim == 4 else spec.RealScalarField
+            assert (spec.fft_forward(kind(g, x_order)).kept.tobytes()
+                    == spec.fft_forward(kind(g, c_order)).kept.tobytes())
 
     def test_plancherel_fixed_normalization(self):
         g = spec.Grid(16, length=2.0)
@@ -358,26 +370,24 @@ class TestPrunedTables:
     partial (4-plane slabs)."""
 
     @pytest.mark.parametrize("n", [16, 22, 32, 48, 64])
-    def test_bitwise_equal_to_the_full_transforms(self, monkeypatch, n):
+    def test_bitwise_equal_to_the_full_transforms(self, n):
         g = spec.Grid(n)
         U = init_random_divfree(g, 1, -3.0, 5.0)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("REGCRIT_THREADS", threads)
-            d1, d2 = streamed_tables(U)
-            assert np.array_equal(d1, reference.first_derivatives_unpruned(U)), threads
-            assert np.array_equal(d2, reference.second_derivatives_unpruned(U)), threads
-            assert np.array_equal(d1, reference.first_derivatives(U)), threads
-            assert np.array_equal(d2, reference.second_derivatives(U)), threads
-            assert np.array_equal(spec.first_derivatives(U), d1), threads
-            assert np.array_equal(spec.second_derivatives(U), d2), threads
-            quad = crit.hessian_quadrature(U)
-            rhs, hessian = reference.gram_quadrature(U)
-            assert np.array_equal(crit.hessian_magnitude(U), hessian), threads
-            assert quad.rhs == reference.slab_quadrature(U), threads
-            assert abs(quad.rhs - rhs) <= 1e-14 * reference.identity_rhs_abs(U), threads
-            assert np.array_equal(quad.hessian, hessian), threads
-            pressure = solv.pressure_field(U).values
-            assert np.array_equal(pressure, reference.pressure_field_unpruned(U)), threads
+        d1, d2 = streamed_tables(U)
+        assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
+        assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
+        assert np.array_equal(d1, reference.first_derivatives(U))
+        assert np.array_equal(d2, reference.second_derivatives(U))
+        assert np.array_equal(spec.first_derivatives(U), d1)
+        assert np.array_equal(spec.second_derivatives(U), d2)
+        quad = crit.hessian_quadrature(U)
+        rhs, hessian = reference.gram_quadrature(U)
+        assert np.array_equal(crit.hessian_magnitude(U), hessian)
+        assert quad.rhs == reference.slab_quadrature(U)
+        assert abs(quad.rhs - rhs) <= 1e-14 * reference.identity_rhs_abs(U)
+        assert np.array_equal(quad.hessian, hessian)
+        pressure = solv.pressure_field(U).values
+        assert np.array_equal(pressure, reference.pressure_field_unpruned(U))
 
     @pytest.mark.parametrize("n", [4, 6, 16, 22, 32, 46, 48, 64])
     def test_slab_width(self, n):
@@ -400,30 +410,6 @@ class TestPrunedTables:
             reference.to_half(init_random_divfree(g, seed, -3.0, 5.0)),
             reference.random_divfree_full(g, seed, -3.0, 5.0),
         )
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_bitwise_equal_at_either_worker_count(self, monkeypatch, threads):
-        monkeypatch.setenv("REGCRIT_THREADS", threads)
-        g = spec.Grid(48)
-        U = init_random_divfree(g, 7, -3.0, 5.0)
-        assert np.array_equal(
-            reference.to_half(U), reference.random_divfree_full(g, 7, -3.0, 5.0)
-        )
-        d1, d2 = streamed_tables(U)
-        assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
-        assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
-        assert np.array_equal(crit.hessian_quadrature(U).hessian, reference.gram_quadrature(U)[1])
-        assert np.array_equal(solv.pressure_field(U).values, reference.pressure_field_unpruned(U))
-
-    def test_bitwise_equal_across_worker_counts(self, monkeypatch):
-        U = init_random_divfree(spec.Grid(32), 1, -3.0, 5.0)
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("REGCRIT_THREADS", threads)
-            quad = crit.hessian_quadrature(U)
-            outputs.append(streamed_tables(U) + (quad.rhs, quad.hessian, crit.hessian_magnitude(U)))
-        for one, two in zip(*outputs):
-            assert np.array_equal(one, two)
 
     def test_out_of_band_modes_are_not_read(self):
         # samples with content outside the band: the forward transform keeps
@@ -453,6 +439,34 @@ def assert_kernel_bits(g, got, tables, unpruned):
     assert np.array_equal(u, unpruned[2]) and np.array_equal(omega, unpruned[3])
 
 
+class TestPasses:
+    """The 1-D passes are numpy.fft's, run in place through ``out``; each
+    equals scipy.fft's pass, the transform of the oracles in ``reference``,
+    bit for bit, on the strided views the routes pass them."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 22, 24, 32, 46, 48, 64, 96])
+    def test_equal_to_scipys_passes(self, n):
+        rng = np.random.default_rng(n)
+        h = n // 2 + 1
+        shape = (2 if n < 96 else 1, n, n, h)
+        whole = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for inverse, transform, norm in ((False, scipy_fft.fft, "backward"),
+                                         (True, scipy_fft.ifft, "forward")):
+            for axis in (-1, -2, -3):
+                for view in (np.s_[...], np.s_[..., : h - 2], np.s_[:, 1 : n - 1, ::2]):
+                    work = whole.copy()
+                    lines = work[view]
+                    want = transform(lines, axis=axis, norm=norm)
+                    spec._complex_pass(lines, axis=axis, inverse=inverse)
+                    assert np.shares_memory(lines, work)
+                    assert lines.tobytes() == want.tobytes(), (inverse, axis, view)
+        samples = whole.real
+        assert (spec._fft.rfft(samples, axis=-1).tobytes()
+                == scipy_fft.rfft(samples, axis=-1).tobytes())
+        assert (spec._fft.irfft(whole, n=n, axis=-1, norm="forward").tobytes()
+                == scipy_fft.irfft(whole, n=n, axis=-1, norm="forward").tobytes())
+
+
 class CountingPasses:
     """Stands in for ``spectral._fft``; counts its calls by name."""
 
@@ -477,17 +491,15 @@ class TestKernelStream:
     table."""
 
     @pytest.mark.parametrize("n", [16, 22, 32, 48, 64, 96])
-    def test_bitwise_equal_to_the_whole_tables(self, monkeypatch, n):
+    def test_bitwise_equal_to_the_whole_tables(self, n):
         g = spec.Grid(n)
         U = init_random_divfree(g, 1, -3.0, 5.0)
         unpruned = reference.convective_core_unpruned(g, reference.to_half(U))
-        for threads in ("1", "2"):
-            monkeypatch.setenv("REGCRIT_THREADS", threads)
-            tables = reference.convective_core_tables(g, U.kept)
-            assert_kernel_bits(g, spec.convective_core_half(g, U.kept), tables, unpruned)
-            w_hat, u_max, u, omega = spec.convective_core_half(g, U.kept, samples=False)
-            assert w_hat.tobytes() == tables[0].tobytes(), threads
-            assert math.isnan(u_max) and u is None and omega is None, threads
+        tables = reference.convective_core_tables(g, U.kept)
+        assert_kernel_bits(g, spec.convective_core_half(g, U.kept), tables, unpruned)
+        w_hat, u_max, u, omega = spec.convective_core_half(g, U.kept, samples=False)
+        assert w_hat.tobytes() == tables[0].tobytes()
+        assert math.isnan(u_max) and u is None and omega is None
 
     @pytest.mark.parametrize("n, planes", [(48, 7), (22, 5), (32, 3)])
     def test_partial_last_slab(self, monkeypatch, n, planes):
