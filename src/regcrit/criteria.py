@@ -6,8 +6,10 @@ is :func:`monitor_columns`: one float column per name, one row per sample,
 with the running integrals and the Gronwall bound filled as whole columns
 after the run.  The monitor CSV is this table as is.  A row is built in two
 parts: :func:`grid_columns` reads the state's grid samples of u and curl u,
-and :func:`evaluate_sample` takes those columns and reads the rest from the
-spectrum, so the caller can free the samples before the identity quadrature.
+and :func:`evaluate_sample` takes those columns and the state's identity
+quadrature and reads the rest from the spectrum, so the caller decides when
+the samples and the quadrature exist (``solver.run`` frees the samples
+before it, and from step 1 on takes the quadrature before the samples).
 
 Monitored quantities per sample:
 
@@ -304,9 +306,12 @@ def log_factor(x):
 
 def _chan_vasseur(mag: np.ndarray, cell_volume: float) -> float:
     """Pointwise-log integrand: dx^3 * sum |u|^5 / ln(e + |u|); overflow is
-    +inf."""
+    +inf.  The log and the quotient are taken in place: two grid fields."""
     with np.errstate(over="ignore"):
-        return float(np.sum(mag**5 / np.log(E + mag)) * cell_volume)
+        num = mag**5
+        den = np.add(E, mag)
+        np.log(den, out=den)
+        return float(np.sum(np.divide(num, den, out=num)) * cell_volume)
 
 
 def accumulate(series: MonitorSeries) -> MonitorSeries:
@@ -362,7 +367,9 @@ class HessianQuadrature:
     of one state's derivative table."""
 
     rhs: float  # quadrature side of the H^2 identity
-    hessian: np.ndarray  # pointwise Frobenius magnitude |grad^2 u|, shape (n, n, n)
+    # pointwise Frobenius magnitude |grad^2 u|, shape (n, n, n); None when
+    # not asked for
+    hessian: np.ndarray | None
 
 
 def _gram(x_rows, y_rows, acc: np.ndarray, tmp: np.ndarray) -> None:
@@ -412,7 +419,7 @@ def _s_rows(hess) -> list[list[np.ndarray]]:
     return [[hess[i][j][l] for j in range(3) for l in range(3)] for i in range(3)]
 
 
-def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
+def hessian_quadrature(u_hat: SpectralVelocityField, magnitude: bool = True) -> HessianQuadrature:
     """Stream the state's first and second derivatives once and contract
     them.
 
@@ -432,14 +439,22 @@ def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
     lines, about 12 grid fields, since ``(2m+1) (m+1)`` is about
     ``2 n^2 / 9``) only one slab and |grad^2 u| are live.  Only the right
     side and |grad^2 u| outlive the call.
+
+    With ``magnitude=False`` the trace is not summed and |grad^2 u| is None,
+    so no grid field is allocated.  ``solver.run`` reads only the right
+    side and holds the result across a stage-1 term; a grid field held
+    there split the heap so that glibc trimmed it and the stage-1 term
+    faulted its pages in again every few steps (a monitor-n32 ``simulate``
+    took 39.5k minor faults, against 9.3k without the field, measured with
+    getrusage).  The right side is the same bit for bit.
     """
     g = u_hat.grid
-    hessian_sq = np.zeros(g.shape)
+    hessian_sq = np.zeros(g.shape) if magnitude else None
     acc = tmp = None
     t1 = t2 = 0.0
     for x0, x1, grads, hess in derivative_slabs(u_hat):
-        trace = hessian_sq[x0:x1].reshape(-1)
-        points = trace.size
+        points = (x1 - x0) * g.n * g.n
+        trace = hessian_sq[x0:x1].reshape(-1) if magnitude else None
         if acc is None:
             acc, tmp = np.empty(points), np.empty(points)
         t_rows = [[hess[i][j][l] for i in range(3) for j in range(3)] for l in range(3)]
@@ -448,7 +463,7 @@ def hessian_quadrature(u_hat: SpectralVelocityField) -> HessianQuadrature:
     w = g.cell_volume
     return HessianQuadrature(
         rhs=-2.0 * (w * t1) - w * t2,
-        hessian=np.sqrt(hessian_sq, out=hessian_sq),
+        hessian=np.sqrt(hessian_sq, out=hessian_sq) if magnitude else None,
     )
 
 
@@ -657,7 +672,7 @@ def evaluate_sample(
     mu: float,
     rhs_hat: SpectralVelocityField,
     columns: dict[str, float],
-    with_identity: bool,
+    with_identity: HessianQuadrature | None,
 ) -> dict[str, float]:
     """One row of the monitor table: every functional on one state, keyed by
     :func:`monitor_columns`.
@@ -668,8 +683,14 @@ def evaluate_sample(
     viscosity.  ``rhs_hat`` is the projected convective term of the same
     state, from the stepper's stage-1 evaluation; it feeds the spectral time
     derivative of the H^2 seminorm and the identity check.
-    ``with_identity=False`` skips the identity quadrature, and its residual
-    is NaN.  The running integrals and ``gronwall_bound`` are NaN until
+
+    ``with_identity`` is the state's :func:`hessian_quadrature`, or None to
+    skip the identity check, whose residual is then NaN.  This function
+    takes no quadrature itself: ``solver.run`` alone schedules it, where in
+    a step it costs least memory.  The parameter keeps its name, and a
+    quadrature is truthy, because the benchmark's tracer binds it by name
+    and reads its truth value to tell the samples that check the identity.
+    The running integrals and ``gronwall_bound`` are NaN until
     :func:`accumulate` and :func:`attach_gronwall` fill them.
     """
     g = u_hat.grid
@@ -679,12 +700,10 @@ def evaluate_sample(
     power = np.abs(u_hat.kept) ** 2
     energy = parseval_sum(g, power)
     sob = {m: _norms.sobolev_seminorm(g, power, m) for m in (1, 2, 3)}
-    if with_identity:
-        residual = h2_identity_residual(
-            u_hat, mu, rhs_hat, hessian_quadrature(u_hat), sob[3]
-        )["residual"]
-    else:
+    if with_identity is None:
         residual = math.nan
+    else:
+        residual = h2_identity_residual(u_hat, mu, rhs_hat, with_identity, sob[3])["residual"]
 
     row.update(
         t=t,

@@ -32,13 +32,16 @@ def _check_exponent(p: float) -> float:
 
 
 def _scaled_lp(magnitude: np.ndarray, p: float, cell_volume: float) -> float:
-    """(dx^3 * sum m^p)^(1/p), evaluated in scaled form to dodge overflow."""
+    """(dx^3 * sum m^p)^(1/p), evaluated in scaled form to dodge overflow;
+    the power is taken in place, so the call holds one grid field."""
     if math.isinf(p):
         return float(magnitude.max(initial=0.0))
     peak = float(magnitude.max(initial=0.0))
     if peak == 0.0:
         return 0.0
-    s = np.sum((magnitude / peak) ** p) * cell_volume
+    scaled = magnitude / peak
+    scaled **= p
+    s = np.sum(scaled) * cell_volume
     return float(peak * s ** (1.0 / p))
 
 

@@ -19,7 +19,14 @@ the initial field before it writes anything, and every step re-checks it on
 the current field.  Only the stage-1 term of a step takes grid samples: its
 max of |u| feeds that check, and its samples of u and omega feed that
 step's monitor sample and snapshot; stages 2-4 take none, and so hold no
-whole grid table.
+whole grid table.  A sample that checks the H^2 identity also needs the
+state's Hessian quadrature, whose x-pass table is the largest array of a
+run: from step 1 on :func:`run` takes it before the stage-1 term, so the
+table is never allocated on top of what that term and its samples leave
+on the heap, and it asks for the right side alone, so no grid field of
+the quadrature outlives it.  At step 0 the stage-1 term checks the
+initial field first, and the quadrature follows once the samples are
+freed.
 """
 
 from __future__ import annotations
@@ -370,6 +377,13 @@ def run(
     UnstableTimestep, before any sample or snapshot, when dt breaks the
     advective CFL bound on the initial field, and InitialFieldOutOfRange
     when that field's grid max of |u| is not finite.
+
+    A step runs, in order: the identity quadrature of a sample that checks
+    the identity (from step 1 on), the stage-1 term with its grid samples,
+    the snapshot, the grid columns, then, the samples freed, step 0's
+    quadrature, the monitor row, and the RK stages.  This function is the
+    only caller of the quadrature in a run, and
+    :func:`criteria.evaluate_sample` takes its result.
     """
     state = SolverState(t=0.0, u_hat=make_initial(config))
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
@@ -380,6 +394,17 @@ def run(
         for i in range(n_steps + 1):
             final = i == n_steps
             u_kept = state.u_hat.kept
+            sample_due = state.step_index % config.monitor_stride == 0 or final
+            identity_due = sample_due and (
+                state.step_index % monitors.identity_stride == 0 or final
+            )
+            # from step 1 on, the identity quadrature runs first, while the
+            # stage-1 term, its samples and its right-hand side do not exist:
+            # its table then reuses the heap the last step freed instead of
+            # growing it (module docstring)
+            quad = None
+            if identity_due and i > 0:
+                quad = _criteria.hessian_quadrature(state.u_hat, magnitude=False)
             # the stage-1 term doubles as the monitors' time derivative, and
             # its grid samples of u and omega serve the sample and the snapshot
             with np.errstate(over="ignore", invalid="ignore"):
@@ -397,16 +422,16 @@ def run(
                 )
             if sink is not None and (state.step_index % config.snapshot_stride == 0 or final):
                 sink.snapshot(state.step_index, state.t, VelocityField(g, u_phys))
-            sample_due = state.step_index % config.monitor_stride == 0 or final
             if sample_due:
                 columns = _criteria.grid_columns(
                     monitors.pairs, VelocityField(g, u_phys), VelocityField(g, omega)
                 )
-            # the samples are freed here, before the identity quadrature and
-            # before the RK stages
+            # the samples are freed here, before step 0's identity quadrature
+            # and before the RK stages
             del u_phys, omega
             if sample_due:
-                with_identity = state.step_index % monitors.identity_stride == 0 or final
+                if identity_due and i == 0:
+                    quad = _criteria.hessian_quadrature(state.u_hat, magnitude=False)
                 series.append(
                     _criteria.evaluate_sample(
                         state.u_hat,
@@ -415,7 +440,7 @@ def run(
                         mu=config.mu,
                         rhs_hat=SpectralVelocityField(g, nl),
                         columns=columns,
-                        with_identity=with_identity,
+                        with_identity=quad,
                     )
                 )
             if final:

@@ -37,9 +37,11 @@ Conventions, fixed once for the whole package:
   nonlinear term and the pressure alike) is an unscaled real pass along z,
   the ``1/n**3`` scale on the kept kz planes, x on those planes, y on the
   two kept x-slabs, then a gather of the compact cube, which for a product
-  is its dealiasing.  The inverse is one stream, :func:`inverse_slabs`: an
-  x pass over the compact lines ``(..., n, 2m+1, m+1)``, every dropped kx
-  row zero, then, one x-slab of ``b`` planes at a time, the y pass on the
+  is its dealiasing; :func:`fft_forward` takes a velocity field one
+  component at a time, so its workspace is one field's half spectrum.
+  The inverse is one stream, :func:`inverse_slabs`: an x pass over the
+  compact lines ``(..., n, 2m+1, m+1)``, every dropped kx row zero, then,
+  one x-slab of ``b`` planes at a time, the y pass on the
   kept kz planes and the real z pass, in one ``(..., b, n, n/2 + 1)``
   workspace allocated per call.  :func:`inverse_kept` drains the stream
   into a whole table.  A state's derivatives stream through
@@ -287,8 +289,10 @@ class VelocityField:
         )
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude of the 3-vector."""
-        return np.sqrt(np.einsum("cxyz,cxyz->xyz", self.values, self.values))
+        """Pointwise Euclidean magnitude of the 3-vector, its square root
+        taken in place: one grid field."""
+        mag = np.einsum("cxyz,cxyz->xyz", self.values, self.values)
+        return np.sqrt(mag, out=mag)
 
 
 @dataclass
@@ -328,18 +332,27 @@ def parseval_sum(grid: Grid, density: np.ndarray) -> float:
 def fft_forward(f):
     """Transform a real field to spectral space (k = 0 coefficient = mean),
     keeping the modes the 2/3 rule keeps: the real pass along z, then
-    :func:`_forward_kept`.  ``f`` is not modified."""
+    :func:`_forward_kept`.  A velocity field is transformed one component
+    at a time through one ``(n, n, n/2 + 1)`` workspace, so beside the
+    samples and the result the call holds one field's half spectrum, not
+    three; every line sees the same passes, so the result is bit for bit
+    that of the three at once.  ``f`` is not modified."""
     if isinstance(f, RealScalarField):
         kind = SpectralScalarField
     elif isinstance(f, VelocityField):
         kind = SpectralVelocityField
     else:
         raise TypeError(f"cannot transform {type(f).__name__}")
+    g = f.grid
+    fields = f.values.reshape((-1,) + g.shape)
+    out = np.empty((len(fields),) + g.kept_shape, dtype=np.complex128)
     # numpy's rfft lays its output out as its input, and a snapshot's samples
     # are x-fastest; _forward_kept views the kz planes as C-ordered doubles
-    half = np.empty(f.values.shape[:-1] + (f.grid.half,), dtype=np.complex128)
-    _fft.rfft(f.values, axis=-1, out=half)
-    return kind(f.grid, _forward_kept(f.grid, half))
+    half = np.empty(g.shape[:-1] + (g.half,), dtype=np.complex128)
+    for c, values in enumerate(fields):
+        _fft.rfft(values, axis=-1, out=half)
+        _forward_kept(g, half, out[c])
+    return kind(g, out.reshape(f.values.shape[:-3] + g.kept_shape))
 
 
 def divergence(U: SpectralVelocityField) -> SpectralScalarField:
@@ -351,14 +364,23 @@ def divergence(U: SpectralVelocityField) -> SpectralScalarField:
 def project_kept(grid: Grid, kept: np.ndarray, negate: bool = False) -> None:
     """In place on the 3-component compact cube ``kept``:
     u <- (I - k k^T/|k|^2) u, or its negative when ``negate``.  With
-    s = (k . u)/|k|^2, that is u - k s (k s - u when negated)."""
+    s = (k . u)/|k|^2, that is u - k s (k s - u when negated).  ``s`` and
+    each product ``k_c s`` are formed in two scalar compact cubes of
+    scratch, with no 3-component temporary."""
     k = grid.wavevector
-    u, v, w = kept
-    s = (k[0] * u + k[1] * v + k[2] * w) * grid.inv_k_squared
-    if negate:
-        np.subtract(k * s, kept, out=kept)
-    else:
-        np.subtract(kept, k * s, out=kept)
+    s, ks = np.empty((2,) + grid.kept_shape, dtype=np.complex128)
+    # s = (k0 u + k1 v + k2 w) / |k|^2, summed left to right
+    np.multiply(k[0], kept[0], out=s)
+    for c in (1, 2):
+        np.multiply(k[c], kept[c], out=ks)
+        s += ks
+    s *= grid.inv_k_squared
+    for c in range(3):
+        np.multiply(k[c], s, out=ks)
+        if negate:
+            np.subtract(ks, kept[c], out=kept[c])
+        else:
+            np.subtract(kept[c], ks, out=kept[c])
 
 
 def leray_project(U: SpectralVelocityField) -> SpectralVelocityField:
@@ -380,7 +402,7 @@ def _complex_pass(lines: np.ndarray, axis: int, inverse: bool) -> None:
     transform(lines, axis=axis, norm=norm, out=lines)
 
 
-def _forward_kept(grid: Grid, half: np.ndarray) -> np.ndarray:
+def _forward_kept(grid: Grid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The compact cube of the grid samples whose unscaled real pass along
     z, ``rfft(samples, axis=-1)`` of shape ``(..., n, n, n/2 + 1)``, is
     ``half``: the forward transform cut to the kept modes, by pruned 1-D
@@ -388,9 +410,9 @@ def _forward_kept(grid: Grid, half: np.ndarray) -> np.ndarray:
     with its scaling point.  The ``1/n**3`` scale on the kept kz planes
     (``rfftn`` scales right after its z pass), x on those planes and y on
     the two kept x-slabs, then a gather of the 4 blocks of kept modes, one
-    per pair of kept x and y slabs; the lines skipped are those a full
-    ``rfftn`` writes only to be cut, so the result equals its kept modes bit
-    for bit, signs of zeros included."""
+    per pair of kept x and y slabs, into ``out`` when given; the lines
+    skipped are those a full ``rfftn`` writes only to be cut, so the result
+    equals its kept modes bit for bit, signs of zeros included."""
     n, m = grid.n, grid.kept_max
     lo, hi = grid.kept_slabs
     kept_planes = half[..., lo].view(np.float64)
@@ -398,7 +420,8 @@ def _forward_kept(grid: Grid, half: np.ndarray) -> np.ndarray:
     _complex_pass(half[..., lo], axis=-3, inverse=False)
     for sx in (lo, hi):
         _complex_pass(half[..., sx, :, lo], axis=-2, inverse=False)
-    out = np.empty(half.shape[:-3] + grid.kept_shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(half.shape[:-3] + grid.kept_shape, dtype=np.complex128)
     pairs = ((lo, slice(0, m + 1)), (hi, slice(m + 1, 2 * m + 1)))
     for sx, cx in pairs:
         for sy, cy in pairs:
@@ -538,6 +561,24 @@ def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     return inverse_kept(U.grid, spectra)
 
 
+def _velocity_and_curl(grid: Grid, kept: np.ndarray):
+    """The compact spectra of [u, omega] for :func:`_x_pass`: ``kept``, then
+    each component of omega = curl u, i (k_a u_d - k_d u_a) with (a, d)
+    cyclic after c, as a ``(1, 2m+1, 2m+1, m+1)`` view of one buffer that
+    the next component overwrites, so it must be consumed lazily, each
+    part copied before the next is asked for (as :func:`_x_pass` does)."""
+    yield kept
+    k = grid.wavevector
+    comp, scratch = np.empty((2, 1) + grid.kept_shape, dtype=np.complex128)
+    for c in range(3):
+        a, d = (c + 1) % 3, (c + 2) % 3
+        np.multiply(k[a], kept[d], out=comp[0])
+        np.multiply(k[d], kept[a], out=scratch[0])
+        comp -= scratch
+        comp *= 1j
+        yield comp
+
+
 def convective_core_half(
     grid: Grid, kept: np.ndarray, samples: bool = True
 ) -> tuple[np.ndarray, float, np.ndarray | None, np.ndarray | None]:
@@ -554,8 +595,10 @@ def convective_core_half(
     the max is NaN, the samples are None and no grid table is formed.
 
     One slab loop serves both: per x-slab of the stream of [u, omega]
-    (:func:`inverse_slabs`'s passes, with no concatenated spectrum, in
-    slabs of ``_slab_planes(n, _KERNEL_POINTS)`` planes), the product is
+    (:func:`inverse_slabs`'s passes, with no concatenated spectrum: the x
+    pass takes omega's spectrum one component at a time from one
+    compact-cube buffer, :func:`_velocity_and_curl`; in slabs of
+    ``_slab_planes(n, _KERNEL_POINTS)`` planes), the product is
     formed in slab buffers and taken through the real pass along z, whose
     kept kz planes go into one ``(3, n, n, m + 1)`` workspace for
     :func:`_forward_kept`, the route of :func:`fft_forward`.  With
@@ -567,11 +610,7 @@ def convective_core_half(
     benchmark traces the nonlinear term by it.
     """
     n, m = grid.n, grid.kept_max
-    kx, ky, kz = grid.wavevector
-    u, v, w = kept
-    omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
-    lines = _x_pass(grid, (kept, omega_hat), 6)
-    del omega_hat
+    lines = _x_pass(grid, _velocity_and_curl(grid, kept), 6)
     b = _slab_planes(n, _KERNEL_POINTS)
     cross = np.empty((3, b, n, n))
     tmp = np.empty((b, n, n))

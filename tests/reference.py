@@ -25,9 +25,13 @@ tables and the kernel :func:`convective_core_tables`) is the route the
 package's slab streams replaced, and :func:`slab_quadrature` sums the
 unpruned tables slab by slab as the package's quadrature does.
 :func:`snapshot_payload` is the snapshot writer's earlier encoding.
+
+:func:`traced_peak` is the one memory probe of the tests: tracemalloc sees
+every numpy buffer, so its peaks do not depend on the allocator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import fft as _fft
@@ -621,3 +625,16 @@ def drawn_field_full(grid: spec.Grid, seed: int, spectrum_slope: float) -> np.nd
         coeffs[c][ix[own], iy[own], iz[own]] = vals[own]
         coeffs[c][mx[mirror], my[mirror], mz[mirror]] = np.conj(vals[mirror])
     return leray_project_full(grid, coeffs)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced memory, in bytes, of the call ``fn(*args)`` above what was
+    traced when it started.  Call ``fn`` once before, so that one-time
+    allocations (a grid's cached tables, FFT plans) fall outside it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

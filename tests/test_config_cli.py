@@ -8,7 +8,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -509,12 +508,10 @@ output.dir = out{i}
                 f"grid.n = 16\nfluid.mu = 0.1\ncalibration.seeds = 0..{seeds - 1}\n"
                 f"calibration.p = 5,6\noutput.dir = out{seeds}\n",
             )
-            tracemalloc.start()
-            try:
-                assert cli.main(["calibrate", cfg]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            codes = []
+            peak = reference.traced_peak(lambda: codes.append(cli.main(["calibrate", cfg])))
+            assert codes == [0]
+            return peak
 
         peak(2)  # first-call allocations (imports, caches) land here
         assert peak(8) - peak(2) < field_bytes
@@ -1101,24 +1098,15 @@ class TestSharedQuadrature:
         manifest = cli.RunManifest.from_json((tmp_path / "run" / "manifest.json").read_text())
         assert len(manifest.snapshots) == 3
 
-        def traced_peak(fn, *args):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                fn(*args)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         path = str(tmp_path / "run" / manifest.snapshots[0])
-        quadrature = traced_peak(
+        quadrature = reference.traced_peak(
             lambda: criteria.hessian_quadrature(spectral.fft_forward(snap.read_snapshot(path)[0]))
         )
         g = spectral.Grid(n)
         compact = math.prod(g.kept_shape) * 8
         held = 8 * n**3 + 2 * 3 * compact * 2 + 4 * compact
         cli.run_checks(rundir)  # FFT plans of the first call
-        assert traced_peak(cli.run_checks, rundir) <= quadrature + held
+        assert reference.traced_peak(cli.run_checks, rundir) <= quadrature + held
 
     def test_calibrate_builds_one_hessian_per_field(self, tmp_path, monkeypatch):
         k = 3

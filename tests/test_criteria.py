@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,9 +50,8 @@ def sample(U, pairs, with_identity=False):
     """One monitor row of the state U, by the route solver.run takes."""
     mon = crit.CriterionConfig(pairs=tuple(pairs))
     columns = crit.grid_columns(mon.pairs, *kernel_samples(U))
-    return crit.evaluate_sample(
-        U, 0.0, mon, 0.1, solv.nonlinear_rhs(U), columns, with_identity
-    )
+    quad = crit.hessian_quadrature(U) if with_identity else None
+    return crit.evaluate_sample(U, 0.0, mon, 0.1, solv.nonlinear_rhs(U), columns, quad)
 
 
 def sob(U, m):
@@ -124,6 +122,18 @@ class TestIntegrands:
 
     def test_serrin_zero_field(self):
         assert sample(constant_spectral(Grid(8), 0.0), [SIX])["serrin_p6_s4"] == 0.0
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_grid_columns_peak_memory(self, n):
+        # |u| and at most two fields beside it: |omega|, or the numerator and
+        # the log of the Chan-Vasseur integrand, each taken in place.
+        # Measured 3.01, 3.00 and 3.00 fields at n = 32, 48 and 64; 4.0 when
+        # the integrand, the norms and |omega| held temporaries
+        U = solv.init_random_divfree(Grid(n), 1, -3.0, 5.0)
+        u, omega = kernel_samples(U)
+        crit.grid_columns((SIX, FIVE), u, omega)
+        peak = reference.traced_peak(crit.grid_columns, (SIX, FIVE), u, omega)
+        assert peak <= 3.1 * 8 * n**3
 
     def test_log_serrin_denominator_hits_three(self):
         c = E**2 - E  # makes 1 + ln(e + c) = 3
@@ -266,18 +276,6 @@ def assert_hessian_matches(quad, U):
     np.testing.assert_allclose(quad.hessian, ref, rtol=1e-12, atol=1e-12 * ref.max())
 
 
-def traced_peak_fields(fn, U):
-    """Peak tracemalloc growth of fn(U), in n^3 float64 fields."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(U)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - base) / (8 * U.grid.n**3)
-
-
 def quadrature_states(n):
     g = Grid(n)
     states = [solv.init_random_divfree(g, seed, -2.0, 1.0) for seed in (0, 1, 2)]
@@ -348,8 +346,20 @@ class TestHessianQuadrature:
         # The whole tables peaked at 34 / 25, the 27-entry route at 64 each.
         U = solv.init_random_divfree(Grid(n), 1, -2.0, 1.0)
         bound = {16: (62, 41), 32: (20, 13.5), 64: (16, 11)}[n]
-        assert traced_peak_fields(crit.hessian_quadrature, U) <= bound[0]
-        assert traced_peak_fields(crit.hessian_magnitude, U) <= bound[1]
+        field = 8 * n**3
+        assert reference.traced_peak(crit.hessian_quadrature, U) <= bound[0] * field
+        assert reference.traced_peak(crit.hessian_magnitude, U) <= bound[1] * field
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_right_side_alone(self, n):
+        # without |grad^2 u| the right side is the same bit for bit, and the
+        # call allocates no grid field for the trace
+        U = solv.init_random_divfree(Grid(n), 1, -2.0, 1.0)
+        alone, both = crit.hessian_quadrature(U, magnitude=False), crit.hessian_quadrature(U)
+        assert alone.hessian is None and alone.rhs == both.rhs
+        with_magnitude = reference.traced_peak(crit.hessian_quadrature, U)
+        without = reference.traced_peak(crit.hessian_quadrature, U, False)
+        assert without <= with_magnitude - 8 * n**3
 
     def test_taylor_green_rhs_vanishes(self):
         U = solv.init_taylor_green(Grid(16), 1.0)

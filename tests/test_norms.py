@@ -100,6 +100,17 @@ class TestLpNorm:
         assert v == pytest.approx(1.0513, abs=2e-3)
 
 
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_power_taken_in_place(self, n):
+        # the scaled magnitude is raised to p in place: one field; with the
+        # power in a second array the norm peaked at 2.0 fields
+        g = Grid(n)
+        mag = to_physical(init_random_divfree(g, 1, -3.0, 5.0)).magnitude()
+        for p in (2.0, 10.0 / 3.0, 5.0, 6.0):
+            norms.lp_norm(g, mag, p)
+            assert reference.traced_peak(norms.lp_norm, g, mag, p) <= 1.1 * 8 * n**3
+
+
 class TestSobolev:
     def test_m0_matches_l2(self):
         g = Grid(16)

@@ -1,7 +1,6 @@
 """Snapshot format: bit-exact round trip, header layout, storage order."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,13 +96,10 @@ def test_read_holds_the_payload_once(tmp_path, n):
     path = tmp_path / "snap.bin"
     snap.write_snapshot(path, field, time=0.5)
     payload = 3 * n**3 * 8
-    tracemalloc.start()
-    try:
-        back, _ = snap.read_snapshot(path, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    read = []
+    peak = reference.traced_peak(lambda: read.append(snap.read_snapshot(path, g)))
     assert peak <= 1.25 * payload + 65536
+    back, _ = read[0]
     assert back.values.tobytes() == field.values.tobytes()
     assert back.values.base is not None and back.values.base.nbytes == payload
     assert back.values.strides == (n**3 * 8, 8, n * 8, n * n * 8)

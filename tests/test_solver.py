@@ -492,14 +492,52 @@ class TestTransformCount:
                 samples.append(weakref.ref(out[2].base))
             return out
 
-        def checking_quadrature(u_hat):
+        def checking_quadrature(u_hat, **kwargs):
             alive.append(samples[-1]() is not None)
-            return quadrature(u_hat)
+            return quadrature(u_hat, **kwargs)
 
         monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
         monkeypatch.setattr(crit, "hessian_quadrature", checking_quadrature)
         solv.run(cfg, basic_monitors(), solv.RunSink())
         assert alive == [False, False, False]
+
+    def test_quadrature_runs_before_the_stage_one_term_from_step_one(self, monkeypatch):
+        # step 0's stage-1 term checks the initial field before its
+        # quadrature runs; from step 1 on, a sampled state's quadrature runs
+        # before its stage-1 term, and the identity stride still picks the
+        # states that check the identity: steps 0, 2 and the final step 3
+        cfg = solv.SolverConfig(
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=3e-2,
+            init=solv.InitSpec("random_divfree", seed=2),
+        )
+        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), identity_stride=2)
+        kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
+        calls, quads = [], []
+
+        def recording_kernel(grid, kept, samples=True):
+            calls.append("stage 1" if samples else "stage")
+            return kernel(grid, kept, samples)
+
+        def recording_quadrature(u_hat, **kwargs):
+            calls.append("quadrature")
+            quads.append(quadrature(u_hat, **kwargs))
+            return quads[-1]
+
+        monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
+        monkeypatch.setattr(crit, "hessian_quadrature", recording_quadrature)
+        series = solv.run(cfg, monitors, solv.RunSink())
+        later = ["stage"] * 3
+        assert calls == (
+            ["stage 1", "quadrature", *later]
+            + ["stage 1", *later]
+            + ["quadrature", "stage 1", *later]
+            + ["quadrature", "stage 1"]
+        )
+        residual = series.column("identity_residual")
+        assert np.isnan(residual[1]) and (residual[[0, 2, 3]] <= 1e-8).all()
+        # run() reads only the right side: no grid field of a quadrature is
+        # held across the stage-1 term
+        assert [q.hessian for q in quads] == [None] * 3
 
     def test_stage_one_samples_freed_before_the_rk_stages(self, monkeypatch):
         # steps 0 and 2 take a sample and a snapshot, steps 1 and 3 only a
