@@ -435,10 +435,10 @@ def hessian_quadrature(u_hat: SpectralVelocityField, magnitude: bool = True) -> 
     and are contracted one x-slab at a time, while the slab is in cache;
     each inner product is the sum of its per-slab sums in x order, and
     |grad^2 u| is written slab by slab.  The whole tables never exist:
-    besides the x-passed spectra (27 fields of ``n (2m+1) (m+1)`` complex
-    lines, about 12 grid fields, since ``(2m+1) (m+1)`` is about
-    ``2 n^2 / 9``) only one slab and |grad^2 u| are live.  Only the right
-    side and |grad^2 u| outlive the call.
+    besides the x-passed spectra (the 9 fields (i k_x)^alpha u_c of ``n
+    (2m+1) (m+1)`` complex lines, about 4 grid fields, since ``(2m+1) (m+1)`` is
+    about ``2 n^2 / 9``) only one slab and |grad^2 u| are live.  Only the
+    right side and |grad^2 u| outlive the call.
 
     With ``magnitude=False`` the trace is not summed and |grad^2 u| is None,
     so no grid field is allocated.  ``solver.run`` reads only the right

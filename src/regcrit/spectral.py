@@ -45,21 +45,31 @@ Conventions, fixed once for the whole package:
   kept kz planes and the real z pass, in one ``(..., b, n, n/2 + 1)``
   workspace allocated per call.  :func:`inverse_kept` drains the stream
   into a whole table.  A state's derivatives stream through
-  :func:`derivative_slabs`, the only code that knows their layout (9
-  gradient fields, then 18 Hessian fields, one per pair of
-  :data:`HESSIAN_PAIRS` and component); it hands out per-slab views indexed
+  :func:`derivative_slabs`, the only code, with its helper
+  :func:`_derivative_blocks`, that knows their layout (9 gradient fields,
+  then 18 Hessian fields, one per pair of :data:`HESSIAN_PAIRS` and
+  component); it hands out per-slab views indexed
   ``grads[a][c]`` and ``hess[i][j][c]``, so the Hessian quadrature and
   ``|grad^2 u|`` contract each slab while it is in cache and never hold
-  the whole derivative tables.  A slab is ``b = max(1, P // n**2)``
-  planes (at most n): about P grid points, or one plane once ``n**2`` is
-  larger (:func:`_slab_planes`).  There are two rules for P:
+  the whole derivative tables.  Since k_y and k_z are constant along x,
+  its x pass runs over only the 9 spectra (i k_x)^alpha u_c, alpha = 0,
+  1, 2, and each derivative field is one spectrum's x-passed lines times
+  its i k_y and i k_z factors, formed one x-slab at a time in a compact
+  buffer that is then scattered into the workspace; so the x-passed table
+  holds 9 fields, not 27 (28 MB, not 84, at n = 96), and the fields equal
+  those of the whole factors applied before the x pass to roundoff, not
+  bit for bit.  A slab is
+  ``b = max(1, P // n**2)`` planes (at most n): about P grid points, or
+  one plane once ``n**2`` is larger (:func:`_slab_planes`).  There are two
+  rules for P:
 
   - the derivative streams take P = 2048.  The 27 fields of a
     quadrature's slab then fit in L2 at small n, and the stream's buffers
-    have one size per grid, which glibc's malloc reuses instead of handing
-    pages back to the kernel to be faulted in again; slabs of 8192 points
-    more than doubled the minor page faults of an n = 32 calibrate over
-    whole tables
+    have one size per grid; slabs of 8192 points more than doubled the
+    minor page faults of an n = 32 calibrate over whole tables.  Whether
+    freed buffers are reused or handed back to the kernel, to be faulted
+    in again, is glibc's choice, which ``cli.main`` fixes
+    (``cli._fix_malloc_thresholds``)
   - the nonlinear term takes P = 16384: 16 planes at n = 32, 4 at n = 64,
     1 at n = 96.  Its slab holds 6 fields, not 27, and each slab pays a
     fixed cost in Python calls for its product and its two passes, which
@@ -91,7 +101,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy import fft as _fft
@@ -450,22 +460,44 @@ def _x_pass(grid: Grid, parts, fields: int) -> np.ndarray:
     return lines
 
 
-def _slabs(grid: Grid, lines: np.ndarray, b: int):
+def _slabs(grid: Grid, lines: np.ndarray, b: int, blocks=None):
     """Yield ``(x0, x1, samples)``: the grid samples of the x-passed
     ``lines`` on the planes ``x0 <= x < x1``, shape ``(fields, x1 - x0, n,
     n)``, one slab of at most ``b`` planes at a time in x order.  Each slab
     is scattered onto the kept kz planes of one workspace, whose other
     planes stay zero (the real pass does not write its input), and run
-    through the y pass there and the real z pass."""
+    through the y pass there and the real z pass.
+
+    Without ``blocks`` the fields are the lines themselves.  Otherwise each
+    block ``(out, src, factor)`` makes the fields ``out`` from the lines
+    ``src``, the blocks' ``out`` ranges following one another from field 0,
+    in a compact slab buffer before the scatter: a copy when
+    ``factor`` is None, else, for ``factor`` of shape ``(K, 2m+1, m+1)`` on
+    the kept (ky, kz) lines, constant along x, the fields ``factor[d] *
+    lines[src][c]`` in (d, c) order, by one broadcast multiply."""
     n, m = grid.n, grid.kept_max
-    work = np.zeros((len(lines), b, n, grid.half), dtype=np.complex128)
+    fields = len(lines) if blocks is None else blocks[-1][0].stop
+    if blocks is not None:
+        formed = np.empty((fields, b) + lines.shape[2:], dtype=np.complex128)
+    work = np.zeros((fields, b, n, grid.half), dtype=np.complex128)
     for x0 in range(0, n, b):
         x1 = min(x0 + b, n)
+        if blocks is None:
+            kept = lines[:, x0:x1]
+        else:
+            kept = formed[:, : x1 - x0]
+            for out, src, factor in blocks:
+                if factor is None:
+                    kept[out] = lines[src, x0:x1]
+                else:
+                    part = lines[src, x0:x1]
+                    np.multiply(factor[:, None, None], part,
+                                out=kept[out].reshape((len(factor),) + part.shape))
         slab = work[:, : x1 - x0]
         planes = slab[..., : m + 1]
-        planes[:, :, : m + 1] = lines[:, x0:x1, : m + 1]
+        planes[:, :, : m + 1] = kept[:, :, : m + 1]
         planes[:, :, m + 1 : n - m] = 0.0
-        planes[:, :, n - m :] = lines[:, x0:x1, m + 1 :]
+        planes[:, :, n - m :] = kept[:, :, m + 1 :]
         _complex_pass(planes, axis=-2, inverse=True)
         yield x0, x1, _fft.irfft(slab, n=n, axis=-1, norm="forward")
 
@@ -508,19 +540,36 @@ PAIR = tuple(
 )
 
 
-def _derivative_spectra(U: SpectralVelocityField, gradients: bool = True):
-    """The compact spectra of the state's derivative fields, 3 components at
-    a time, for :func:`inverse_slabs`: when ``gradients``, first the 9
-    fields i k_a u_c of d u_c / d x_a, a = 0, 1, 2; then the 18 fields
-    -k_i k_j u_c of d^2 u_c / dx_i dx_j, one pair of :data:`HESSIAN_PAIRS`
+@lru_cache(maxsize=8)
+def _derivative_blocks(grid: Grid, gradients: bool) -> tuple:
+    """The ``blocks`` of :func:`_slabs` that make the derivative fields of
+    :func:`derivative_slabs` from the x-passed spectra (i k_x)^alpha u_c,
+    held as lines ``3 alpha + c``: when ``gradients``, first the 9 fields
+    of d u_c / d x_a = i k_a u_c, a = 0, 1, 2; then the 18 fields of
+    d^2 u_c / dx_i dx_j = -k_i k_j u_c, one pair of :data:`HESSIAN_PAIRS`
     at a time.  The Hessian is symmetric in (i, j), so the 6 pairs hold all
-    27 entries; :data:`PAIR` maps either order to its pair."""
-    k = U.grid.wavevector
-    if gradients:
-        for a in range(3):
-            yield (1j * k[a]) * U.kept
-    for i, j in HESSIAN_PAIRS:
-        yield (-k[i] * k[j]) * U.kept
+    27 entries; :data:`PAIR` maps either order to its pair.
+
+    A derivative along the axes ``axes`` reads the spectrum with alpha =
+    the count of x in ``axes``, times i k_a for each y or z axis a: a copy
+    for d/dx and d^2/dx^2, and i k_y, i k_z, -k_y^2, -k_y k_z or -k_z^2
+    else.  Consecutive derivatives that read one spectrum share a block.
+    Cached per grid: the factors are ``(2m+1, m+1)`` planes."""
+    k = grid.wavevector[:, 0]  # (kx, ky, kz) on the kept (ky, kz) lines
+    derivatives = ([(a,) for a in range(3)] if gradients else []) + list(HESSIAN_PAIRS)
+    runs = []  # [alpha, first field, factors]; no factors: a copy
+    for f, axes in enumerate(derivatives):
+        alpha = axes.count(0)
+        factors = [np.prod([1j * k[a] for a in axes if a], axis=0)] if alpha < len(axes) else []
+        if factors and runs and runs[-1][0] == alpha and runs[-1][2]:
+            runs[-1][2] += factors
+        else:
+            runs.append([alpha, 3 * f, factors])
+    return tuple(
+        (slice(first, first + 3 * max(1, len(fs))), slice(3 * alpha, 3 * alpha + 3),
+         np.stack(fs) if fs else None)
+        for alpha, first, fs in runs
+    )
 
 
 def derivative_slabs(U: SpectralVelocityField, gradients: bool = True):
@@ -532,13 +581,32 @@ def derivative_slabs(U: SpectralVelocityField, gradients: bool = True):
     points)`` array, or is None when ``gradients`` is false;
     ``hess[i][j]`` is the ``(3, points)`` array of d^2 u_c / dx_i dx_j,
     c = 0, 1, 2, and ``hess[i][j] is hess[j][i]``.  Both are views of one
-    slab of :func:`inverse_slabs`, new per slab; the stream holds 9 + 18
-    fields (18 without the gradients), one per Hessian pair and component,
-    and only this function knows that layout."""
+    slab, new per slab; the slab holds 9 + 18 fields (18 without the
+    gradients), one per Hessian pair and component, and only this function
+    and :func:`_derivative_blocks`, which lays them out, know that layout.
+
+    k_y and k_z are constant along x, so the x pass runs over only the 9
+    spectra (i k_x)^alpha u_c, alpha = 0, 1, 2 (:func:`_x_pass`), and each
+    derivative field's k_y and k_z factors are applied to the x-passed
+    lines one slab at a time, in :func:`_slabs` (:func:`_derivative_blocks`);
+    then the y and z passes of :func:`inverse_slabs`.  The x-passed table
+    is 9 fields, not 27.  d/dx and d^2/dx^2 take no factor after the x
+    pass and equal the full transforms bit for bit; the other fields differ
+    from those of the factors applied before the x pass by roundoff, at
+    most 4.7e-16 of the largest value on random states at n = 16 to 64."""
     g = U.grid
+    kx = g.wavevector[0]
+
+    def spectra():  # (i k_x)^alpha u_c, one alpha at a time
+        yield U.kept
+        yield (1j * kx) * U.kept
+        yield (-kx * kx) * U.kept
+
+    lines = _x_pass(g, spectra(), 9)
     pairs = len(HESSIAN_PAIRS)
     fields = (9 if gradients else 0) + 3 * pairs
-    for x0, x1, samples in inverse_slabs(g, _derivative_spectra(U, gradients), fields):
+    blocks = _derivative_blocks(g, gradients)
+    for x0, x1, samples in _slabs(g, lines, _slab_planes(g.n), blocks):
         rows = samples.reshape(fields, -1)
         grads = rows[:9].reshape(3, 3, -1) if gradients else None
         d2 = tuple(rows[fields - 3 * pairs :].reshape(pairs, 3, -1))
@@ -547,7 +615,9 @@ def derivative_slabs(U: SpectralVelocityField, gradients: bool = True):
 
 
 # no command calls these two: the quadratures stream the fields instead; they
-# are kept because the benchmark traces them by name
+# are kept because the benchmark traces them by name.  They apply each
+# field's whole wavenumber factor before the x pass, the route
+# :func:`derivative_slabs` factored.
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
     """The whole table d[a, c] = d u_c / dx_a, shape (3, 3, n, n, n)."""
     ik = 1j * U.grid.wavevector
@@ -557,7 +627,8 @@ def first_derivatives(U: SpectralVelocityField) -> np.ndarray:
 def second_derivatives(U: SpectralVelocityField) -> np.ndarray:
     """The whole pair table d2[PAIR[i][j], c] = d^2 u_c / dx_i dx_j, shape
     (6, 3, n, n, n)."""
-    spectra = np.stack(list(_derivative_spectra(U, gradients=False)))
+    k = U.grid.wavevector
+    spectra = np.stack([(-k[i] * k[j]) * U.kept for i, j in HESSIAN_PAIRS])
     return inverse_kept(U.grid, spectra)
 
 

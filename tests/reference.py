@@ -23,7 +23,9 @@ the half spectrum, where the package touches only the kept modes.  The
 whole-table pruned inverse (:func:`inverse_kept_whole`, with its derivative
 tables and the kernel :func:`convective_core_tables`) is the route the
 package's slab streams replaced, and :func:`slab_quadrature` sums the
-unpruned tables slab by slab as the package's quadrature does.
+unpruned tables slab by slab as the package's quadrature does.  The
+package's derivative stream applies its k_y and k_z factors after the x
+pass, so it is pinned to these routes to roundoff, not bitwise.
 :func:`snapshot_payload` is the snapshot writer's earlier encoding.
 
 :func:`traced_peak` is the one memory probe of the tests: tracemalloc sees

@@ -417,7 +417,7 @@ class TestTransformCount:
     def test_monitored_run_reuses_the_stage_one_samples(self, monkeypatch):
         # samples and snapshots every step: every transform of the run is one
         # of the 4 nonlinear terms of a step, the stage-1 term of the final
-        # sample, or the 27-field stream of a sample's identity quadrature
+        # sample, or the derivative stream of a sample's identity quadrature
         steps = 3
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=0.1, dt=1e-2, t_end=steps * 1e-2,
@@ -440,10 +440,11 @@ class TestTransformCount:
         series = solv.run(cfg, monitors, sink)
         calls, samples = 4 * steps + 1, steps + 1
         assert fft.counts == {"forward": 3 * calls, "inverse": 6 * calls + 27 * samples}
-        # the quadrature's stream: x on the kept (y, kz) lines of 27 fields,
-        # y on every line of their kept kz planes
+        # the quadrature's stream: x on the kept (y, kz) lines of the 9
+        # spectra k_x^alpha u_c, y on every line of the kept kz planes of
+        # the 27 derivative fields, then their real z pass
         m = (16 - 1) // 3
-        stream = {("ifft", "x"): 27 * (2 * m + 1) * (m + 1), ("ifft", "y"): 27 * 16 * (m + 1)}
+        stream = {("ifft", "x"): 9 * (2 * m + 1) * (m + 1), ("ifft", "y"): 27 * 16 * (m + 1)}
         assert fft.lines == {
             key: calls * lines + samples * stream.get(key, 0)
             for key, lines in pruned_lines(16).items()

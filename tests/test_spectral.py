@@ -65,6 +65,14 @@ def streamed_tables(U):
     return d1, d2
 
 
+def assert_roundoff(got, want):
+    """``got`` is ``want`` to roundoff: within 1e-15 of its largest value.
+    The stream applies the k_y and k_z factors after the x pass, where the
+    full transforms apply them before it; the two differ by at most 4.7e-16
+    of the largest value on the states of these tests."""
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def gradients(U):
     return streamed_tables(U)[0]
 
@@ -307,7 +315,59 @@ class TestFFT:
         assert spec.parseval_sum(g, np.abs(F.kept) ** 2) == pytest.approx(phys, rel=1e-12)
 
 
+def taylor_green_3d_derivative(grid, amplitude, c, axes):
+    """d u_c / dx_axes of the 3-D Taylor-Green vortex u = A (sin x cos y
+    cos z, -cos x sin y cos z, 0) on the grid, in closed form: each nonzero
+    component is a signed product of one of sin, cos, -sin, -cos per axis,
+    and each derivative along an axis moves that axis's factor one step on
+    in this cycle."""
+    if c == 2:
+        return np.zeros(grid.shape)
+    cycle = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+    sign, start = {0: (1.0, (0, 1, 1)), 1: (-1.0, (1, 0, 1))}[c]
+    out = np.full(grid.shape, sign * amplitude)
+    for a, x in enumerate(grid.meshes()):
+        out *= cycle[(start[a] + axes.count(a)) % 4](x)
+    return out
+
+
 class TestDerivatives:
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_taylor_green_3d_closed_form(self, n):
+        # every gradient and Hessian field of the stream, each with its own
+        # k_y and k_z factors, against its closed form.  The state is the
+        # vortex's exact compact cube: A/8 times -i sgn(kx) for u_0 and
+        # i sgn(ky) for u_1 on the 8 modes (+-1, +-1, +-1), whose kz = 1
+        # halves are stored.  The transform of the samples is that cube to
+        # roundoff (1.0e-15 of its largest value at n = 24), but its
+        # roundoff in the other kept modes, times k_i k_j, would reach
+        # 1.3e-14 of the Hessian at n = 24 on either route, factored or
+        # not.  The identity's right side vanishes for both states.
+        g, amplitude = spec.Grid(n), 1.5
+        kept = np.zeros((3,) + g.kept_shape, dtype=np.complex128)
+        for ix, kx in ((1, 1.0), (-1, -1.0)):
+            for iy, ky in ((1, 1.0), (-1, -1.0)):
+                kept[0, ix, iy, 1] = -1j * amplitude * kx / 8
+                kept[1, ix, iy, 1] = 1j * amplitude * ky / 8
+        U = spec.SpectralVelocityField(g, kept)
+        u = np.stack([taylor_green_3d_derivative(g, amplitude, c, ()) for c in range(3)])
+        sampled = spec.fft_forward(spec.VelocityField(g, u))
+        assert np.abs(sampled.kept - kept).max() <= 1e-14 * np.abs(kept).max()
+        d1, d2 = streamed_tables(U)
+        exact1 = np.stack([
+            [taylor_green_3d_derivative(g, amplitude, c, (a,)) for c in range(3)]
+            for a in range(3)
+        ])
+        exact2 = np.stack([
+            [taylor_green_3d_derivative(g, amplitude, c, pair) for c in range(3)]
+            for pair in spec.HESSIAN_PAIRS
+        ])
+        assert np.abs(d1 - exact1).max() <= 1e-14 * np.abs(exact1).max()
+        assert np.abs(d2 - exact2).max() <= 1e-14 * np.abs(exact2).max()
+        for state in (U, sampled):
+            rhs = crit.hessian_quadrature(state).rhs
+            assert abs(rhs) <= 1e-14 * reference.identity_rhs_abs(state)
+
     def test_gradient_of_sine(self):
         g = spec.Grid(16)
         d = gradients(x_component(g, lambda x, y, z: np.sin(x)))
@@ -380,30 +440,34 @@ class TestDerivatives:
 
 class TestPrunedTables:
     """Every inverse transform the commands run reads only the kept modes
-    (the slab stream, ``inverse_slabs``), and the random draw runs on the
-    compact cube; on band-limited states each equals the full-transform
-    route of ``reference`` bit for bit, and the slab stream equals the
-    whole-table pruned route it replaced.  n = 48 has the boundary shell
-    3 max|k| = n that the 2/3 rule drops; at n = 22 the last slab is
-    partial (4-plane slabs)."""
+    (the slab streams), and the random draw runs on the compact cube; on
+    band-limited states each equals the full-transform route of
+    ``reference`` bit for bit, and the slab stream equals the whole-table
+    pruned route it replaced, but for the derivative stream, which applies
+    its k_y and k_z factors after the x pass and so equals them to
+    roundoff.  n = 48 has the boundary shell 3 max|k| = n that the 2/3
+    rule drops; at n = 22 the last slab is partial (4-plane slabs)."""
 
     @pytest.mark.parametrize("n", [16, 22, 32, 48, 64])
     def test_bitwise_equal_to_the_full_transforms(self, n):
         g = spec.Grid(n)
         U = init_random_divfree(g, 1, -3.0, 5.0)
         d1, d2 = streamed_tables(U)
-        assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
-        assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
-        assert np.array_equal(d1, reference.first_derivatives(U))
-        assert np.array_equal(d2, reference.second_derivatives(U))
-        assert np.array_equal(spec.first_derivatives(U), d1)
-        assert np.array_equal(spec.second_derivatives(U), d2)
+        first, second = reference.first_derivatives_unpruned(U), reference.second_derivatives_unpruned(U)
+        assert_roundoff(d1, first)
+        assert_roundoff(d2, second)
+        # the unfactored whole tables, kept for the benchmark, stay bitwise
+        assert np.array_equal(reference.first_derivatives(U), first)
+        assert np.array_equal(reference.second_derivatives(U), second)
+        assert np.array_equal(spec.first_derivatives(U), first)
+        assert np.array_equal(spec.second_derivatives(U), second)
         quad = crit.hessian_quadrature(U)
         rhs, hessian = reference.gram_quadrature(U)
-        assert np.array_equal(crit.hessian_magnitude(U), hessian)
-        assert quad.rhs == reference.slab_quadrature(U)
-        assert abs(quad.rhs - rhs) <= 1e-14 * reference.identity_rhs_abs(U)
-        assert np.array_equal(quad.hessian, hessian)
+        assert_roundoff(crit.hessian_magnitude(U), hessian)
+        scale = reference.identity_rhs_abs(U)
+        assert abs(quad.rhs - reference.slab_quadrature(U)) <= 1e-14 * scale
+        assert abs(quad.rhs - rhs) <= 1e-14 * scale
+        assert np.array_equal(quad.hessian, crit.hessian_magnitude(U))
         pressure = solv.pressure_field(U).values
         assert np.array_equal(pressure, reference.pressure_field_unpruned(U))
 
@@ -441,8 +505,8 @@ class TestPrunedTables:
             reference.to_half(U), full_half * reference.dealias_mask_half(g)
         )
         d1, d2 = streamed_tables(U)
-        assert np.array_equal(d1, reference.first_derivatives_unpruned(U))
-        assert np.array_equal(d2, reference.second_derivatives_unpruned(U))
+        assert_roundoff(d1, reference.first_derivatives_unpruned(U))
+        assert_roundoff(d2, reference.second_derivatives_unpruned(U))
 
 
 def assert_kernel_bits(g, got, tables, unpruned):
