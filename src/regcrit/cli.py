@@ -17,7 +17,10 @@ check in ``verify``.  An output that cannot be written, such as an
 ``output.dir`` or a run's ``report`` entry that names an existing file, is an
 ``output error:`` naming the path, exit 1.  A grid too large for memory
 (``grid.n = 4096`` asks for hundreds of GiB) ends in ``out of memory:`` with
-numpy's message, exit 1.  Errors are reported in one line on stderr.
+numpy's message, exit 1.  Errors are reported in one line on stderr.  A
+velocity snapshot holds the state (``snapshot``); one of grid samples, as
+written before snapshots held the state, makes its run directory damaged,
+exit 1.
 
 ``verify`` reduces each check's per-item values with a NaN-propagating max
 or min: a NaN or infinite residual, and a NaN margin, fails its check and
@@ -78,7 +81,7 @@ from .criteria import (
     SerrinPair,
     monitor_columns,
 )
-from .spectral import Grid, NonFiniteSamples, fft_forward
+from .spectral import Grid, NonFiniteSamples, to_physical
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -336,25 +339,23 @@ def _smallest_margin(name: str, holds, margins, margin: str) -> CheckResult:
 def _snapshot_checks(path: str, grid: Grid, mu: float, p_values):
     """The H^2 identity residual of the snapshot at ``path``, and per p of
     ``p_values`` whether its Hoelder bound holds and by what margin; None
-    when its samples are not finite.
+    when the samples of its state are not finite.
 
-    The samples live only until the state and |u| are taken from them, and
-    nothing of the snapshot outlives the call, so beside the quadrature
-    only |u|, the state and its right-hand side are live at its peak.
-    Raises DamagedArtifact when the snapshot cannot be read or is not on
-    ``grid``.
+    The snapshot is the state ``simulate`` stepped, so the residual is the
+    monitor CSV's of that step bit for bit.  Its samples live only until
+    |u| is taken from them, and nothing of the snapshot outlives the call,
+    so beside the quadrature only |u|, the state and its right-hand side
+    are live at its peak.  Raises DamagedArtifact when the snapshot cannot
+    be read or is not on ``grid``.
     """
     try:
-        field_, _ = snap.read_snapshot(path, grid)
-    except NonFiniteSamples:
-        return None
+        u_hat, _ = snap.read_snapshot(path, grid)
     except _READ_ERRORS as exc:
         raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
-    # a snapshot holds dealiased samples: the forward transform's cut to
-    # the kept modes removes only roundoff
-    u_hat = fft_forward(field_)
-    mag = field_.magnitude()
-    del field_
+    try:
+        mag = to_physical(u_hat).magnitude()
+    except NonFiniteSamples:
+        return None
     rhs_hat = solv.nonlinear_rhs(u_hat)
     quad = crit.hessian_quadrature(u_hat)
     sob3 = norms.sobolev_seminorm(grid, np.abs(u_hat.kept) ** 2, 3)
@@ -376,7 +377,7 @@ def run_checks(rundir: str) -> tuple[list[CheckResult], bool]:
 
     Raises DamagedArtifact when the manifest, the CSV or a snapshot is
     missing or cannot be parsed, or when a snapshot's grid is not the
-    manifest's.  A snapshot with non-finite samples is not damaged but an
+    manifest's.  A state with non-finite samples is not damaged but an
     infinite residual of the ``identity_snapshots`` check.
     """
     run = _load_run(rundir)
@@ -559,16 +560,16 @@ def cmd_report(rundir: str, pressure: bool = False) -> int:
     if pressure:
         for path in run.snap_paths:
             try:
-                field_, t = snap.read_snapshot(path, run.grid)
+                u_hat, t_snap = snap.read_snapshot(path, run.grid)
             except _READ_ERRORS as exc:
                 raise DamagedArtifact(f"snapshot {path}: {exc!r}") from exc
             try:
                 with np.errstate(all="ignore"):  # an overflowing pressure is non-finite
-                    q = solv.pressure_field(fft_forward(field_))
+                    q = solv.pressure_field(u_hat)
             except NonFiniteSamples as exc:
                 raise DamagedArtifact(f"snapshot {path}: non-finite pressure ({exc})") from exc
             name = os.path.basename(path).replace("snap_", "pressure_")
-            snap.write_scalar_snapshot(os.path.join(outdir, name), q, t)
+            snap.write_scalar_snapshot(os.path.join(outdir, name), q, t_snap)
     return EXIT_OK
 
 

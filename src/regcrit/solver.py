@@ -17,16 +17,16 @@ exact-decay oracles; the price is a viscous stability bound.
 since neither needs a field; :func:`run` checks the advective CFL bound on
 the initial field before it writes anything, and every step re-checks it on
 the current field.  Only the stage-1 term of a step takes grid samples: its
-max of |u| feeds that check, and its samples of u and omega feed that
-step's monitor sample and snapshot; stages 2-4 take none, and so hold no
-whole grid table.  A sample that checks the H^2 identity also needs the
-state's Hessian quadrature, whose x-pass table is the largest array of a
-run: from step 1 on :func:`run` takes it before the stage-1 term, so the
-table is never allocated on top of what that term and its samples leave
-on the heap, and it asks for the right side alone, so no grid field of
-the quadrature outlives it.  At step 0 the stage-1 term checks the
-initial field first, and the quadrature follows once the samples are
-freed.
+max of |u| feeds that check, and its samples of u and omega feed only that
+step's monitor sample, since a snapshot holds the state itself; stages 2-4
+take none, and so hold no whole grid table.  A sample that checks the H^2
+identity also needs the state's Hessian quadrature, whose x-pass table is
+the largest array of a run: from step 1 on :func:`run` takes it before the
+stage-1 term, so the table is never allocated on top of what that term and
+its samples leave on the heap, and it asks for the right side alone, so no
+grid field of the quadrature outlives it.  At step 0 the stage-1 term
+checks the initial field first, and the quadrature follows once the
+samples are freed.
 """
 
 from __future__ import annotations
@@ -361,8 +361,8 @@ def pressure_field(u_hat: SpectralVelocityField):
 class RunSink:
     """Receiver for run artifacts; the CLI supplies a file-writing version."""
 
-    def snapshot(self, step_index: int, t: float, field: VelocityField) -> None:  # pragma: no cover
-        pass
+    def snapshot(self, step_index: int, t: float, field: SpectralVelocityField) -> None:
+        pass  # pragma: no cover
 
 
 def run(
@@ -380,10 +380,11 @@ def run(
 
     A step runs, in order: the identity quadrature of a sample that checks
     the identity (from step 1 on), the stage-1 term with its grid samples,
-    the snapshot, the grid columns, then, the samples freed, step 0's
-    quadrature, the monitor row, and the RK stages.  This function is the
-    only caller of the quadrature in a run, and
-    :func:`criteria.evaluate_sample` takes its result.
+    the snapshot of the state, the grid columns, then, the samples freed,
+    step 0's quadrature, the monitor row, and the RK stages.  The stage-1
+    samples feed only the grid columns.  This function is the only caller
+    of the quadrature in a run, and :func:`criteria.evaluate_sample` takes
+    its result.
     """
     state = SolverState(t=0.0, u_hat=make_initial(config))
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
@@ -406,7 +407,7 @@ def run(
             if identity_due and i > 0:
                 quad = _criteria.hessian_quadrature(state.u_hat, magnitude=False)
             # the stage-1 term doubles as the monitors' time derivative, and
-            # its grid samples of u and omega serve the sample and the snapshot
+            # its grid samples of u and omega serve the monitor sample
             with np.errstate(over="ignore", invalid="ignore"):
                 nl, u_max, u_phys, omega = _nonlinear_half(g, u_kept)
             if i == 0 and not math.isfinite(u_max):
@@ -421,7 +422,7 @@ def run(
                     f"(advective dx/u_max={g.spacing / u_max:.6g} on the initial field)"
                 )
             if sink is not None and (state.step_index % config.snapshot_stride == 0 or final):
-                sink.snapshot(state.step_index, state.t, VelocityField(g, u_phys))
+                sink.snapshot(state.step_index, state.t, state.u_hat)
             if sample_due:
                 columns = _criteria.grid_columns(
                     monitors.pairs, VelocityField(g, u_phys), VelocityField(g, omega)

@@ -356,8 +356,8 @@ def fft_forward(f):
     g = f.grid
     fields = f.values.reshape((-1,) + g.shape)
     out = np.empty((len(fields),) + g.kept_shape, dtype=np.complex128)
-    # numpy's rfft lays its output out as its input, and a snapshot's samples
-    # are x-fastest; _forward_kept views the kz planes as C-ordered doubles
+    # numpy's rfft lays its output out as its input, whatever its memory
+    # order; _forward_kept views the kz planes as C-ordered doubles
     half = np.empty(g.shape[:-1] + (g.half,), dtype=np.complex128)
     for c, values in enumerate(fields):
         _fft.rfft(values, axis=-1, out=half)
@@ -661,9 +661,9 @@ def convective_core_half(
     Both factors are dealiased before the pointwise product and the product
     is dealiased again, so retained modes of band-limited inputs are exact.
     The max feeds the advective CFL check, and the samples (views of one
-    (6, n, n, n) table, of the dealiased u) feed the monitors and snapshots
-    of the same state, without another transform.  With ``samples=False``
-    the max is NaN, the samples are None and no grid table is formed.
+    (6, n, n, n) table, of the dealiased u) feed the monitors of the same
+    state, without another transform.  With ``samples=False`` the max is
+    NaN, the samples are None and no grid table is formed.
 
     One slab loop serves both: per x-slab of the stream of [u, omega]
     (:func:`inverse_slabs`'s passes, with no concatenated spectrum: the x
@@ -711,7 +711,6 @@ def convective_core_half(
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
     """The grid samples of a spectral velocity field: :func:`inverse_kept`
-    of its compact cube.  No command calls it: the commands take their
-    samples from :func:`convective_core_half` and :func:`inverse_slabs`.
-    It stays because the benchmark traces it by name."""
+    of its compact cube, equal bit for bit to the u samples of
+    :func:`convective_core_half`.  ``verify`` takes a snapshot's |u| so."""
     return VelocityField(U.grid, inverse_kept(U.grid, U.kept))

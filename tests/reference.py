@@ -26,7 +26,8 @@ package's slab streams replaced, and :func:`slab_quadrature` sums the
 unpruned tables slab by slab as the package's quadrature does.  The
 package's derivative stream applies its k_y and k_z factors after the x
 pass, so it is pinned to these routes to roundoff, not bitwise.
-:func:`snapshot_payload` is the snapshot writer's earlier encoding.
+:func:`snapshot_payload` is the sample encoding, x index fastest, of the
+pressure file and of the velocity snapshots before they held the state.
 
 :func:`traced_peak` is the one memory probe of the tests: tracemalloc sees
 every numpy buffer, so its peaks do not depend on the allocator.
@@ -125,15 +126,6 @@ def _kept_axes(grid: spec.Grid):
     return np.ix_(xy, xy, np.arange(m + 1))
 
 
-class HalfSpectrum:
-    """A field held as a whole half spectrum, every mode read: the routes
-    here take it where they take a package field."""
-
-    def __init__(self, grid: spec.Grid, half_spectrum: np.ndarray):
-        self.grid = grid
-        self.half = half_spectrum
-
-
 def scatter(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
     """The half spectrum holding the compact cubes ``kept`` on its kept
     modes and zeros elsewhere."""
@@ -144,9 +136,7 @@ def scatter(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
 
 def to_half(U) -> np.ndarray:
     """The half spectrum of a spectral field: its compact cube scattered
-    into zeros (a :class:`HalfSpectrum` as it is)."""
-    if isinstance(U, HalfSpectrum):
-        return U.half
+    into zeros."""
     return scatter(U.grid, U.kept)
 
 
@@ -212,16 +202,6 @@ def parseval_half(grid: spec.Grid, density: np.ndarray) -> float:
     weights = np.full(grid.half, 2.0)
     weights[[0, -1]] = 1.0
     return float(grid.volume * np.sum(weights * density))
-
-
-def identity_lhs_half(grid: spec.Grid, half_spectrum: np.ndarray, mu: float) -> float:
-    """The spectral side of the H^2 identity, <grad^2 u, grad^2 du/dt> +
-    mu ||grad^3 u||^2, of a half spectrum read on every mode, with du/dt from
-    :func:`nonlinear_half_unpruned`."""
-    k2 = k_squared_half(grid)
-    dudt = nonlinear_half_unpruned(grid, half_spectrum)[0] - mu * k2 * half_spectrum
-    rate = parseval_half(grid, k2 * k2 * np.real(np.conj(half_spectrum) * dudt))
-    return rate + mu * parseval_half(grid, k2**3 * np.abs(half_spectrum) ** 2)
 
 
 def compact(grid: spec.Grid, coefficients: np.ndarray) -> np.ndarray:
@@ -511,8 +491,9 @@ def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
 
 
 def snapshot_payload(values: np.ndarray) -> bytes:
-    """The payload encoding that ``snapshot`` replaced, in three copies: a
-    cast, a ravel with the x index fastest, then ``tobytes``."""
+    """The sample payload encoding in three copies, which the writer's one
+    copy replaced: a cast, a ravel with the x index fastest, then
+    ``tobytes``."""
     return np.ascontiguousarray(values, dtype=np.float64).astype("<f8").ravel(order="F").tobytes()
 
 

@@ -20,7 +20,6 @@ MODULES = (spectral, norms, solver, criteria, snapshot, config, cli)
 
 #: functions no command calls, and why each stays
 NOT_RUN = {
-    "spectral.to_physical": "the benchmark traces it by name",
     "spectral.full_from_half": "the benchmark traces it by name; tests/reference.py calls it",
     "spectral._mirror_tail": "the helper of full_from_half",
     "spectral.first_derivatives": "the benchmark traces it by name",

@@ -533,39 +533,20 @@ class TestVerify:
     def test_missing_artifacts_exit_one(self, tmp_path):
         assert cli.main(["verify", str(tmp_path)]) == 1
 
-    def test_taylor_green_run_matches_the_unmasked_snapshots(self, tmp_path):
-        # verify cuts each snapshot's spectrum to the kept modes; on a
-        # Taylor-Green run that moves the identity residual and the Hoelder
-        # bound by no more than 1e-12 against the uncut spectrum, whose right
-        # side comes from the full-irfftn tables
-        cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 3.0")
-        assert cli.main(["simulate", write_config(tmp_path / "tg.cfg", cfg)]) == 0
-        rundir = tmp_path / "run"
-        assert cli.main(["verify", str(rundir)]) == 0
-        report = (rundir / "verify_report.txt").read_text()
-        assert "identity_snapshots: PASS" in report and "holder_snapshots: PASS" in report
-        manifest = cli.RunManifest.from_json((rundir / "manifest.json").read_text())
-        g = spectral.Grid(manifest.grid_n)
-        assert len(manifest.snapshots) == 3
-        for name in manifest.snapshots:
-            field_, _ = snap.read_snapshot(str(rundir / name), g)
-            cut = spectral.fft_forward(field_)
-            whole = reference.HalfSpectrum(g, reference.rfftn(field_.values))
-            assert np.abs(whole.half[:, ~reference.dealias_mask_half(g)]).max() > 0.0
-            quad = criteria.hessian_quadrature(cut)
-            sob3 = norms.sobolev_seminorm(g, np.abs(cut.kept) ** 2, 3)
-            res = criteria.h2_identity_residual(cut, 0.1, solv.nonlinear_rhs(cut), quad, sob3)
-            rhs, hessian = reference.gram_quadrature(whole)
-            lhs = reference.identity_lhs_half(g, whole.half, 0.1)
-            assert abs(res["residual"] - abs(lhs - rhs) / (1.0 + abs(lhs))) <= 1e-12
-            mag = field_.magnitude()
-            k6 = reference.k_squared_half(g) ** 3
-            whole_sob3 = math.sqrt(reference.parseval_half(g, k6 * np.abs(whole.half) ** 2))
-            bounds = [
-                criteria.holder_check(g, 6.0, q, mag, s3)["bound"]
-                for q, s3 in ((quad, sob3), (criteria.HessianQuadrature(rhs, hessian), whole_sob3))
-            ]
-            assert bounds[0] == pytest.approx(bounds[1], rel=1e-12, abs=0.0)
+    def test_snapshot_residual_is_the_csv_residual(self, tmp_path):
+        # a snapshot holds the state simulate stepped, so verify's identity
+        # residual of each snapshot is the CSV's of that step bit for bit
+        cfg = BASE.replace(
+            "init.kind = taylor_green", "init.kind = random_divfree\ninit.seed = 3"
+        ).replace("snapshots.stride = 10", "snapshots.stride = 1")
+        assert cli.main(["simulate", write_config(tmp_path / "rd.cfg", cfg)]) == 0
+        run = cli._load_run(str(tmp_path / "run"))
+        csv = run.series.column("identity_residual")
+        assert len(run.snap_paths) == len(csv) == 21
+        for path in run.snap_paths:
+            step = int(os.path.basename(path)[len("snap_") : -len(".bin")])
+            residual = cli._snapshot_checks(path, run.grid, run.mu, [6.0])[0]
+            assert residual > 0.0 and residual.hex() == float(csv[step]).hex(), step
 
     def test_corrupted_snapshot_fails_identity(self, calibrated_run, tmp_path):
         import shutil
@@ -579,9 +560,9 @@ class TestVerify:
         victim = dst / manifest["snapshots"][-1]
         from regcrit import snapshot as snap
 
-        field, t = snap.read_snapshot(victim)
-        field.values[2] *= -1.0  # flip the sign of one component
-        snap.write_snapshot(victim, field, t)
+        state, t = snap.read_snapshot(victim)
+        state.kept[2] *= -1.0  # flip the sign of one component
+        snap.write_snapshot(victim, state, t)
         assert cli.main(["verify", str(dst)]) == 3
         report = (dst / "verify_report.txt").read_text()
         assert "identity_snapshots: FAIL" in report
@@ -644,16 +625,29 @@ def assert_damaged_run(capsys):
 
 
 def nan_sample(victim):
+    """A NaN in the last 8 bytes, the imaginary part of u3's coefficient at
+    the last index of the compact cube: every sample of u3 is then NaN."""
     raw = bytearray(victim.read_bytes())
-    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last sample of u3
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
     victim.write_bytes(bytes(raw))
 
 
 def scale_by_1e160(victim):
-    """Finite samples whose identity, Hoelder bound and pressure overflow."""
-    field, t = snap.read_snapshot(victim)
-    field.values[...] *= 1e160
-    snap.write_snapshot(victim, field, t)
+    """A finite state whose identity, Hoelder bound and pressure overflow."""
+    state, t = snap.read_snapshot(victim)
+    state.kept[...] *= 1e160
+    snap.write_snapshot(victim, state, t)
+
+
+def sample_layout(victim):
+    """The snapshot as it was written before snapshots held the state: the
+    state's grid samples, x index fastest, under a header with no layout."""
+    state, t = snap.read_snapshot(victim)
+    samples = spectral.to_physical(state).values
+    victim.write_bytes(
+        snap._header(state.grid, t, "u1,u2,u3")
+        + b"".join(map(reference.snapshot_payload, samples))
+    )
 
 
 def cut_last_sample(victim):
@@ -761,6 +755,14 @@ class TestVerifyDamaged:
         rewrite_snapshot_header(dst, 0, change)
         assert cli.main(["verify", str(dst)]) == 1
         assert_damaged_run(capsys)
+
+    @pytest.mark.parametrize("command", [["verify"], ["report", "--pressure"]])
+    def test_sample_layout_snapshot_exits_one(self, calibrated_run, tmp_path, capsys, command):
+        # a snapshot of grid samples, as written before snapshots held the state
+        dst = damaged_copy(calibrated_run, tmp_path)
+        sample_layout(snapshot_path(dst, 0))
+        assert cli.main([command[0], str(dst), *command[1:]]) == 1
+        assert "layout None" in assert_damaged_run(capsys)
 
     def test_non_finite_snapshot_fails_identity(self, calibrated_run, tmp_path, capsys):
         for damage in (nan_sample, scale_by_1e160):
@@ -1002,7 +1004,7 @@ class TestReportDamaged:
         assert_output_error(capsys, dst / "report")
 
     def test_damaged_snapshot_with_pressure_exits_one(self, calibrated_run, tmp_path, capsys):
-        for damage in (cut_last_sample, scale_by_1e160):
+        for damage in (cut_last_sample, nan_sample, scale_by_1e160):
             dst = damaged_copy(calibrated_run, tmp_path / damage.__name__)
             victim = snapshot_path(dst, 0)
             damage(victim)

@@ -343,16 +343,20 @@ class TestHessianQuadrature:
         # the x-passed spectra (i k_x)^alpha u_c, n (2m+1) (m+1) complex
         # lines per field, 9 of them for the quadrature and the magnitude
         # alike (about 4 grid fields), plus one slab and |grad^2 u|.
-        # Measured, quadrature / magnitude: 56.1 / 39.7 at n = 16, where one
-        # 2048-point slab is half the cube and its workspace, its compact
-        # buffer of formed fields and its samples hold 15, 7 and 13.5
-        # fields (the quadrature's 27); 11.2 / 9.2 at n = 32; 6.7 / 6.4 at
-        # n = 64.  With 27 (18) x-passed fields they were 58.5 / 39.0,
-        # 18.5 / 12.6 and 14.8 / 10.5; the whole tables peaked at 34 / 25,
-        # the 27-entry route at 64 each.
+        # Measured after one call of each, which keeps the grid's cached
+        # tables out of the peaks, quadrature / magnitude (without that
+        # call): 56.1 / 39.7 (56.4 / 39.9) at n = 16, where one 2048-point
+        # slab is half the cube and its workspace, its compact buffer of
+        # formed fields and its samples hold 15, 7 and 13.5 fields (the
+        # quadrature's 27); 11.2 / 9.2 (11.3 / 9.3) at n = 32; 6.7 / 6.4
+        # (6.7 / 6.4) at n = 64.  With 27 (18) x-passed fields they were
+        # 58.5 / 39.0, 18.5 / 12.6 and 14.8 / 10.5; the whole tables peaked
+        # at 34 / 25, the 27-entry route at 64 each.
         U = solv.init_random_divfree(Grid(n), 1, -2.0, 1.0)
-        bound = {16: (58, 41), 32: (11.7, 9.6), 64: (7, 6.7)}[n]
+        bound = {16: (57.7, 40.8), 32: (11.6, 9.5), 64: (6.95, 6.7)}[n]
         field = 8 * n**3
+        crit.hessian_quadrature(U)  # the grid's cached tables and factor planes
+        crit.hessian_magnitude(U)
         assert reference.traced_peak(crit.hessian_quadrature, U) <= bound[0] * field
         assert reference.traced_peak(crit.hessian_magnitude, U) <= bound[1] * field
 
