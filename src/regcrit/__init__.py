@@ -20,7 +20,6 @@ from .solver import (
     InitSpec,
     NumericalBlowup,
     SolverConfig,
-    SolverState,
     init_beltrami,
     init_random_divfree,
     init_taylor_green,

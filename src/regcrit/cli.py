@@ -164,8 +164,7 @@ class DirectorySink(solv.RunSink):
         os.makedirs(self.outdir, exist_ok=True)
         name = f"snap_{step_index:08d}.bin"
         snap.write_snapshot(os.path.join(self.outdir, name), field, t)
-        if name not in self.snapshots:
-            self.snapshots.append(name)
+        self.snapshots.append(name)
 
 
 def cmd_simulate(config_path: str) -> int:

@@ -8,8 +8,9 @@ after the run.  The monitor CSV is this table as is.  A row is built in two
 parts: :func:`grid_columns` reads the state's grid samples of u and curl u,
 and :func:`evaluate_sample` takes those columns and the state's identity
 quadrature and reads the rest from the spectrum, so the caller decides when
-the samples and the quadrature exist (``solver.run`` frees the samples
-before it, and from step 1 on takes the quadrature before the samples).
+the samples and the quadrature exist (``solver.run`` takes the quadrature
+before the samples on every step, and frees the samples before it calls
+:func:`evaluate_sample`).
 
 Monitored quantities per sample:
 

@@ -21,12 +21,10 @@ max of |u| feeds that check, and its samples of u and omega feed only that
 step's monitor sample, since a snapshot holds the state itself; stages 2-4
 take none, and so hold no whole grid table.  A sample that checks the H^2
 identity also needs the state's Hessian quadrature, whose x-pass table is
-the largest array of a run: from step 1 on :func:`run` takes it before the
+the largest array of a run: :func:`run` takes it on every step before the
 stage-1 term, so the table is never allocated on top of what that term and
 its samples leave on the heap, and it asks for the right side alone, so no
-grid field of the quadrature outlives it.  At step 0 the stage-1 term
-checks the initial field first, and the quadrature follows once the
-samples are freed.
+grid field of the quadrature outlives it.
 """
 
 from __future__ import annotations
@@ -134,13 +132,6 @@ class SolverConfig:
                 f"dt={self.dt} exceeds the stability bound "
                 f"(viscous {viscous:.6g}, ceiling {DT_CEILING})"
             )
-
-
-@dataclass
-class SolverState:
-    t: float
-    u_hat: SpectralVelocityField
-    step_index: int = 0
 
 
 def init_taylor_green(grid: Grid, amplitude: float) -> SpectralVelocityField:
@@ -286,15 +277,16 @@ def nonlinear_rhs(u_hat: SpectralVelocityField) -> SpectralVelocityField:
 
 
 def _advance(
-    state: SolverState,
     config: SolverConfig,
     u_kept: np.ndarray,
     nl1: np.ndarray,
     u_max: float,
-) -> SolverState:
-    """RK4 update on the compact cube, given the stage-1 nonlinear term and
-    the stage-1 grid max of |u|, the one the CFL check reads; stages 2-4
-    take no grid samples.
+    t: float,
+) -> np.ndarray:
+    """RK4 update of the compact cube ``u_kept`` at time ``t``, given the
+    stage-1 nonlinear term and the stage-1 grid max of |u|, the one the CFL
+    check reads; stages 2-4 take no grid samples.  Returns the next compact
+    cube.
 
     Three stage buffers are allocated once per step and every combination
     runs in place, in the operation order of
@@ -304,7 +296,7 @@ def _advance(
     g = config.grid
     if u_max > 0.0 and config.dt > g.spacing / u_max:
         raise NumericalBlowup(
-            f"CFL violated at t={state.t:.6g}: dt={config.dt} > "
+            f"CFL violated at t={t:.6g}: dt={config.dt} > "
             f"dx/u_max={g.spacing / u_max:.6g}"
         )
     dt, mu = config.dt, config.mu
@@ -333,12 +325,8 @@ def _advance(
         acc *= dt / 6.0
         new = np.add(u_kept, acc, out=acc)
     if not np.isfinite(new).all():
-        raise NumericalBlowup(f"non-finite coefficients after step to t={state.t + dt:.6g}")
-    return SolverState(
-        t=(state.step_index + 1) * dt,
-        u_hat=SpectralVelocityField(g, new),
-        step_index=state.step_index + 1,
-    )
+        raise NumericalBlowup(f"non-finite coefficients after step to t={t + dt:.6g}")
+    return new
 
 
 def pressure_field(u_hat: SpectralVelocityField):
@@ -378,15 +366,15 @@ def run(
     advective CFL bound on the initial field, and InitialFieldOutOfRange
     when that field's grid max of |u| is not finite.
 
-    A step runs, in order: the identity quadrature of a sample that checks
-    the identity (from step 1 on), the stage-1 term with its grid samples,
-    the snapshot of the state, the grid columns, then, the samples freed,
-    step 0's quadrature, the monitor row, and the RK stages.  The stage-1
-    samples feed only the grid columns.  This function is the only caller
-    of the quadrature in a run, and :func:`criteria.evaluate_sample` takes
-    its result.
+    Every step runs, in order: the identity quadrature of a sample that
+    checks the identity, the stage-1 term with its grid samples, step 0's
+    checks of the initial field, the snapshot of the state, the grid
+    columns, then, the samples freed, the monitor row and the RK stages.
+    The stage-1 samples feed only the grid columns.  This function is the
+    only caller of the quadrature in a run, and
+    :func:`criteria.evaluate_sample` takes its result.
     """
-    state = SolverState(t=0.0, u_hat=make_initial(config))
+    u_hat = make_initial(config)
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
     n_steps = int(round(config.t_end / config.dt))
 
@@ -394,22 +382,21 @@ def run(
     try:
         for i in range(n_steps + 1):
             final = i == n_steps
-            u_kept = state.u_hat.kept
-            sample_due = state.step_index % config.monitor_stride == 0 or final
-            identity_due = sample_due and (
-                state.step_index % monitors.identity_stride == 0 or final
-            )
-            # from step 1 on, the identity quadrature runs first, while the
-            # stage-1 term, its samples and its right-hand side do not exist:
-            # its table then reuses the heap the last step freed instead of
-            # growing it (module docstring)
-            quad = None
-            if identity_due and i > 0:
-                quad = _criteria.hessian_quadrature(state.u_hat, magnitude=False)
+            t = i * config.dt
+            sample_due = i % config.monitor_stride == 0 or final
+            identity_due = sample_due and (i % monitors.identity_stride == 0 or final)
+            # the quadrature runs while the stage-1 term, its samples and its
+            # right-hand side do not exist, so its table reuses the heap the
+            # previous step freed instead of growing it (module docstring);
             # the stage-1 term doubles as the monitors' time derivative, and
-            # its grid samples of u and omega serve the monitor sample
+            # its grid samples of u and omega serve the monitor sample; an
+            # initial field that overflows in either reaches step 0's checks
+            # below without a warning
+            quad = None
             with np.errstate(over="ignore", invalid="ignore"):
-                nl, u_max, u_phys, omega = _nonlinear_half(g, u_kept)
+                if identity_due:
+                    quad = _criteria.hessian_quadrature(u_hat, magnitude=False)
+                nl, u_max, u_phys, omega = _nonlinear_half(g, u_hat.kept)
             if i == 0 and not math.isfinite(u_max):
                 raise InitialFieldOutOfRange(
                     f"{config.init.kind}: the initial field's grid max |u| is {u_max!r} "
@@ -421,22 +408,19 @@ def run(
                     f"dt={config.dt} exceeds the stability bound "
                     f"(advective dx/u_max={g.spacing / u_max:.6g} on the initial field)"
                 )
-            if sink is not None and (state.step_index % config.snapshot_stride == 0 or final):
-                sink.snapshot(state.step_index, state.t, state.u_hat)
+            if sink is not None and (i % config.snapshot_stride == 0 or final):
+                sink.snapshot(i, t, u_hat)
             if sample_due:
                 columns = _criteria.grid_columns(
                     monitors.pairs, VelocityField(g, u_phys), VelocityField(g, omega)
                 )
-            # the samples are freed here, before step 0's identity quadrature
-            # and before the RK stages
+            # the samples are freed here, before the RK stages
             del u_phys, omega
             if sample_due:
-                if identity_due and i == 0:
-                    quad = _criteria.hessian_quadrature(state.u_hat, magnitude=False)
                 series.append(
                     _criteria.evaluate_sample(
-                        state.u_hat,
-                        state.t,
+                        u_hat,
+                        t,
                         monitors,
                         mu=config.mu,
                         rhs_hat=SpectralVelocityField(g, nl),
@@ -446,7 +430,7 @@ def run(
                 )
             if final:
                 break
-            state = _advance(state, config, u_kept, nl, u_max)
+            u_hat = SpectralVelocityField(g, _advance(config, u_hat.kept, nl, u_max, t))
     except NumericalBlowup as exc:
         exc.series = series
         raise

@@ -313,7 +313,9 @@ class SpectralVelocityField(_SpectralField):
     _components = 3
 
 
-# used only by the tests' full-cube route; kept here because the benchmark traces it
+# used only by the tests' full-cube route; kept here because the benchmark's
+# MEAN_MS names it, and tests/test_bench_contract.py pins every MEAN_MS name
+# to a regcrit function (the tracer's patching alone would not need it)
 def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Rebuild full-cube coefficients from a half spectrum by conjugate mirror."""
     out = np.empty(half.shape[:-3] + grid.shape, dtype=np.complex128)
@@ -615,7 +617,9 @@ def derivative_slabs(U: SpectralVelocityField, gradients: bool = True):
 
 
 # no command calls these two: the quadratures stream the fields instead; they
-# are kept because the benchmark traces them by name.  They apply each
+# are kept because the benchmark's MEAN_MS names them, and
+# tests/test_bench_contract.py pins every MEAN_MS name to a regcrit function
+# (the tracer's patching alone would not need them).  They apply each
 # field's whole wavenumber factor before the x pass, the route
 # :func:`derivative_slabs` factored.
 def first_derivatives(U: SpectralVelocityField) -> np.ndarray:

@@ -18,12 +18,15 @@ from regcrit import cli, config, criteria, norms, snapshot, solver, spectral
 
 MODULES = (spectral, norms, solver, criteria, snapshot, config, cli)
 
+#: the reason shared by the functions that only the benchmark's names keep
+PINNED = "bench/tracing.py's MEAN_MS names it, and test_bench_contract pins it"
+
 #: functions no command calls, and why each stays
 NOT_RUN = {
-    "spectral.full_from_half": "the benchmark traces it by name; tests/reference.py calls it",
+    "spectral.full_from_half": f"{PINNED}; tests/reference.py calls it",
     "spectral._mirror_tail": "the helper of full_from_half",
-    "spectral.first_derivatives": "the benchmark traces it by name",
-    "spectral.second_derivatives": "the benchmark traces it by name",
+    "spectral.first_derivatives": PINNED,
+    "spectral.second_derivatives": PINNED,
     "solver.RunSink.snapshot": "the interface's no-op base; DirectorySink overrides it",
     "config.ConfigError.__init__": "only a config error raises it, and these configs are valid",
     "solver.NumericalBlowup.__init__": "only a blowup raises it, and these runs do not blow up",

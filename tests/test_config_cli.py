@@ -157,7 +157,8 @@ class TestSimulate:
         csv_path = str(tmp_path / "run" / "monitors.csv")
         cols, data = cli.read_series_csv(csv_path)
         # re-serialize one value and compare text
-        raw_lines = open(csv_path).read().splitlines()
+        with open(csv_path, encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
         first_value = raw_lines[1].split(",")[1]
         assert f"{data['energy'][0]:.17g}" == first_value
 
@@ -263,12 +264,13 @@ class TestSimulate:
 
     def test_blowup_exits_two_with_partial_outputs(self, tmp_path, monkeypatch):
         p = write_config(tmp_path / "a.cfg", BASE)
-        real_advance = solv._advance
+        real_advance, calls = solv._advance, []
 
-        def sabotage(state, config, u_kept, nl1, u_max):
-            if state.step_index >= 5:
+        def sabotage(config, u_kept, nl1, u_max, t):
+            calls.append(t)
+            if len(calls) > 5:  # the step from step 5, after its row
                 raise solv.NumericalBlowup("synthetic blowup")
-            return real_advance(state, config, u_kept, nl1, u_max)
+            return real_advance(config, u_kept, nl1, u_max, t)
 
         monkeypatch.setattr(solv, "_advance", sabotage)
         assert cli.main(["simulate", p]) == 2
@@ -277,6 +279,38 @@ class TestSimulate:
         assert len(csv.read_text().strip().splitlines()) == 7  # header + 6 samples
         manifest = (tmp_path / "run" / "manifest.json").read_text()
         assert '"exit_status": 2' in manifest
+
+    def test_cfl_blowup_keeps_the_violating_states_row_and_snapshot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the third stage-1 term, step 2's, reports a grid max of |u| that
+        # breaks the CFL bound: the real check in _advance fires, after
+        # step 2's monitor row and snapshot are written
+        cfg = BASE.replace("snapshots.stride = 10", "snapshots.stride = 1")
+        p = write_config(tmp_path / "a.cfg", cfg)
+        real_half, stage_one = solv._nonlinear_half, []
+
+        def lying_half(grid, kept, samples=True):
+            out = real_half(grid, kept, samples)
+            if samples:
+                stage_one.append(kept)
+                if len(stage_one) == 3:
+                    return (out[0], 1e9, *out[2:])
+            return out
+
+        monkeypatch.setattr(solv, "_nonlinear_half", lying_half)
+        assert cli.main(["simulate", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical blowup: CFL violated at t=0.002:"), err
+        run = tmp_path / "run"
+        _, data = cli.read_series_csv(str(run / "monitors.csv"))
+        assert list(data["t"]) == [0.0, 1e-3, 2e-3]
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        names = [f"snap_{i:08d}.bin" for i in range(3)]
+        assert manifest["snapshots"] == names
+        U, t = snap.read_snapshot(str(run / names[2]))
+        assert t == 2e-3 and U.kept.tobytes() == stage_one[2].tobytes()
 
     def test_advective_bound_only_exits_one_without_outputs(self, tmp_path, capsys):
         # advective bound dx/u_max = 0.393, viscous bound 33, ceiling 0.5

@@ -29,13 +29,12 @@ def kernel_samples(U):
     return [spec.VelocityField(U.grid, u_phys), spec.VelocityField(U.grid, omega)]
 
 
-def step(state, config):
-    """One RK4 step as solver.run takes it: the stage-1 nonlinear term, then
-    ``solver._advance``."""
-    u = state.u_hat.kept
+def step(U, config):
+    """One RK4 step of the field U as solver.run takes it: the stage-1
+    nonlinear term, then ``solver._advance``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        nl1, u_max = solv._nonlinear_half(config.grid, u)[:2]
-    return solv._advance(state, config, u, nl1, u_max)
+        nl1, u_max = solv._nonlinear_half(config.grid, U.kept)[:2]
+    return SpectralVelocityField(config.grid, solv._advance(config, U.kept, nl1, u_max, 0.0))
 
 
 def half_of(g, kept):
@@ -452,13 +451,13 @@ class TestTransformCount:
         assert len(series) == len(sink.fields) == steps + 1
         monkeypatch.undo()
         # the snapshots are the states the series describes, bit for bit
-        state = solv.SolverState(0.0, solv.make_initial(cfg))
+        U = solv.make_initial(cfg)
         for i in range(steps + 1):
-            assert sink.fields[i].tobytes() == state.u_hat.kept.tobytes()
-            expected = to_physical(state.u_hat).values
+            assert sink.fields[i].tobytes() == U.kept.tobytes()
+            expected = to_physical(U).values
             linf = float(np.sqrt(np.sum(expected**2, axis=0)).max())
             assert series.table["linf"][i] == pytest.approx(linf, rel=1e-13)
-            state = step(state, cfg)
+            U = step(U, cfg)
 
     @pytest.mark.parametrize("n", [16, 32, 96])
     def test_state_samples_are_the_stage_one_samples(self, n):
@@ -489,48 +488,29 @@ class TestTransformCount:
         stage_one, later = (True, True, False), (False, False, True)
         assert flags == [stage_one, later, later, later] * 2 + [stage_one]
 
-    def test_stage_one_samples_freed_before_identity(self, monkeypatch):
+    def test_quadrature_runs_before_the_stage_one_term_on_every_step(self, monkeypatch):
+        # a sampled state's quadrature runs before its stage-1 term on every
+        # step, step 0 included, while no stage-1 samples are alive; the
+        # identity stride still picks the states that check the identity:
+        # steps 0, 2 and the final step 3
         cfg = solv.SolverConfig(
-            grid=Grid(16), mu=0.1, dt=1e-2, t_end=2e-2,
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=3e-2,
             init=solv.InitSpec("random_divfree", seed=2), snapshot_stride=1,
         )
+        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), identity_stride=2)
         kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
-        samples, alive = [], []
+        calls, quads, samples, alive = [], [], [], []
 
         def recording_kernel(grid, kept, with_samples=True):
+            calls.append("stage 1" if with_samples else "stage")
             out = kernel(grid, kept, with_samples)
             if with_samples:
                 samples.append(weakref.ref(out[2].base))
             return out
 
-        def checking_quadrature(u_hat, **kwargs):
-            alive.append(samples[-1]() is not None)
-            return quadrature(u_hat, **kwargs)
-
-        monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
-        monkeypatch.setattr(crit, "hessian_quadrature", checking_quadrature)
-        solv.run(cfg, basic_monitors(), solv.RunSink())
-        assert alive == [False, False, False]
-
-    def test_quadrature_runs_before_the_stage_one_term_from_step_one(self, monkeypatch):
-        # step 0's stage-1 term checks the initial field before its
-        # quadrature runs; from step 1 on, a sampled state's quadrature runs
-        # before its stage-1 term, and the identity stride still picks the
-        # states that check the identity: steps 0, 2 and the final step 3
-        cfg = solv.SolverConfig(
-            grid=Grid(16), mu=0.1, dt=1e-2, t_end=3e-2,
-            init=solv.InitSpec("random_divfree", seed=2),
-        )
-        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), identity_stride=2)
-        kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
-        calls, quads = [], []
-
-        def recording_kernel(grid, kept, samples=True):
-            calls.append("stage 1" if samples else "stage")
-            return kernel(grid, kept, samples)
-
         def recording_quadrature(u_hat, **kwargs):
             calls.append("quadrature")
+            alive.append(any(ref() is not None for ref in samples))
             quads.append(quadrature(u_hat, **kwargs))
             return quads[-1]
 
@@ -539,7 +519,7 @@ class TestTransformCount:
         series = solv.run(cfg, monitors, solv.RunSink())
         later = ["stage"] * 3
         assert calls == (
-            ["stage 1", "quadrature", *later]
+            ["quadrature", "stage 1", *later]
             + ["stage 1", *later]
             + ["quadrature", "stage 1", *later]
             + ["quadrature", "stage 1"]
@@ -549,6 +529,7 @@ class TestTransformCount:
         # run() reads only the right side: no grid field of a quadrature is
         # held across the stage-1 term
         assert [q.hessian for q in quads] == [None] * 3
+        assert alive == [False] * 3
 
     def test_stage_one_samples_freed_before_the_rk_stages(self, monkeypatch):
         # steps 0 and 2 take a sample and a snapshot, steps 1 and 3 only a
@@ -567,9 +548,9 @@ class TestTransformCount:
                 samples.append(weakref.ref(out[2].base))
             return out
 
-        def checking_advance(*args):
+        def checking_advance(config, u_kept, nl1, u_max, t):
             alive.append(samples[-1]() is not None)
-            return advance(*args)
+            return advance(config, u_kept, nl1, u_max, t)
 
         monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
         monkeypatch.setattr(solv, "_advance", checking_advance)
@@ -595,11 +576,11 @@ class TestCompactStep:
             "beltrami": solv.init_beltrami(g, 0.7),
         }
         for kind, U in states.items():
-            state, want = solv.SolverState(0.0, U), reference.to_half(U)
+            want = reference.to_half(U)
             for _ in range(steps):
-                state = step(state, cfg)
+                U = step(U, cfg)
                 want = reference.step_half(cfg, want)
-            assert np.array_equal(reference.to_half(state.u_hat), want), kind
+            assert np.array_equal(reference.to_half(U), want), kind
 
 
 class TestStep:
@@ -608,25 +589,18 @@ class TestStep:
         cfg = solv.SolverConfig(
             grid=g, mu=0.1, dt=1e-2, t_end=0.0, init=solv.InitSpec("taylor_green")
         )
-        zero = solv.SolverState(
-            0.0, SpectralVelocityField(g, np.zeros((3,) + g.kept_shape, complex))
-        )
-        out = step(zero, cfg)
-        assert np.all(reference.full(out.u_hat) == 0.0)
-        assert out.t == pytest.approx(1e-2)
-        assert out.step_index == 1
+        zero = SpectralVelocityField(g, np.zeros((3,) + g.kept_shape, complex))
+        assert np.all(reference.full(step(zero, cfg)) == 0.0)
 
     def test_beltrami_single_step_decay(self):
         mu, dt = 0.1, 1e-3
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=mu, dt=dt, t_end=dt, init=solv.InitSpec("beltrami")
         )
-        s0 = solv.SolverState(0.0, solv.make_initial(cfg))
-        s1 = step(s0, cfg)
-        expected = math.exp(-mu * dt) * reference.full(s0.u_hat)
-        rel = np.abs(reference.full(s1.u_hat) - expected).max() / np.abs(
-            reference.full(s0.u_hat)
-        ).max()
+        u0 = solv.make_initial(cfg)
+        u1 = step(u0, cfg)
+        expected = math.exp(-mu * dt) * reference.full(u0)
+        rel = np.abs(reference.full(u1) - expected).max() / np.abs(reference.full(u0)).max()
         assert rel <= 1e-12
 
     def test_mean_momentum_constant(self):
@@ -637,10 +611,10 @@ class TestStep:
         u = solv.make_initial(cfg)
         coeffs = reference.full(u).copy()
         coeffs[:, 0, 0, 0] = [0.05, -0.02, 0.01]
-        state = solv.SolverState(0.0, SpectralVelocityField(g, reference.compact(g, coeffs)))
+        U = SpectralVelocityField(g, reference.compact(g, coeffs))
         for _ in range(3):
-            state = step(state, cfg)
-        assert np.array_equal(reference.full(state.u_hat)[:, 0, 0, 0], coeffs[:, 0, 0, 0])
+            U = step(U, cfg)
+        assert np.array_equal(reference.full(U)[:, 0, 0, 0], coeffs[:, 0, 0, 0])
 
     def test_cfl_recheck_raises(self):
         g = Grid(16)
@@ -649,7 +623,7 @@ class TestStep:
         )
         huge = solv.init_beltrami(g, 100.0)
         with pytest.raises(solv.NumericalBlowup, match="CFL"):
-            step(solv.SolverState(0.0, huge), cfg)
+            step(huge, cfg)
 
     def test_non_finite_state_raises(self):
         g = Grid(8)
@@ -660,9 +634,9 @@ class TestStep:
         bad[0, 1, 0, 0] = 1e160  # overflows within the quadratic term
         bad[0, -1, 0, 0] = 1e160
         with pytest.raises(solv.NumericalBlowup):
-            state = solv.SolverState(0.0, SpectralVelocityField(g, reference.compact(g, bad)))
+            U = SpectralVelocityField(g, reference.compact(g, bad))
             for _ in range(50):
-                state = step(state, cfg)
+                U = step(U, cfg)
 
 
 class TestRun:
@@ -718,15 +692,15 @@ class TestRun:
             monitor_stride=2,
         )
         series = solv.run(cfg, basic_monitors())
-        steps = [round(t / 1e-2) for t in series.table["t"]]
-        assert steps == [0, 2, 4, 5]  # stride hits plus the forced final sample
+        # stride hits plus the forced final sample, each at t = i * dt exactly
+        assert list(series.table["t"]) == [i * 1e-2 for i in (0, 2, 4, 5)]
 
     def test_blowup_carries_partial_series(self, monkeypatch):
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=0.1, dt=5e-2, t_end=0.5, init=solv.InitSpec("beltrami", amplitude=0.2)
         )
 
-        def blowup(state, config, u_kept, nl1, u_max):
+        def blowup(config, u_kept, nl1, u_max, t):
             raise solv.NumericalBlowup("synthetic blowup")
 
         # the first step blows up, after the step-0 sample
@@ -746,10 +720,10 @@ class TestConvergenceOrder:
             cfg = solv.SolverConfig(
                 grid=Grid(8), mu=mu, dt=dt, t_end=t_end, init=solv.InitSpec("beltrami")
             )
-            state = solv.SolverState(0.0, solv.make_initial(cfg))
-            u0 = reference.full(state.u_hat).copy()
+            U = solv.make_initial(cfg)
+            u0 = reference.full(U).copy()
             for _ in range(int(round(t_end / dt))):
-                state = step(state, cfg)
+                U = step(U, cfg)
             exact = math.exp(-mu * t_end) * u0
-            errs.append(np.abs(reference.full(state.u_hat) - exact).max())
+            errs.append(np.abs(reference.full(U) - exact).max())
         assert 13.0 <= errs[0] / errs[1] <= 19.0
