@@ -488,29 +488,49 @@ class TestTransformCount:
         stage_one, later = (True, True, False), (False, False, True)
         assert flags == [stage_one, later, later, later] * 2 + [stage_one]
 
-    def test_quadrature_runs_before_the_stage_one_term_on_every_step(self, monkeypatch):
-        # a sampled state's quadrature runs before its stage-1 term on every
-        # step, step 0 included, while no stage-1 samples are alive; the
-        # identity stride still picks the states that check the identity:
-        # steps 0, 2 and the final step 3
+    def test_stage_one_samples_freed_before_identity(self, monkeypatch):
+        # at each quadrature, step 0's included, no stage-1 sample table of
+        # any earlier step is alive
         cfg = solv.SolverConfig(
-            grid=Grid(16), mu=0.1, dt=1e-2, t_end=3e-2,
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=2e-2,
             init=solv.InitSpec("random_divfree", seed=2), snapshot_stride=1,
         )
-        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), identity_stride=2)
         kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
-        calls, quads, samples, alive = [], [], [], []
+        samples, alive = [], []
 
         def recording_kernel(grid, kept, with_samples=True):
-            calls.append("stage 1" if with_samples else "stage")
             out = kernel(grid, kept, with_samples)
             if with_samples:
                 samples.append(weakref.ref(out[2].base))
             return out
 
+        def checking_quadrature(u_hat, **kwargs):
+            alive.append(any(ref() is not None for ref in samples))
+            return quadrature(u_hat, **kwargs)
+
+        monkeypatch.setattr(solv, "convective_core_half", recording_kernel)
+        monkeypatch.setattr(crit, "hessian_quadrature", checking_quadrature)
+        solv.run(cfg, basic_monitors(), solv.RunSink())
+        assert alive == [False, False, False]
+
+    def test_quadrature_runs_before_the_stage_one_term_from_step_one(self, monkeypatch):
+        # a sampled state's quadrature runs before its stage-1 term from step
+        # 0 on; the identity stride still picks the states that check the
+        # identity: steps 0, 2 and the final step 3
+        cfg = solv.SolverConfig(
+            grid=Grid(16), mu=0.1, dt=1e-2, t_end=3e-2,
+            init=solv.InitSpec("random_divfree", seed=2),
+        )
+        monitors = crit.CriterionConfig(pairs=(crit.SerrinPair(6.0, 4.0),), identity_stride=2)
+        kernel, quadrature = solv.convective_core_half, crit.hessian_quadrature
+        calls, quads = [], []
+
+        def recording_kernel(grid, kept, samples=True):
+            calls.append("stage 1" if samples else "stage")
+            return kernel(grid, kept, samples)
+
         def recording_quadrature(u_hat, **kwargs):
             calls.append("quadrature")
-            alive.append(any(ref() is not None for ref in samples))
             quads.append(quadrature(u_hat, **kwargs))
             return quads[-1]
 
@@ -529,7 +549,6 @@ class TestTransformCount:
         # run() reads only the right side: no grid field of a quadrature is
         # held across the stage-1 term
         assert [q.hessian for q in quads] == [None] * 3
-        assert alive == [False] * 3
 
     def test_stage_one_samples_freed_before_the_rk_stages(self, monkeypatch):
         # steps 0 and 2 take a sample and a snapshot, steps 1 and 3 only a
