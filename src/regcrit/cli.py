@@ -9,11 +9,13 @@ Subcommands:
 
 Exit codes are a contract: 0 success, 1 usage or config error or a
 damaged run directory, 2 numerical blowup (partial outputs preserved),
-3 verification failure.  A timestep that breaks a stability bound is a config
-error, also when only the initial field shows it; such a run creates no run
-directory.  A calibration record with no entry for a monitored canonical pair
-is a config error in ``simulate`` and a failed ``growth_inequality_<pair>``
-check in ``verify``.  An output that cannot be written, such as an
+3 verification failure.  A command line that the parser rejects ends in one
+``usage error:`` line, exit 1; ``--help`` prints the help, exit 0.  A
+timestep that breaks a stability bound is a config error, also when only
+the initial field shows it; such a run creates no run directory.  A
+calibration record with no entry for a monitored canonical pair is a config
+error in ``simulate`` and a failed ``growth_inequality_<pair>`` check in
+``verify``.  An output that cannot be written, such as an
 ``output.dir`` or a run's ``report`` entry that names an existing file, is an
 ``output error:`` naming the path, exit 1.  A grid too large for memory
 (``grid.n = 4096`` asks for hundreds of GiB) ends in ``out of memory:`` with
@@ -102,6 +104,16 @@ _READ_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 class DamagedArtifact(Exception):
     """A run-directory file is missing, unreadable or malformed."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error raises ``argparse.ArgumentError``
+    for :func:`main` to report in one line with exit 1, where argparse
+    prints the usage too and exits with 2, the code of a numerical blowup.
+    Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def write_series_csv(path: str, series: MonitorSeries) -> None:
@@ -601,23 +613,24 @@ def _fix_malloc_thresholds() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regcrit",
         description="periodic-box Navier-Stokes solver with regularity-criterion monitors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_sim = sub.add_parser("simulate", help="run a simulation from a config file")
-    p_sim.add_argument("config")
-    p_cal = sub.add_parser("calibrate", help="calibrate inequality constants")
-    p_cal.add_argument("config")
-    p_ver = sub.add_parser("verify", help="re-check every inequality on a run")
-    p_ver.add_argument("rundir")
+    sub.add_parser("simulate", help="run a simulation from a config file").add_argument("config")
+    sub.add_parser("calibrate", help="calibrate inequality constants").add_argument("config")
+    sub.add_parser("verify", help="re-check every inequality on a run").add_argument("rundir")
     p_rep = sub.add_parser("report", help="emit plot-ready series and a summary")
     p_rep.add_argument("rundir")
     p_rep.add_argument(
         "--pressure", action="store_true", help="also reconstruct pressure snapshots"
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_USAGE
     _fix_malloc_thresholds()
 
     try:

@@ -5,12 +5,13 @@ A run's monitors form one table, :class:`MonitorSeries`, whose only schema
 is :func:`monitor_columns`: one float column per name, one row per sample,
 with the running integrals and the Gronwall bound filled as whole columns
 after the run.  The monitor CSV is this table as is.  A row is built in two
-parts: :func:`grid_columns` reads the state's grid samples of u and curl u,
-and :func:`evaluate_sample` takes those columns and the state's identity
-quadrature and reads the rest from the spectrum, so the caller decides when
-the samples and the quadrature exist (``solver.run`` takes the quadrature
-before the samples on every step, and frees the samples before it calls
-:func:`evaluate_sample`).
+parts: :func:`grid_columns` reads the state's field |u|^2 and its grid max
+of |curl u|, both from the stage-1 nonlinear term, which forms no other
+grid field for the monitors, and :func:`evaluate_sample` takes those
+columns and the state's identity quadrature and reads the rest from the
+spectrum, so the caller decides when |u|^2 and the quadrature exist
+(``solver.run`` takes the quadrature before the stage-1 term on every
+step, and frees |u|^2 before it calls :func:`evaluate_sample`).
 
 Monitored quantities per sample:
 
@@ -59,7 +60,6 @@ from . import norms as _norms
 from .spectral import (
     Grid,
     SpectralVelocityField,
-    VelocityField,
     derivative_slabs,
     parseval_sum,
 )
@@ -626,20 +626,22 @@ def attach_gronwall(series: MonitorSeries, calibration: CalibrationRecord | None
 
 
 def grid_columns(
-    pairs: tuple[SerrinPair, ...], u: VelocityField, omega: VelocityField
+    pairs: tuple[SerrinPair, ...], grid: Grid, u_sq: np.ndarray, omega_max: float
 ) -> dict[str, float]:
-    """The monitor columns that read the grid samples of u and omega = curl u;
-    |u| and |omega| are each formed once, whatever the pairs."""
-    g = u.grid
-    mag = u.magnitude()
+    """The monitor columns that read the grid: every one but ``bkm`` is a
+    function of |u|, and ``bkm`` is ``omega_max``, the grid max of
+    |omega| = |curl u|.  ``u_sq`` is the (n, n, n) field |u|^2, as the
+    stage-1 term forms it; its square root is taken once, in place, so
+    ``u_sq`` holds |u| after the call, and one |u| serves every pair."""
+    mag = np.sqrt(u_sq, out=u_sq)
     linf = float(mag.max(initial=0.0))
     cols = {
         "linf": linf,
-        "bkm": _norms.lp_norm(g, omega.magnitude(), math.inf),
-        "chan_vasseur": _chan_vasseur(mag, g.cell_volume),
+        "bkm": omega_max,
+        "chan_vasseur": _chan_vasseur(mag, grid.cell_volume),
     }
     for pair in pairs:
-        cols.update(pair_columns(pair, _norms.lp_norm(g, mag, pair.p), linf))
+        cols.update(pair_columns(pair, _norms.lp_norm(grid, mag, pair.p), linf))
     return cols
 
 
@@ -679,7 +681,8 @@ def evaluate_sample(
     :func:`monitor_columns`.
 
     ``columns`` is :func:`grid_columns` of the state, which the caller takes
-    from the grid samples of u and curl u and may free before this call;
+    from the stage-1 term's |u|^2 and max |curl u| and may free |u|^2
+    before this call;
     everything else is read from the spectrum, with ``mu`` the run's
     viscosity.  ``rhs_hat`` is the projected convective term of the same
     state, from the stepper's stage-1 evaluation; it feeds the spectral time

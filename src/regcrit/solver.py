@@ -17,9 +17,10 @@ exact-decay oracles; the price is a viscous stability bound.
 since neither needs a field; :func:`run` checks the advective CFL bound on
 the initial field before it writes anything, and every step re-checks it on
 the current field.  Only the stage-1 term of a step takes grid samples: its
-max of |u| feeds that check, and its samples of u and omega feed only that
-step's monitor sample, since a snapshot holds the state itself; stages 2-4
-take none, and so hold no whole grid table.  A sample that checks the H^2
+max of |u| feeds that check, and its field |u|^2 and its max of |omega| feed
+only that step's monitor sample, since a snapshot holds the state itself;
+no table of u or omega samples leaves the term.  Stages 2-4 take none, and
+so hold no whole grid field.  A sample that checks the H^2
 identity also needs the state's Hessian quadrature, whose x-pass table is
 the largest array of a run: :func:`run` takes it on every step before the
 stage-1 term, so the table is never allocated on top of what that term and
@@ -260,12 +261,13 @@ def make_initial(config: SolverConfig) -> SpectralVelocityField:
 
 def _nonlinear_half(
     grid: Grid, kept: np.ndarray, samples: bool = True
-) -> tuple[np.ndarray, float, np.ndarray | None, np.ndarray | None]:
-    """Compact-cube coefficients of -P(omega x u), the grid max of |u|, and
-    the grid samples of u and omega (see :func:`convective_core_half`)."""
-    w_hat, u_max, u_phys, omega = convective_core_half(grid, kept, samples)
+) -> tuple[np.ndarray, float, np.ndarray | None, float]:
+    """Compact-cube coefficients of -P(omega x u), the grid max of |u|, the
+    field |u|^2 and the grid max of |omega| (see
+    :func:`convective_core_half`)."""
+    w_hat, u_max, u_sq, omega_max = convective_core_half(grid, kept, samples)
     project_kept(grid, w_hat, negate=True)
-    return w_hat, u_max, u_phys, omega
+    return w_hat, u_max, u_sq, omega_max
 
 
 def nonlinear_rhs(u_hat: SpectralVelocityField) -> SpectralVelocityField:
@@ -333,15 +335,14 @@ def pressure_field(u_hat: SpectralVelocityField):
     """Diagnostic pressure q, mean zero, from Delta q = -div((u . grad) u).
 
     With (u . grad) u = omega x u + grad |u|^2/2, q = -Delta^-1 div(omega x u)
-    - |u|^2/2.  |u|^2 is formed from the same dealiased samples as omega x u
-    and dealiased like it, so q_hat lies on the kept modes and one
-    :func:`inverse_kept` gives its samples.
+    - |u|^2/2.  |u|^2 is the kernel's, from the same dealiased samples as
+    omega x u, and is dealiased like it, so q_hat lies on the kept modes and
+    one :func:`inverse_kept` gives its samples.
     """
     g = u_hat.grid
-    w_hat, _, u_phys, _ = convective_core_half(g, u_hat.kept)
-    ke = RealScalarField(g, 0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
+    w_hat, _, u_sq, _ = convective_core_half(g, u_hat.kept)
     q_hat = divergence(SpectralVelocityField(g, w_hat)).kept * g.inv_k_squared
-    q_hat -= fft_forward(ke).kept
+    q_hat -= fft_forward(RealScalarField(g, 0.5 * u_sq)).kept
     q_hat[0, 0, 0] = 0.0
     return RealScalarField(g, inverse_kept(g, q_hat))
 
@@ -367,12 +368,14 @@ def run(
     when that field's grid max of |u| is not finite.
 
     Every step runs, in order: the identity quadrature of a sample that
-    checks the identity, the stage-1 term with its grid samples, step 0's
-    checks of the initial field, the snapshot of the state, the grid
-    columns, then, the samples freed, the monitor row and the RK stages.
-    The stage-1 samples feed only the grid columns.  This function is the
-    only caller of the quadrature in a run, and
-    :func:`criteria.evaluate_sample` takes its result.
+    checks the identity, the stage-1 term with its |u|^2 and max |omega|,
+    step 0's checks of the initial field, the snapshot of the state, the
+    grid columns, then, |u|^2 freed, the monitor row and the RK stages.
+    |u|^2 and max |omega| feed only the grid columns.  The grid columns and
+    the monitor row run under the stage-1 term's floating-point policy, so
+    a finite state whose samples overflow gives +inf or NaN columns, not a
+    warning.  This function is the only caller of the quadrature in a run,
+    and :func:`criteria.evaluate_sample` takes its result.
     """
     u_hat = make_initial(config)
     series = _criteria.MonitorSeries(pairs=monitors.pairs)
@@ -385,18 +388,18 @@ def run(
             t = i * config.dt
             sample_due = i % config.monitor_stride == 0 or final
             identity_due = sample_due and (i % monitors.identity_stride == 0 or final)
-            # the quadrature runs while the stage-1 term, its samples and its
+            # the quadrature runs while the stage-1 term, its |u|^2 and its
             # right-hand side do not exist, so its table reuses the heap the
             # previous step freed instead of growing it (module docstring);
             # the stage-1 term doubles as the monitors' time derivative, and
-            # its grid samples of u and omega serve the monitor sample; an
-            # initial field that overflows in either reaches step 0's checks
-            # below without a warning
+            # its |u|^2 and max |omega| serve the monitor sample; an initial
+            # field that overflows in either reaches step 0's checks below
+            # without a warning
             quad = None
             with np.errstate(over="ignore", invalid="ignore"):
                 if identity_due:
                     quad = _criteria.hessian_quadrature(u_hat, magnitude=False)
-                nl, u_max, u_phys, omega = _nonlinear_half(g, u_hat.kept)
+                nl, u_max, u_sq, omega_max = _nonlinear_half(g, u_hat.kept)
             if i == 0 and not math.isfinite(u_max):
                 raise InitialFieldOutOfRange(
                     f"{config.init.kind}: the initial field's grid max |u| is {u_max!r} "
@@ -410,24 +413,25 @@ def run(
                 )
             if sink is not None and (i % config.snapshot_stride == 0 or final):
                 sink.snapshot(i, t, u_hat)
-            if sample_due:
-                columns = _criteria.grid_columns(
-                    monitors.pairs, VelocityField(g, u_phys), VelocityField(g, omega)
-                )
-            # the samples are freed here, before the RK stages
-            del u_phys, omega
-            if sample_due:
-                series.append(
-                    _criteria.evaluate_sample(
-                        u_hat,
-                        t,
-                        monitors,
-                        mu=config.mu,
-                        rhs_hat=SpectralVelocityField(g, nl),
-                        columns=columns,
-                        with_identity=quad,
+            # the same policy: a finite state whose samples or spectrum
+            # overflow gives +inf or NaN columns that fail verify's checks
+            with np.errstate(over="ignore", invalid="ignore"):
+                if sample_due:
+                    columns = _criteria.grid_columns(monitors.pairs, g, u_sq, omega_max)
+                # |u|^2 is freed here, before the RK stages
+                del u_sq
+                if sample_due:
+                    series.append(
+                        _criteria.evaluate_sample(
+                            u_hat,
+                            t,
+                            monitors,
+                            mu=config.mu,
+                            rhs_hat=SpectralVelocityField(g, nl),
+                            columns=columns,
+                            with_identity=quad,
+                        )
                     )
-                )
             if final:
                 break
             u_hat = SpectralVelocityField(g, _advance(config, u_hat.kept, nl, u_max, t))

@@ -85,8 +85,10 @@ Conventions, fixed once for the whole package:
   modes and bitwise equal to the full transform.  It is one slab loop:
   each x-slab of [u, omega] is multiplied out and taken through the real
   z pass while it is in cache, so only the x-passed lines and the kept kz
-  planes of the product are whole-grid arrays, unless the caller asks for
-  the grid samples
+  planes of the product are whole-grid arrays.  A caller that asks for
+  samples gets what the monitors read: one field, |u|^2, formed slab by
+  slab, and the number max |omega|; no table of u or omega samples leaves
+  the kernel
 
 All operations are pure functions, but for :func:`project_kept`, which
 works in place on an array its caller owns.  Reductions are numpy's own
@@ -656,18 +658,20 @@ def _velocity_and_curl(grid: Grid, kept: np.ndarray):
 
 def convective_core_half(
     grid: Grid, kept: np.ndarray, samples: bool = True
-) -> tuple[np.ndarray, float, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, float, np.ndarray | None, float]:
     """Dealiased rotational nonlinear term omega x u on the compact cube,
-    the grid max of |u|, and the grid samples of u and omega = curl u.
+    the grid max of |u|, the field |u|^2 and the grid max of |omega|,
+    omega = curl u: ``(w_hat, u_max, u_sq, omega_max)``.
 
     omega x u differs from (u . grad) u by grad |u|^2/2, which the Leray
     projection removes, so both give the same projected right-hand side.
     Both factors are dealiased before the pointwise product and the product
     is dealiased again, so retained modes of band-limited inputs are exact.
-    The max feeds the advective CFL check, and the samples (views of one
-    (6, n, n, n) table, of the dealiased u) feed the monitors of the same
-    state, without another transform.  With ``samples=False`` the max is
-    NaN, the samples are None and no grid table is formed.
+    u_max feeds the advective CFL check; ``u_sq``, the (n, n, n) samples of
+    |u|^2 of the dealiased u, and ``omega_max`` feed the monitors of the same
+    state, without another transform, since every grid column they take is
+    a function of |u| or of max |omega|.  With ``samples=False`` the tuple
+    is ``(w_hat, nan, None, nan)`` and no grid field is formed.
 
     One slab loop serves both: per x-slab of the stream of [u, omega]
     (:func:`inverse_slabs`'s passes, with no concatenated spectrum: the x
@@ -677,10 +681,11 @@ def convective_core_half(
     formed in slab buffers and taken through the real pass along z, whose
     kept kz planes go into one ``(3, n, n, m + 1)`` workspace for
     :func:`_forward_kept`, the route of :func:`fft_forward`.  With
-    ``samples``, the slab is also copied into the returned table, and the
-    max of |u|^2 is the largest of the per-slab maxima, which is exact in
-    any order.  Every pass sees the lines of the whole-table route, in the
-    same order, so the result is that route's bit for bit.  The name
+    ``samples``, the slab's |u|^2 is written straight into ``u_sq``, and
+    max |omega|^2 is the largest of the per-slab maxima, which is exact in
+    any order; each max is the square root of the largest square, which
+    keeps a NaN.  Every pass sees the lines of the whole-table route, in
+    the same order, so the result is that route's bit for bit.  The name
     is kept from when the kernel worked on the half spectrum, because the
     benchmark traces the nonlinear term by it.
     """
@@ -690,8 +695,8 @@ def convective_core_half(
     cross = np.empty((3, b, n, n))
     tmp = np.empty((b, n, n))
     half = np.empty((3, n, n, m + 1), dtype=np.complex128)
-    table = np.empty((6,) + grid.shape) if samples else None
-    u_sq_max = 0.0
+    u_sq = np.empty(grid.shape) if samples else None
+    omega_sq_max = 0.0
     for x0, x1, slab in _slabs(grid, lines, b):
         u_phys, omega = slab[:3], slab[3:]
         product, scratch = cross[:, : x1 - x0], tmp[: x1 - x0]
@@ -701,20 +706,22 @@ def convective_core_half(
             np.multiply(omega[d], u_phys[a], out=scratch)
             product[c] -= scratch
         if samples:
-            table[:, x0:x1] = slab
-            np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=scratch)
+            np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=u_sq[x0:x1])
+            np.einsum("cxyz,cxyz->xyz", omega, omega, out=scratch)
             # np.maximum, unlike max(), keeps a NaN
-            u_sq_max = np.maximum(u_sq_max, scratch.max(initial=0.0))
+            omega_sq_max = np.maximum(omega_sq_max, scratch.max(initial=0.0))
         half[:, x0:x1] = _fft.rfft(product, axis=-1)[..., : m + 1]
     del lines, slab, u_phys, omega
     w_hat = _forward_kept(grid, half)
     if not samples:
-        return w_hat, math.nan, None, None
-    return w_hat, math.sqrt(float(u_sq_max)), table[:3], table[3:]
+        return w_hat, math.nan, None, math.nan
+    return w_hat, math.sqrt(float(u_sq.max(initial=0.0))), u_sq, math.sqrt(float(omega_sq_max))
 
 
 def to_physical(U: SpectralVelocityField) -> VelocityField:
     """The grid samples of a spectral velocity field: :func:`inverse_kept`
-    of its compact cube, equal bit for bit to the u samples of
-    :func:`convective_core_half`.  ``verify`` takes a snapshot's |u| so."""
+    of its compact cube, the u samples of :func:`convective_core_half`, so
+    their pointwise |u|^2 is that kernel's ``u_sq`` bit for bit.  ``verify``
+    takes a snapshot's |u| so, and so tells a non-finite sample
+    (:class:`NonFiniteSamples`) from a finite one whose square overflows."""
     return VelocityField(U.grid, inverse_kept(U.grid, U.kept))

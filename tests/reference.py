@@ -355,7 +355,8 @@ def convective_core_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
     """The rotational kernel on the whole half spectrum: mask the input,
     one batched ``irfftn`` of [u, omega], one ``rfftn`` of omega x u times
     the mask.  Returns what ``spectral.convective_core_half`` returns, with
-    the term as a half spectrum."""
+    the term as a half spectrum, from the whole sample tables
+    (:func:`sampled_columns`)."""
     mask = dealias_mask_half(grid)
     kx, ky, kz = wavenumbers_half(grid)
     hat = np.empty((6,) + half_shape(grid), dtype=np.complex128)
@@ -374,17 +375,27 @@ def convective_core_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
         cross[c] -= omega[b] * u_phys[a]
     w_hat = rfftn(cross)
     w_hat *= mask
-    u_max = math.sqrt(float(np.einsum("cxyz,cxyz->xyz", u_phys, u_phys).max(initial=0.0)))
-    return w_hat, u_max, u_phys, omega
+    return (w_hat,) + sampled_columns(u_phys, omega)
+
+
+def sampled_columns(u_phys: np.ndarray, omega: np.ndarray):
+    """``(u_max, u_sq, omega_max)`` of whole (3, n, n, n) sample tables of u
+    and omega: |u|^2 as one einsum over the table, and max |omega| as the
+    grid max of the pointwise magnitude, the way the monitors took it from
+    sample tables."""
+    u_sq = np.einsum("cxyz,cxyz->xyz", u_phys, u_phys)
+    u_max = math.sqrt(float(u_sq.max(initial=0.0)))
+    omega_mag = np.sqrt(np.einsum("cxyz,cxyz->xyz", omega, omega))
+    return u_max, u_sq, float(omega_mag.max(initial=0.0))
 
 
 def nonlinear_half_unpruned(grid: spec.Grid, half_spectrum: np.ndarray):
     """-P(omega x u) from :func:`convective_core_unpruned`, projected by
     :func:`leray_project_full` on the whole half spectrum and then negated."""
-    w_hat, u_max, u_phys, omega = convective_core_unpruned(grid, half_spectrum)
+    w_hat, *columns = convective_core_unpruned(grid, half_spectrum)
     nl = leray_project_full(grid, w_hat)
     np.negative(nl, out=nl)
-    return nl, u_max, u_phys, omega
+    return (nl, *columns)
 
 
 def leray_project_full(grid: spec.Grid, half_spectrum: np.ndarray) -> np.ndarray:
@@ -469,9 +480,10 @@ def inverse_kept_whole(grid: spec.Grid, kept: np.ndarray) -> np.ndarray:
 def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
     """The kernel that the slab loop replaced, on whole tables: the samples
     of [u, omega] from one :func:`inverse_kept_whole`, the (3, n, n, n)
-    product omega x u, the grid max of |u| from the whole |u|^2 table, one
-    real pass along z over the product, then ``spectral._forward_kept``.
-    Returns what ``spectral.convective_core_half`` returns."""
+    product omega x u, one real pass along z over the product, then
+    ``spectral._forward_kept``.  Returns what
+    ``spectral.convective_core_half`` returns, its grid columns from the
+    whole sample tables (:func:`sampled_columns`)."""
     kx, ky, kz = grid.wavevector
     u, v, w = kept
     omega_hat = 1j * np.stack((ky * w - kz * v, kz * u - kx * w, kx * v - ky * u))
@@ -484,10 +496,16 @@ def convective_core_tables(grid: spec.Grid, kept: np.ndarray):
         np.multiply(omega[a], u_phys[b], out=cross[c])
         np.multiply(omega[b], u_phys[a], out=tmp)
         cross[c] -= tmp
-    np.einsum("cxyz,cxyz->xyz", u_phys, u_phys, out=tmp)
-    u_max = math.sqrt(float(tmp.max(initial=0.0)))
     half = _fft.rfft(cross, axis=-1)
-    return spec._forward_kept(grid, half), u_max, u_phys, omega
+    return (spec._forward_kept(grid, half),) + sampled_columns(u_phys, omega)
+
+
+def curl_samples(U) -> np.ndarray:
+    """Grid samples of curl u, from the kernel's spectrum of omega: each
+    part of ``spectral._velocity_and_curl`` copied as it comes, then one
+    ``spectral.inverse_kept``.  The kernel hands out only max |omega|."""
+    parts = [part.copy() for part in spec._velocity_and_curl(U.grid, U.kept)]
+    return spec.inverse_kept(U.grid, np.concatenate(parts)[3:])
 
 
 def snapshot_payload(values: np.ndarray) -> bytes:
@@ -572,8 +590,8 @@ def pressure_field_unpruned(U) -> np.ndarray:
     """The samples of ``solver.pressure_field`` from
     :func:`convective_core_unpruned` and a full ``irfftn``."""
     g = U.grid
-    w_hat, _, u_phys, _ = convective_core_unpruned(g, to_half(U))
-    ke_hat = rfftn(0.5 * np.einsum("cxyz,cxyz->xyz", u_phys, u_phys))
+    w_hat, _, u_sq, _ = convective_core_unpruned(g, to_half(U))
+    ke_hat = rfftn(0.5 * u_sq)
     kx, ky, kz = wavenumbers_half(g)
     div = 1j * (kx * w_hat[0] + ky * w_hat[1] + kz * w_hat[2])
     q_hat = div * inv_k_squared_half(g)

@@ -30,6 +30,7 @@ NOT_RUN = {
     "solver.RunSink.snapshot": "the interface's no-op base; DirectorySink overrides it",
     "config.ConfigError.__init__": "only a config error raises it, and these configs are valid",
     "solver.NumericalBlowup.__init__": "only a blowup raises it, and these runs do not blow up",
+    "cli._Parser.error": "only a rejected command line calls it, and these are valid",
 }
 
 CALIBRATE = """

@@ -60,6 +60,29 @@ RECORD_DAMAGES = {
 }
 
 
+class TestCommandLine:
+    """A command line that the parser rejects is a usage error: exit 1, one
+    line, where argparse exits with 2, the numerical-blowup code."""
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["frobnicate"], ["simulate"], ["verify", "a", "b"]],
+        ids=["no_command", "unknown_command", "missing_argument", "extra_argument"],
+    )
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert err.startswith("usage error: "), err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert "simulate" in out and err == ""
+
+
 class TestConfigParsing:
     def test_full_parse_and_defaults(self, tmp_path):
         p = write_config(tmp_path / "a.cfg", BASE)
@@ -279,6 +302,35 @@ class TestSimulate:
         assert len(csv.read_text().strip().splitlines()) == 7  # header + 6 samples
         manifest = (tmp_path / "run" / "manifest.json").read_text()
         assert '"exit_status": 2' in manifest
+
+    def test_finite_state_with_overflowing_samples_is_one_blowup_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the step to t = 1e-3 scales the cube to a largest coefficient of
+        # 1e306: the state is finite, but its |u|^2 and |u_hat|^2 overflow.
+        # Its row is written with +inf and NaN columns and no warning, then
+        # the CFL check on its grid max of |u| ends the run
+        p = write_config(tmp_path / "a.cfg", BASE)
+        real_advance = solv._advance
+
+        def scaled(config, u_kept, nl1, u_max, t):
+            new = real_advance(config, u_kept, nl1, u_max, t)
+            if t == 0.0:
+                new *= 1e306 / np.abs(new).max()
+            return new
+
+        monkeypatch.setattr(solv, "_advance", scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["simulate", p]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert err.startswith("numerical blowup: CFL violated at t=0.001:"), err
+        run = tmp_path / "run"
+        _, data = cli.read_series_csv(str(run / "monitors.csv"))
+        assert list(data["t"]) == [0.0, 1e-3]
+        assert data["linf"][1] == math.inf
+        assert json.loads((run / "manifest.json").read_text())["exit_status"] == 2
 
     def test_cfl_blowup_keeps_the_violating_states_row_and_snapshot(
         self, tmp_path, capsys, monkeypatch

@@ -41,15 +41,15 @@ def zero_spectral(grid):
 
 
 def kernel_samples(U):
-    """[u, curl u] on the grid, as solver.run takes them from the kernel."""
-    _, _, u_phys, omega = convective_core_half(U.grid, U.kept)
-    return [VelocityField(U.grid, u_phys), VelocityField(U.grid, omega)]
+    """|u|^2 and max |curl u| of U, as solver.run takes them from the kernel."""
+    _, _, u_sq, omega_max = convective_core_half(U.grid, U.kept)
+    return u_sq, omega_max
 
 
 def sample(U, pairs, with_identity=False):
     """One monitor row of the state U, by the route solver.run takes."""
     mon = crit.CriterionConfig(pairs=tuple(pairs))
-    columns = crit.grid_columns(mon.pairs, *kernel_samples(U))
+    columns = crit.grid_columns(mon.pairs, U.grid, *kernel_samples(U))
     quad = crit.hessian_quadrature(U) if with_identity else None
     return crit.evaluate_sample(U, 0.0, mon, 0.1, solv.nonlinear_rhs(U), columns, quad)
 
@@ -66,9 +66,9 @@ def identity(U, mu):
 
 
 def holder(U, p):
+    """The Hoelder check of U, with |u| by verify's route."""
     return crit.holder_check(
-        U.grid, p, crit.hessian_quadrature(U), kernel_samples(U)[0].magnitude(),
-        sob(U, 3),
+        U.grid, p, crit.hessian_quadrature(U), to_physical(U).magnitude(), sob(U, 3)
     )
 
 
@@ -125,15 +125,18 @@ class TestIntegrands:
 
     @pytest.mark.parametrize("n", [32, 48, 64])
     def test_grid_columns_peak_memory(self, n):
-        # |u| and at most two fields beside it: |omega|, or the numerator and
-        # the log of the Chan-Vasseur integrand, each taken in place.
-        # Measured 3.01, 3.00 and 3.00 fields at n = 32, 48 and 64; 4.0 when
-        # the integrand, the norms and |omega| held temporaries
-        U = solv.init_random_divfree(Grid(n), 1, -3.0, 5.0)
-        u, omega = kernel_samples(U)
-        crit.grid_columns((SIX, FIVE), u, omega)
-        peak = reference.traced_peak(crit.grid_columns, (SIX, FIVE), u, omega)
-        assert peak <= 3.1 * 8 * n**3
+        # |u| is taken in place in the caller's |u|^2, so at most two fields
+        # beside it: the numerator and the log of the Chan-Vasseur
+        # integrand, each taken in place.  Measured 2.00 to 2.01 fields at
+        # n = 32, 48 and 64; 3.0 when it formed |u| and |omega| from sample
+        # tables, 4.0 when the integrand, the norms and |omega| held
+        # temporaries
+        g = Grid(n)
+        U = solv.init_random_divfree(g, 1, -3.0, 5.0)
+        u_sq, omega_max = kernel_samples(U)
+        crit.grid_columns((SIX, FIVE), g, u_sq.copy(), omega_max)
+        peak = reference.traced_peak(crit.grid_columns, (SIX, FIVE), g, u_sq, omega_max)
+        assert peak <= 2.1 * 8 * n**3
 
     def test_log_serrin_denominator_hits_three(self):
         c = E**2 - E  # makes 1 + ln(e + c) = 3
@@ -650,20 +653,30 @@ class TestEvaluateSample:
 
     @pytest.mark.parametrize("pairs", ["6:4", "4:8,5:5,6:4,inf:2"])
     def test_one_magnitude_per_field_whatever_the_pairs(self, monkeypatch, pairs):
+        # one |u|, the square root taken in place in the kernel's |u|^2,
+        # serves every pair, and no magnitude is formed from a sample table;
+        # each ||u||_p is verify's, from to_physical, bit for bit
         g = Grid(16)
         U = solv.init_random_divfree(g, 2, -2.0, 1.0)
         mon = crit.CriterionConfig(pairs=parse_pairs(pairs))
-        u = kernel_samples(U)[0]
-        expected = {pair.p: norms.lp_norm(g, u.magnitude(), pair.p) for pair in mon.pairs}
-        calls = []
-        magnitude = VelocityField.magnitude
+        mag = to_physical(U).magnitude()
+        expected = {pair.p: norms.lp_norm(g, mag, pair.p) for pair in mon.pairs}
+        magnitudes, calls = [], []
+        lp_norm, magnitude = norms.lp_norm, VelocityField.magnitude
+
+        def recorded(grid, field, p):
+            magnitudes.append(field)
+            return lp_norm(grid, field, p)
 
         def counted(field):
             calls.append(1)
             return magnitude(field)
 
+        monkeypatch.setattr(norms, "lp_norm", recorded)
         monkeypatch.setattr(VelocityField, "magnitude", counted)
         s = sample(U, mon.pairs)
-        assert len(calls) == 2  # |u| and |curl u|
+        assert calls == []
+        assert len(magnitudes) == len(mon.pairs)
+        assert all(field is magnitudes[0] for field in magnitudes)
         for pair in mon.pairs:
             assert s[f"lp_{pair.label}"] == expected[pair.p]

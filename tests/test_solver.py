@@ -23,12 +23,6 @@ def l2(U):
     return lp_norm(U.grid, to_physical(U).magnitude(), 2.0)
 
 
-def kernel_samples(U):
-    """[u, curl u] on the grid, as solver.run takes them from the kernel."""
-    _, _, u_phys, omega = spec.convective_core_half(U.grid, U.kept)
-    return [spec.VelocityField(U.grid, u_phys), spec.VelocityField(U.grid, omega)]
-
-
 def step(U, config):
     """One RK4 step of the field U as solver.run takes it: the stage-1
     nonlinear term, then ``solver._advance``."""
@@ -102,8 +96,7 @@ class TestInitializers:
     def test_beltrami_eigenfield_and_norm(self):
         amp = 0.8
         U = solv.init_beltrami(Grid(16), amp)
-        u, omega = kernel_samples(U)
-        assert np.abs(omega.values - u.values).max() <= 1e-13
+        assert np.abs(reference.curl_samples(U) - to_physical(U).values).max() <= 1e-13
         assert np.abs(reference.full(spec.divergence(U))).max() <= 1e-13
         expected = amp * math.sqrt(3.0) * TWO_PI**1.5
         assert l2(U) == pytest.approx(expected, rel=1e-12)
@@ -287,18 +280,19 @@ class TestPrunedKernel:
     def test_bitwise_equal_to_the_unpruned_kernel(self, n):
         g = Grid(n)
         for kind, U in pinned_states(g).items():
-            nl, u_max, u_phys, omega = solv._nonlinear_half(g, U.kept)
+            nl, u_max, u_sq, omega_max = solv._nonlinear_half(g, U.kept)
             ref = reference.nonlinear_half_unpruned(g, reference.to_half(U))
             assert np.array_equal(half_of(g, nl), ref[0]), kind
             assert u_max == ref[1], kind
-            assert np.array_equal(u_phys, ref[2]), kind
-            assert np.array_equal(omega, ref[3]), kind
+            assert u_sq.tobytes() == ref[2].tobytes(), kind
+            assert omega_max == ref[3], kind
             w_hat = spec.convective_core_half(g, U.kept)[0]
             unpruned = reference.convective_core_unpruned(g, reference.to_half(U))[0]
             assert np.array_equal(half_of(g, w_hat), unpruned), kind
             # without samples, the same term
             bare = solv._nonlinear_half(g, U.kept, samples=False)
-            assert np.array_equal(bare[0], nl) and bare[2] is None and bare[3] is None, kind
+            assert np.array_equal(bare[0], nl) and bare[2] is None, kind
+            assert math.isnan(bare[1]) and math.isnan(bare[3]), kind
 
     @pytest.mark.parametrize("n", [16, 18])
     def test_pressure_field_bitwise_unchanged(self, monkeypatch, n):
@@ -462,12 +456,14 @@ class TestTransformCount:
     @pytest.mark.parametrize("n", [16, 32, 96])
     def test_state_samples_are_the_stage_one_samples(self, n):
         # verify takes a snapshot's |u| from to_physical of its state, and
-        # the monitors take theirs from the stage-1 kernel's samples: both are
-        # the same bytes, so verify's Hoelder check reads simulate's ||u||_p
+        # the monitors take theirs from the stage-1 kernel's |u|^2: the
+        # pointwise |u|^2 of the one is the other, byte for byte, so
+        # verify's Hoelder check reads simulate's ||u||_p
         g = Grid(n)
         U = solv.init_random_divfree(g, 5, -2.0, 1.0)
         stage_one = solv._nonlinear_half(g, U.kept)[2]
-        assert to_physical(U).values.tobytes() == stage_one.tobytes()
+        values = to_physical(U).values
+        assert np.einsum("cxyz,cxyz->xyz", values, values).tobytes() == stage_one.tobytes()
 
     def test_only_stage_one_takes_samples(self, monkeypatch):
         # each step's stage 1 takes samples for the CFL check and the
@@ -489,7 +485,7 @@ class TestTransformCount:
         assert flags == [stage_one, later, later, later] * 2 + [stage_one]
 
     def test_stage_one_samples_freed_before_identity(self, monkeypatch):
-        # at each quadrature, step 0's included, no stage-1 sample table of
+        # at each quadrature, step 0's included, no stage-1 |u|^2 of
         # any earlier step is alive
         cfg = solv.SolverConfig(
             grid=Grid(16), mu=0.1, dt=1e-2, t_end=2e-2,
@@ -501,7 +497,7 @@ class TestTransformCount:
         def recording_kernel(grid, kept, with_samples=True):
             out = kernel(grid, kept, with_samples)
             if with_samples:
-                samples.append(weakref.ref(out[2].base))
+                samples.append(weakref.ref(out[2]))
             return out
 
         def checking_quadrature(u_hat, **kwargs):
@@ -564,7 +560,7 @@ class TestTransformCount:
         def recording_kernel(grid, kept, with_samples=True):
             out = kernel(grid, kept, with_samples)
             if with_samples:
-                samples.append(weakref.ref(out[2].base))
+                samples.append(weakref.ref(out[2]))
             return out
 
         def checking_advance(config, u_kept, nl1, u_max, t):
