@@ -46,17 +46,12 @@ def write_scalar_snapshot(path, field: RealScalarField, time: float) -> None:
 
 
 def _read_header(fh) -> dict:
-    raw = bytearray()
-    while True:
-        b = fh.read(1)
-        if not b:
-            raise ValueError("snapshot header truncated")
-        if b == b"\n":
-            break
-        raw.extend(b)
-        if len(raw) > 4096:
-            raise ValueError("snapshot header too long")
-    head = json.loads(raw.decode("utf-8"))
+    """The header line: at most 4096 bytes before its newline."""
+    line = fh.readline(4097)
+    if not line.endswith(b"\n"):
+        kind = "too long" if len(line) > 4096 else "truncated"
+        raise ValueError(f"snapshot header {kind}")
+    head = json.loads(line.decode("utf-8"))
     if not isinstance(head, dict):
         raise ValueError("snapshot header is not a JSON object")
     return head

@@ -1,6 +1,11 @@
 """Pseudo-spectral time integration of incompressible Navier-Stokes on the
 periodic box, plus the exact-solution initializers used as oracles.
 
+Every initial state is set on the compact cube of :mod:`regcrit.spectral`
+by one placement of half-space modes (:func:`_compact_cube`): the closed
+forms as short lists of exact Fourier coefficients, the random draw as its
+drawn modes, so no initializer takes grid samples or a forward transform.
+
 The nonlinear term is taken in rotational form: omega x u, dealiased and
 Leray projected.  It differs from (u . grad) u by grad |u|^2/2, which the
 projection removes, so the pressure gradient never appears and the
@@ -43,7 +48,6 @@ from .spectral import (
     Grid,
     RealScalarField,
     SpectralVelocityField,
-    VelocityField,
     convective_core_half,
     divergence,
     fft_forward,
@@ -135,35 +139,50 @@ class SolverConfig:
             )
 
 
+def _compact_cube(grid: Grid, modes, values: np.ndarray) -> np.ndarray:
+    """An initial state set on the compact cube: the real 3-vector field
+    whose Fourier coefficient of component c is ``values[c, j]`` on the
+    integer mode ``modes[:, j]`` = (kx, ky, kz), its conjugate on the
+    negated mode, and zero elsewhere; no mode is the negative of another.
+    This is the one placement of every initializer.  Of each mode k and its
+    partner -k, the cube stores the one with kz >= 0 whose |kx| and |ky|
+    the 2/3 rule keeps: the value itself at k when kz >= 0, its conjugate
+    at -k when kz <= 0, both on the kz = 0 plane."""
+    m = grid.kept_max
+    coeffs = np.zeros((3,) + grid.kept_shape, dtype=np.complex128)
+    for sign in (1, -1):
+        x, y, z = (sign * np.asarray(k) for k in modes)
+        keep = (np.abs(x) <= m) & (np.abs(y) <= m) & (0 <= z) & (z <= m)
+        part = values[:, keep]
+        coeffs[:, x[keep] % (2 * m + 1), y[keep] % (2 * m + 1), z[keep]] = (
+            part if sign == 1 else np.conj(part)
+        )
+    return coeffs
+
+
 def init_taylor_green(grid: Grid, amplitude: float) -> SpectralVelocityField:
-    """z-independent Taylor-Green vortex, an exact solution decaying as
-    exp(-2 mu kappa^2 t) with kappa = 2 pi / L; the forward transform keeps
-    only the modes the 2/3 rule keeps, like every state."""
-    kap = 2.0 * np.pi / grid.length
-    X, Y, _ = grid.meshes()
-    u = np.stack(
-        [
-            amplitude * np.cos(kap * X) * np.sin(kap * Y),
-            -amplitude * np.sin(kap * X) * np.cos(kap * Y),
-            np.zeros(grid.shape),
-        ]
-    )
-    return fft_forward(VelocityField(grid, u))
+    """z-independent Taylor-Green vortex u = A (cos X sin Y, -sin X cos Y, 0),
+    X = kappa x and Y = kappa y with kappa = 2 pi / L, an exact solution
+    decaying as exp(-2 mu kappa^2 t).  Set on the compact cube
+    (:func:`_compact_cube`): cos X sin Y is -+i/4 on the modes (1, +-1, 0),
+    and -sin X cos Y is +i/4 on both."""
+    modes = np.array([[1, 1], [1, -1], [0, 0]])
+    values = amplitude * np.array([[-0.25j, 0.25j], [0.25j, 0.25j], [0.0, 0.0]])
+    return SpectralVelocityField(grid, _compact_cube(grid, modes, values))
 
 
 def init_beltrami(grid: Grid, amplitude: float) -> SpectralVelocityField:
-    """ABC flow with A = B = C = 1: curl u = kappa u, so the Navier-Stokes
-    evolution is the pure decay exp(-mu kappa^2 t) (kappa = 2 pi / L)."""
-    kap = 2.0 * np.pi / grid.length
-    X, Y, Z = grid.meshes()
-    u = amplitude * np.stack(
-        [
-            np.sin(kap * Z) + np.cos(kap * Y),
-            np.sin(kap * X) + np.cos(kap * Z),
-            np.sin(kap * Y) + np.cos(kap * X),
-        ]
+    """ABC flow with A = B = C = 1, u = A (sin Z + cos Y, sin X + cos Z,
+    sin Y + cos X) with (X, Y, Z) = kappa (x, y, z), kappa = 2 pi / L:
+    curl u = kappa u, so the Navier-Stokes evolution is the pure decay
+    exp(-mu kappa^2 t).  Set on the compact cube (:func:`_compact_cube`): a
+    sine is -i/2 and a cosine 1/2 on its mode, (0, 0, 1), (0, 1, 0) or
+    (1, 0, 0)."""
+    modes = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    values = amplitude * np.array(
+        [[-0.5j, 0.5, 0.0], [0.5, 0.0, -0.5j], [0.0, -0.5j, 0.5]]
     )
-    return fft_forward(VelocityField(grid, u))
+    return SpectralVelocityField(grid, _compact_cube(grid, modes, values))
 
 
 def init_random_divfree(
@@ -177,7 +196,8 @@ def init_random_divfree(
     ``amplitude``.  Bit-reproducible for a fixed seed.  Phases are drawn on
     the closed ball 3|k| <= n and the moduli vanish on its boundary shell
     3|k| = n (present when 3 divides n), so no mode's phase depends on
-    whether that shell is kept.
+    whether that shell is kept.  The draw is set on the compact cube
+    (:func:`_drawn_field`).
 
     A slope or amplitude that takes the field out of the floating range
     raises :class:`InitialFieldOutOfRange`, without a floating-point warning.
@@ -210,14 +230,14 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
 
     Every drawn mode has |k_i| <= n/3 on each axis, so the draw runs on the
     index cube of those modes, in FFT storage order: its C order is the full
-    cube's, and so are the phases each mode gets.  Of each drawn mode k and
-    its partner -k, the compact cube stores the one with kz >= 0: k itself
-    when kz >= 0, conj at -k when kz <= 0.  Only the shell 3|k| = n (present
-    when 3 divides n) lies outside the kept modes, and its moduli vanish."""
+    cube's, and so are the phases each mode gets.  The drawn modes of the
+    canonical half-space are set on the compact cube by
+    :func:`_compact_cube`, the placement of every initializer.  Only the
+    shell 3|k| = n (present when 3 divides n) lies outside the kept modes,
+    and its moduli vanish."""
     n, m = grid.n, grid.n // 3
     rng = default_rng(seed)
-    index = np.r_[0 : m + 1, n - m : n]  # storage indices of |k_i| <= n // 3
-    ints = grid.integer_modes[index]
+    ints = np.r_[0 : m + 1, -m:0]  # |k_i| <= n // 3, in FFT storage order
     kx = ints.reshape(-1, 1, 1)
     ky = ints.reshape(1, -1, 1)
     kz = ints.reshape(1, 1, -1)
@@ -228,23 +248,11 @@ def _drawn_field(grid: Grid, seed: int, spectrum_slope: float) -> SpectralVeloci
     # canonical half-space: kx > 0, or kx = 0 and ky > 0, or kx = ky = 0, kz > 0
     half = (kx > 0) | ((kx == 0) & (ky > 0)) | ((kx == 0) & (ky == 0) & (kz > 0))
     cx, cy, cz = np.nonzero(drawn & half)
-    # compact-cube index of each storage index along x or y; -1 if not kept
-    pos = np.full(n, -1)
-    pos[grid.kept_index] = np.arange(grid.kept_index.size)
-
-    def stored(ix, iy, iz):
-        keep = (iz <= grid.kept_max) & (pos[ix] >= 0) & (pos[iy] >= 0)
-        return keep, (pos[ix[keep]], pos[iy[keep]], iz[keep])
-
-    ix, iy, iz = index[cx], index[cy], index[cz]
-    own, at_own = stored(ix, iy, iz)
-    mirror, at_mirror = stored((-ix) % n, (-iy) % n, (-iz) % n)
-    coeffs = np.zeros((3,) + grid.kept_shape, dtype=np.complex128)
-    for c in range(3):
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=ix.shape)
-        vals = moduli[cx, cy, cz] * np.exp(1j * phases)
-        coeffs[c][at_own] = vals[own]
-        coeffs[c][at_mirror] = np.conj(vals[mirror])
+    vals = np.stack([
+        moduli[cx, cy, cz] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=cx.shape))
+        for _ in range(3)
+    ])
+    coeffs = _compact_cube(grid, (ints[cx], ints[cy], ints[cz]), vals)
     return leray_project(SpectralVelocityField(grid, coeffs))
 
 

@@ -39,6 +39,9 @@ Conventions, fixed once for the whole package:
   two kept x-slabs, then a gather of the compact cube, which for a product
   is its dealiasing; :func:`fft_forward` takes a velocity field one
   component at a time, so its workspace is one field's half spectrum.
+  The pressure's |u|^2/2 is the only command caller of
+  :func:`fft_forward` (``report --pressure``): every state is set, stepped
+  and stored on the compact cube.
   The inverse is one stream, :func:`inverse_slabs`: an x pass over the
   compact lines ``(..., n, 2m+1, m+1)``, every dropped kx row zero, then,
   one x-slab of ``b`` planes at a time, the y pass on the
@@ -159,11 +162,6 @@ class Grid:
         return (self.n, self.n, self.n)
 
     @cached_property
-    def coordinates(self) -> np.ndarray:
-        """1D sample coordinates along one axis."""
-        return np.arange(self.n) * self.spacing
-
-    @cached_property
     def integer_modes(self) -> np.ndarray:
         """Signed integer wavevector along one axis, FFT storage order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
@@ -236,10 +234,6 @@ class Grid:
     def k_squared_max_retained(self) -> float:
         """Largest |k|^2 the 2/3 rule keeps; sets the viscous CFL."""
         return float(self.k_squared.max())
-
-    def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = self.coordinates
-        return np.meshgrid(x, x, x, indexing="ij")
 
 
 def _check_values(grid: Grid, values: np.ndarray, nc: int, kind: str) -> np.ndarray:

@@ -76,6 +76,12 @@ def irfftn_real(half: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfftn(half, s=(n, n, n), axes=AXES, norm="forward")
 
 
+def meshes(grid: spec.Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z coordinates of every grid sample, each (n, n, n)."""
+    x = np.arange(grid.n) * grid.spacing
+    return np.meshgrid(x, x, x, indexing="ij")
+
+
 def half_shape(grid: spec.Grid) -> tuple[int, int, int]:
     """Shape of a real-input half spectrum, kz = 0 .. n/2."""
     return (grid.n, grid.n, grid.half)

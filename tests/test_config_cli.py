@@ -277,6 +277,21 @@ class TestSimulate:
         assert "stability" not in err, err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("kind", ["taylor_green", "beltrami"])
+    def test_initial_field_with_infinite_samples_is_named(self, tmp_path, capsys, kind):
+        # at 1e308 Beltrami samples reach 2e308 and a forward transform of
+        # Taylor-Green samples overflows; set on the compact cube, the state
+        # is finite, and run() names the range of its grid max |u|
+        cfg = BASE.replace("taylor_green", kind).replace(
+            "init.amplitude = 1.0", "init.amplitude = 1e308"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 1
+        err = assert_config_error(capsys)
+        assert kind in err and "init.amplitude = 1e+308" in err, err
+        assert not (tmp_path / "run").exists()
+
     def test_zero_amplitude_is_a_valid_run(self, tmp_path):
         cfg = BASE.replace("init.amplitude = 1.0", "init.amplitude = 0").replace("0.02", "0.002")
         assert cli.main(["simulate", write_config(tmp_path / "a.cfg", cfg)]) == 0

@@ -157,8 +157,12 @@ class TestIntegrands:
         assert row["chan_vasseur"] == math.inf
 
     def test_bkm_on_curl_eigenfield(self):
-        row = sample(solv.init_beltrami(Grid(16), 0.9), [SIX])
-        assert row["bkm"] == pytest.approx(row["linf"], rel=1e-13)
+        # curl u = kappa u with kappa = 2 pi / L: omega = u on the 2 pi box,
+        # omega = 2 u on the box of side pi, where max |u| is not max |omega|
+        for length in (TWO_PI, math.pi):
+            row = sample(solv.init_beltrami(Grid(16, length), 0.9), [SIX])
+            kappa = TWO_PI / length
+            assert row["bkm"] == pytest.approx(kappa * row["linf"], rel=1e-13), length
 
     def test_bkm_on_taylor_green(self):
         amp = 1.1

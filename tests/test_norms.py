@@ -16,7 +16,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def single_sine(grid, amplitude=1.0):
-    X = grid.meshes()[0]
+    X = reference.meshes(grid)[0]
     u = np.zeros((3,) + grid.shape)
     u[0] = amplitude * np.sin(X)
     return VelocityField(grid, u)
@@ -128,7 +128,7 @@ class TestSobolev:
 
     def test_mode_two_second_order(self):
         g = Grid(16)
-        X = g.meshes()[0]
+        X = reference.meshes(g)[0]
         u = np.zeros((3,) + g.shape)
         u[0] = np.sin(2 * X)
         U_hat = fft_forward(VelocityField(g, u))

@@ -125,6 +125,37 @@ def test_truncated_payload_rejected(tmp_path):
         snap.read_snapshot(path)
 
 
+def padded_header(g, size):
+    """A velocity snapshot header of ``size`` bytes before its newline."""
+    header = snap._header(g, 0.0, "u1,u2,u3", layout="compact_cube")[:-1]
+    return header + b" " * (size - len(header))
+
+
+def test_header_of_4096_bytes_reads(tmp_path):
+    g = Grid(8)
+    path = tmp_path / "snap.bin"
+    snap.write_snapshot(path, zero_state(g), time=0.0)
+    payload = path.read_bytes().partition(b"\n")[2]
+    path.write_bytes(padded_header(g, 4096) + b"\n" + payload)
+    assert snap.read_snapshot(path, g)[0].kept.tobytes() == payload
+
+
+def test_header_over_4096_bytes_rejected(tmp_path):
+    g = Grid(8)
+    path = tmp_path / "snap.bin"
+    path.write_bytes(padded_header(g, 4097) + b"\n")
+    with pytest.raises(ValueError, match="header too long"):
+        snap.read_snapshot(path, g)
+
+
+@pytest.mark.parametrize("size", [0, 40, 4096])
+def test_header_without_newline_rejected(tmp_path, size):
+    path = tmp_path / "snap.bin"
+    path.write_bytes(padded_header(Grid(8), 4096)[:size])
+    with pytest.raises(ValueError, match="header truncated"):
+        snap.read_snapshot(path)
+
+
 def rewrite_header(path, **changes):
     header, _, payload = path.read_bytes().partition(b"\n")
     head = dict(json.loads(header), **changes)

@@ -18,6 +18,21 @@ from regcrit.spectral import Grid, SpectralVelocityField, to_physical
 TWO_PI = 2.0 * np.pi
 
 
+#: (component, kx, ky, kz) -> coefficient at amplitude 1, one of each pair
+#: k, -k: u = (cos x sin y, -sin x cos y, 0) of the Taylor-Green vortex
+TAYLOR_GREEN_MODES = {
+    (0, 1, 1, 0): -0.25j, (0, 1, -1, 0): 0.25j,
+    (1, 1, 1, 0): 0.25j, (1, 1, -1, 0): 0.25j,
+}
+
+#: the same for the ABC flow u = (sin z + cos y, sin x + cos z, sin y + cos x)
+BELTRAMI_MODES = {
+    (0, 0, 0, 1): -0.5j, (0, 0, 1, 0): 0.5,
+    (1, 1, 0, 0): -0.5j, (1, 0, 0, 1): 0.5,
+    (2, 0, 1, 0): -0.5j, (2, 1, 0, 0): 0.5,
+}
+
+
 def l2(U):
     """||u||_2 of a spectral field, by quadrature of its grid samples."""
     return lp_norm(U.grid, to_physical(U).magnitude(), 2.0)
@@ -103,8 +118,9 @@ class TestInitializers:
 
     @pytest.mark.parametrize("n", [8, 16, 18, 32])
     def test_exact_solutions_are_band_limited(self, n):
-        # a forward transform of grid samples leaves roundoff on every mode;
-        # the initializers keep only the kept modes of it, bit for bit
+        # the initializers set their modes exactly, so no mode outside the
+        # kept ones holds anything, while a forward transform of their grid
+        # samples leaves roundoff on every mode
         g = Grid(n)
         for U in (solv.init_taylor_green(g, 1.3), solv.init_beltrami(g, 0.8)):
             samples = to_physical(U).values
@@ -112,6 +128,52 @@ class TestInitializers:
             assert np.abs(full_half[..., ~reference.dealias_mask_half(g)]).max() > 0.0
             assert np.all(reference.to_half(U)[..., ~reference.dealias_mask_half(g)] == 0.0)
             assert np.abs(U.kept).max() > 0.0
+
+    @pytest.mark.parametrize("n", [8, 16, 18])
+    @pytest.mark.parametrize(
+        "init, entries, stored",
+        [
+            (solv.init_taylor_green, TAYLOR_GREEN_MODES, 8),
+            (solv.init_beltrami, BELTRAMI_MODES, 10),
+        ],
+        ids=["taylor_green", "beltrami"],
+    )
+    def test_exact_fourier_modes(self, init, entries, stored, n):
+        # every nonzero coefficient, k and -k both, on the full cube in
+        # storage order; the compact cube holds the ones with kz >= 0
+        amp = 1.3
+        U = init(Grid(n), amp)
+        expected = np.zeros((3, n, n, n), dtype=np.complex128)
+        for (c, kx, ky, kz), value in entries.items():
+            expected[c, kx % n, ky % n, kz % n] = amp * value
+            expected[c, -kx % n, -ky % n, -kz % n] = amp * np.conj(value)
+        assert np.array_equal(reference.full(U), expected)
+        assert np.count_nonzero(U.kept) == stored
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("init", [solv.init_taylor_green, solv.init_beltrami])
+    def test_initializer_holds_one_compact_cube(self, init, n):
+        g = Grid(n)
+        init(g, 1.0)  # the grid's tables
+        cube = 3 * math.prod(g.kept_shape) * 16
+        assert reference.traced_peak(init, g, 1.0) <= 1.1 * cube
+
+    @pytest.mark.parametrize("length", [TWO_PI, 3.0])
+    def test_samples_are_the_closed_forms(self, length):
+        g, amp = Grid(16, length), 1.3
+        X, Y, Z = (TWO_PI / length * x for x in reference.meshes(g))
+        cases = {
+            solv.init_taylor_green: [
+                np.cos(X) * np.sin(Y), -np.sin(X) * np.cos(Y), np.zeros(g.shape)
+            ],
+            solv.init_beltrami: [
+                np.sin(Z) + np.cos(Y), np.sin(X) + np.cos(Z), np.sin(Y) + np.cos(X)
+            ],
+        }
+        for init, closed in cases.items():
+            exact = amp * np.stack(closed)
+            samples = to_physical(init(g, amp)).values
+            assert np.abs(samples - exact).max() <= 1e-15 * np.abs(exact).max()
 
     def test_random_divfree_contract(self):
         g = Grid(16)
@@ -314,7 +376,7 @@ class TestPressure:
     def test_taylor_green_exact(self):
         amp, g = 1.7, Grid(16)
         q = solv.pressure_field(solv.init_taylor_green(g, amp)).values
-        X, Y, _ = g.meshes()
+        X, Y, _ = reference.meshes(g)
         exact = -(amp**2 / 4.0) * (np.cos(2.0 * X) + np.cos(2.0 * Y))
         assert np.abs(q - exact).max() <= 1e-12 * np.abs(exact).max()
 
